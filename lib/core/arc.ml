@@ -1,16 +1,17 @@
 let algorithm = "arc"
 
-(* Named result signature of [Make] (the .mli documents it): lets
-   consumers of a register built over a runtime-chosen substrate — a
-   first-class [Mem_intf.S] over an mmap'd file — package the functor
-   result as [(module Arc.S with ...)]. *)
-module type S = sig
+(* Named result signatures (the .mli documents them): [BASE] is the
+   surface both storage policies share, [S] the result of [Make] — it
+   lets consumers of a register built over a runtime-chosen substrate,
+   a first-class [Mem_intf.S] over an mmap'd file, package the functor
+   result as [(module Arc.S with ...)] — and [ELASTIC] the result of
+   [Arc_dynamic.Make]. *)
+module type BASE = sig
   include Register_intf.ZERO_COPY
 
   val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
   val probe_stamp : t -> int
   val read_plain : reader -> f:(Mem.buffer -> int -> 'a) -> 'a
-  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
   val write_guarded : t -> guard:(unit -> unit) -> src:int array -> len:int -> unit
   val recover_crash : t -> int
   val quarantine : t -> int -> unit
@@ -57,12 +58,44 @@ module type S = sig
   end
 end
 
+module type S = sig
+  include BASE
+
+  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
+end
+
+module type ELASTIC = sig
+  include BASE
+
+  val footprint_words : t -> int
+  val reallocations : t -> int
+  val reclaim_stale : t -> lease:int -> int
+  val set_lease : t -> int option -> unit
+  val reclaimed : t -> int
+  val live_buffers : t -> int
+end
+
+(* Slot-storage policy — the one point of variation between ARC's two
+   instantiations ({!Make} below and [Arc_dynamic.Make]).  Everything
+   else — Algorithms 2 and 3, the §3.4 hint, R2', coalescing, crash
+   recovery, telemetry — is the single core. *)
+type storage = Fixed | Elastic
+
+module type POLICY = sig
+  val algorithm : string
+  val name : string
+  val storage : storage
+end
+
 module Packed = Arc_util.Packed
 
-module Make (M : Arc_mem.Mem_intf.S) = struct
+module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
   module Mem = M
   module Obs = Arc_obs.Obs
   module Ring = Arc_obs.Ring
+
+  let elastic = match P.storage with Elastic -> true | Fixed -> false
+  let who_read = P.name ^ ".read"
 
   (* Telemetry (ISSUE 5).  All counters are host-heap {!Obs.Cell}s —
      plain single-writer words outside the substrate [M] — so
@@ -95,7 +128,11 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      per recycle and read once per read, always adjacent in time to
      the content accesses of the same slot. *)
   type slot = {
-    size : M.atomic;  (* words of the snapshot currently in [content] *)
+    size : M.atomic;
+        (* words of the snapshot currently in [content]; -1 is the
+           elastic revocation marker: the slot's storage was reclaimed
+           while a laggard (possibly crashed) reader still pins it.
+           Fixed storage never stores it. *)
     seq : M.atomic;  (* begin stamp: stored {e before} the content copy *)
     seq_end : M.atomic;
         (* end stamp: stored {e after} content and size.  The pair
@@ -104,11 +141,59 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
            content scan certifies the scan saw write [s] whole; any
            overlap with a re-preparation leaves the two unequal, since
            the writer bumps [seq] to the fresh (strictly greater) stamp
-           before touching a word of content.  This is what makes the
-           copy-free validated R2' read ([read_plain]) sound. *)
+           before touching a word of content — buffer swaps included.
+           This is what makes the copy-free validated R2' read
+           ([read_plain]) sound. *)
     r_start : M.atomic;  (* reads started on this slot since its last update *)
     r_end : M.atomic;  (* reads completed on this slot since its last update *)
-    content : M.buffer;
+    mutable content : M.buffer;
+        (* Fixed storage: allocated in [create], never replaced.
+           Elastic storage: replaced by the writer while the slot is
+           free (published to readers by the exchange on [current], the
+           same happens-before edge as the slot's data) — and by
+           [reclaim_stale] while the slot is pinned, which is exactly
+           the race the size-validation handshake in [acquire]
+           resolves. *)
+  }
+
+  (* Writer-private state: accessed only by the single writer thread
+     (writer {e role} — under supervised failover the role moves
+     between threads, but lease discipline guarantees no overlap).
+     Kept out of [t], which holds only words shared with readers and
+     is never written after [create] (bar [set_telemetry]): the R2 hot
+     hit loads [current] out of [t], so a writer store landing on that
+     cache line would cost every write a line transfer to and from
+     each spinning reader. *)
+  type writer = {
+    mutable quarantined : int list;  (* slots retired by [recover_crash] *)
+    mutable last_slot : int;
+    mutable probes : int;
+    mutable writes : int;
+    (* Publish-stamp counter (Register_intf.STAMPED): strictly
+       increasing over the writer role's lifetime, one fresh value per
+       prepared slot, stored into the slot's [seq] before the W2
+       publish.  A successor resyncs it from the slots in
+       [recover_crash] so stamps stay unique across failover. *)
+    mutable stamp : int;
+    (* Write-coalescing staging (host-heap): the latest absorbed
+       snapshot plus the count of absorbed-but-unpublished writes.
+       Publishing the staged value is one ordinary write — one W2
+       exchange and one slot copy for the whole batch. *)
+    co_buf : int array;  (* [capacity] words: its length is the bound *)
+    mutable co_len : int;  (* staged length; -1 = nothing staged *)
+    mutable co_pending : int;  (* absorbed writes since the last publish *)
+    mutable co_batches : int;  (* coalesced publishes *)
+    mutable co_absorbed : int;  (* total writes absorbed into batches *)
+    mutable co_max_batch : int;  (* largest batch published so far *)
+    (* Elastic storage: read only by [set_lease], [reclaim_stale] and
+       the footprint accessors. *)
+    mutable lease : int option;  (* auto-reclaim period, see [set_lease] *)
+    mutable reallocations : int;
+    mutable reclaimed : int;
+    superseded_at : int array;
+        (* per slot: the write count at which it was last superseded
+           (W3); -1 while free or published.  Drives the staleness test
+           of [reclaim_stale]. *)
   }
 
   type t = {
@@ -117,36 +202,14 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     readers : int;
     use_hint : bool;
     hint : M.atomic;  (* §3.4 free-slot proposal; -1 when empty *)
-    (* Crash-recovery journal (ISSUE 3): the index of the slot whose
+    (* Crash-recovery journal: the index of the slot whose
        supersede-freeze (W3) is in flight, -1 when no write is mid-
        publish.  Written by the writer around W2/W3; read only by a
        {e successor} writer in [recover_crash] after a failover, so a
        plain cell would do on real hardware — it is atomic so the
        handoff is well-defined on any substrate. *)
     prefreeze : M.atomic;
-    (* Writer-private state: accessed only by the single writer thread
-       (writer {e role} — under supervised failover the role moves
-       between threads, but lease discipline guarantees no overlap). *)
-    mutable quarantined : int list;  (* slots retired by [recover_crash] *)
-    mutable last_slot : int;
-    mutable probes : int;
-    mutable writes : int;
-    (* Publish-stamp counter (Register_intf.STAMPED): strictly
-       increasing over the writer role's lifetime, one fresh value per
-       prepared slot, stored into the slot's [seq] before the W2
-       publish.  Writer-private; a successor resyncs it from the slots
-       in [recover_crash] so stamps stay unique across failover. *)
-    mutable stamp : int;
-    (* Write-coalescing staging (writer-private, host-heap): the latest
-       absorbed snapshot plus the count of absorbed-but-unpublished
-       writes.  Publishing the staged value is one ordinary write — one
-       W2 exchange and one slot copy for the whole batch. *)
-    co_buf : int array;
-    mutable co_len : int;  (* staged length; -1 = nothing staged *)
-    mutable co_pending : int;  (* absorbed writes since the last publish *)
-    mutable co_batches : int;  (* coalesced publishes *)
-    mutable co_absorbed : int;  (* total writes absorbed into batches *)
-    mutable co_max_batch : int;  (* largest batch published so far *)
+    w : writer;
     mutable tel : telemetry option;
   }
 
@@ -168,7 +231,10 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      the cached ones, and the hot hit skips the index unpack, the slot
      array load and the size load.  ABA on the packed word is
      impossible for the same reason: re-publishing the pinned index
-     requires this reader's release first. *)
+     requires this reader's release first.  Elastic revocation only
+     touches {e superseded} slots, and a cached view was validated by
+     [acquire], so it always points at intact storage (a revoked
+     buffer stays alive through the GC while a view references it). *)
   type reader = {
     reg : t;
     mutable last_index : int;
@@ -178,7 +244,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     cells : rcells option;
   }
 
-  let algorithm = algorithm
+  let algorithm = P.algorithm
 
   let caps =
     {
@@ -189,18 +255,15 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     }
 
   let create_with ~use_hint ~readers ~capacity ~init =
-    if readers < 1 then invalid_arg "Arc.create: need at least one reader";
+    let fail msg = invalid_arg (P.name ^ ".create: " ^ msg) in
+    if readers < 1 then fail "need at least one reader";
     if readers > Packed.max_readers then
-      invalid_arg
-        (Printf.sprintf "Arc.create: readers = %d exceed the 2^32 - 2 capacity"
-           readers);
-    if capacity < 1 then invalid_arg "Arc.create: capacity must be positive";
-    if Array.length init > capacity then
-      invalid_arg "Arc.create: init longer than capacity";
+      fail (Printf.sprintf "readers = %d exceed the 2^32 - 2 capacity" readers);
+    if capacity < 1 then fail "capacity must be positive";
+    if Array.length init > capacity then fail "init longer than capacity";
     let nslots = readers + 2 in
-    if nslots - 1 > Packed.max_index then
-      invalid_arg "Arc.create: slot count exceeds index field";
-    let fresh_slot () =
+    if nslots - 1 > Packed.max_index then fail "slot count exceeds index field";
+    let fresh_slot words =
       let r_start, r_end = M.atomic_contended_pair 0 0 in
       {
         size = M.atomic 0;
@@ -208,10 +271,20 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
         seq_end = M.atomic 0;
         r_start;
         r_end;
-        content = M.alloc capacity;
+        content = M.alloc words;
       }
     in
-    let slots = Array.init nslots (fun _ -> fresh_slot ()) in
+    (* Fixed storage allocates every buffer here, in slot order — the
+       contract [Shm_arc.recover] maps buffer ordinals to slots by.
+       Elastic storage pays only for what is stored: the initial value,
+       and zero-word buffers elsewhere. *)
+    let slots =
+      Array.init nslots (fun i ->
+          fresh_slot
+            (match P.storage with
+            | Fixed -> capacity
+            | Elastic -> if i = 0 then Array.length init else 0))
+    in
     (* I1: the initial value lives in slot 0 and [current] starts as
        ⟨index = 0, count = N⟩ — as if every reader had already
        subscribed to slot 0; reader handles start with last_index = 0
@@ -232,17 +305,24 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       use_hint;
       hint = M.atomic_contended (-1);
       prefreeze = M.atomic (-1);
-      quarantined = [];
-      last_slot = 0;
-      probes = 0;
-      writes = 0;
-      stamp = 1;
-      co_buf = Array.make capacity 0;
-      co_len = -1;
-      co_pending = 0;
-      co_batches = 0;
-      co_absorbed = 0;
-      co_max_batch = 0;
+      w =
+        {
+          quarantined = [];
+          last_slot = 0;
+          probes = 0;
+          writes = 0;
+          stamp = 1;
+          co_buf = Array.make capacity 0;
+          co_len = -1;
+          co_pending = 0;
+          co_batches = 0;
+          co_absorbed = 0;
+          co_max_batch = 0;
+          lease = None;
+          reallocations = 0;
+          reclaimed = 0;
+          superseded_at = Array.make nslots (-1);
+        };
       tel = None;
     }
 
@@ -281,8 +361,16 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   let trace reg =
     match reg.tel with None -> [] | Some tel -> Ring.dump tel.tel_ring
 
-  let reader reg i =
-    if i < 0 || i >= reg.readers then invalid_arg "Arc.reader: identity out of range";
+  let record reg ~code a b c =
+    match reg.tel with
+    | Some tel -> Ring.record tel.tel_ring ~at:(tel.clock ()) ~code a b c
+    | None -> ()
+
+    let reader reg i =
+    if i < 0 || i >= reg.readers then
+      invalid_arg
+        (Printf.sprintf "%s.reader: identity %d out of range [0, %d)" P.name i
+           reg.readers);
     let cells =
       match reg.tel with
       | None -> None
@@ -296,8 +384,10 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
           }
     in
     (* [last_current = -1] never matches a packed word, so the first
-       read revalidates through the index branch and fills the view
-       cache — keeping handle creation free of substrate operations. *)
+       read revalidates through [acquire] and fills the view cache —
+       keeping handle creation free of substrate operations (and
+       covering a handle claimed after slot 0's storage was revoked:
+       its I1 presence pins slot 0 until its first release). *)
     {
       reg;
       last_index = 0;
@@ -306,6 +396,64 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       view_len = 0;
       cells;
     }
+
+  (* R3 + R4 + R5: release the subscribed slot (posting the §3.4 hint)
+     and subscribe to the current one.  Shared by the slow read and the
+     elastic revocation-recovery retry. *)
+  let release_and_subscribe rd =
+    let reg = rd.reg in
+    let released = reg.slots.(rd.last_index) in
+    M.incr released.r_end (* R3 *);
+    if reg.use_hint then begin
+      (* §3.4: if this release made the slot reusable, propose it to
+         the writer.  Plain loads/stores suffice: a stale proposal is
+         re-validated by the writer before use. *)
+      let fin = M.load released.r_end in
+      if fin = M.load released.r_start then M.store reg.hint rd.last_index
+    end;
+    let now = M.add_and_fetch reg.current 1 (* R4 *) in
+    (* Saturation guard: with count ≤ readers ≤ 2^32 - 2 by
+       construction this cannot fire; if the count word is ever
+       corrupted (or force-saturated by a fault campaign), the next
+       increment must not silently carry into the index bits.  A
+       post-increment count of 0 is a wrap that already happened;
+       count = max_count means this increment consumed the last
+       head-room unit above the documented 2^32 - 2 bound.  The typed
+       error and message shape are the repository-wide ones
+       (Arc_util.Saturation = Register_intf.Saturated). *)
+    Arc_util.Saturation.guard_count ~who:who_read ~bound:Packed.max_readers
+      (Packed.count now);
+    rd.last_index <- Packed.index now (* R5 *);
+    (* Cache the exact word the subscription returned: its index is the
+       slot this reader now pins, so a later exact match can only mean
+       that same publish is still current. *)
+    rd.last_current <- now
+
+  (* Validate-and-cache the view of the slot the reader is subscribed
+     to.  The revocation marker is checked on both sides of the
+     [content] read: [reclaim_stale] stores size = -1 {e before}
+     swapping the buffer, so [s1 >= 0 && s2 = s1] certifies that no
+     revocation overlapped the two loads and [buf] is the intact
+     storage.  On a revoked slot the reader recovers by releasing and
+     re-subscribing — each retry means the register advanced at least
+     a full lease of writes while this reader was between R4 and the
+     validation.  Fixed storage never revokes: it never stores the
+     marker, and a pinned slot's size and buffer never change (the
+     writer only prepares free slots).  The handshake would always
+     pass there, so fixed storage skips it: one size load, no retry
+     branch, and the read is wait-free by construction. *)
+  let rec acquire rd =
+    let entry = rd.reg.slots.(rd.last_index) in
+    let s1 = M.load entry.size in
+    let buf = entry.content in
+    if (not elastic) || (s1 >= 0 && M.load entry.size = s1) then begin
+      rd.view_buf <- buf;
+      rd.view_len <- s1
+    end
+    else begin
+      release_and_subscribe rd;
+      acquire rd
+    end
 
   (* Algorithm 2.  The fast path (R2) performs a single plain load of
      [current]; only when a newer value was published does the reader
@@ -345,36 +493,9 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
         (match rd.cells with
         | Some c -> c.slow.Obs.Cell.v <- c.slow.Obs.Cell.v + 1
         | None -> ());
-        let released = reg.slots.(rd.last_index) in
-        M.incr released.r_end (* R3 *);
-        if reg.use_hint then begin
-          (* §3.4: if this release made the slot reusable, propose it to
-             the writer.  Plain loads/stores suffice: a stale proposal is
-             re-validated by the writer before use. *)
-          let fin = M.load released.r_end in
-          if fin = M.load released.r_start then M.store reg.hint rd.last_index
-        end;
-        let now = M.add_and_fetch reg.current 1 (* R4 *) in
-        (* Saturation guard: with count ≤ readers ≤ 2^32 - 2 by
-           construction this cannot fire; if the count word is ever
-           corrupted (or force-saturated by a fault campaign), the next
-           increment must not silently carry into the index bits.  A
-           post-increment count of 0 is a wrap that already happened;
-           count = max_count means this increment consumed the last
-           head-room unit above the documented 2^32 - 2 bound.  The
-           typed error and message shape are the repository-wide ones
-           (Arc_util.Saturation = Register_intf.Saturated, ISSUE 8). *)
-        Arc_util.Saturation.guard_count ~who:"Arc.read"
-          ~bound:Packed.max_readers (Packed.count now);
-        rd.last_index <- Packed.index now (* R5 *);
-        (* Cache the exact word the subscription returned: its index is
-           the slot this reader now pins, so a later exact match can
-           only mean that same publish is still current. *)
-        rd.last_current <- now
+        release_and_subscribe rd
       end;
-      let entry = reg.slots.(rd.last_index) in
-      rd.view_buf <- entry.content;
-      rd.view_len <- M.load entry.size;
+      acquire rd;
       (rd.view_buf, rd.view_len)
     end
 
@@ -385,7 +506,8 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   (* Register_intf.STAMPED.  The subscribed slot is pinned by this
      reader's presence (count or frozen r_start unit), so its [seq] is
      exactly the stamp of the write whose content [read_view] just
-     returned — one extra plain load over a plain read. *)
+     returned — one extra plain load over a plain read.  Elastic
+     revocation swaps [content] but never touches [seq]. *)
   let read_stamped rd ~f =
     let buffer, len = read_view rd in
     let stamp = M.load rd.reg.slots.(rd.last_index).seq in
@@ -428,6 +550,11 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      independent of this handle's subscription, whose pin is left
      untouched (a validated R2' read neither releases nor
      subscribes).
+
+     Elastic storage swaps buffers: the scan captures [entry.content]
+     once and bounds-checks the loaded size against the {e captured}
+     buffer, so a realloc or revocation racing the scan can at worst
+     fail validation, never index out of bounds.
 
      [f] runs on the shared buffer {e before} validation: on a
      concurrent overlap it can observe a torn view whose result is
@@ -485,7 +612,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
 
   let read_into rd ~dst =
     read_with rd ~f:(fun buffer len ->
-        if Array.length dst < len then invalid_arg "Arc.read_into: dst too short";
+        if Array.length dst < len then invalid_arg (P.name ^ ".read_into: dst too short");
         M.read_words buffer ~dst ~len;
         len)
 
@@ -499,14 +626,15 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      a successor's first search.  [quarantined] is writer-private —
      membership costs no shared-memory access. *)
   let slot_free reg j =
-    j <> reg.last_slot
-    && (not (List.memq j reg.quarantined))
+    j <> reg.w.last_slot
+    && (not (List.memq j reg.w.quarantined))
     && M.load reg.slots.(j).r_start = M.load reg.slots.(j).r_end
 
   (* W1: free-slot search.  Try the readers' proposal first (O(1)
      amortized), then scan — Lemma 4.1 guarantees a free slot exists
      among the N+2 within one sweep. *)
   let find_free reg =
+    let w = reg.w in
     let proposal =
       if not reg.use_hint then -1
       else begin
@@ -517,29 +645,23 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     in
     if proposal >= 0 && proposal < Array.length reg.slots && slot_free reg proposal
     then begin
-      reg.probes <- reg.probes + 1;
+      w.probes <- w.probes + 1;
       (match reg.tel with
-      | Some tel ->
-        Obs.Cell.incr tel.hint_cell;
-        Ring.record tel.tel_ring ~at:(tel.clock ()) ~code:Ring.code_slot_claim
-          proposal 1 0
+      | Some tel -> Obs.Cell.incr tel.hint_cell
       | None -> ());
+      record reg ~code:Ring.code_slot_claim proposal 1 0;
       proposal
     end
     else begin
       let n = Array.length reg.slots in
       let rec scan step =
-        if step > n then failwith "Arc.write: no free slot (invariant violated)"
+        if step > n then failwith (P.name ^ ".write: no free slot (invariant violated)")
         else begin
-          let j = (reg.last_slot + step) mod n in
-          reg.probes <- reg.probes + 1;
+          let j = (w.last_slot + step) mod n in
+          w.probes <- w.probes + 1;
           M.cede ();
           if slot_free reg j then begin
-            (match reg.tel with
-            | Some tel ->
-              Ring.record tel.tel_ring ~at:(tel.clock ())
-                ~code:Ring.code_slot_claim j 0 step
-            | None -> ());
+            record reg ~code:Ring.code_slot_claim j 0 step;
             j
           end
           else scan (step + 1)
@@ -548,40 +670,108 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       scan 1
     end
 
+  (* Elastic sizing: grow always; shrink only below half to avoid
+     thrashing on small size oscillations. *)
+  let needs_realloc entry len =
+    let cap = M.capacity entry.content in
+    len > cap || len * 2 < cap
+
+  (* Revoke the {e storage} (never the accounting) of slots that have
+     been superseded for more than [lease] writes yet are still
+     pinned — the signature of a crashed or indefinitely paused
+     reader.  The slot stays pinned: presence accounting is what keeps
+     the algorithm wait-free and a crashed reader's pin is permanent
+     by design (Lemma 4.1 tolerates it: N readers pin at most N of the
+     N+2 slots).  What is reclaimed is the buffer, which for elastic
+     storage is the part whose cost scales with snapshot size.  A
+     paused-but-alive reader keeps its cached view alive through the
+     GC and recovers via [acquire]'s validation on its next
+     subscribe.  Fixed storage never revokes: it finds nothing. *)
+  let reclaim_stale reg ~lease =
+    let w = reg.w in
+    if lease < 0 then
+      invalid_arg
+        (Printf.sprintf "%s.reclaim_stale: lease = %d (need >= 0)" P.name lease);
+    let reclaimed = ref 0 in
+    Array.iteri
+      (fun j s ->
+        if
+          elastic
+          && j <> w.last_slot
+          && w.superseded_at.(j) >= 0
+          && w.writes - w.superseded_at.(j) > lease
+          && M.load s.r_start <> M.load s.r_end
+          && M.load s.size >= 0
+        then begin
+          (* Marker first, swap second: a reader's [acquire] re-reads
+             [size] after reading [content], so it can never validate
+             a view that mixes the old length with the empty buffer. *)
+          M.store s.size (-1);
+          s.content <- M.alloc 0;
+          w.reclaimed <- w.reclaimed + 1;
+          incr reclaimed;
+          record reg ~code:Ring.code_reclaim j
+            (w.writes - w.superseded_at.(j))
+            0
+        end)
+      reg.slots;
+    !reclaimed
+
+  let set_lease reg lease =
+    (match lease with
+    | Some l when l < 1 ->
+      invalid_arg (Printf.sprintf "%s.set_lease: lease = %d (need >= 1)" P.name l)
+    | _ -> ());
+    reg.w.lease <- lease
+
+  (* Length and capacity are validated before any writer state is
+     touched, so a rejected write leaves the register and the
+     coalescing stage exactly as they were. *)
+  let check_write reg ~op ~src ~len =
+    if len < 0 || len > Array.length src then
+      invalid_arg (P.name ^ "." ^ op ^ ": bad length");
+    if len > Array.length reg.w.co_buf then
+      invalid_arg (P.name ^ "." ^ op ^ ": exceeds capacity")
+
   (* Algorithm 3.  [guard] is the epoch-fence hook
      (Register_intf.FENCEABLE): it runs once the slot is fully
      prepared, immediately before the W2 publish.  If it raises, the
      write aborts with nothing published — the slot was free and both
      its counters are 0/0, so the ledger is untouched and the next
-     write reuses it. *)
-  let write_guarded reg ~guard ~src ~len =
-    if len < 0 || len > Array.length src then invalid_arg "Arc.write: bad length";
-    (* A direct write supersedes anything still staged by
-       [write_coalesced]: the staged writes are absorbed into this
-       batch (they were older), never resurrected by a later flush. *)
-    if reg.co_pending > 0 then begin
-      let batch = reg.co_pending + 1 in
-      reg.co_pending <- 0;
-      reg.co_len <- -1;
-      reg.co_batches <- reg.co_batches + 1;
-      if batch > reg.co_max_batch then reg.co_max_batch <- batch
-    end;
+     write reuses it.  [batch] is the number of staged coalesced writes
+     this publish retires (0 for none); the coalescing bookkeeping is
+     committed only once W2 has published, so an aborted publish keeps
+     the staged writes for a later flush. *)
+  let publish reg ~guard ~src ~len ~batch =
+    let w = reg.w in
     let slot = find_free reg (* W1 *) in
     let entry = reg.slots.(slot) in
-    if len > M.capacity entry.content then invalid_arg "Arc.write: exceeds capacity";
-    (* Stamp the slot {e before} the content copy: strictly increasing
-       per writer role, so [probe_stamp] equality certifies an
-       unchanged published value (see [probe_stamp]) and an R2' plain
-       scan overlapping this preparation is guaranteed to observe
-       [seq <> seq_end] on at least one side (see the [slot] type).  A
-       guard abort burns the stamp — stamps are unique, not dense.  A
-       writer crash mid-copy leaves [seq <> seq_end], so no plain read
-       can ever validate the torn content. *)
-    reg.stamp <- reg.stamp + 1;
-    M.store entry.seq reg.stamp;
+    (* Stamp the slot {e before} the content copy — and before any
+       buffer swap: strictly increasing per writer role, so
+       [probe_stamp] equality certifies an unchanged published value
+       (see [probe_stamp]) and an R2' plain scan overlapping this
+       preparation is guaranteed to observe [seq <> seq_end] on at
+       least one side (see the [slot] type).  A guard abort burns the
+       stamp — stamps are unique, not dense.  A writer crash mid-copy
+       leaves [seq <> seq_end], so no plain read can ever validate the
+       torn content. *)
+    w.stamp <- w.stamp + 1;
+    M.store entry.seq w.stamp;
+    if elastic && needs_realloc entry len then begin
+      (* The slot is free: no reader presence is accounted on it, so
+         swapping the buffer races with nobody.  Readers holding views
+         of the old buffer keep it alive via the GC.  A revoked slot
+         (capacity 0) is regrown here, which also clears its -1
+         marker via the size store below. *)
+      let old_cap = M.capacity entry.content in
+      entry.content <- M.alloc len;
+      w.reallocations <- w.reallocations + 1;
+      record reg ~code:Ring.code_realloc slot old_cap len
+    end;
+    w.superseded_at.(slot) <- -1;
     M.write_words entry.content ~src ~len;
     M.store entry.size len;
-    M.store entry.seq_end reg.stamp;
+    M.store entry.seq_end w.stamp;
     M.store entry.r_start 0;
     M.store entry.r_end 0;
     (* W1.5: journal the slot about to be superseded.  Its subscriber
@@ -594,7 +784,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
        a successor's first write).  Journalled before [guard] so the
        fencing residual window (guard load → publish) stays a single
        instruction. *)
-    M.store reg.prefreeze reg.last_slot;
+    M.store reg.prefreeze w.last_slot;
     (try guard ()
      with e ->
        M.store reg.prefreeze (-1);
@@ -605,16 +795,34 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
        r_start; it becomes free again once the laggards' R3 increments
        bring r_end up to this value. *)
     M.store reg.slots.(old_slot).r_start (Packed.count old);
-    reg.last_slot <- slot;
+    w.superseded_at.(old_slot) <- w.writes;
+    w.last_slot <- slot;
     M.store reg.prefreeze (-1);
-    reg.writes <- reg.writes + 1;
-    match reg.tel with
+    w.writes <- w.writes + 1;
+    if batch > 0 then begin
+      w.co_pending <- 0;
+      w.co_len <- -1;
+      w.co_batches <- w.co_batches + 1;
+      if batch > w.co_max_batch then w.co_max_batch <- batch
+    end;
+    (match reg.tel with
     | Some tel ->
       let at = tel.clock () in
       Ring.record tel.tel_ring ~at ~code:Ring.code_publish slot old_slot 0;
       Ring.record tel.tel_ring ~at ~code:Ring.code_freeze old_slot
         (Packed.count old) 0
-    | None -> ()
+    | None -> ());
+    match w.lease with
+    | Some l when w.writes mod l = 0 -> ignore (reclaim_stale reg ~lease:l)
+    | _ -> ()
+
+  (* A direct write supersedes anything still staged by
+     [write_coalesced]: the staged writes are absorbed into this batch
+     (they were older), never resurrected by a later flush. *)
+  let write_guarded reg ~guard ~src ~len =
+    check_write reg ~op:"write" ~src ~len;
+    let batch = if reg.w.co_pending > 0 then reg.w.co_pending + 1 else 0 in
+    publish reg ~guard ~src ~len ~batch
 
   (* Successor-writer recovery (Register_intf.FENCEABLE): quarantine
      the journaled mid-publish slot, if any, and re-establish the
@@ -623,29 +831,26 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      one slot per writer crash at most, paid for by over-provisioning
      reader identities (each unused identity is a net spare slot). *)
   let recover_crash reg =
+    let w = reg.w in
     let j = M.load reg.prefreeze in
-    reg.last_slot <- Packed.index (M.load reg.current);
+    w.last_slot <- Packed.index (M.load reg.current);
     (* Stamp resync: the predecessor's counter was heap-local and died
        with it.  Every issued stamp is visible in some slot's [seq]
        (quarantined slots keep theirs), so the max over slots restores
        strict monotonicity for the successor's writes. *)
-    Array.iter (fun s -> reg.stamp <- max reg.stamp (M.load s.seq)) reg.slots;
+    Array.iter (fun s -> w.stamp <- max w.stamp (M.load s.seq)) reg.slots;
     let quarantined =
       if j >= 0 then begin
         M.store reg.prefreeze (-1);
-        if List.memq j reg.quarantined then 0
+        if List.memq j w.quarantined then 0
         else begin
-          reg.quarantined <- j :: reg.quarantined;
+          w.quarantined <- j :: w.quarantined;
           1
         end
       end
       else 0
     in
-    (match reg.tel with
-    | Some tel ->
-      Ring.record tel.tel_ring ~at:(tel.clock ()) ~code:Ring.code_recover
-        reg.last_slot quarantined j
-    | None -> ());
+    record reg ~code:Ring.code_recover w.last_slot quarantined j;
     quarantined
 
   (* External-evidence quarantine (Register_intf.FENCEABLE): retire a
@@ -654,17 +859,14 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      the torn content copy of a SIGKILLed writer.  Same writer-private
      list as [recover_crash], so [slot_free] excludes it from reuse. *)
   let quarantine reg j =
+    let w = reg.w in
     if j < 0 || j >= Array.length reg.slots then
       invalid_arg
-        (Printf.sprintf "Arc.quarantine: slot %d out of range [0, %d)" j
+        (Printf.sprintf "%s.quarantine: slot %d out of range [0, %d)" P.name j
            (Array.length reg.slots));
-    if not (List.memq j reg.quarantined) then begin
-      reg.quarantined <- j :: reg.quarantined;
-      match reg.tel with
-      | Some tel ->
-        Ring.record tel.tel_ring ~at:(tel.clock ()) ~code:Ring.code_quarantine
-          j 0 0
-      | None -> ()
+    if not (List.memq j w.quarantined) then begin
+      w.quarantined <- j :: w.quarantined;
+      record reg ~code:Ring.code_quarantine j 0 0
     end
 
   let write reg ~src ~len = write_guarded reg ~guard:ignore ~src ~len
@@ -678,61 +880,87 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      subsequence (monotone, gaps ≤ the bound, final write never
      lost provided the caller flushes). *)
   let flush_coalesced reg =
-    if reg.co_pending > 0 then begin
-      let batch = reg.co_pending and len = reg.co_len in
-      reg.co_pending <- 0;
-      reg.co_len <- -1;
-      reg.co_batches <- reg.co_batches + 1;
-      if batch > reg.co_max_batch then reg.co_max_batch <- batch;
-      write reg ~src:reg.co_buf ~len
-    end
+    let w = reg.w in
+    if w.co_pending > 0 then
+      publish reg ~guard:ignore ~src:w.co_buf ~len:w.co_len
+        ~batch:w.co_pending
 
   let write_coalesced reg ~max_pending ~max_staleness ~src ~len =
+    let w = reg.w in
     if max_pending < 1 then
       invalid_arg
-        (Printf.sprintf "Arc.write_coalesced: max_pending = %d (need >= 1)"
+        (Printf.sprintf "%s.write_coalesced: max_pending = %d (need >= 1)" P.name
            max_pending);
     if max_staleness < max_pending then
       invalid_arg
         (Printf.sprintf
-           "Arc.write_coalesced: max_pending = %d exceeds max_staleness = %d"
-           max_pending max_staleness);
-    if len < 0 || len > Array.length src then
-      invalid_arg "Arc.write_coalesced: bad length";
-    if len > Array.length reg.co_buf then
-      invalid_arg "Arc.write_coalesced: exceeds capacity";
-    Array.blit src 0 reg.co_buf 0 len;
-    reg.co_len <- len;
-    reg.co_pending <- reg.co_pending + 1;
-    reg.co_absorbed <- reg.co_absorbed + 1;
-    if reg.co_pending >= max_pending then flush_coalesced reg
+           "%s.write_coalesced: max_pending = %d exceeds max_staleness = %d"
+           P.name max_pending max_staleness);
+    check_write reg ~op:"write_coalesced" ~src ~len;
+    Array.blit src 0 w.co_buf 0 len;
+    w.co_len <- len;
+    w.co_pending <- w.co_pending + 1;
+    w.co_absorbed <- w.co_absorbed + 1;
+    if w.co_pending >= max_pending then flush_coalesced reg
 
-  let pending_writes reg = reg.co_pending
-  let coalesced_batches reg = reg.co_batches
-  let coalesced_absorbed reg = reg.co_absorbed
-  let max_coalesced_batch reg = reg.co_max_batch
-  let write_probes reg = reg.probes
-  let writes reg = reg.writes
+  let pending_writes reg = reg.w.co_pending
+  let coalesced_batches reg = reg.w.co_batches
+  let coalesced_absorbed reg = reg.w.co_absorbed
+  let max_coalesced_batch reg = reg.w.co_max_batch
+  let write_probes reg = reg.w.probes
+  let writes reg = reg.w.writes
+
+  let footprint_words reg =
+    Array.fold_left (fun acc s -> acc + M.capacity s.content) 0 reg.slots
+
+  let reallocations reg = reg.w.reallocations
+  let reclaimed reg = reg.w.reclaimed
+
+  (* Slots currently holding non-empty storage — the elastic
+     footprint in {e slots} rather than words.  The paper's Lemma 4.1
+     bounds pinned slots by N, so with reclaim active the live-buffer
+     count must stay within N + 2 for the {e admitted} population N —
+     the churn soak tracks this against the gate capacity even as the
+     arrival population grows unboundedly. *)
+  let live_buffers reg =
+    Array.fold_left
+      (fun acc s -> if M.capacity s.content > 0 then acc + 1 else acc)
+      0 reg.slots
 
   let metrics reg =
+    let w = reg.w in
+    let storage =
+      if elastic then
+        [
+          Obs.counter "arc_reallocations_total"
+            ~help:"Buffer replacements performed by writes" w.reallocations;
+          Obs.counter "arc_reclaimed_slots_total"
+            ~help:"Stale pinned slots whose storage was revoked" w.reclaimed;
+          Obs.gauge "arc_footprint_words"
+            ~help:"Words currently allocated across slot buffers"
+            (float_of_int (footprint_words reg));
+        ]
+      else []
+    in
     let base =
-      [
-        Obs.counter "arc_writes_total" ~help:"Completed register writes"
-          reg.writes;
-        Obs.counter "arc_write_probes_total"
-          ~help:"Slots examined by W1 free-slot searches" reg.probes;
-        Obs.counter "arc_quarantined_slots"
-          ~help:"Slots retired by crash recovery or external conviction"
-          (List.length reg.quarantined);
-        Obs.counter "arc_coalesced_batches_total"
-          ~help:"Coalesced publishes (one exchange per batch)"
-          reg.co_batches;
-        Obs.counter "arc_coalesced_writes_total"
-          ~help:"Writes absorbed into coalescing batches" reg.co_absorbed;
-        Obs.gauge "arc_coalesced_max_batch"
-          ~help:"Largest coalesced batch published so far"
-          (float_of_int reg.co_max_batch);
-      ]
+      Obs.counter "arc_writes_total" ~help:"Completed register writes"
+        w.writes
+      :: Obs.counter "arc_write_probes_total"
+           ~help:"Slots examined by W1 free-slot searches" w.probes
+      :: Obs.counter "arc_quarantined_slots"
+           ~help:"Slots retired by crash recovery or external conviction"
+           (List.length w.quarantined)
+      :: storage
+      @ [
+          Obs.counter "arc_coalesced_batches_total"
+            ~help:"Coalesced publishes (one exchange per batch)"
+            w.co_batches;
+          Obs.counter "arc_coalesced_writes_total"
+            ~help:"Writes absorbed into coalescing batches" w.co_absorbed;
+          Obs.gauge "arc_coalesced_max_batch"
+            ~help:"Largest coalesced batch published so far"
+            (float_of_int w.co_max_batch);
+        ]
     in
     match reg.tel with
     | None -> base
@@ -806,7 +1034,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
         if j >= n then false
         else if
           j <> published
-          && (not (List.memq j reg.quarantined))
+          && (not (List.memq j reg.w.quarantined))
           && M.load reg.slots.(j).r_start = M.load reg.slots.(j).r_end
         then true
         else go (j + 1)
@@ -814,3 +1042,9 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       go 0
   end
 end
+
+module Make = Core (struct
+  let algorithm = algorithm
+  let name = "Arc"
+  let storage = Fixed
+end)

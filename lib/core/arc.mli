@@ -29,13 +29,10 @@
 
 val algorithm : string
 
-(** The full ARC register module — {!Register_intf.ZERO_COPY} and
-    {!Register_intf.FENCEABLE} plus the white-box surface.  Named so
-    that consumers holding a register built over a {e runtime}-chosen
-    substrate (e.g. a first-class [Mem_intf.S] over an mmap'd file,
-    {!Arc_shm.Shm_mem.mem}) can still package the functor result:
-    [(module Arc.S with type Mem.atomic = ...)]. *)
-module type S = sig
+(** The register surface both slot-storage policies share —
+    {!Register_intf.ZERO_COPY} and {!Register_intf.FENCEABLE} plus
+    R2', coalescing, telemetry and the white-box surface. *)
+module type BASE = sig
   include Register_intf.ZERO_COPY
   (** [read_view] is the pinned zero-copy read: the view stays stable
       until this same reader's {e next} read (the slot cannot be
@@ -82,11 +79,6 @@ module type S = sig
       [f] may run on a torn view whose result is then discarded: it
       must be pure and total on arbitrary word contents, exactly like
       a seqlock read section, and must not retain the buffer. *)
-
-  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
-  (** Like {!create} but choosing whether the §3.4 free-slot hint is
-      used ({!create} enables it).  [use_hint:false] is the ablation
-      arm of experiment E5. *)
 
   val write_guarded : t -> guard:(unit -> unit) -> src:int array -> len:int -> unit
   (** {!Register_intf.FENCEABLE}: [write] with [guard ()] run between
@@ -274,4 +266,97 @@ module type S = sig
   end
 end
 
+(** The full ARC register module with fixed slot storage: {!BASE}
+    plus the hint-ablation constructor.  Named so that consumers
+    holding a register built over a {e runtime}-chosen substrate (e.g.
+    a first-class [Mem_intf.S] over an mmap'd file,
+    {!Arc_shm.Shm_mem.mem}) can still package the functor result:
+    [(module Arc.S with type Mem.atomic = ...)]. *)
+module type S = sig
+  include BASE
+
+  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
+  (** Like {!create} but choosing whether the §3.4 free-slot hint is
+      used ({!create} enables it).  [use_hint:false] is the ablation
+      arm of experiment E5. *)
+end
+
+(** The register module with elastic slot storage
+    ({!Arc_dynamic.Make}): {!BASE} plus buffer accounting and
+    stale-storage reclaim. *)
+module type ELASTIC = sig
+  include BASE
+
+  val footprint_words : t -> int
+  (** Total words currently allocated across all slot buffers. *)
+
+  val reallocations : t -> int
+  (** Number of buffer replacements performed by writes so far. *)
+
+  val reclaim_stale : t -> lease:int -> int
+  (** [reclaim_stale t ~lease] revokes the storage of every slot that
+      was superseded more than [lease] writes ago and is still pinned
+      by reader presence — the signature of a crashed or stalled
+      reader.  Returns the number of slots revoked by this call.
+      Writer-thread only (it is part of the writer's side of the
+      protocol).
+      @raise Invalid_argument if [lease < 0]. *)
+
+  val set_lease : t -> int option -> unit
+  (** [set_lease t (Some l)] makes every [l]-th write run
+      [reclaim_stale ~lease:l] automatically; [None] (the default)
+      disables auto-reclaim.  Writer-thread only.
+      @raise Invalid_argument if [l < 1]. *)
+
+  val reclaimed : t -> int
+  (** Total slots whose storage has been revoked so far. *)
+
+  val live_buffers : t -> int
+  (** Slots currently holding non-empty storage — the elastic
+      footprint in {e slots} rather than words.  With reclaim active
+      this must stay within N + 2 for the {e admitted} reader
+      population N, however many readers have come and gone; the
+      churn soak tracks it against the admission gate's
+      capacity. *)
+end
+
+(** {2 Slot storage}
+
+    ARC has one implementation, {!Core}, parameterised by how slot
+    buffers are stored.  That is the only point of variation; the
+    synchronization (Algorithms 2–3), the §3.4 hint, R2', coalescing,
+    crash recovery and telemetry are shared. *)
+
+type storage =
+  | Fixed
+      (** N+2 buffers of [capacity] words, allocated in slot order by
+          [create] and never replaced ({!Make}).  Nothing is ever
+          revoked, so every read is wait-free. *)
+  | Elastic
+      (** Each write sizes its target slot's buffer to the value (grow
+          always, shrink below half), and [reclaim_stale]/[set_lease]
+          revoke the storage of stale pinned slots
+          ({!Arc_dynamic.Make}). *)
+
+module type POLICY = sig
+  val algorithm : string
+  (** Report name, e.g. ["arc"]. *)
+
+  val name : string
+  (** Module name used in error messages, e.g. ["Arc"]. *)
+
+  val storage : storage
+end
+
+(** The shared ARC core.  Its two instantiations are {!Make} (fixed
+    storage) and [Arc_dynamic.Make] (elastic storage); instantiate
+    those rather than this functor.  Under fixed storage the
+    reclaim operations never revoke anything. *)
+module Core (_ : POLICY) (M : Arc_mem.Mem_intf.S) : sig
+  include ELASTIC with module Mem = M
+
+  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
+end
+
 module Make (M : Arc_mem.Mem_intf.S) : S with module Mem = M
+(** ARC with fixed slot storage. *)

@@ -1,28 +1,10 @@
 let algorithm = "arc-nohint"
 
 module Make (M : Arc_mem.Mem_intf.S) = struct
-  module Inner = Arc.Make (M)
-  module Mem = M
-
-  type t = Inner.t
-  type reader = Inner.reader
+  include Arc.Make (M)
 
   let algorithm = algorithm
-  let caps = Inner.caps
 
   let create ~readers ~capacity ~init =
-    Inner.create_with ~use_hint:false ~readers ~capacity ~init
-
-  let reader = Inner.reader
-  let write = Inner.write
-  let write_guarded = Inner.write_guarded
-  let recover_crash = Inner.recover_crash
-  let quarantine = Inner.quarantine
-  let read_with = Inner.read_with
-  let read_view = Inner.read_view
-  let read_into = Inner.read_into
-  let read_stamped = Inner.read_stamped
-  let probe_stamp = Inner.probe_stamp
-  let write_probes = Inner.write_probes
-  let writes = Inner.writes
+    create_with ~use_hint:false ~readers ~capacity ~init
 end

@@ -11,7 +11,7 @@ end
 
 type instance = (module INSTANCE)
 
-let create ?(use_hint = true) m ~readers ~capacity ~init =
+let create m ~readers ~capacity ~init =
   (match Shm_mem.geometry m with
   | Some _ ->
       invalid_arg
@@ -20,7 +20,7 @@ let create ?(use_hint = true) m ~readers ~capacity ~init =
   | None -> ());
   let module M = (val Shm_mem.mem m) in
   let module R = Arc_core.Arc.Make (M) in
-  let reg = R.create_with ~use_hint ~readers ~capacity ~init in
+  let reg = R.create ~readers ~capacity ~init in
   Shm_mem.set_geometry m ~readers ~capacity;
   (module struct
     module M = M
@@ -59,7 +59,7 @@ end
 
 type fabric_instance = (module FABRIC_INSTANCE)
 
-let create_fabric ?(use_hint = true) m ~shards ~readers ~capacity ~init =
+let create_fabric m ~shards ~readers ~capacity ~init =
   if shards < 1 then invalid_arg "Shm_arc.create_fabric: shards must be >= 1";
   (match Shm_mem.geometry m with
   | Some _ ->
@@ -73,7 +73,7 @@ let create_fabric ?(use_hint = true) m ~shards ~readers ~capacity ~init =
      mapping ordinals [s·nslots, (s+1)·nslots) — the contract
      {!Shm_mem.recover_shard} scopes its scan by. *)
   let regs =
-    Array.init shards (fun _ -> R.create_with ~use_hint ~readers ~capacity ~init)
+    Array.init shards (fun _ -> R.create ~readers ~capacity ~init)
   in
   ignore (Shm_mem.alloc_reign_table m ~shards);
   Shm_mem.set_geometry m ~readers ~capacity;

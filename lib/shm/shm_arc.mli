@@ -18,7 +18,6 @@ end
 type instance = (module INSTANCE)
 
 val create :
-  ?use_hint:bool ->
   Shm_mem.mapping ->
   readers:int ->
   capacity:int ->
@@ -72,7 +71,6 @@ end
 type fabric_instance = (module FABRIC_INSTANCE)
 
 val create_fabric :
-  ?use_hint:bool ->
   Shm_mem.mapping ->
   shards:int ->
   readers:int ->

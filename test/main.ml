@@ -65,6 +65,7 @@ let () =
       ("lamport77", Test_lamport.suite);
       ("simpson", Test_simpson.suite);
       ("arc-dynamic", Test_arc_dynamic.suite);
+      ("storage", Test_storage.suite);
       ("explore", Test_explore.suite);
       ("coherence", Test_coherence.suite);
       ("schedules", Test_schedules.suite);
