@@ -263,7 +263,7 @@ let shm_ops ~size =
       try Sys.remove path with Sys_error _ -> ());
   (read_hit, write, write_read)
 
-let shm_sizes = [ ("4KB", 512); ("32KB", 4096) ]
+let shm_sizes = [ ("4KB", 512); ("32KB", 4096); ("128KB", 16384) ]
 
 let shm_tests =
   List.concat_map

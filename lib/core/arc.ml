@@ -630,6 +630,22 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     && (not (List.memq j reg.w.quarantined))
     && M.load reg.slots.(j).r_start = M.load reg.slots.(j).r_end
 
+  (* W1 scan: a top-level function rather than a local closure, so the
+     write path allocates nothing. *)
+  let rec scan_free reg step =
+    let w = reg.w and n = Array.length reg.slots in
+    if step > n then failwith (P.name ^ ".write: no free slot (invariant violated)")
+    else begin
+      let j = (w.last_slot + step) mod n in
+      w.probes <- w.probes + 1;
+      M.cede ();
+      if slot_free reg j then begin
+        record reg ~code:Ring.code_slot_claim j 0 step;
+        j
+      end
+      else scan_free reg (step + 1)
+    end
+
   (* W1: free-slot search.  Try the readers' proposal first (O(1)
      amortized), then scan — Lemma 4.1 guarantees a free slot exists
      among the N+2 within one sweep. *)
@@ -652,23 +668,7 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
       record reg ~code:Ring.code_slot_claim proposal 1 0;
       proposal
     end
-    else begin
-      let n = Array.length reg.slots in
-      let rec scan step =
-        if step > n then failwith (P.name ^ ".write: no free slot (invariant violated)")
-        else begin
-          let j = (w.last_slot + step) mod n in
-          w.probes <- w.probes + 1;
-          M.cede ();
-          if slot_free reg j then begin
-            record reg ~code:Ring.code_slot_claim j 0 step;
-            j
-          end
-          else scan (step + 1)
-        end
-      in
-      scan 1
-    end
+    else scan_free reg 1
 
   (* Elastic sizing: grow always; shrink only below half to avoid
      thrashing on small size oscillations. *)
@@ -897,7 +897,7 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
            "%s.write_coalesced: max_pending = %d exceeds max_staleness = %d"
            P.name max_pending max_staleness);
     check_write reg ~op:"write_coalesced" ~src ~len;
-    Array.blit src 0 w.co_buf 0 len;
+    Arc_util.Words.blit src 0 w.co_buf 0 len;
     w.co_len <- len;
     w.co_pending <- w.co_pending + 1;
     w.co_absorbed <- w.co_absorbed + 1;

@@ -547,7 +547,7 @@ module Make (R : Register_intf.STAMPED) = struct
   let shard_copy snap s ~dst =
     let len = snap.s_lens.(s) in
     if Array.length dst < len then invalid_arg "Fabric.shard_copy: dst too short";
-    Array.blit snap.s_data.(s) 0 dst 0 len;
+    Arc_util.Words.blit snap.s_data.(s) 0 dst 0 len;
     len
 
   (* {2 Telemetry} *)

@@ -116,7 +116,9 @@ module type S = sig
   val write_words : buffer -> src:int array -> len:int -> unit
   (** Copy [src.(0..len-1)] into the buffer — the single content copy
       a register write performs.  A {e bulk} operation: hardware
-      instances ({!Real_mem}) use one memmove-class copy; simulated
+      instances use one tight copy loop ({!Real_mem}: barrier-free
+      per-word stores via {!Arc_util.Words.blit}, since [Array.blit]
+      runs [caml_modify] per word into a major-heap array); simulated
       instances decompose it into per-word plain stores so every word
       remains a scheduling point and the counting instance still
       charges [len] word-writes.  [len = 0] is a valid no-op.

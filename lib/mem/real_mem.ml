@@ -55,26 +55,30 @@ let alloc words =
 
 let capacity = Array.length
 
-(* Bulk operations: one [Array.blit] (memmove over unboxed words)
-   rather than a per-word loop, so a register write's content copy
-   runs at memcpy speed and touches each destination cache line
-   once. *)
+(* Bulk operations: one {!Arc_util.Words.blit} each, not
+   [Array.blit].  On OCaml 5 [Array.blit] runs the write barrier
+   ([caml_modify]) once per word into a major-heap buffer — every slot
+   buffer is one after its first minor GC — about 5x the cost of a
+   plain store loop.  [Words.blit] stores each word with a relaxed
+   atomic store instead: no barrier (the words are immediates), still
+   per-word atomic for the racing readers of copy-based baselines and
+   of the validated plain scan. *)
 let write_words buf ~src ~len =
   if len < 0 || len > Array.length src || len > Array.length buf then
     invalid_arg "Real_mem.write_words: bad length";
-  Array.blit src 0 buf 0 len
+  Arc_util.Words.blit src 0 buf 0 len
 
 let read_word = Array.get
 
 let read_words buf ~dst ~len =
   if len < 0 || len > Array.length dst || len > Array.length buf then
     invalid_arg "Real_mem.read_words: bad length";
-  Array.blit buf 0 dst 0 len
+  Arc_util.Words.blit buf 0 dst 0 len
 
 let blit src dst ~len =
   if len < 0 || len > Array.length src || len > Array.length dst then
     invalid_arg "Real_mem.blit: bad length";
-  Array.blit src 0 dst 0 len
+  Arc_util.Words.blit src 0 dst 0 len
 
 (* Spin-loop hint on real hardware (the x86 pause instruction). *)
 let cede () = Domain.cpu_relax ()

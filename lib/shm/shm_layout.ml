@@ -22,12 +22,15 @@
 
 let magic = 0x2A52_4353_484D_0001 (* "*RCSHM" ++ version tail *)
 
-let version = 3
+let version = 4
 (* Version history:
    1 — original superblock (PR 4).
    2 — writer-election word [sb_election] (term ∥ vote, ISSUE 7).
    3 — reign table pointer [sb_reign] (per-shard election table plus
-       the fabric-wide configuration epoch, ISSUE 9).
+       the fabric-wide configuration epoch).
+   4 — buffer checksum becomes the 4-lane fold below (same trailer
+       words, different checksum function): a version-3 trailer would
+       convict every intact buffer as [Checksum].
    Attach rejects any skew outright; recover additionally convicts a
    pre-bump mapping as stale instead of misreading word 14 as an
    election state that was never held, or word 15 as a table pointer
@@ -156,7 +159,16 @@ let state_quarantined = 1
 
 (* {1 Checksum}
 
-   FNV-1a-style fold over (len, epoch, seq, payload...).  Not
+   FNV-1a-style xor-multiply over the header (len, epoch, seq), then
+   four independent lanes over the payload: lane k (k = 0..3) starts
+   at [header lxor k] and folds the words i with i mod 4 = k, in
+   order; the checksum folds lane 1, 2, 3 into lane 0 with the same
+   step:
+
+     cksum = mix (mix (mix lane0 lane1) lane2) lane3
+
+   Four chains instead of one let the computation keep pace with the
+   copy (shm_stubs.c computes it in the copy loop itself).  Not
    cryptographic — the threat model is torn writes and stray bit
    flips, not an adversary.  OCaml's native-int wraparound is part of
    the function; it is deterministic across processes on the same

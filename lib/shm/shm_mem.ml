@@ -30,8 +30,13 @@ external atomic_fetch_or_idx : words -> int -> int -> int = "arc_shm_fetch_or"
 external atomic_fetch_and_idx : words -> int -> int -> int = "arc_shm_fetch_and"
 [@@noalloc]
 
-external copy_in : words -> int -> int array -> int -> unit
-  = "arc_shm_write_words"
+(* One pass over the payload: copy it in and return its checksum
+   (the 4-lane fold of Shm_layout, seeded with the header fold). *)
+external copy_in_cksum : words -> int -> int array -> int -> int -> int
+  = "arc_shm_write_words_cksum"
+[@@noalloc]
+
+external cksum_idx : words -> int -> int -> int -> int = "arc_shm_cksum"
 [@@noalloc]
 
 external copy_out : words -> int -> int array -> int -> unit
@@ -316,20 +321,6 @@ let alloc_reign_table m ~shards =
 let cksum_header len epoch seq =
   L.cksum_mix (L.cksum_mix (L.cksum_mix L.cksum_seed len) epoch) seq
 
-let cksum_of_src src len epoch seq =
-  let c = ref (cksum_header len epoch seq) in
-  for i = 0 to len - 1 do
-    c := L.cksum_mix !c src.(i)
-  done;
-  !c
-
-let cksum_of_mapping m base len epoch seq =
-  let c = ref (cksum_header len epoch seq) in
-  for i = 0 to len - 1 do
-    c := L.cksum_mix !c (unsafe_get m (base + L.buf_header + i))
-  done;
-  !c
-
 (* {1 The Mem_intf.S instance} *)
 
 let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
@@ -372,8 +363,11 @@ let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
       atomic_store_idx m.ba (b + L.buf_epoch) epoch;
       atomic_store_idx m.ba (b + L.buf_begin) seq;
       atomic_store_idx m.ba (b + L.buf_len) len;
-      copy_in m.ba (b + L.buf_header) src len;
-      atomic_store_idx m.ba (b + L.buf_cksum) (cksum_of_src src len epoch seq);
+      let cksum =
+        copy_in_cksum m.ba (b + L.buf_header) src len
+          (cksum_header len epoch seq)
+      in
+      atomic_store_idx m.ba (b + L.buf_cksum) cksum;
       atomic_store_idx m.ba (b + L.buf_end) seq
 
     let read_word b i = unsafe_get m (b + L.buf_header + i)
@@ -519,16 +513,19 @@ type recovery = {
   last_seq : int;
 }
 
+let checksum m info =
+  if info.len < 0 || info.len > info.cap then
+    invalid_arg "Shm_mem.checksum: trailer length outside the buffer";
+  cksum_idx m.ba (info.base + L.buf_header) info.len
+    (cksum_header info.len info.bepoch info.begin_seq)
+
 (* Classify one buffer from its bytes alone.  [None] = intact-or-empty;
    [Some reason] = convict. *)
 let classify m info =
   if info.begin_seq = 0 && info.end_seq = 0 then None (* never published *)
   else if info.begin_seq <> info.end_seq then Some Torn
   else if info.len < 0 || info.len > info.cap then Some Bad_length
-  else if
-    cksum_of_mapping m info.base info.len info.bepoch info.begin_seq
-    <> info.cksum
-  then Some Checksum
+  else if checksum m info <> info.cksum then Some Checksum
   else None
 
 (* Process-wide recovery telemetry ({!Arc_obs.Obs.Cell}s, plain

@@ -243,6 +243,15 @@ val iter_buffers : mapping -> (buffer_info -> unit) -> unit
 (** Walk every buffer record in allocation order.
     @raise Failure if the record arena is structurally damaged. *)
 
+val checksum : mapping -> buffer_info -> int
+(** Recompute the publish checksum of [info]'s buffer from the bytes
+    now in the mapping (the 4-lane fold of {!Shm_layout}, keyed by the
+    trailer's length, epoch and begin sequence).  {!recover} convicts
+    a complete trailer ([begin_seq = end_seq]) whose [cksum] differs
+    from it as [Checksum].
+    @raise Invalid_argument if the trailer length is outside the
+    buffer. *)
+
 (** {1 Recovery} *)
 
 type reason =

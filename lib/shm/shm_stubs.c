@@ -26,6 +26,7 @@
  * naturally aligned.
  */
 
+#include <stdint.h>
 #include <string.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
@@ -79,20 +80,100 @@ CAMLprim value arc_shm_fetch_and(value ba, value idx, value v)
 }
 
 /* Bulk word copies between OCaml [int array]s (tagged words) and the
- * mapping (untagged words).  A register write's single content copy
- * runs as one C loop — memcpy cannot be used directly because the
- * representations differ by the tag bit, but the loop vectorizes and
- * touches each destination cache line once, preserving Real_mem's
- * bulk-operation cost model.  Plain (non-atomic) accesses: buffer
- * words are the paper's multi-word data, ordered by the RELEASE/RMW
- * publication protocol, not individually synchronized. */
+ * mapping (untagged words).  memcpy cannot be used directly because
+ * the representations differ by the tag bit, but each copy is one C
+ * loop that touches each destination cache line once.  Plain
+ * (non-atomic) accesses: buffer words are the paper's multi-word
+ * data, ordered by the RELEASE/RMW publication protocol, not
+ * individually synchronized. */
 
-CAMLprim value arc_shm_write_words(value ba, value off, value src, value len)
+/* The publish checksum (Shm_layout, layout version 4): four
+ * independent FNV-1a-style lanes, lane k folding the words i with
+ * i mod 4 = k, each seeded with [seed ^ k] where [seed] is the
+ * (len, epoch, seq) header fold computed on the OCaml side; the lanes
+ * are then folded in order, lane 0 first, with the same xor-multiply
+ * step.  A single serial chain is latency-bound on the multiply
+ * (about 4 cycles per word); four chains keep the multiplier busy
+ * and let the check ride along with the copy at memory speed.
+ *
+ * OCaml ints are 63-bit two's complement, so the OCaml definition of
+ * the step wraps modulo 2^63.  Computing in 64-bit unsigned
+ * arithmetic over the sign-extended words gives the same low 63 bits
+ * (the low bits of a xor or a product depend only on the low bits of
+ * the operands), and [Val_long] drops the 64th — the result is
+ * bit-identical to the OCaml fold. */
+
+#define CKSUM_PRIME ((uint64_t) 0x100000001b3)
+#define MIX(lane, w) ((lane) = ((lane) ^ (uint64_t) (w)) * CKSUM_PRIME)
+
+/* The lanes are four named locals, not an array: the compiler must
+ * keep them in registers across the loop even though the payload
+ * stores may alias any [uint64_t] in memory. */
+#define LANES_INIT(seed)                                                \
+  uint64_t l0 = (uint64_t) Long_val(seed), l1 = l0 ^ 1, l2 = l0 ^ 2,    \
+           l3 = l0 ^ 3
+
+static inline value lanes_fold(uint64_t l0, uint64_t l1, uint64_t l2,
+                               uint64_t l3)
+{
+  MIX(l0, l1);
+  MIX(l0, l2);
+  MIX(l0, l3);
+  return Val_long((intnat) l0);
+}
+
+/* The register write's single pass over the payload: copy [len]
+ * words of [src] into the mapping at [off] and return their
+ * checksum. */
+CAMLprim value arc_shm_write_words_cksum(value ba, value off, value src,
+                                         value len, value seed)
 {
   intnat *dst = cell(ba, off);
-  intnat n = Long_val(len);
-  for (intnat i = 0; i < n; i++) dst[i] = Long_val(Field(src, i));
-  return Val_unit;
+  const value *s = Op_val(src);
+  intnat n = Long_val(len), i = 0;
+  LANES_INIT(seed);
+  for (; i + 4 <= n; i += 4) {
+    intnat w0 = Long_val(s[i]), w1 = Long_val(s[i + 1]),
+           w2 = Long_val(s[i + 2]), w3 = Long_val(s[i + 3]);
+    dst[i] = w0;
+    dst[i + 1] = w1;
+    dst[i + 2] = w2;
+    dst[i + 3] = w3;
+    MIX(l0, w0);
+    MIX(l1, w1);
+    MIX(l2, w2);
+    MIX(l3, w3);
+  }
+  /* Tail of len mod 4 words: lanes 0, 1, 2 in turn. */
+  for (intnat k = 0; i < n; i++, k++) {
+    intnat w = Long_val(s[i]);
+    dst[i] = w;
+    if (k == 0) MIX(l0, w);
+    else if (k == 1) MIX(l1, w);
+    else MIX(l2, w);
+  }
+  return lanes_fold(l0, l1, l2, l3);
+}
+
+/* Recompute the checksum of [len] mapping words at [off] — the
+ * recovery scan's verdict on a published buffer. */
+CAMLprim value arc_shm_cksum(value ba, value off, value len, value seed)
+{
+  const intnat *src = cell(ba, off);
+  intnat n = Long_val(len), i = 0;
+  LANES_INIT(seed);
+  for (; i + 4 <= n; i += 4) {
+    MIX(l0, src[i]);
+    MIX(l1, src[i + 1]);
+    MIX(l2, src[i + 2]);
+    MIX(l3, src[i + 3]);
+  }
+  for (intnat k = 0; i < n; i++, k++) {
+    if (k == 0) MIX(l0, src[i]);
+    else if (k == 1) MIX(l1, src[i]);
+    else MIX(l2, src[i]);
+  }
+  return lanes_fold(l0, l1, l2, l3);
 }
 
 CAMLprim value arc_shm_read_words(value ba, value off, value dst, value len)

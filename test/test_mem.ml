@@ -180,6 +180,104 @@ module Real_edges = Bulk_edges (Real)
 module Counting_edges = Bulk_edges (Counting)
 module Sim_edges = Bulk_edges (Sim)
 
+(* {1 The barrier-free word copy}
+
+   [Real_mem]'s bulk operations run on {!Arc_util.Words.blit}, a C
+   copy that skips the write barrier [Array.blit] pays per word on a
+   major-heap array.  It must still behave exactly like [Array.blit]
+   (memmove semantics on overlap), keep the bounds checks, and never
+   allocate. *)
+
+module Words = Arc_util.Words
+
+let ramp n = Array.init n (fun i -> (i * 7919) - 3 + (i lsl 40))
+
+let test_words_lengths () =
+  let cap = 64 in
+  let b = Real.alloc cap in
+  Real.write_words b ~src:[||] ~len:0;
+  Words.blit [||] 0 b cap 0;
+  Alcotest.(check (array int)) "len 0 leaves the buffer untouched"
+    (Array.make cap 0) b;
+  let src = ramp cap in
+  Real.write_words b ~src ~len:cap;
+  Alcotest.(check (array int)) "len = capacity copies every word" src b;
+  let dst = Array.make cap 0 in
+  Real.read_words b ~dst ~len:cap;
+  Alcotest.(check (array int)) "read_words at full capacity" src dst
+
+let test_words_overlap () =
+  let n = 37 in
+  (* Same-array copies in both directions, against Array.blit as the
+     reference: a forward overlap (dst after src) must copy from the
+     top down, a backward one from the bottom up. *)
+  List.iter
+    (fun (src_pos, dst_pos, len, what) ->
+      let expect = ramp n and got = ramp n in
+      Array.blit expect src_pos expect dst_pos len;
+      Words.blit got src_pos got dst_pos len;
+      Alcotest.(check (array int)) what expect got)
+    [
+      (0, 3, 30, "forward overlap (dst above src)");
+      (3, 0, 30, "backward overlap (dst below src)");
+      (0, 1, n - 1, "forward overlap by one word");
+      (1, 0, n - 1, "backward overlap by one word");
+    ];
+  let b = ramp n in
+  Real.blit b b ~len:n;
+  Alcotest.(check (array int)) "Real_mem.blit with src == dst is the identity"
+    (ramp n) b
+
+let test_words_bounds () =
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.fail (what ^ ": expected Invalid_argument")
+  in
+  let b = Real.alloc 8 in
+  Alcotest.check_raises "write_words past capacity keeps its message"
+    (Invalid_argument "Real_mem.write_words: bad length") (fun () ->
+      Real.write_words b ~src:(Array.make 16 1) ~len:9);
+  Alcotest.check_raises "read_words past capacity keeps its message"
+    (Invalid_argument "Real_mem.read_words: bad length") (fun () ->
+      Real.read_words b ~dst:(Array.make 16 1) ~len:9);
+  let a = Array.make 8 0 in
+  raises "negative length" (fun () -> Words.blit a 0 a 0 (-1));
+  raises "source range past the end" (fun () -> Words.blit a 1 a 0 8);
+  raises "destination range past the end" (fun () -> Words.blit a 0 a 1 8);
+  raises "negative source position" (fun () -> Words.blit a (-1) a 0 1);
+  raises "negative destination position" (fun () -> Words.blit a 0 a (-1) 1);
+  Alcotest.(check (array int)) "a rejected copy writes nothing"
+    (Array.make 8 0) a
+
+let test_words_major_heap () =
+  (* Two routes into the major heap: an array too large for the minor
+     heap, and a small one promoted by a minor collection.  A copy
+     into either must land, and the heap must stay sound across the
+     following full major collection. *)
+  let big = Real.alloc 4096 in
+  let small = Real.alloc 32 in
+  Gc.minor ();
+  let src = ramp 4096 in
+  Real.write_words big ~src ~len:4096;
+  Real.write_words small ~src ~len:32;
+  Gc.full_major ();
+  Alcotest.(check (array int)) "large (major-allocated) destination" src big;
+  Alcotest.(check (array int)) "promoted destination"
+    (Array.sub src 0 32) small
+
+let test_words_no_alloc () =
+  let b = Real.alloc 512 in
+  let src = ramp 512 and dst = Array.make 512 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Real.write_words b ~src ~len:512;
+    Real.read_words b ~dst ~len:512
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "1000 write_words + read_words allocate nothing"
+    0. (after -. before)
+
 let test_atomic_contended_semantics () =
   (* A contended cell is an ordinary atomic apart from its placement. *)
   let a = Real.atomic_contended 7 in
@@ -253,6 +351,13 @@ let suite =
     Alcotest.test_case "bulk edges (real)" `Quick Real_edges.run;
     Alcotest.test_case "bulk edges (counting)" `Quick Counting_edges.run;
     Alcotest.test_case "bulk edges (sim)" `Quick Sim_edges.run;
+    Alcotest.test_case "word copy: len 0 and full capacity" `Quick
+      test_words_lengths;
+    Alcotest.test_case "word copy: same-array overlap" `Quick test_words_overlap;
+    Alcotest.test_case "word copy: bounds" `Quick test_words_bounds;
+    Alcotest.test_case "word copy: major-heap destination" `Quick
+      test_words_major_heap;
+    Alcotest.test_case "word copy: allocation-free" `Quick test_words_no_alloc;
     Alcotest.test_case "atomic_contended semantics" `Quick
       test_atomic_contended_semantics;
     Alcotest.test_case "atomic_contended counting" `Quick

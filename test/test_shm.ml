@@ -135,6 +135,114 @@ let test_convicts_flipped_payload () =
           Alcotest.(check bool) "read_latest skips the convicted slot" true
             (seq <> b.end_seq))
 
+(* {1 The 4-lane publish checksum}
+
+   Both C checksum stubs — the fused copy+checksum of [write_words]
+   and the recompute over the mapping that [recover] uses — are
+   pinned against this pure-OCaml statement of the layout-4 fold:
+   header (len, epoch, seq); lane k seeded with [header lxor k] folds
+   words i with i mod 4 = k; lanes folded in order. *)
+
+let reference_cksum ~epoch ~seq words len =
+  let mix = L.cksum_mix in
+  let header = mix (mix (mix L.cksum_seed len) epoch) seq in
+  let lanes = Array.init 4 (fun k -> header lxor k) in
+  for i = 0 to len - 1 do
+    lanes.(i mod 4) <- mix lanes.(i mod 4) words.(i)
+  done;
+  mix (mix (mix lanes.(0) lanes.(1)) lanes.(2)) lanes.(3)
+
+(* Full-range words: negative, extreme and high-bit values exercise
+   the stubs' 64-bit arithmetic against OCaml's 63-bit ints. *)
+let random_words rng n =
+  Array.init n (fun i ->
+      match i mod 5 with
+      | 0 -> Int64.to_int (Arc_util.Splitmix.next64 rng)
+      | 1 -> -Int64.to_int (Arc_util.Splitmix.next64 rng)
+      | 2 -> [| min_int; max_int; -1; 0 |].(i / 5 mod 4)
+      | _ -> Int64.to_int (Arc_util.Splitmix.next64 rng))
+
+(* A mapping holding one buffer of capacity [cap]: [f] gets the
+   mapping, a publish function, and a reader of the buffer's current
+   trailer. *)
+let with_published ?(words = 1 lsl 15) ~cap f =
+  with_mapping ~words (fun _path m ->
+      let module M = (val S.mem m) in
+      let b = M.alloc cap in
+      let info () =
+        let found = ref None in
+        S.iter_buffers m (fun i -> found := Some i);
+        Option.get !found
+      in
+      f m (fun ~src ~len -> M.write_words b ~src ~len) info)
+
+let cksum_lengths = [ 0; 1; 3; 4; 5; 7; 512; 16387 ]
+
+let test_cksum_stubs_match_reference () =
+  let rng = Arc_util.Splitmix.of_int 0x5eed in
+  with_published ~cap:16387 (fun m write info ->
+      List.iter
+        (fun len ->
+          let src = random_words rng len in
+          write ~src ~len;
+          let i = info () in
+          let expect = reference_cksum ~epoch:i.bepoch ~seq:i.begin_seq src len in
+          Alcotest.(check int)
+            (Printf.sprintf "len %d: copy stub's trailer checksum" len)
+            expect i.cksum;
+          Alcotest.(check int)
+            (Printf.sprintf "len %d: recompute stub over the copy" len)
+            expect (S.checksum m i);
+          for k = 0 to len - 1 do
+            if S.unsafe_get m (i.base + L.buf_header + k) <> src.(k) then
+              Alcotest.failf "len %d: payload word %d not copied" len k
+          done;
+          (* The recompute stub on bytes the copy stub never wrote. *)
+          let other = random_words rng len in
+          Array.iteri
+            (fun k w -> S.unsafe_set m (i.base + L.buf_header + k) w)
+            other;
+          Alcotest.(check int)
+            (Printf.sprintf "len %d: recompute stub over planted words" len)
+            (reference_cksum ~epoch:i.bepoch ~seq:i.begin_seq other len)
+            (S.checksum m i))
+        cksum_lengths)
+
+let convicted_checksum m =
+  match S.recover m with
+  | Error msg -> Alcotest.fail ("unexpected whole-mapping conviction: " ^ msg)
+  | Ok r -> List.exists (fun (c : S.conviction) -> c.why = S.Checksum) r.convicted
+
+(* One flipped word must convict whichever lane it falls in: words
+   0-3 cover all four lanes, and word 10 is the tail word of an
+   11-word (len mod 4 = 3) payload. *)
+let test_convicts_flip_every_lane () =
+  let len = 11 in
+  List.iter
+    (fun at ->
+      with_published ~words:1024 ~cap:len (fun m write info ->
+          write ~src:(Array.init len (fun k -> (k * 1_000_003) + 17)) ~len;
+          Alcotest.(check bool) "the intact buffer is not convicted" false
+            (convicted_checksum m);
+          let w = (info ()).base + L.buf_header + at in
+          S.unsafe_set m w (S.unsafe_get m w lxor 0x100);
+          Alcotest.(check bool)
+            (Printf.sprintf "flipped word %d (lane %d) convicted as Checksum" at
+               (at mod 4))
+            true (convicted_checksum m)))
+    [ 0; 1; 2; 3; len - 1 ]
+
+let test_convicts_adjacent_swap () =
+  let len = 11 in
+  with_published ~words:1024 ~cap:len (fun m write info ->
+      write ~src:(Array.init len (fun k -> (k * 1_000_003) + 17)) ~len;
+      let at = (info ()).base + L.buf_header + 4 in
+      let a = S.unsafe_get m at and b = S.unsafe_get m (at + 1) in
+      S.unsafe_set m at b;
+      S.unsafe_set m (at + 1) a;
+      Alcotest.(check bool) "swapped adjacent words convicted as Checksum" true
+        (convicted_checksum m))
+
 let test_convicts_torn_trailer () =
   with_register (fun _path m _inst ->
       let b = newest_buffer m in
@@ -444,6 +552,12 @@ let suite =
       test_cross_mapping_read_latest;
     Alcotest.test_case "control: flipped payload convicted" `Quick
       test_convicts_flipped_payload;
+    Alcotest.test_case "checksum stubs match the 4-lane reference" `Quick
+      test_cksum_stubs_match_reference;
+    Alcotest.test_case "control: flipped word convicted in every lane" `Quick
+      test_convicts_flip_every_lane;
+    Alcotest.test_case "control: swapped adjacent words convicted" `Quick
+      test_convicts_adjacent_swap;
     Alcotest.test_case "control: torn trailer convicted" `Quick
       test_convicts_torn_trailer;
     Alcotest.test_case "control: stale superblock convicted" `Quick

@@ -247,6 +247,24 @@ let test_elastic_reallocates () =
   check "every reallocation went through the substrate" (Ad.reallocations reg)
     after
 
+(* A fixed-storage write allocates no heap words: W1's slot scan
+   included (no reader ever proposes a hint here, so every write
+   scans).  The payload copy is the write's only cost that grows with
+   its size. *)
+let test_fixed_write_allocation_free () =
+  let module R = Arc_core.Arc.Make (Arc_mem.Real_mem) in
+  let reg = R.create ~readers:2 ~capacity:512 ~init:(stamped ~seq:0 ~len:512) in
+  let src = stamped ~seq:1 ~len:512 in
+  R.write reg ~src ~len:512;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    R.write reg ~src ~len:512
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "1000 writes allocate nothing" 0. (after -. before);
+  Alcotest.(check bool) "every write went through the scan" true
+    (R.write_probes reg >= 1001)
+
 let suite =
   Fixed_cases.suite ~label:"fixed"
   @ Elastic_cases.suite ~label:"elastic"
@@ -259,4 +277,6 @@ let suite =
         `Quick test_fixed_allocates_only_in_create;
       Alcotest.test_case "elastic: varying writes reallocate" `Quick
         test_elastic_reallocates;
+      Alcotest.test_case "fixed: write is allocation-free" `Quick
+        test_fixed_write_allocation_free;
     ]
