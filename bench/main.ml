@@ -638,6 +638,70 @@ let fabric_real_point ~shards =
   snap ();
   fabric_measure ~shards snap
 
+(* Allocation at the gate point, in minor words: per certified
+   snapshot (plus the copy-out of every shard) on a quiesced fabric,
+   and per helping deposit while a scanner domain loops — counted on
+   the writer's own domain against [deposits_made].  The steady state
+   allocates nothing, so the gate holds both under an absolute
+   ceiling rather than against the trajectory. *)
+let fabric_alloc_words ~shards =
+  let fab =
+    Fab.create ~shards ~writers:1 ~readers:1 ~capacity:fabric_size_words
+      ~init:(stamped ~seq:0 ~len:fabric_size_words)
+  in
+  Fab.attach_reign fab ~config:(Arc_mem.Real_mem.atomic_contended 1);
+  let w = Fab.writer fab 0 in
+  let src = stamped ~seq:1 ~len:fabric_size_words in
+  for s = 0 to shards - 1 do
+    Fab.write w ~shard:s ~src ~len:fabric_size_words
+  done;
+  let sc = Fab.scanner fab 0 in
+  let snapshot_words =
+    let dst = Array.make fabric_size_words 0 in
+    let snap () =
+      match Fab.snapshot_certified sc with
+      | Ok s ->
+          for i = 0 to shards - 1 do
+            ignore (Fab.shard_copy s i ~dst)
+          done
+      | Error _ -> failwith "certified snapshot failed with no elections running"
+    in
+    let iters = 1_000 in
+    for _ = 1 to iters do
+      snap ()
+    done;
+    let m0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      snap ()
+    done;
+    (Gc.minor_words () -. m0) /. float_of_int iters
+  in
+  let stop = Atomic.make false in
+  let scanner =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Fab.snapshot_certified sc)
+        done)
+  in
+  (* Writes until [target] deposits were made or [seconds] ran out:
+     the deposits made and this domain's minor words meanwhile. *)
+  let writes ~target ~seconds =
+    let t_end = Unix.gettimeofday () +. seconds in
+    let d0 = Fab.deposits_made fab and m0 = Gc.minor_words () in
+    while Fab.deposits_made fab - d0 < target && Unix.gettimeofday () < t_end do
+      for s = 0 to shards - 1 do
+        Fab.write w ~shard:s ~src ~len:fabric_size_words
+      done
+    done;
+    (Fab.deposits_made fab - d0, Gc.minor_words () -. m0)
+  in
+  ignore (writes ~target:100 ~seconds:2.);
+  let deposits, words = writes ~target:2_000 ~seconds:5. in
+  Atomic.set stop true;
+  Domain.join scanner;
+  if deposits = 0 then failwith "no helping deposit while a scanner looped";
+  (snapshot_words, words /. float_of_int deposits)
+
 let fabric_sim_grid = [ (64, 8, 2); (256, 8, 2); (1024, 8, 2) ]
 
 let fabric_sim_point ~shards ~writers ~scanners =
@@ -670,6 +734,7 @@ let emit_fabric_json path =
     | Some (_, _, per_shard) -> per_shard
     | None -> 0.
   in
+  let snapshot_alloc, deposit_alloc = fabric_alloc_words ~shards:fabric_gate_shards in
   let real_records =
     List.map
       (fun (shards, ns, per_shard) ->
@@ -705,10 +770,13 @@ let emit_fabric_json path =
     \  \"size_words\": %d,\n\
     \  \"gate_shards\": %d,\n\
     \  \"snapshot_ns_per_shard\": %.2f,\n\
+    \  \"snapshot_alloc_words\": %.2f,\n\
+    \  \"deposit_alloc_words\": %.2f,\n\
     \  \"real\": [\n%s\n  ],\n\
     \  \"sim\": [\n%s\n  ]\n}\n"
     (json_escape (Arc_util.Cpu.describe ()))
-    fabric_size_words fabric_gate_shards gate_ns_per_shard
+    fabric_size_words fabric_gate_shards gate_ns_per_shard snapshot_alloc
+    deposit_alloc
     (String.concat ",\n" real_records)
     (String.concat ",\n" sim_records);
   close_out oc;

@@ -14,6 +14,10 @@
                        the fast path exists to beat);
    - snapshot_ns_per_shard and reader_join_p99_ns when their bench
      files / fields are present (ISSUEs 6 and 8);
+   - snapshot_alloc_words and deposit_alloc_words from the fabric
+     bench, held under an absolute ceiling of 8 minor words
+     (Gate.alloc_ceiling_words) and never against the trajectory:
+     allocation counts carry no timing noise;
    - read_hit_ns@N / read_plain_ns@N for every core count N found in
      a BENCH_scaling.json (bench/main.exe --scaling-json --cores ...),
      so CI enforces scaling, not just single-core cost (ISSUE 10).
@@ -106,7 +110,9 @@ let cmd =
       & info [ "fabric-bench" ] ~docv:"PATH"
           ~doc:
             "BENCH_fabric.json produced by bench/main.exe --fabric-json; when \
-             present its snapshot_ns_per_shard is tracked and gated too.")
+             present its snapshot_ns_per_shard is tracked and gated too, and \
+             its snapshot_alloc_words / deposit_alloc_words are held under \
+             the allocation ceiling.")
   in
   let scaling_bench =
     Arg.(

@@ -9,7 +9,8 @@ let algorithm = "arc"
 module type BASE = sig
   include Register_intf.ZERO_COPY
 
-  val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
+  val read_stamped_into : reader -> dst:int array -> int
+  val view_stamp : reader -> int
   val probe_stamp : t -> int
   val read_plain : reader -> f:(Mem.buffer -> int -> 'a) -> 'a
   val write_guarded : t -> guard:(unit -> unit) -> src:int array -> len:int -> unit
@@ -503,15 +504,36 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     let buffer, len = read_view rd in
     f buffer len
 
+  (* Register_intf.STAMPED: the fabric's collect.  The subscription
+     step is [read_view]'s, but the validated view is left in the
+     handle instead of being returned as a tuple, so a collect
+     allocates nothing.  [read_view] itself keeps its tuple: an
+     allocation-free [read_with] measured slower {e writes} on the
+     feed workload (a faster reader contends harder with the writer),
+     so only the fabric's path drops it. *)
+  let read_stamped_into rd ~dst =
+    let w = M.load rd.reg.current (* R1 *) in
+    let hit = w = rd.last_current || rd.last_index = Packed.index w (* R2 *) in
+    (match rd.cells with
+    | Some c when hit -> c.fast.Obs.Cell.v <- c.fast.Obs.Cell.v + 1
+    | Some c -> c.slow.Obs.Cell.v <- c.slow.Obs.Cell.v + 1
+    | None -> ());
+    if w <> rd.last_current then begin
+      if hit then rd.last_current <- w else release_and_subscribe rd;
+      acquire rd
+    end;
+    let len = rd.view_len in
+    if Array.length dst < len then
+      invalid_arg (P.name ^ ".read_stamped_into: dst too short");
+    M.read_words rd.view_buf ~dst ~len;
+    len
+
   (* Register_intf.STAMPED.  The subscribed slot is pinned by this
      reader's presence (count or frozen r_start unit), so its [seq] is
-     exactly the stamp of the write whose content [read_view] just
-     returned — one extra plain load over a plain read.  Elastic
-     revocation swaps [content] but never touches [seq]. *)
-  let read_stamped rd ~f =
-    let buffer, len = read_view rd in
-    let stamp = M.load rd.reg.slots.(rd.last_index).seq in
-    (stamp, f buffer len)
+     exactly the stamp of the write whose content the last pinned read
+     returned — one plain load.  Elastic revocation swaps [content]
+     but never touches [seq]. *)
+  let view_stamp rd = M.load rd.reg.slots.(rd.last_index).seq
 
   (* Register_intf.STAMPED.  Two plain loads, no RMW, no presence
      accounting — safe from any thread.  The published slot is never

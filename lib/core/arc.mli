@@ -38,10 +38,15 @@ module type BASE = sig
       until this same reader's {e next} read (the slot cannot be
       recycled while this reader's presence is accounted on it). *)
 
-  val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
-  (** {!Register_intf.STAMPED}: [read_with] returning additionally the
-      publish stamp of the snapshot — one extra plain load of the
-      pinned slot's stamp word. *)
+  val read_stamped_into : reader -> dst:int array -> int
+  (** {!Register_intf.STAMPED}: [read_into] that allocates nothing —
+      the subscription step of [read_view], with the validated view
+      left in the handle rather than returned as a tuple. *)
+
+  val view_stamp : reader -> int
+  (** {!Register_intf.STAMPED}: the publish stamp of this reader's
+      pinned view — one plain load of the subscribed slot's stamp
+      word. *)
 
   val probe_stamp : t -> int
   (** {!Register_intf.STAMPED}: the stamp of the currently published

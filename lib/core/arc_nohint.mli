@@ -18,7 +18,8 @@ module Make (M : Arc_mem.Mem_intf.S) : sig
   val write_probes : t -> int
   val writes : t -> int
 
-  val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
+  val read_stamped_into : reader -> dst:int array -> int
+  val view_stamp : reader -> int
   val probe_stamp : t -> int
   (** {!Register_intf.STAMPED}: see {!Arc.Make}. *)
 end

@@ -47,7 +47,7 @@ type caps = {
       (** The versioned-read capability: reads can report a publish
           stamp that changes with every write, and the stamp of the
           currently published value can be probed without copying the
-          payload — the two operations of the {!STAMPED} sub-signature.
+          payload — the operations of the {!STAMPED} sub-signature.
           This is what makes an algorithm {e fabric-eligible}: the
           cross-shard double-collect snapshot ([Arc_fabric.Fabric])
           compares stamps, not payloads, to detect a shard modified
@@ -244,9 +244,17 @@ end
 module type STAMPED = sig
   include S
 
-  val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
-  (** [read_stamped rd ~f] is {!S.read_with} returning additionally
-      the publish stamp of the snapshot [f] was applied to. *)
+  val read_stamped_into : reader -> dst:int array -> int
+  (** [read_stamped_into rd ~dst] is {!S.read_into} without any
+      allocation — the collect primitive of the fabric's double
+      collect, run once per shard per pass.  The stamp of the value it
+      copied is then {!view_stamp}[ rd].
+      @raise Invalid_argument if [dst] is shorter than the value. *)
+
+  val view_stamp : reader -> int
+  (** The publish stamp of the value this reader's last pinned read
+      ({!read_stamped_into}, [read_with], [read_into]) returned — a
+      plain load, valid until the reader's next read. *)
 
   val probe_stamp : t -> int
   (** The stamp of the currently published value — no payload access,

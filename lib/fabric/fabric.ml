@@ -9,8 +9,8 @@
    double collect with modified-twice helping (Afek et al.), adapted
    to the repository's stamped registers:
 
-   - {b Collect} reads every shard once with [read_stamped], recording
-     value and publish stamp.
+   - {b Collect} reads every shard once with [read_stamped_into] and
+     [view_stamp], recording value and publish stamp.
    - {b Probe pass} re-reads only the stamps ([probe_stamp] — two
      plain loads per shard, no RMW, no payload copy).  If every stamp
      still matches its collected value, all collected values were
@@ -29,12 +29,21 @@
    {b Lazy helping.}  Textbook helping embeds a snapshot in every
    update; here writers consult a substrate counter [active_scans] and
    only produce deposits while a scan is announced, so the write fast
-   path (no scanner active) costs one extra load.  Deposits are
-   immutable host-heap records published through an [Atomic.t] pointer
-   per writer — payload vectors cannot live in substrate words, which
-   confines the fabric to a single process (shards themselves may use
-   any substrate, including shared memory; only the helping channel is
-   heap-local).
+   path (no scanner active) costs one extra load.  Each writer deposits
+   through its own ARC register ([Deposit], host heap): a deposit is
+   one register write of the flattened snapshot, a borrow one read on
+   the scanner's own handle, which pins the deposit until that
+   scanner's next snapshot.  ARC's atomicity carries the freshness
+   argument and its N + 2 slots bound the channel's memory (DESIGN.md
+   §8).  The helping channel is heap-local, which confines the fabric
+   to a single process; the shards themselves may use any substrate,
+   including shared memory.
+
+   {b No allocation.}  Collects copy into per-scanner scratch, the
+   pass loops are closure-free top-level functions, and every result a
+   scanner can return — direct or borrowed, bare or wrapped in [Ok] —
+   is preallocated per scanner, so a snapshot or a helping deposit
+   allocates nothing in the steady state.
 
    {b Wait-freedom bound.}  Each failed probe pass either increments
    some shard's observed-change count or catches a previously counted
@@ -117,21 +126,40 @@ let reset_reign_metrics () =
       Reign_tel.changed;
     ]
 
+(* The helping channel: one ARC register per writer on the host heap.
+   A deposit is one write of a flattened snapshot, laid out as
+
+     [epoch; valid; stamp_0; len_0; data_0 ...; stamp_1; len_1; ...]
+
+   with a fixed stride of [2 + capacity] words per shard.  [valid] is 0
+   only in the initial value, before the writer's first deposit. *)
+module Deposit = Arc_core.Arc.Make (Arc_mem.Real_mem)
+
+let dep_epoch = 0
+let dep_valid = 1
+let dep_header = 2
+
 module Make (R : Register_intf.STAMPED) = struct
   module M = R.Mem
 
-  (* A snapshot vector.  Direct results alias the scanner's scratch
-     (stable until that scanner's next snapshot); borrowed results are
-     immutable deposits shared by reference.  [s_epoch] is the
-     configuration epoch the snapshot was certified under — 0 for
-     plain (uncertified) snapshots. *)
-  type snap = {
-    s_stamps : int array;
-    s_lens : int array;
-    s_data : int array array;
-    s_borrowed : bool;
-    s_epoch : int;
+  (* A direct result: the scanner's collect scratch, plus the epoch it
+     was certified under (0 for plain snapshots). *)
+  type direct = {
+    stamps : int array;  (* per shard: stamp of the collected value *)
+    lens : int array;
+    data : int array array;
+    mutable epoch : int;
   }
+
+  (* A borrowed result: the deposit view this scanner's handle pins in
+     the lending writer's register. *)
+  type lent = { nshards : int; stride : int; mutable view : int array }
+
+  (* A snapshot vector.  Both kinds are preallocated per scanner and
+     stay stable until that scanner's next snapshot: a direct one
+     aliases the scratch, a borrowed one a deposit slot that ARC never
+     recycles while this scanner's handle is subscribed to it. *)
+  type snap = Direct of direct | Borrowed of lent
 
   type t = {
     regs : R.t array;
@@ -139,7 +167,8 @@ module Make (R : Register_intf.STAMPED) = struct
     nreaders : int;
     capacity : int;
     active_scans : M.atomic;  (* scanners (and helping writers) in flight *)
-    deposits : snap option Atomic.t array;  (* per writer: latest helping snapshot *)
+    deposits : Deposit.t array;  (* per writer: its helping channel *)
+    dep_len : int;  (* words in one deposit *)
     scan_stats : Obs.Scan.t;  (* readers + writers cells, writers after readers *)
     shard_writes : Obs.Group.t;  (* per shard; single-writer per cell *)
     deposit_counts : Obs.Group.t;  (* per writer *)
@@ -149,23 +178,34 @@ module Make (R : Register_intf.STAMPED) = struct
     mutable reign_max_retries : int;
   }
 
-  (* A scanner context: per-shard reader handles plus collect scratch.
-     Writers embed one (with a reader identity above the public range)
-     for their helping collects. *)
+  (* A scanner context: per-shard and per-deposit reader handles,
+     collect scratch and the preallocated results.  Writers embed one
+     (with a reader identity above the public range) for their helping
+     collects. *)
   type scanner = {
     fab : t;
     handles : R.reader array;
-    stamps : int array;  (* per shard: stamp of the collected value *)
+    lenders : Deposit.reader array;  (* per writer: this identity's deposit handle *)
     high : int array;  (* per shard: largest stamp observed this scan *)
     changes : int array;  (* per shard: counted stamp growths this scan *)
-    lens : int array;
-    data : int array array;
+    dir : direct;
+    lent : lent;
+    direct_snap : snap;
+    lent_snap : snap;
+    ok_direct : (snap, reign_change) result;
+    ok_lent : (snap, reign_change) result;
     c_direct : Obs.Cell.t;
     c_borrowed : Obs.Cell.t;
     c_retries : Obs.Cell.t;
   }
 
-  type writer = { ctx : scanner; wid : int; c_deposits : Obs.Cell.t; w_writes : Obs.Cell.t array }
+  type writer = {
+    ctx : scanner;
+    wid : int;
+    staging : int array;  (* a direct helping snapshot, flattened for deposit *)
+    c_deposits : Obs.Cell.t;
+    w_writes : Obs.Cell.t array;
+  }
 
   let algorithm = Printf.sprintf "fabric(%s)" R.algorithm
 
@@ -175,9 +215,10 @@ module Make (R : Register_intf.STAMPED) = struct
   let capacity t = t.capacity
 
   (* Static shard ownership: writer [s mod writers] owns shard [s].
-     The scanner's borrow rule depends on knowing which deposit cell
-     the second modifier of a shard publishes through, so ownership is
-     part of the fabric's construction, not caller convention. *)
+     The scanner's borrow rule depends on knowing which deposit
+     register the second modifier of a shard publishes through, so
+     ownership is part of the fabric's construction, not caller
+     convention. *)
   let owner_of t s = s mod t.nwriters
 
   (* Wrap pre-built registers into a fabric.  The registers must each
@@ -185,7 +226,8 @@ module Make (R : Register_intf.STAMPED) = struct
      identities (identity [readers + w] is writer [w]'s helping
      handle) — [create] guarantees this; callers bringing their own
      registers (e.g. {!Arc_shm.Shm_arc.create_fabric} instances, whose
-     buffers live in a shared mapping) owe the same. *)
+     buffers live in a shared mapping) owe the same.  The deposit
+     registers use the same identities. *)
   let of_registers regs ~writers ~readers ~capacity =
     let shards = Array.length regs in
     if shards < 1 then invalid_arg "Fabric.of_registers: need at least one shard";
@@ -196,13 +238,17 @@ module Make (R : Register_intf.STAMPED) = struct
            writers);
     if readers < 1 then invalid_arg "Fabric.of_registers: need at least one reader";
     let per_reg = readers + writers in
+    let dep_len = dep_header + (shards * (2 + capacity)) in
     {
       regs;
       nwriters = writers;
       nreaders = readers;
       capacity;
       active_scans = M.atomic_contended 0;
-      deposits = Array.init writers (fun _ -> Atomic.make None);
+      deposits =
+        Array.init writers (fun _ ->
+            Deposit.create ~readers:per_reg ~capacity:dep_len ~init:[| 0; 0 |]);
+      dep_len;
       scan_stats = Obs.Scan.create ~scanners:per_reg;
       shard_writes =
         Obs.Group.create ~name:"fabric_shard_writes_total"
@@ -246,14 +292,28 @@ module Make (R : Register_intf.STAMPED) = struct
 
   let make_ctx fab identity =
     let n = Array.length fab.regs in
+    let dir =
+      {
+        stamps = Array.make n 0;
+        lens = Array.make n 0;
+        data = Array.init n (fun _ -> Array.make fab.capacity 0);
+        epoch = 0;
+      }
+    in
+    let lent = { nshards = n; stride = 2 + fab.capacity; view = [||] } in
+    let direct_snap = Direct dir and lent_snap = Borrowed lent in
     {
       fab;
       handles = Array.map (fun r -> R.reader r identity) fab.regs;
-      stamps = Array.make n 0;
+      lenders = Array.map (fun d -> Deposit.reader d identity) fab.deposits;
       high = Array.make n 0;
       changes = Array.make n 0;
-      lens = Array.make n 0;
-      data = Array.init n (fun _ -> Array.make fab.capacity 0);
+      dir;
+      lent;
+      direct_snap;
+      lent_snap;
+      ok_direct = Ok direct_snap;
+      ok_lent = Ok lent_snap;
       c_direct = Obs.Scan.direct fab.scan_stats identity;
       c_borrowed = Obs.Scan.borrowed fab.scan_stats identity;
       c_retries = Obs.Scan.retries fab.scan_stats identity;
@@ -278,6 +338,7 @@ module Make (R : Register_intf.STAMPED) = struct
     {
       ctx = make_ctx fab (fab.nreaders + w);
       wid = w;
+      staging = Array.make fab.dep_len 0;
       c_deposits = Obs.Group.cell fab.deposit_counts w;
       w_writes;
     }
@@ -292,12 +353,11 @@ module Make (R : Register_intf.STAMPED) = struct
      both the collected baseline and (if larger) the high-water
      mark. *)
   let collect ctx s =
-    let stamp, () =
-      R.read_stamped ctx.handles.(s) ~f:(fun buf len ->
-          M.read_words buf ~dst:ctx.data.(s) ~len;
-          ctx.lens.(s) <- len)
-    in
-    ctx.stamps.(s) <- stamp;
+    let d = ctx.dir in
+    let h = ctx.handles.(s) in
+    d.lens.(s) <- R.read_stamped_into h ~dst:d.data.(s);
+    let stamp = R.view_stamp h in
+    d.stamps.(s) <- stamp;
     if stamp > ctx.high.(s) then begin
       ctx.changes.(s) <- ctx.changes.(s) + 1;
       ctx.high.(s) <- stamp
@@ -318,73 +378,80 @@ module Make (R : Register_intf.STAMPED) = struct
 
   let finish ctx = ignore (M.fetch_and_add ctx.fab.active_scans (-1))
 
+  (* The epoch filter of plain scans: any valid deposit qualifies. *)
+  let any_epoch = -1
+
+  (* Read writer [w]'s current deposit through this scanner's own
+     handle and adopt it if it qualifies.  The read pins the deposit's
+     slot until this handle's next read — at the earliest in this
+     scanner's next snapshot — which is what keeps an adopted view
+     stable however often its writer deposits again. *)
+  let borrow ctx w ~epoch =
+    let view, _ = Deposit.read_view ctx.lenders.(w) in
+    if view.(dep_valid) = 1 && (epoch = any_epoch || view.(dep_epoch) = epoch)
+    then begin
+      ctx.lent.view <- view;
+      true
+    end
+    else false
+
   (* One probe pass over all shards.  A mismatching probe re-collects
      that shard; a stamp growing {e beyond} the scan's high-water mark
      counts as a change (strictly-greater comparison: a probe that
      races a slot recycle can observe a stamp still in preparation,
      and its eventual publication must not be double-counted).  A
      shard counted twice names a writer whose second write began after
-     this scan's announcement — its deposit cell necessarily holds a
-     snapshot taken within this scan (DESIGN.md §8); adopt it, if
-     [accept] qualifies it (certified scans only borrow deposits
-     certified under the same configuration epoch — see DESIGN.md
-     §8b). *)
-  let attempt ctx ~accept =
+     this scan's announcement — its deposit register necessarily holds
+     a snapshot taken within this scan (DESIGN.md §8); adopt it if it
+     was certified under [epoch] (certified scans only borrow deposits
+     certified under their own configuration epoch — see DESIGN.md
+     §8b; plain scans pass [any_epoch]). *)
+  let attempt ctx ~epoch =
     let fab = ctx.fab in
+    let d = ctx.dir in
     let n = Array.length fab.regs in
-    let dirty = ref false in
-    let found = ref None in
+    let dirty = ref false and lent = ref false in
     let s = ref 0 in
-    while !found = None && !s < n do
+    while (not !lent) && !s < n do
       let p = R.probe_stamp fab.regs.(!s) in
-      if p <> ctx.stamps.(!s) then begin
+      if p <> d.stamps.(!s) then begin
         dirty := true;
         if p > ctx.high.(!s) then begin
           ctx.changes.(!s) <- ctx.changes.(!s) + 1;
           ctx.high.(!s) <- p
         end;
         collect ctx !s;
-        if ctx.changes.(!s) >= 2 then
-          match Atomic.get fab.deposits.(owner_of fab !s) with
-          | Some d when accept d -> found := Some d
-          | _ -> ()
+        if ctx.changes.(!s) >= 2 then lent := borrow ctx (owner_of fab !s) ~epoch
       end;
       incr s
     done;
-    match !found with
-    | Some d -> `Borrowed d
-    | None -> if !dirty then `Dirty else `Clean
+    if !lent then `Borrowed else if !dirty then `Dirty else `Clean
 
-  let direct_of ctx ~epoch =
-    {
-      s_stamps = ctx.stamps;
-      s_lens = ctx.lens;
-      s_data = ctx.data;
-      s_borrowed = false;
-      s_epoch = epoch;
-    }
-
-  (* The scan loop shared by public snapshots and writers' helping
+  (* The pass loop shared by public snapshots and writers' helping
      collects.  Structurally unbounded; bounded in fact by the
      counting argument above (≤ 2·shards + 3 passes). *)
+  let rec passes ctx =
+    match attempt ctx ~epoch:any_epoch with
+    | `Clean ->
+        Obs.Cell.incr ctx.c_direct;
+        ctx.dir.epoch <- 0;
+        ctx.direct_snap
+    | `Borrowed ->
+        Obs.Cell.incr ctx.c_borrowed;
+        ctx.lent_snap
+    | `Dirty ->
+        Obs.Cell.incr ctx.c_retries;
+        passes ctx
+
   let scan ctx =
     announce ctx;
-    Fun.protect
-      ~finally:(fun () -> finish ctx)
-      (fun () ->
-        let rec go () =
-          match attempt ctx ~accept:(fun _ -> true) with
-          | `Clean ->
-            ctx.c_direct.Obs.Cell.v <- ctx.c_direct.Obs.Cell.v + 1;
-            direct_of ctx ~epoch:0
-          | `Borrowed d ->
-            ctx.c_borrowed.Obs.Cell.v <- ctx.c_borrowed.Obs.Cell.v + 1;
-            d
-          | `Dirty ->
-            ctx.c_retries.Obs.Cell.v <- ctx.c_retries.Obs.Cell.v + 1;
-            go ()
-        in
-        go ())
+    match passes ctx with
+    | snap ->
+        finish ctx;
+        snap
+    | exception e ->
+        finish ctx;
+        raise e
 
   let snapshot ctx = scan ctx
 
@@ -399,9 +466,9 @@ module Make (R : Register_intf.STAMPED) = struct
 
      Borrowing is epoch-matched: a deposit certifies its own vector
      only under the epoch {e its} scan opened, so a certified scan
-     adopts only deposits with [s_epoch = opened].  That filter can
-     starve the modified-twice counting bound — writers whose own
-     helping certification failed deposit epoch-0 fallbacks the filter
+     adopts only deposits carrying [opened].  That filter can starve
+     the modified-twice counting bound — writers whose own helping
+     certification failed deposit epoch-0 fallbacks the filter
      rejects — so each round also caps its dirty passes at the classic
      2·shards + 3 bound and re-opens when the cap hits.  Reopens are
      counted separately by cause: an observed epoch move
@@ -412,45 +479,48 @@ module Make (R : Register_intf.STAMPED) = struct
      the final round starved rather than saw the epoch move — rather
      than a vector that might span two reigns.  Total work is at most
      [(max_retries + 1) · (2·shards + 3)] passes. *)
+  let rec round ctx ~config ~max_retries tries =
+    certified_pass ctx ~config ~max_retries tries ~opened:(M.load config) 1
+
+  and certified_pass ctx ~config ~max_retries tries ~opened n =
+    match attempt ctx ~epoch:opened with
+    | `Clean ->
+        let now = M.load config in
+        if now = opened then begin
+          Obs.Cell.incr ctx.c_direct;
+          ctx.dir.epoch <- opened;
+          ctx.ok_direct
+        end
+        else reopen ctx ~config ~max_retries tries ~opened ~now
+    | `Borrowed ->
+        Obs.Cell.incr ctx.c_borrowed;
+        ctx.ok_lent
+    | `Dirty ->
+        Obs.Cell.incr ctx.c_retries;
+        if n >= (2 * Array.length ctx.fab.regs) + 3 then
+          reopen ctx ~config ~max_retries tries ~opened ~now:(M.load config)
+        else certified_pass ctx ~config ~max_retries tries ~opened (n + 1)
+
+  and reopen ctx ~config ~max_retries tries ~opened ~now =
+    if tries < max_retries then begin
+      if now <> opened then Atomic.incr Reign_tel.retries
+      else Atomic.incr Reign_tel.starved;
+      round ctx ~config ~max_retries (tries + 1)
+    end
+    else begin
+      Atomic.incr Reign_tel.changed;
+      Error { r_opened = opened; r_now = now }
+    end
+
   let scan_certified ctx ~config ~max_retries =
-    let fab = ctx.fab in
-    let pass_cap = (2 * Array.length fab.regs) + 3 in
     announce ctx;
-    Fun.protect
-      ~finally:(fun () -> finish ctx)
-      (fun () ->
-        let rec round tries =
-          let opened = M.load config in
-          let rec go passes =
-            match attempt ctx ~accept:(fun d -> d.s_epoch = opened) with
-            | `Clean ->
-                let now = M.load config in
-                if now = opened then begin
-                  ctx.c_direct.Obs.Cell.v <- ctx.c_direct.Obs.Cell.v + 1;
-                  Ok (direct_of ctx ~epoch:opened)
-                end
-                else reopen tries opened now
-            | `Borrowed d ->
-                ctx.c_borrowed.Obs.Cell.v <- ctx.c_borrowed.Obs.Cell.v + 1;
-                Ok d
-            | `Dirty ->
-                ctx.c_retries.Obs.Cell.v <- ctx.c_retries.Obs.Cell.v + 1;
-                if passes >= pass_cap then reopen tries opened (M.load config)
-                else go (passes + 1)
-          in
-          go 1
-        and reopen tries opened now =
-          if tries < max_retries then begin
-            if now <> opened then Atomic.incr Reign_tel.retries
-            else Atomic.incr Reign_tel.starved;
-            round (tries + 1)
-          end
-          else begin
-            Atomic.incr Reign_tel.changed;
-            Error { r_opened = opened; r_now = now }
-          end
-        in
-        round 0)
+    match round ctx ~config ~max_retries 0 with
+    | r ->
+        finish ctx;
+        r
+    | exception e ->
+        finish ctx;
+        raise e
 
   let snapshot_certified ctx =
     let fab = ctx.fab in
@@ -471,31 +541,41 @@ module Make (R : Register_intf.STAMPED) = struct
     for s = 0 to Array.length ctx.fab.regs - 1 do
       collect ctx s
     done;
-    direct_of ctx ~epoch:0
+    ctx.dir.epoch <- 0;
+    ctx.direct_snap
 
-  (* Freeze a scan result into an immutable deposit.  A direct result
-     aliases the writer's scratch (about to be reused), so it is
-     copied; a borrowed result is already immutable and is re-shared
-     as is — its scan interval nests inside ours, which keeps it a
-     valid deposit for any scanner ours qualifies for. *)
-  let freeze snap =
-    if snap.s_borrowed then snap
-    else
-      {
-        s_stamps = Array.copy snap.s_stamps;
-        s_lens = Array.copy snap.s_lens;
-        s_data = Array.map Array.copy snap.s_data;
-        s_borrowed = true;
-        s_epoch = snap.s_epoch;
-      }
+  (* Deposit a helping snapshot: one ARC write to the writer's own
+     deposit register.  A borrowed result is already a flat deposit —
+     the lender's slot, pinned by this writer's handle — and is
+     written as is: its scan interval nests inside ours, which keeps
+     it a valid deposit for any scanner ours qualifies for.  A direct
+     result is first flattened from the scratch into [staging]. *)
+  let deposit w snap =
+    let fab = w.ctx.fab in
+    let src =
+      match snap with
+      | Borrowed b -> b.view
+      | Direct d ->
+          let st = w.staging and stride = 2 + fab.capacity in
+          st.(dep_epoch) <- d.epoch;
+          st.(dep_valid) <- 1;
+          for s = 0 to Array.length fab.regs - 1 do
+            let base = dep_header + (s * stride) in
+            let len = d.lens.(s) in
+            st.(base) <- d.stamps.(s);
+            st.(base + 1) <- len;
+            Arc_util.Words.blit d.data.(s) 0 st (base + 2) len
+          done;
+          st
+    in
+    Deposit.write fab.deposits.(w.wid) ~src ~len:fab.dep_len
 
   (* Publish [src] to [shard].  The helping check is the write's only
      snapshot-related cost when no scan is announced: one substrate
      load.  While scans are active, the writer takes a full scan of
      its own (announced, so other writers keep helping it) and
-     deposits the frozen result {e before} publishing — a scanner that
-     observes this write's stamp is therefore guaranteed to find the
-     deposit. *)
+     deposits it {e before} publishing — a scanner that observes this
+     write's stamp is therefore guaranteed to find the deposit. *)
   let write w ~shard ~src ~len =
     let fab = w.ctx.fab in
     if shard < 0 || shard >= Array.length fab.regs then
@@ -508,14 +588,14 @@ module Make (R : Register_intf.STAMPED) = struct
            shard (owner_of fab shard) w.wid);
     if M.load fab.active_scans > 0 then begin
       (* With a reign attached, the helping scan runs certified so the
-         deposit carries the epoch scanners match against.  The cell
-         must be overwritten before EVERY publish that observed an
-         announced scan — the borrow rule's freshness argument is that
-         a shard counted twice implies its owner's deposit was frozen
-         inside the counting scan's window — so a helping scan that
-         itself hits Reign_changed falls back to an uncertified plain
-         scan: plain snapshots keep their freshness and the 2n+3
-         counting bound, while certified scans reject the epoch-0
+         deposit carries the epoch scanners match against.  The
+         register must be written before EVERY publish that observed
+         an announced scan — the borrow rule's freshness argument is
+         that a shard counted twice implies its owner's deposit was
+         taken inside the counting scan's window — so a helping scan
+         that itself hits Reign_changed falls back to an uncertified
+         plain scan: plain snapshots keep their freshness and the
+         2n+3 counting bound, while certified scans reject the epoch-0
          deposit through their epoch-match filter (the configuration
          epoch starts at 1) and surface the typed verdict through
          their own retry budget. *)
@@ -529,25 +609,51 @@ module Make (R : Register_intf.STAMPED) = struct
             | Ok snap -> snap
             | Error (_ : reign_change) -> scan w.ctx)
       in
-      Atomic.set fab.deposits.(w.wid) (Some (freeze snap));
+      deposit w snap;
       Obs.Cell.incr w.c_deposits
     end;
     R.write fab.regs.(shard) ~src ~len;
-    let c = w.w_writes.(shard) in
-    c.Obs.Cell.v <- c.Obs.Cell.v + 1
+    Obs.Cell.incr w.w_writes.(shard)
 
   (* {2 Snapshot accessors} *)
 
-  let shard_len snap s = snap.s_lens.(s)
-  let shard_stamp snap s = snap.s_stamps.(s)
-  let shard_word snap s i = snap.s_data.(s).(i)
-  let borrowed snap = snap.s_borrowed
-  let snap_epoch snap = snap.s_epoch
+  let check_shard snap s =
+    let n = match snap with Direct d -> Array.length d.lens | Borrowed b -> b.nshards in
+    if s < 0 || s >= n then
+      invalid_arg (Printf.sprintf "Fabric: shard %d out of range [0, %d)" s n)
+
+  (* Offset of shard [s]'s stamp word in a deposit. *)
+  let base b s = dep_header + (s * b.stride)
+
+  let shard_len snap s =
+    check_shard snap s;
+    match snap with Direct d -> d.lens.(s) | Borrowed b -> b.view.(base b s + 1)
+
+  let shard_stamp snap s =
+    check_shard snap s;
+    match snap with Direct d -> d.stamps.(s) | Borrowed b -> b.view.(base b s)
+
+  let shard_word snap s i =
+    let len = shard_len snap s in
+    if i < 0 || i >= len then
+      invalid_arg
+        (Printf.sprintf "Fabric.shard_word: word %d out of range [0, %d)" i len);
+    match snap with
+    | Direct d -> d.data.(s).(i)
+    | Borrowed b -> b.view.(base b s + 2 + i)
+
+  let borrowed = function Direct _ -> false | Borrowed _ -> true
+
+  let snap_epoch = function
+    | Direct d -> d.epoch
+    | Borrowed b -> b.view.(dep_epoch)
 
   let shard_copy snap s ~dst =
-    let len = snap.s_lens.(s) in
+    let len = shard_len snap s in
     if Array.length dst < len then invalid_arg "Fabric.shard_copy: dst too short";
-    Arc_util.Words.blit snap.s_data.(s) 0 dst 0 len;
+    (match snap with
+    | Direct d -> Arc_util.Words.blit d.data.(s) 0 dst 0 len
+    | Borrowed b -> Arc_util.Words.blit b.view (base b s + 2) dst 0 len);
     len
 
   (* {2 Telemetry} *)

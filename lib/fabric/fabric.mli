@@ -10,7 +10,7 @@
 
     The snapshot is Afek et al.'s double collect with modified-twice
     helping, driven by publish stamps instead of payload comparison:
-    collect every shard once ([read_stamped]), then certify the vector
+    collect every shard once ([read_stamped_into]), then certify the vector
     with a probe pass of stamp-only re-reads ([probe_stamp], two plain
     loads per shard).  A shard whose stamp moved is re-collected and
     the pass retried; a shard that moves {e twice} identifies a writer
@@ -27,10 +27,13 @@
 
     Threading model: [writers] writer threads, writer [w] owning
     shards [s] with [s mod writers = w] (enforced); [readers] scanner
-    threads, each with its own {!Make.scanner} context.  Deposits
-    travel through host-heap pointers, so all participants must share
-    one OCaml heap (the shard registers themselves may live on any
-    substrate, including shared memory).
+    threads, each with its own {!Make.scanner} context.  Each writer
+    deposits its helping snapshots through its own ARC register on the
+    host heap, read by every scanner and writer identity, so all
+    participants must share one OCaml heap (the shard registers
+    themselves may live on any substrate, including shared memory).
+    In the steady state neither a snapshot nor a helping deposit
+    allocates.
 
     {b Reign fencing (ISSUE 9).}  A fabric whose shards have
     individually elected writers can {!Make.attach_reign} the
@@ -89,9 +92,12 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
       One per writer identity; never shared. *)
 
   type snap
-  (** A snapshot vector.  {b Stability}: a direct snapshot aliases its
-      scanner's scratch and stays valid until that scanner's next
-      {!snapshot}; a {!borrowed} one is immutable. *)
+  (** A snapshot vector.  {b Stability}: a snapshot stays valid until
+      its scanner's next snapshot ({!snapshot}, {!snapshot_certified}
+      or {!snapshot_unvalidated}) and no longer.  A direct one aliases
+      the scanner's scratch; a {!borrowed} one is a helping deposit
+      pinned by the scanner's own handle on the lender's deposit
+      register, unchanged however often the lender deposits again. *)
 
   val algorithm : string
   (** ["fabric(<R.algorithm>)"]. *)
@@ -102,7 +108,9 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
       [shards] registers of [capacity] words initialized to [init],
       provisioned for [readers] scanner threads and [writers] writer
       threads.  Register identities scale with [readers + writers]
-      (thread counts), never with [shards].
+      (thread counts), never with [shards].  The helping channel adds
+      one deposit register per writer: [readers + writers + 2] slots
+      of [2 + shards·(2 + capacity)] words each.
       @raise Invalid_argument unless [1 <= writers <= shards] and
       [readers >= 1] (plus the register's own constraints). *)
 
@@ -157,9 +165,10 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
       plain register write.  With a reign attached the helping
       snapshot is certified; if certification fails mid-election the
       writer still deposits an uncertified (epoch-0) fallback, so the
-      deposit cell is overwritten before {e every} publish that
+      deposit register is written before {e every} publish that
       observed an announced scan — the invariant plain snapshots'
-      borrow freshness rests on.
+      borrow freshness rests on.  The deposit is one write to the
+      writer's deposit register and allocates nothing.
       @raise Invalid_argument if [shard] is out of range or not owned
       by this writer. *)
 
@@ -201,8 +210,12 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
 
   val shard_len : snap -> int -> int
   val shard_stamp : snap -> int -> int
+  (** @raise Invalid_argument unless [0 <= s < shards]. *)
+
   val shard_word : snap -> int -> int -> int
-  (** [shard_word snap s i] — word [i] of shard [s]'s value. *)
+  (** [shard_word snap s i] — word [i] of shard [s]'s value.
+      @raise Invalid_argument unless [0 <= s < shards] and
+      [0 <= i < shard_len snap s]. *)
 
   val shard_copy : snap -> int -> dst:int array -> int
   (** Copy shard [s]'s value into [dst], returning its length.

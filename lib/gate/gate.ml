@@ -53,8 +53,10 @@ type verdict =
   | Within of { metric : string; value : float; baseline : float; limit : float }
   | Regression of { metric : string; value : float; baseline : float; limit : float }
   | Baseline_recorded of { metric : string; value : float }
-  | Ceiling_ok of { metric : string; value : float; ceiling : float }
-  | Ceiling_exceeded of { metric : string; value : float; ceiling : float }
+  | Ceiling_ok of { metric : string; value : float; ceiling : float; unit : string }
+  | Ceiling_exceeded of { metric : string; value : float; ceiling : float; unit : string }
+
+let alloc_ceiling_words = 8.
 
 let pp_verdict ppf = function
   | Within { metric; value; baseline; limit = _ } ->
@@ -65,11 +67,12 @@ let pp_verdict ppf = function
       metric value limit baseline
   | Baseline_recorded { metric; value } ->
     Format.fprintf ppf "no prior %s in trajectory — baseline %.2f recorded" metric value
-  | Ceiling_ok { metric; value; ceiling } ->
-    Format.fprintf ppf "ok — %s %.2f ns under the %.2f ns ceiling" metric value ceiling
-  | Ceiling_exceeded { metric; value; ceiling } ->
-    Format.fprintf ppf "CEILING — %s %.2f ns is not below the %.2f ns bound" metric
-      value ceiling
+  | Ceiling_ok { metric; value; ceiling; unit } ->
+    Format.fprintf ppf "ok — %s %.2f %s under the %.2f %s ceiling" metric value unit
+      ceiling unit
+  | Ceiling_exceeded { metric; value; ceiling; unit } ->
+    Format.fprintf ppf "CEILING — %s %.2f %s is not below the %.2f %s bound" metric
+      value unit ceiling unit
 
 type report = {
   entry : string;
@@ -147,15 +150,27 @@ let evaluate ~bench ?fabric ?scaling ?prior ~threshold ?ceiling ~label ~date () 
       else Within { metric; value; baseline; limit }
   in
   let trajectory_verdicts = List.map gate tracked in
-  (* The absolute bound: the R2' validated plain load exists to beat
+  let bound ~unit ~ceiling:c (metric, value) =
+    match value with
+    | None -> []
+    | Some v ->
+      [ (if v < c then Ceiling_ok { metric; value = v; ceiling = c; unit }
+         else Ceiling_exceeded { metric; value = v; ceiling = c; unit }) ]
+  in
+  (* The absolute bounds.  The R2' validated plain load exists to beat
      the classic read path's historical cost — enforced against the
-     fixed ceiling, not just against drift. *)
+     fixed ceiling, not just against drift.  The fabric's steady state
+     allocates nothing; allocation counts carry no timing noise, so
+     they are held under a fixed word ceiling with no trajectory
+     baseline. *)
+  let alloc key = Option.bind fabric (field_of ~key) in
   let ceiling_verdicts =
-    match (ceiling, plain) with
-    | Some c, Some v ->
-      [ (if v < c then Ceiling_ok { metric = "read_plain_ns"; value = v; ceiling = c }
-         else Ceiling_exceeded { metric = "read_plain_ns"; value = v; ceiling = c }) ]
-    | _ -> []
+    (match ceiling with
+     | Some c -> bound ~unit:"ns" ~ceiling:c ("read_plain_ns", plain)
+     | None -> [])
+    @ List.concat_map
+        (fun key -> bound ~unit:"words" ~ceiling:alloc_ceiling_words (key, alloc key))
+        [ "snapshot_alloc_words"; "deposit_alloc_words" ]
   in
   let verdicts = trajectory_verdicts @ ceiling_verdicts in
   let compared =

@@ -29,11 +29,19 @@ type verdict =
   | Baseline_recorded of { metric : string; value : float }
       (** No prior value for this metric in the trajectory — nothing
           compared, the appended entry seeds it. *)
-  | Ceiling_ok of { metric : string; value : float; ceiling : float }
-  | Ceiling_exceeded of { metric : string; value : float; ceiling : float }
+  | Ceiling_ok of { metric : string; value : float; ceiling : float; unit : string }
+  | Ceiling_exceeded of { metric : string; value : float; ceiling : float; unit : string }
       (** Absolute-bound checks (trajectory-independent): the R2'
           plain-load read must stay below the pre-R2' classic-path
-          cost it exists to beat. *)
+          cost it exists to beat, and the fabric's per-snapshot and
+          per-deposit allocation below {!alloc_ceiling_words}. *)
+
+val alloc_ceiling_words : float
+(** 8 minor words: the bound on [snapshot_alloc_words] and
+    [deposit_alloc_words] in BENCH_fabric.json.  The fabric's steady
+    state allocates nothing; a closure-per-collect, copy-per-deposit
+    fabric allocates hundreds of words per snapshot and thousands per
+    deposit at 64 × 64 words. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -68,7 +76,8 @@ val evaluate :
     [read_hit_ns_off], [read_hit_ns_on], [overhead_pct]; optionally
     [read_plain_ns] and [reader_join_p99_ns]).  [fabric] is
     BENCH_fabric.json when present ([snapshot_ns_per_shard] required
-    in it).  [scaling] is BENCH_scaling.json when present; every
+    in it; [snapshot_alloc_words] and [deposit_alloc_words], when
+    present, are held under {!alloc_ceiling_words}).  [scaling] is BENCH_scaling.json when present; every
     [read_hit_ns@N] / [read_plain_ns@N] key found is tracked and
     gated per core count.  [prior] is the last non-empty trajectory
     line, if any.  [threshold] is the allowed regression in percent;

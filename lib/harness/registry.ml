@@ -76,7 +76,7 @@ module Arc_tel = Tel (Arc_sim)
 module Arc_dynamic_tel = Tel (Arc_dynamic_sim)
 
 (* Fabric runners for the stamped family (ISSUE 6).  Like telemetry,
-   the versioned-read surface ([read_stamped]/[probe_stamp]) is wider
+   the versioned-read surface ([read_stamped_into]/[probe_stamp]) is wider
    than {!Arc_core.Register_intf.S}, so [Entry_of] cannot build these;
    they are instantiated per stamped algorithm and advertised through
    the [snapshot_read] capability bit — consumers discover them with

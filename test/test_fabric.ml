@@ -335,6 +335,110 @@ let test_certified_epochs () =
         (F.snap_epoch snap)
   | Error _ -> Alcotest.fail "a quiescent epoch must certify"
 
+(* {2 Accessor bounds and the allocation-free steady state} *)
+
+let test_shard_word_bounds () =
+  let fab = mk () in
+  F.write (F.writer fab 0) ~shard:0 ~src:(Array.make 8 5) ~len:6;
+  let snap = F.snapshot (F.scanner fab 0) in
+  let invalid what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  Alcotest.(check int) "last word" 5 (F.shard_word snap 0 5);
+  (* Words 6 and 7 exist in the scratch but not in the value. *)
+  invalid "word = len" (fun () -> F.shard_word snap 0 6);
+  invalid "word past len" (fun () -> F.shard_word snap 0 7);
+  invalid "negative word" (fun () -> F.shard_word snap 0 (-1));
+  invalid "shard = shards" (fun () -> F.shard_len snap 4);
+  invalid "negative shard" (fun () -> F.shard_stamp snap (-1))
+
+let fab64 () =
+  let fab = F.create ~shards:64 ~writers:1 ~readers:1 ~capacity:64 ~init:(Array.make 64 0) in
+  F.attach_reign fab ~config:(Arc_mem.Real_mem.atomic_contended 1);
+  fab
+
+let test_snapshot_alloc () =
+  let fab = fab64 () in
+  let w = F.writer fab 0 in
+  let src = Array.make 64 3 in
+  for s = 0 to 63 do
+    F.write w ~shard:s ~src ~len:64
+  done;
+  let sc = F.scanner fab 0 in
+  let dst = Array.make 64 0 in
+  let snapshot () =
+    match F.snapshot_certified sc with
+    | Ok snap ->
+        for s = 0 to 63 do
+          ignore (F.shard_copy snap s ~dst)
+        done
+    | Error _ -> Alcotest.fail "quiesced fabric must certify"
+  in
+  let n = 1_000 in
+  for _ = 1 to n do
+    snapshot ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    snapshot ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words > 2. then
+    Alcotest.failf "snapshot_certified + 64 shard_copy allocates %.1f words per call"
+      words
+
+let test_deposit_alloc () =
+  let fab = fab64 () in
+  let w = F.writer fab 0 in
+  let stop = Atomic.make false in
+  let scanner =
+    Domain.spawn (fun () ->
+        let sc = F.scanner fab 0 in
+        while not (Atomic.get stop) do
+          ignore (F.snapshot_certified sc)
+        done)
+  in
+  let src = Array.make 64 0 in
+  let k = ref 0 in
+  let write () =
+    incr k;
+    src.(0) <- !k;
+    F.write w ~shard:(!k land 63) ~src ~len:64
+  in
+  (* Writes until [n] deposits were made (or the time budget ends);
+     returns the deposits and this domain's minor words. *)
+  let until_deposits n ~seconds =
+    let d0 = F.deposits_made fab and m0 = Gc.minor_words () in
+    let t_end = Unix.gettimeofday () +. seconds in
+    while F.deposits_made fab - d0 < n && Unix.gettimeofday () < t_end do
+      for _ = 1 to 64 do
+        write ()
+      done
+    done;
+    (F.deposits_made fab - d0, Gc.minor_words () -. m0)
+  in
+  let result =
+    match
+      ignore (until_deposits 50 ~seconds:2.);
+      until_deposits 1_000 ~seconds:5.
+    with
+    | r -> Ok r
+    | exception e -> Error e
+  in
+  Atomic.set stop true;
+  Domain.join scanner;
+  match result with
+  | Error e -> raise e
+  | Ok (deposits, words) ->
+      if deposits < 50 then
+        Alcotest.failf "only %d helping deposits while a scanner looped" deposits;
+      let per = words /. float_of_int deposits in
+      if per > 4. then
+        Alcotest.failf "a helping write allocates %.1f words per deposit (%d deposits)"
+          per deposits
+
 (* Certification under real interleavings, deterministically: the same
    fabric on the simulated substrate, driven by seeded vsched
    schedules.  A bumper fiber plays the role of completing handoffs. *)
@@ -390,6 +494,79 @@ let certified_sim ?strategy ~seed ~bumping ~max_retries ~steps () =
     (Sched.run ~strategy
        [| writer 0; writer 1; scanner 0; scanner 1; bumper |]);
   (List.rev !oks, List.rev !errs, Fs.snapshots_borrowed fab)
+
+(* A borrowed snapshot pins its deposit slot: it must stay
+   word-identical while its lender deposits readers + writers + 2 more
+   times — enough to cycle every other slot of the deposit register —
+   until the holder's next snapshot.  One writer, so it is the lender;
+   a second scanner keeps scans announced so the writer keeps
+   depositing while the holder waits. *)
+let test_borrowed_view_stable () =
+  let shards = 4 and size = 8 and writers = 1 and scanners = 2 in
+  let cycle = scanners + writers + 2 in
+  let held = ref 0 and changed = ref 0 in
+  let image snap =
+    ( Fs.snap_epoch snap,
+      Array.init shards (fun s ->
+          let dst = Array.make size 0 in
+          let len = Fs.shard_copy snap s ~dst in
+          (Fs.shard_stamp snap s, Array.sub dst 0 len)) )
+  in
+  for seed = 1 to 8 do
+    let steps = 20_000 in
+    let init = Array.make size 0 in
+    Ps.stamp init ~seq:0 ~len:size;
+    let fab = Fs.create ~shards ~writers ~readers:scanners ~capacity:size ~init in
+    let writer () =
+      let w = Fs.writer fab 0 in
+      let src = Array.make size 0 in
+      let k = ref 0 in
+      while Sched.now () < steps do
+        incr k;
+        (* Every other write hits shard 0, so scans see it move twice. *)
+        let s = if !k land 1 = 0 then 0 else !k mod shards in
+        Ps.stamp src ~seq:!k ~len:size;
+        Fs.write w ~shard:s ~src ~len:size;
+        Sched.cede ()
+      done
+    in
+    let holder () =
+      let sc = Fs.scanner fab 0 in
+      while Sched.now () < steps do
+        let snap = Fs.snapshot sc in
+        if Fs.borrowed snap then begin
+          let before = image snap in
+          let len = Fs.shard_len snap 0 in
+          (match Fs.shard_word snap 0 len with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail "borrowed shard_word past the length must raise");
+          let d0 = Fs.deposits_made fab in
+          while Fs.deposits_made fab - d0 < cycle && Sched.now () < steps do
+            Sched.cede ()
+          done;
+          if Fs.deposits_made fab - d0 >= cycle then begin
+            incr held;
+            if image snap <> before then incr changed
+          end
+        end;
+        Sched.cede ()
+      done
+    in
+    let churner () =
+      let sc = Fs.scanner fab 1 in
+      while Sched.now () < steps do
+        ignore (Fs.snapshot sc);
+        Sched.cede ()
+      done
+    in
+    ignore
+      (Sched.run
+         ~strategy:(Strategy.random_burst ~seed ~max_burst:60)
+         [| writer; holder; churner |])
+  done;
+  Alcotest.(check bool) "a borrowed view was held across a deposit cycle" true
+    (!held > 0);
+  Alcotest.(check int) "held borrowed views that changed" 0 !changed
 
 let test_certified_sim_static_config () =
   (* No handoffs: every snapshot must certify under epoch 1 — including
@@ -656,6 +833,12 @@ let suite =
     Alcotest.test_case "checker: shard projection" `Quick
       test_checker_shard_projection;
     Alcotest.test_case "certified epochs (heap)" `Quick test_certified_epochs;
+    Alcotest.test_case "shard_word bounds" `Quick test_shard_word_bounds;
+    Alcotest.test_case "snapshot allocates nothing" `Quick test_snapshot_alloc;
+    Alcotest.test_case "helping deposit allocates nothing" `Quick
+      test_deposit_alloc;
+    Alcotest.test_case "borrowed view stable across deposits (vsched)" `Slow
+      test_borrowed_view_stable;
     Alcotest.test_case "certified under static config (vsched)" `Slow
       test_certified_sim_static_config;
     Alcotest.test_case "Reign_changed reachable (vsched)" `Slow

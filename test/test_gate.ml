@@ -79,6 +79,33 @@ let test_plain_ceiling_enforced () =
   Alcotest.(check bool) "under ceiling passes" true
     (count (function G.Ceiling_ok _ -> true | _ -> false) ok = 1)
 
+let test_alloc_ceiling_enforced () =
+  (* Fabric allocation counts are held under the absolute word
+     ceiling, with no trajectory baseline to drift against. *)
+  let fabric ~snapshot ~deposit =
+    Printf.sprintf
+      "{ \"snapshot_ns_per_shard\": 100.0, \"snapshot_alloc_words\": %.2f, \
+       \"deposit_alloc_words\": %.2f }"
+      snapshot deposit
+  in
+  let is_words_ok = function
+    | G.Ceiling_ok { unit = "words"; _ } -> true
+    | _ -> false
+  in
+  let is_words_over = function
+    | G.Ceiling_exceeded { unit = "words"; _ } -> true
+    | _ -> false
+  in
+  let ok = evaluate ~fabric:(fabric ~snapshot:0. ~deposit:0.) (bench ()) in
+  Alcotest.(check int) "both under the ceiling" 2 (count is_words_ok ok);
+  Alcotest.(check int) "no failures" 0 ok.G.failures;
+  let over = evaluate ~fabric:(fabric ~snapshot:889. ~deposit:5252.) (bench ()) in
+  Alcotest.(check int) "both over the ceiling" 2 (count is_words_over over);
+  Alcotest.(check int) "two failures" 2 over.G.failures;
+  let older = evaluate ~fabric:"{ \"snapshot_ns_per_shard\": 100.0 }" (bench ()) in
+  Alcotest.(check int) "absent fields are not judged" 0
+    (count is_words_ok older + count is_words_over older)
+
 let test_scaling_keys_discovered_and_gated () =
   let r = evaluate ~scaling (bench ()) in
   (* Discovery: every read_hit_ns@N / read_plain_ns@N key is tracked
@@ -115,6 +142,8 @@ let suite =
       test_prior_entry_arms_the_gate;
     Alcotest.test_case "regression detected" `Quick test_regression_detected;
     Alcotest.test_case "plain-read ceiling" `Quick test_plain_ceiling_enforced;
+    Alcotest.test_case "fabric allocation ceiling" `Quick
+      test_alloc_ceiling_enforced;
     Alcotest.test_case "scaling keys discovered" `Quick
       test_scaling_keys_discovered_and_gated;
     Alcotest.test_case "malformed inputs rejected" `Quick
