@@ -197,13 +197,10 @@ let run_faults algo seeds readers size steps =
       o.Campaign.stalls o.Campaign.tears o.Campaign.reads_checked
       (Printf.sprintf "%d/%d" o.Campaign.vanished o.Campaign.took_effect)
       (if ok then "PASS" else "FAIL");
-    if not ok then
-      List.iter
-        (fun (seed, msg) ->
-          Printf.printf "    violation [seed %d]: %s\n      replay: %s\n" seed
-            msg
-            (fault_replay_command ~name:a.fname ~readers ~size ~steps ~seed))
-        (List.rev o.Campaign.violations)
+    Arc_report.Driver.report ~indent:4
+      ~replay:(fun seed ->
+        fault_replay_command ~name:a.fname ~readers ~size ~steps ~seed)
+      (List.rev_map (fun (seed, msg) -> (seed, Some msg)) o.Campaign.violations)
   in
   List.iter row (selected_fault_algos algo);
   (* Negative control proving non-vacuity: a silently torn writer copy
@@ -224,7 +221,8 @@ let run_faults algo seeds readers size steps =
   Printf.printf "%-14s %s\n" "tear-control"
     (if detected then "REJECTED (expected)"
      else "MISSED — fault layer or checker is broken");
-  if !failures > 0 then exit 1
+  (* A missed tear control is a failure of the campaign itself. *)
+  Arc_report.Driver.finish ~failing:!failures ~controls_ok:true
 
 (* {1 The --fabric campaign (ISSUE 6)}
 
@@ -235,7 +233,31 @@ let run_faults algo seeds readers size steps =
    the wait-freedom retry bound.  A collect-only negative control must
    be convicted, proving the judgement is not vacuous. *)
 
-let run_fabric algo seeds strategy_name shards readers size steps metrics =
+let fabric_replay_command ~name ~strategy ~shards ~readers ~size ~steps ~seed =
+  Arc_report.Replay.(
+    render ~exe:"dune exec bin/check.exe --"
+      [
+        flag "--fabric";
+        str "--algo" name;
+        str "--strategy" strategy;
+        int "--shards" shards;
+        int "--readers" readers;
+        int "--size" size;
+        int "--steps" steps;
+        int "--replay-seed" seed;
+      ])
+
+(* [~replay:K] re-runs seed K alone (as printed by a violation line),
+   without the negative control. *)
+let run_fabric ?replay algo seeds strategy_name shards readers size steps
+    metrics =
+  let first, last =
+    match replay with
+    | Some k ->
+      Printf.printf "replaying fabric seed %d\n" k;
+      (k, k)
+    | None -> (1, seeds)
+  in
   let eligible = Registry.fabric_capable Registry.all in
   let entries =
     if algo = "all" then eligible
@@ -263,7 +285,7 @@ let run_fabric algo seeds strategy_name shards readers size steps metrics =
   Printf.printf
     "fabric campaign: %d seeds × %s, %d shards × %d writers × %d scanners, %d \
      words, %d steps\n\n"
-    seeds strategy_name shards writers readers size steps;
+    (last - first + 1) strategy_name shards writers readers size steps;
   Printf.printf "%-16s %9s %9s %8s %9s %8s  %s\n" "algorithm" "snapshots"
     "borrowed" "retries" "deposits" "writes" "verdict";
   let failures = ref 0 in
@@ -278,7 +300,7 @@ let run_fabric algo seeds strategy_name shards readers size steps metrics =
     let snaps = ref 0 and borrowed = ref 0 and retries = ref 0 in
     let deposits = ref 0 and writes = ref 0 in
     let violations = ref [] in
-    for seed = 1 to seeds do
+    for seed = first to last do
       let strategy =
         strategy_of ~name:strategy_name ~seed ~fibers:(writers + readers) ~steps
       in
@@ -311,32 +333,36 @@ let run_fabric algo seeds strategy_name shards readers size steps metrics =
     Printf.printf "%-16s %9d %9d %8d %9d %8d  %s\n" entry.Registry.name !snaps
       !borrowed !retries !deposits !writes
       (if ok then "PASS" else "FAIL");
-    List.iter
-      (fun (seed, msg) -> Printf.printf "    violation [seed %d]: %s\n" seed msg)
-      (List.rev !violations)
+    Arc_report.Driver.report ~indent:4
+      ~replay:(fun seed ->
+        fabric_replay_command ~name:entry.Registry.name ~strategy:strategy_name
+          ~shards ~readers ~size ~steps ~seed)
+      (List.rev_map (fun (seed, msg) -> (seed, Some msg)) !violations)
   in
   List.iter row entries;
-  (* Negative control: the collect-only arm of the first eligible
-     algorithm must be convicted as a torn snapshot by the checker. *)
-  let entry = List.hd entries in
-  let run = Option.get entry.Registry.run_fabric_sim in
-  let convicted = ref false in
-  let control_runs = max 8 (min seeds 32) in
-  for seed = 1 to control_runs do
-    if not !convicted then
-      let r =
-        run
-          ~strategy:(Strategy.random ~seed)
-          { cfg with Config.fab_seed = seed; fab_atomic = false }
-      in
-      match Fabric_runner.check r with
-      | Error (Checker.Torn_snapshot _) -> convicted := true
-      | Ok _ | Error _ -> ()
-  done;
-  if not !convicted then incr failures;
-  Printf.printf "%-16s %s\n" "torn-control"
-    (if !convicted then "REJECTED (expected)"
-     else "MISSED — fabric checker is broken");
+  if replay = None then begin
+    (* Negative control: the collect-only arm of the first eligible
+       algorithm must be convicted as a torn snapshot by the checker. *)
+    let entry = List.hd entries in
+    let run = Option.get entry.Registry.run_fabric_sim in
+    let convicted = ref false in
+    let control_runs = max 8 (min seeds 32) in
+    for seed = 1 to control_runs do
+      if not !convicted then
+        let r =
+          run
+            ~strategy:(Strategy.random ~seed)
+            { cfg with Config.fab_seed = seed; fab_atomic = false }
+        in
+        match Fabric_runner.check r with
+        | Error (Checker.Torn_snapshot _) -> convicted := true
+        | Ok _ | Error _ -> ()
+    done;
+    if not !convicted then incr failures;
+    Printf.printf "%-16s %s\n" "torn-control"
+      (if !convicted then "REJECTED (expected)"
+       else "MISSED — fabric checker is broken")
+  end;
   if metrics then begin
     (* The simulated fabric has no elections, so the reign gauges stay
        at their resting values — printed anyway so the arc_reign_*
@@ -404,6 +430,10 @@ let rec run faults fabric shards replay_seed history shm algo seeds strategy_nam
     readers size steps verbose metrics =
   match (history, replay_seed) with
   | Some hist_path, _ -> run_history hist_path shm
+  | None, Some seed when fabric ->
+    run_fabric ~replay:seed
+      (Option.value algo ~default:"all")
+      seeds strategy_name shards readers size steps metrics
   | None, Some seed ->
     run_fault_replay (Option.value algo ~default:"arc") seed readers size steps
   | None, None when fabric ->
@@ -589,7 +619,10 @@ let cmd =
           ~doc:
             "Re-execute one fault-campaign schedule from its derived seed (as \
              printed by a --faults violation line) for the algorithm given \
-             with --algo, showing its fault plan and full judgement.")
+             with --algo, showing its fault plan and full judgement.  With \
+             --fabric, re-run fabric seed SEED for --algo (default: every \
+             fabric-capable algorithm) under --strategy, --shards, \
+             --readers, --size and --steps.")
   in
   let history =
     Arg.(

@@ -20,6 +20,7 @@
 
 module Soak = Arc_resilience.Soak
 module Outcomes = Arc_util.Stats.Outcomes
+module Driver = Arc_report.Driver
 open Cmdliner
 
 let cfg_of runs seed readers size steps lease deadline max_stale crash_readers =
@@ -78,96 +79,88 @@ let run_churn_replay seed (ccfg : Soak.churn_cfg) =
   print_churn_report ~verbose:true r;
   if r.cviolations <> [] then exit 1
 
+(* Live progress: at most one cumulative line per wall-clock second,
+   so long CI soaks show a heartbeat without the per-run flood of
+   --verbose. *)
+let heartbeat ~verbose =
+  let last_tick = ref (Unix.gettimeofday ()) in
+  fun print ->
+    let now = Unix.gettimeofday () in
+    if (not verbose) && now -. !last_tick >= 1.0 then begin
+      last_tick := now;
+      print ()
+    end
+
+(* Both campaigns end alike: each violation with its replay command,
+   the fail log, the negative control, the exit status. *)
+let conclude ?fail_log ~replay ~skip_control ~control ~label ~unconvicted
+    violations =
+  let failing = List.rev violations in
+  Driver.report ?fail_log ~replay
+    (List.map (fun (seed, msg) -> (seed, Some msg)) failing);
+  let controls_ok =
+    skip_control
+    ||
+    let convicted, reasons = control () in
+    Driver.control label ~convicted ~expected:(String.concat "; " reasons)
+      ~unconvicted
+  in
+  Driver.finish ~failing:(List.length failing) ~controls_ok
+
 let run_churn_soak (ccfg : Soak.churn_cfg) verbose fail_log skip_control metrics
     =
-  let failing = ref [] in
   let done_runs = ref 0
   and live_arrivals = ref 0
   and live_admitted = ref 0
   and live_bp = ref 0
   and live_bad = ref 0 in
-  let last_tick = ref (Unix.gettimeofday ()) in
+  let tick = heartbeat ~verbose in
   let on_run (r : Soak.churn_report) =
     incr done_runs;
     live_arrivals := !live_arrivals + r.arrivals;
     live_admitted := !live_admitted + r.cadmitted;
     live_bp := !live_bp + r.cbackpressured;
     if r.cviolations <> [] then incr live_bad;
-    let now = Unix.gettimeofday () in
-    if (not verbose) && now -. !last_tick >= 1.0 then begin
-      last_tick := now;
-      Printf.printf
-        "[churn] %d/%d runs, %d arrivals -> %d admitted / %d backpressured, \
-         %d failing\n\
-         %!"
-        !done_runs ccfg.Soak.base.Soak.runs !live_arrivals !live_admitted
-        !live_bp !live_bad
-    end;
+    tick (fun () ->
+        Printf.printf
+          "[churn] %d/%d runs, %d arrivals -> %d admitted / %d backpressured, \
+           %d failing\n\
+           %!"
+          !done_runs ccfg.Soak.base.Soak.runs !live_arrivals !live_admitted
+          !live_bp !live_bad);
     print_churn_report ~verbose r
   in
   let o = Soak.run_churn ~on_run ccfg in
   Format.printf "%a@." Soak.pp_churn_outcome o;
   if metrics then print_string (Arc_obs.Obs.prometheus (Soak.churn_metrics o));
-  List.iter
-    (fun (seed, msg) ->
-      Printf.printf "violation [seed %d]: %s\n  replay: %s\n" seed msg
-        (Soak.churn_replay_command ~seed ccfg);
-      failing := seed :: !failing)
-    (List.rev o.Soak.churn_violations);
-  (match fail_log with
-  | Some path when !failing <> [] ->
-    let oc = open_out path in
-    List.iter
-      (fun seed ->
-        output_string oc (Soak.churn_replay_command ~seed ccfg);
-        output_char oc '\n')
-      (List.sort_uniq compare !failing);
-    close_out oc;
-    Printf.printf "replay commands written to %s\n" path
-  | _ -> ());
-  let control_ok =
-    if skip_control then true
-    else begin
-      let convicted, reasons =
-        Soak.churn_control ~seed:(Soak.derive_seed ccfg.Soak.base 0) ccfg
-      in
-      Printf.printf "gate-bypass control %s\n"
-        (if convicted then
-           Printf.sprintf "CONVICTED (expected): %s" (String.concat "; " reasons)
-         else "UNCONVICTED — the admission gate is not load-bearing");
-      convicted
-    end
-  in
-  if not (Soak.churn_clean o) then exit 1;
-  if not control_ok then exit 2
+  conclude ?fail_log ~skip_control
+    ~replay:(fun seed -> Soak.churn_replay_command ~seed ccfg)
+    ~control:(fun () ->
+      Soak.churn_control ~seed:(Soak.derive_seed ccfg.Soak.base 0) ccfg)
+    ~label:"gate-bypass control"
+    ~unconvicted:"the admission gate is not load-bearing"
+    o.Soak.churn_violations
 
 let run_soak (cfg : Soak.cfg) verbose fail_log skip_control metrics =
-  let failing = ref [] in
-  (* Live progress: a cumulative one-line summary at most once per
-     wall-clock second, so long CI soaks show heartbeat without the
-     per-run flood of --verbose. *)
   let done_runs = ref 0
   and live_writes = ref 0
   and live_fresh = ref 0
   and live_stale = ref 0
   and live_bad = ref 0 in
-  let last_tick = ref (Unix.gettimeofday ()) in
-  let live (r : Soak.run_report) =
+  let tick = heartbeat ~verbose in
+  let on_run (r : Soak.run_report) =
     incr done_runs;
     live_writes := !live_writes + r.writes + r.standby_writes;
     live_fresh := !live_fresh + Outcomes.ok_count r.outcomes;
     live_stale := !live_stale + Outcomes.stale_count r.outcomes;
     if r.violations <> [] then incr live_bad;
-    let now = Unix.gettimeofday () in
-    if (not verbose) && now -. !last_tick >= 1.0 then begin
-      last_tick := now;
-      Printf.printf
-        "[soak] %d/%d runs, %d writes, %d fresh / %d stale reads, %d failing\n%!"
-        !done_runs cfg.Soak.runs !live_writes !live_fresh !live_stale !live_bad
-    end
-  in
-  let on_run r =
-    live r;
+    tick (fun () ->
+        Printf.printf
+          "[soak] %d/%d runs, %d writes, %d fresh / %d stale reads, %d \
+           failing\n\
+           %!"
+          !done_runs cfg.Soak.runs !live_writes !live_fresh !live_stale
+          !live_bad);
     print_report ~verbose r
   in
   let o = Soak.run ~on_run cfg in
@@ -178,38 +171,12 @@ let run_soak (cfg : Soak.cfg) verbose fail_log skip_control metrics =
          (Soak.metrics o
          @ Arc_resilience.Election.metrics ()
          @ Arc_fabric.Fabric.reign_metrics ()));
-  List.iter
-    (fun (seed, msg) ->
-      Printf.printf "violation [seed %d]: %s\n  replay: %s\n" seed msg
-        (Soak.replay_command ~seed cfg);
-      failing := seed :: !failing)
-    (List.rev o.Soak.violations);
-  (match fail_log with
-  | Some path when !failing <> [] ->
-    let oc = open_out path in
-    List.iter
-      (fun seed ->
-        output_string oc (Soak.replay_command ~seed cfg);
-        output_char oc '\n')
-      (List.sort_uniq compare !failing);
-    close_out oc;
-    Printf.printf "replay commands written to %s\n" path
-  | _ -> ());
-  let control_ok =
-    if skip_control then true
-    else begin
-      let convicted, reasons =
-        Soak.unfenced_control ~seed:(Soak.derive_seed cfg 0) cfg
-      in
-      Printf.printf "unfenced-control %s\n"
-        (if convicted then
-           Printf.sprintf "CONVICTED (expected): %s" (String.concat "; " reasons)
-         else "UNCONVICTED — the epoch fence is not load-bearing");
-      convicted
-    end
-  in
-  if not (Soak.clean o) then exit 1;
-  if not control_ok then exit 2
+  conclude ?fail_log ~skip_control
+    ~replay:(fun seed -> Soak.replay_command ~seed cfg)
+    ~control:(fun () ->
+      Soak.unfenced_control ~seed:(Soak.derive_seed cfg 0) cfg)
+    ~label:"unfenced-control"
+    ~unconvicted:"the epoch fence is not load-bearing" o.Soak.violations
 
 let run runs seed readers size steps lease deadline max_stale crash_readers
     churn gate lanes room crash_frac replay verbose fail_log skip_control

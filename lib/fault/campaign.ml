@@ -305,9 +305,9 @@ struct
 
   (* One campaign iteration, addressable by its derived seed: the
      exact (plan, strategy) pair [run] explores as
-     [seed = cfg.seed * 1_000_003 + schedule].  Callers (bin/check
-     --replay-seed) use it to re-execute a failing schedule from the
-     seed a violation line printed. *)
+     [seed = Arc_report.Driver.derive_seed cfg.seed schedule].
+     Callers (bin/check --replay-seed) use it to re-execute a failing
+     schedule from the seed a violation line printed. *)
   let run_seed ?audit ~seed (cfg : cfg) :
       Fault_plan.t * run_result * (int * string) list =
     let rng = Splitmix.of_int seed in
@@ -342,7 +342,7 @@ struct
         }
     in
     for schedule = 1 to cfg.schedules do
-      let seed = (cfg.seed * 1_000_003) + schedule in
+      let seed = Arc_report.Driver.derive_seed cfg.seed schedule in
       match run_seed ?audit ~seed cfg with
       | exception Fault_plan.Crashed ->
         (* a Crashed escaping the fiber wrappers is a harness bug *)

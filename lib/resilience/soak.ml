@@ -567,20 +567,23 @@ let metrics (o : outcome) =
       (List.length o.violations);
   ]
 
-let derive_seed (cfg : cfg) k = (cfg.seed * 1_000_003) + k
+let derive_seed (cfg : cfg) k = Arc_report.Driver.derive_seed cfg.seed k
+
+(* The flags both campaigns' replay commands end with. *)
+let cfg_args cfg =
+  Arc_report.Replay.
+    [
+      int "--readers" cfg.readers;
+      int "--size" cfg.size_words;
+      int "--steps" cfg.max_steps;
+      int "--lease" cfg.lease;
+      int "--deadline" cfg.deadline;
+      int "--max-stale" cfg.max_stale;
+    ]
 
 let replay_command ~seed cfg =
   Arc_report.Replay.(
-    render ~exe:"dune exec bin/soak.exe --"
-      [
-        int "--replay" seed;
-        int "--readers" cfg.readers;
-        int "--size" cfg.size_words;
-        int "--steps" cfg.max_steps;
-        int "--lease" cfg.lease;
-        int "--deadline" cfg.deadline;
-        int "--max-stale" cfg.max_stale;
-      ])
+    render ~exe:"dune exec bin/soak.exe --" (int "--replay" seed :: cfg_args cfg))
 
 let run ?(on_run = fun (_ : run_report) -> ()) (cfg : cfg) : outcome =
   check_cfg cfg;
@@ -1197,20 +1200,15 @@ let churn_metrics (o : churn_outcome) =
 let churn_replay_command ~seed (c : churn_cfg) =
   Arc_report.Replay.(
     render ~exe:"dune exec bin/soak.exe --"
-      [
-        int "--replay" seed;
-        float "--churn" c.rate;
-        int "--gate" c.gate_capacity;
-        int "--lanes" c.lanes;
-        int "--room" c.waiting_room;
-        float "--crash-frac" c.crash_frac;
-        int "--readers" c.base.readers;
-        int "--size" c.base.size_words;
-        int "--steps" c.base.max_steps;
-        int "--lease" c.base.lease;
-        int "--deadline" c.base.deadline;
-        int "--max-stale" c.base.max_stale;
-      ])
+      ([
+         int "--replay" seed;
+         float "--churn" c.rate;
+         int "--gate" c.gate_capacity;
+         int "--lanes" c.lanes;
+         int "--room" c.waiting_room;
+         float "--crash-frac" c.crash_frac;
+       ]
+      @ cfg_args c.base))
 
 let run_churn ?(on_run = fun (_ : churn_report) -> ()) (c : churn_cfg) :
     churn_outcome =

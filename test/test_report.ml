@@ -141,6 +141,53 @@ let test_replay_render () =
   Alcotest.(check string) "exe alone" "dune exec bin/soak.exe --"
     (render ~exe:"dune exec bin/soak.exe --" [])
 
+(* --- campaign driver ------------------------------------------------- *)
+
+module Driver = Arc_report.Driver
+
+(* The seed arc-crash, arc-soak and arc-check --faults print for run 1
+   of base seed 2049: previously printed replay commands must keep
+   naming the same runs. *)
+let test_driver_seed () =
+  Alcotest.(check int) "run 1 of base 2049" 2049006148
+    (Driver.derive_seed 2049 1);
+  Alcotest.(check int) "run 0 is the control seed" 2025006075
+    (Driver.derive_seed 2025 0)
+
+let test_driver_violation () =
+  Alcotest.(check string) "bare line (arc-crash)"
+    "violation [seed 7]\n  replay: arc-crash --replay-seed 7\n"
+    (Driver.violation ~seed:7 "arc-crash --replay-seed 7");
+  Alcotest.(check string) "indented, with message (arc-check)"
+    "    violation [seed 7]: boom\n      replay: r 7\n"
+    (Driver.violation ~indent:4 ~msg:"boom" ~seed:7 "r 7")
+
+let test_driver_fail_log () =
+  let replay seed = Printf.sprintf "arc-crash --replay-seed %d" seed in
+  let expected =
+    "arc-crash --replay-seed 2\n\
+     arc-crash --replay-seed 30\n\
+     arc-crash --replay-seed 100\n"
+  in
+  Alcotest.(check string) "one replay per line, by seed, each once" expected
+    (Driver.fail_log ~replay [ 30; 2; 100; 30; 2 ]);
+  let path = Filename.temp_file "driver-fail-log" ".txt" in
+  Driver.report ~fail_log:path ~replay
+    [ (100, Some "late"); (2, None); (30, Some "x"); (2, Some "again") ];
+  let ic = open_in_bin path in
+  let written = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "report writes the same log" expected written
+
+let test_driver_exit_status () =
+  let status failing controls_ok = Driver.exit_status ~failing ~controls_ok in
+  Alcotest.(check int) "violations outrank an unconvicted control" 1
+    (status 3 false);
+  Alcotest.(check int) "violations alone" 1 (status 1 true);
+  Alcotest.(check int) "unconvicted control alone" 2 (status 0 false);
+  Alcotest.(check int) "clean" 0 (status 0 true)
+
 let suite =
   suite
   @ [
@@ -148,4 +195,8 @@ let suite =
       Alcotest.test_case "markdown series" `Quick test_markdown_series;
       Alcotest.test_case "table accessors" `Quick test_table_accessors;
       Alcotest.test_case "replay-command rendering" `Quick test_replay_render;
+      Alcotest.test_case "driver: derived seeds" `Quick test_driver_seed;
+      Alcotest.test_case "driver: violation lines" `Quick test_driver_violation;
+      Alcotest.test_case "driver: fail log" `Quick test_driver_fail_log;
+      Alcotest.test_case "driver: exit status" `Quick test_driver_exit_status;
     ]
