@@ -6,14 +6,17 @@
    each run judged for torn snapshots, crash-aware atomicity (the
    promotion time as the fence), bounded staleness of degraded serves,
    liveness, and the ARC presence-ledger audit; plus the unfenced
-   negative control that must be convicted.
+   negative control that must be convicted.  [--churn RATE] runs the
+   reader-churn mode instead, with the gate-bypass control.
 
      dune exec bin/soak.exe -- --runs 200
-     dune exec bin/soak.exe -- --replay 2025002025042 --verbose
+     dune exec bin/soak.exe -- --replay 2025006082 --verbose
+     dune exec bin/soak.exe -- --churn 0.02 --replay 2025006082
 
    Exit status 0 = clean (and the negative control convicted);
    1 = violations (each printed with the exact replay command);
-   2 = the unfenced control went unconvicted (the fence is vacuous).
+   2 = the negative control went unconvicted (the fence or the gate is
+   vacuous); 124 = a configuration no run could use.
 
    A failing soak also writes the replay commands to --fail-log (if
    given) so CI can upload them as an artifact. *)
@@ -23,169 +26,121 @@ module Outcomes = Arc_util.Stats.Outcomes
 module Driver = Arc_report.Driver
 open Cmdliner
 
-let cfg_of runs seed readers size steps lease deadline max_stale crash_readers =
-  {
-    Soak.runs;
-    seed;
-    readers;
-    size_words = size;
-    max_steps = steps;
-    lease;
-    deadline;
-    max_stale;
-    max_crash_readers = crash_readers;
-  }
+(* The run lines, printed under --verbose and for every failing run. *)
 
-let print_report ~verbose (r : Soak.run_report) =
-  if verbose || r.violations <> [] then begin
-    Printf.printf
-      "run [seed %d]: fate=%s flaky=%.2f writes=%d (standby %d) failovers=%d \
-       fenced=%d reader-crashes=%d stalls=%d tears=%d serves-checked=%d %s— %s\n"
-      r.seed r.fate r.flaky_rate r.writes r.standby_writes r.failovers
-      r.fenced_writes r.reader_crashes r.stalls r.tears r.serves_checked
-      (Format.asprintf "[%a] " Outcomes.pp r.outcomes)
-      (if r.violations = [] then "ok"
-       else String.concat "; " r.violations);
-    if verbose && Arc_fault.Fault_plan.size r.plan > 0 then
-      Format.printf "  plan:@,%a@." Arc_fault.Fault_plan.pp r.plan
-  end
+let verdict (r : _ Soak.report) =
+  if r.violations = [] then "ok" else String.concat "; " r.violations
 
-let run_replay seed cfg verbose =
-  Printf.printf "replaying seed %d\n" seed;
-  let r = Soak.run_one ~seed cfg in
-  print_report ~verbose:true r;
-  ignore verbose;
-  if r.violations <> [] then exit 1
+let print_failover ~verbose r (s : Soak.failover Soak.stats) =
+  let m = s.mode in
+  Printf.printf
+    "run [seed %d]: fate=%s flaky=%.2f writes=%d (standby %d) failovers=%d \
+     fenced=%d reader-crashes=%d stalls=%d tears=%d serves-checked=%d %s— %s\n"
+    r.Soak.seed m.fate m.flaky_rate s.writes m.standby_writes m.failovers
+    m.fenced_writes s.crashes m.stalls m.tears s.serves_checked
+    (Format.asprintf "[%a] " Outcomes.pp s.outcomes)
+    (verdict r);
+  if verbose && Arc_fault.Fault_plan.size m.plan > 0 then
+    Format.printf "  plan:@,%a@." Arc_fault.Fault_plan.pp m.plan
 
-(* {1 Churn mode (ISSUE 8): --churn RATE} *)
+let print_churn ~verbose:_ r (s : Soak.churn Soak.stats) =
+  let m = s.mode in
+  Printf.printf
+    "churn [seed %d]: arrivals=%d admitted=%d backpressured=%d departed=%d \
+     evicted=%d abandoned=%d lane-crashes=%d writes=%d high-water=%d \
+     live-buffers-max=%d refused-serves=%d %s— %s\n"
+    r.Soak.seed m.arrivals m.admitted m.backpressured m.departed m.evicted
+    m.abandoned s.crashes s.writes m.high_water m.live_buffers_max
+    m.refused_serves
+    (Format.asprintf "[%a] " Outcomes.pp s.outcomes)
+    (verdict r)
 
-let print_churn_report ~verbose (r : Soak.churn_report) =
-  if verbose || r.cviolations <> [] then
-    Printf.printf
-      "churn [seed %d]: arrivals=%d admitted=%d backpressured=%d departed=%d \
-       evicted=%d abandoned=%d lane-crashes=%d writes=%d high-water=%d \
-       live-buffers-max=%d refused-serves=%d %s— %s\n"
-      r.cseed r.arrivals r.cadmitted r.cbackpressured r.cdeparted r.cevicted
-      r.abandoned r.lane_crashes r.cwrites r.chigh_water r.live_buffers_max
-      r.refused_serves
-      (Format.asprintf "[%a] " Outcomes.pp r.coutcomes)
-      (if r.cviolations = [] then "ok" else String.concat "; " r.cviolations)
-
-let run_churn_replay seed (ccfg : Soak.churn_cfg) =
-  Printf.printf "replaying churn seed %d\n" seed;
-  let join = Arc_util.Histogram.create () in
-  let leave = Arc_util.Histogram.create () in
-  let r = Soak.run_churn_one ~seed ~join ~leave ccfg in
-  print_churn_report ~verbose:true r;
-  if r.cviolations <> [] then exit 1
-
-(* Live progress: at most one cumulative line per wall-clock second,
-   so long CI soaks show a heartbeat without the per-run flood of
-   --verbose. *)
-let heartbeat ~verbose =
-  let last_tick = ref (Unix.gettimeofday ()) in
-  fun print ->
-    let now = Unix.gettimeofday () in
-    if (not verbose) && now -. !last_tick >= 1.0 then begin
-      last_tick := now;
-      print ()
-    end
-
-(* Both campaigns end alike: each violation with its replay command,
-   the fail log, the negative control, the exit status. *)
-let conclude ?fail_log ~replay ~skip_control ~control ~label ~unconvicted
-    violations =
-  let failing = List.rev violations in
-  Driver.report ?fail_log ~replay
-    (List.map (fun (seed, msg) -> (seed, Some msg)) failing);
-  let controls_ok =
-    skip_control
-    ||
-    let convicted, reasons = control () in
-    Driver.control label ~convicted ~expected:(String.concat "; " reasons)
-      ~unconvicted
+(* Either mode, either way: replay one seed, or run the campaign and
+   end with its summary, metrics, violations with their replay
+   commands, the fail log, the negative control and the exit status. *)
+let soak (cfg : Soak.cfg) ~run_one ~line ~progress ~summary ~metrics
+    ~replay_command ~control ~label ~unconvicted ~replaying replay verbose
+    fail_log skip_control show_metrics =
+  let print ~verbose (r : _ Soak.report) =
+    if verbose || r.violations <> [] then Option.iter (line ~verbose r) r.stats
   in
-  Driver.finish ~failing:(List.length failing) ~controls_ok
-
-let run_churn_soak (ccfg : Soak.churn_cfg) verbose fail_log skip_control metrics
-    =
-  let done_runs = ref 0
-  and live_arrivals = ref 0
-  and live_admitted = ref 0
-  and live_bp = ref 0
-  and live_bad = ref 0 in
-  let tick = heartbeat ~verbose in
-  let on_run (r : Soak.churn_report) =
-    incr done_runs;
-    live_arrivals := !live_arrivals + r.arrivals;
-    live_admitted := !live_admitted + r.cadmitted;
-    live_bp := !live_bp + r.cbackpressured;
-    if r.cviolations <> [] then incr live_bad;
-    tick (fun () ->
-        Printf.printf
-          "[churn] %d/%d runs, %d arrivals -> %d admitted / %d backpressured, \
-           %d failing\n\
-           %!"
-          !done_runs ccfg.Soak.base.Soak.runs !live_arrivals !live_admitted
-          !live_bp !live_bad);
-    print_churn_report ~verbose r
-  in
-  let o = Soak.run_churn ~on_run ccfg in
-  Format.printf "%a@." Soak.pp_churn_outcome o;
-  if metrics then print_string (Arc_obs.Obs.prometheus (Soak.churn_metrics o));
-  conclude ?fail_log ~skip_control
-    ~replay:(fun seed -> Soak.churn_replay_command ~seed ccfg)
-    ~control:(fun () ->
-      Soak.churn_control ~seed:(Soak.derive_seed ccfg.Soak.base 0) ccfg)
-    ~label:"gate-bypass control"
-    ~unconvicted:"the admission gate is not load-bearing"
-    o.Soak.churn_violations
-
-let run_soak (cfg : Soak.cfg) verbose fail_log skip_control metrics =
-  let done_runs = ref 0
-  and live_writes = ref 0
-  and live_fresh = ref 0
-  and live_stale = ref 0
-  and live_bad = ref 0 in
-  let tick = heartbeat ~verbose in
-  let on_run (r : Soak.run_report) =
-    incr done_runs;
-    live_writes := !live_writes + r.writes + r.standby_writes;
-    live_fresh := !live_fresh + Outcomes.ok_count r.outcomes;
-    live_stale := !live_stale + Outcomes.stale_count r.outcomes;
-    if r.violations <> [] then incr live_bad;
-    tick (fun () ->
-        Printf.printf
-          "[soak] %d/%d runs, %d writes, %d fresh / %d stale reads, %d \
-           failing\n\
-           %!"
-          !done_runs cfg.Soak.runs !live_writes !live_fresh !live_stale
-          !live_bad);
-    print_report ~verbose r
-  in
-  let o = Soak.run ~on_run cfg in
-  Format.printf "%a@." Soak.pp_outcome o;
-  if metrics then
-    print_string
-      (Arc_obs.Obs.prometheus
-         (Soak.metrics o
-         @ Arc_resilience.Election.metrics ()
-         @ Arc_fabric.Fabric.reign_metrics ()));
-  conclude ?fail_log ~skip_control
-    ~replay:(fun seed -> Soak.replay_command ~seed cfg)
-    ~control:(fun () ->
-      Soak.unfenced_control ~seed:(Soak.derive_seed cfg 0) cfg)
-    ~label:"unfenced-control"
-    ~unconvicted:"the epoch fence is not load-bearing" o.Soak.violations
+  match replay with
+  | Some seed ->
+    Printf.printf "%s %d\n" replaying seed;
+    let r = run_one ~seed in
+    print ~verbose:true r;
+    if r.violations <> [] then exit 1
+  | None ->
+    (* Live progress: at most one cumulative line per wall-clock
+       second, so long CI soaks show a heartbeat without the per-run
+       flood of --verbose. *)
+    let seen = ref [] and last_tick = ref (Unix.gettimeofday ()) in
+    let on_run r =
+      seen := r :: !seen;
+      let now = Unix.gettimeofday () in
+      if (not verbose) && now -. !last_tick >= 1.0 then begin
+        last_tick := now;
+        Printf.printf "%s, %d failing\n%!" (progress !seen) (Soak.failing !seen)
+      end;
+      print ~verbose r
+    in
+    let reports = Soak.campaign ~on_run cfg run_one in
+    Format.printf "%a@." summary reports;
+    if show_metrics then print_string (Arc_obs.Obs.prometheus (metrics reports));
+    let violations = Soak.violations reports in
+    Driver.report ?fail_log ~replay:replay_command
+      (List.map (fun (seed, msg) -> (seed, Some msg)) violations);
+    let controls_ok =
+      skip_control
+      ||
+      let convicted, reasons = control () in
+      Driver.control label ~convicted ~expected:(String.concat "; " reasons)
+        ~unconvicted
+    in
+    Driver.finish ~failing:(List.length violations) ~controls_ok
 
 let run runs seed readers size steps lease deadline max_stale crash_readers
     churn gate lanes room crash_frac replay verbose fail_log skip_control
     metrics =
   let cfg =
-    cfg_of runs seed readers size steps lease deadline max_stale crash_readers
+    {
+      Soak.runs;
+      seed;
+      readers;
+      size_words = size;
+      max_steps = steps;
+      lease;
+      deadline;
+      max_stale;
+      max_crash_readers = crash_readers;
+    }
+  in
+  let control_seed = Soak.derive_seed cfg 0 in
+  let usage check =
+    try check ()
+    with Invalid_argument msg ->
+      prerr_endline ("arc-soak: " ^ msg);
+      exit 124
   in
   match churn with
-  | Some rate -> (
+  | None ->
+    usage (fun () -> Soak.check_cfg cfg);
+    soak cfg
+      ~run_one:(fun ~seed -> Soak.run_one ~seed cfg)
+      ~line:print_failover
+      ~progress:(fun rs ->
+        Printf.sprintf "[soak] %d/%d runs, %d writes, %d fresh / %d stale reads"
+          (List.length rs) runs (Soak.writes rs) (Soak.fresh rs) (Soak.stale rs))
+      ~summary:Soak.pp_summary
+      ~metrics:(fun rs ->
+        Soak.metrics rs
+        @ Arc_resilience.Election.metrics ()
+        @ Arc_fabric.Fabric.reign_metrics ())
+      ~replay_command:(fun seed -> Soak.replay_command ~seed cfg)
+      ~control:(fun () -> Soak.unfenced_control ~seed:control_seed cfg)
+      ~label:"unfenced-control" ~unconvicted:"the epoch fence is not load-bearing"
+      ~replaying:"replaying seed" replay verbose fail_log skip_control metrics
+  | Some rate ->
     let ccfg =
       {
         Soak.base = cfg;
@@ -196,13 +151,22 @@ let run runs seed readers size steps lease deadline max_stale crash_readers
         crash_frac;
       }
     in
-    match replay with
-    | Some s -> run_churn_replay s ccfg
-    | None -> run_churn_soak ccfg verbose fail_log skip_control metrics)
-  | None -> (
-    match replay with
-    | Some s -> run_replay s cfg verbose
-    | None -> run_soak cfg verbose fail_log skip_control metrics)
+    usage (fun () -> Soak.check_churn_cfg ccfg);
+    soak cfg
+      ~run_one:(fun ~seed -> Soak.run_churn_one ~seed ccfg)
+      ~line:print_churn
+      ~progress:(fun rs ->
+        Printf.sprintf
+          "[churn] %d/%d runs, %d arrivals -> %d admitted / %d backpressured"
+          (List.length rs) runs (Soak.arrivals rs) (Soak.admitted rs)
+          (Soak.backpressured rs))
+      ~summary:Soak.pp_churn_summary ~metrics:Soak.churn_metrics
+      ~replay_command:(fun seed -> Soak.churn_replay_command ~seed ccfg)
+      ~control:(fun () -> Soak.churn_control ~seed:control_seed ccfg)
+      ~label:"gate-bypass control"
+      ~unconvicted:"the admission gate is not load-bearing"
+      ~replaying:"replaying churn seed" replay verbose fail_log skip_control
+      metrics
 
 let cmd =
   let runs =

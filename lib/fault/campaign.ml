@@ -53,6 +53,92 @@ let default =
     crash_writer = true;
   }
 
+(* {1 The run skeleton}
+
+   Every vsched campaign run — this module's, and both modes of the
+   chaos soak ({!Arc_resilience.Soak}) — builds one fixture, writes
+   through [write_next], reads through [validated] into the recorder,
+   and runs its fibers through [run_fibers].  Fiber 0 is the writer. *)
+
+module P = Arc_workload.Payload.Make (Mem)
+
+type fixture = {
+  size : int;
+  max_steps : int;  (** fibers self-terminate past this *)
+  init : int array;  (** the stamped initial value, seq 0 *)
+  strategy : Strategy.t;
+  recorder : History.Recorder.recorder;
+  crashed : bool array;  (** by fiber *)
+  ops : int array;  (** completed operations, by fiber *)
+  pending : (int * int) option array;  (** a write in flight, by fiber *)
+  outcomes : Arc_util.Stats.Outcomes.t;  (** session read outcomes, merged *)
+  mutable torn : int;
+  mutable stale_serves : Checker.stale_serve list;
+}
+
+let fixture ~size ~max_steps ~threads ~capacity strategy =
+  let init = Array.make size 0 in
+  P.stamp init ~seq:0 ~len:size;
+  {
+    size;
+    max_steps;
+    init;
+    strategy;
+    recorder = History.Recorder.create ~threads ~capacity;
+    crashed = Array.make threads false;
+    ops = Array.make threads 0;
+    pending = Array.make threads None;
+    outcomes = Arc_util.Stats.Outcomes.create ();
+    torn = 0;
+    stale_serves = [];
+  }
+
+(* The read callback: a torn snapshot is counted, never served. *)
+let validated fx buf len =
+  match P.validate buf ~len with
+  | Ok s -> s
+  | Error _ ->
+    fx.torn <- fx.torn + 1;
+    P.decode_seq buf
+
+let record_read fx ~thread ~invoked seq =
+  History.Recorder.record fx.recorder ~thread History.Read ~seq ~invoked
+    ~returned:(Sched.now ())
+
+(* One writer step: stamp the next sequence number into [src], write it
+   through [write], record it. *)
+let write_next fx ~thread ~src ~seq write =
+  incr seq;
+  P.stamp src ~seq:!seq ~len:fx.size;
+  let invoked = Sched.now () in
+  fx.pending.(thread) <- Some (!seq, invoked);
+  write src;
+  History.Recorder.record fx.recorder ~thread History.Write ~seq:!seq ~invoked
+    ~returned:(Sched.now ());
+  fx.pending.(thread) <- None;
+  fx.ops.(thread) <- fx.ops.(thread) + 1
+
+(* Run [fibers] under [plan] to completion or the backstop; the number
+   of fibers left unfinished (crashed fibers finish by catching
+   [Crashed], so these hung or livelocked) and the fault tallies. *)
+let run_fibers fx plan fibers =
+  Mem.install plan;
+  let backstop = (fx.max_steps * 3) + 100_000 in
+  let o = Sched.run ~max_steps:backstop ~strategy:fx.strategy fibers in
+  (o.Sched.unfinished, Mem.drain ())
+
+(* Crash-stopped fibers from [first] on, of a by-fiber [crashed]. *)
+let crashed_from crashed first =
+  let n = ref 0 in
+  Array.iteri (fun i c -> if i >= first && c then incr n) crashed;
+  !n
+
+(* The crash-aware atomicity check of [fx]'s history, with the
+   writer's pending write when it crashed. *)
+let check_crash ?fence fx =
+  let pending_write = if fx.crashed.(0) then fx.pending.(0) else None in
+  Checker.check_crash ?pending_write ?fence (History.Recorder.history fx.recorder)
+
 (* {1 Invariant probes} *)
 
 type probes = {
@@ -118,15 +204,6 @@ type outcome = {
 
 let clean o = o.violations = []
 
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "@[<h>%d schedules: %d reader crashes, %d writer crashes, %d stalls, %d \
-     tears; %d reads checked (%d pending-write vanished, %d took effect) — %s@]"
-    o.schedules_run o.reader_crashes o.writer_crashes o.stalls o.tears
-    o.reads_checked o.vanished o.took_effect
-    (if o.violations = [] then "CLEAN"
-     else Printf.sprintf "%d VIOLATIONS" (List.length o.violations))
-
 (* [R] must be instantiated over {!Mem} (the constraint is by type
    equality, which a register over the bare [Sim_mem] would also
    satisfy — but then no fault would ever fire, and the campaign's
@@ -136,49 +213,6 @@ module Make
            with type Mem.atomic = Mem.atomic
             and type Mem.buffer = Mem.buffer) =
 struct
-  module P = Arc_workload.Payload.Make (Mem)
-
-  type out = { mutable ops : int; mutable torn : int }
-
-  let reader_body ~reg ~id ~size ~max_steps ~recorder ~out ~crashed () =
-    try
-      let rd = R.reader reg id in
-      while Sched.now () < max_steps do
-        let invoked = Sched.now () in
-        let seq =
-          R.read_with rd ~f:(fun buffer len ->
-              ignore size;
-              match P.validate buffer ~len with
-              | Ok seq -> seq
-              | Error _ ->
-                out.torn <- out.torn + 1;
-                P.decode_seq buffer)
-        in
-        History.Recorder.record recorder ~thread:(id + 1) History.Read ~seq
-          ~invoked ~returned:(Sched.now ());
-        out.ops <- out.ops + 1;
-        Sched.cede ()
-      done
-    with Fault_plan.Crashed -> crashed.(id + 1) <- true
-
-  let writer_body ~reg ~size ~max_steps ~recorder ~out ~crashed ~pending () =
-    try
-      let src = Array.make size 0 in
-      let seq = ref 0 in
-      while Sched.now () < max_steps do
-        incr seq;
-        P.stamp src ~seq:!seq ~len:size;
-        let invoked = Sched.now () in
-        pending := Some (!seq, invoked);
-        R.write reg ~src ~len:size;
-        History.Recorder.record recorder ~thread:0 History.Write ~seq:!seq
-          ~invoked ~returned:(Sched.now ());
-        pending := None;
-        out.ops <- out.ops + 1;
-        Sched.cede ()
-      done
-    with Fault_plan.Crashed -> crashed.(0) <- true
-
   (* Run one (plan, strategy) pair to completion and judge it.  The
      register is returned alongside so callers can run white-box
      audits on its quiescent final state. *)
@@ -191,53 +225,51 @@ struct
         (Printf.sprintf "Campaign.run_plan: size_words = %d (need >= 1)"
            cfg.size_words);
     let size = cfg.size_words in
-    let init = Array.make size 0 in
-    P.stamp init ~seq:0 ~len:size;
-    let reg = R.create ~readers:cfg.readers ~capacity:size ~init in
-    let recorder =
-      History.Recorder.create ~threads:(cfg.readers + 1) ~capacity:12_000
+    let fx =
+      fixture ~size ~max_steps:cfg.max_steps ~threads:(cfg.readers + 1)
+        ~capacity:12_000 strategy
     in
-    let crashed = Array.make (cfg.readers + 1) false in
-    let pending = ref None in
-    let outs = Array.init (cfg.readers + 1) (fun _ -> { ops = 0; torn = 0 }) in
-    let fibers =
-      Array.init (cfg.readers + 1) (fun i ->
-          if i = 0 then
-            writer_body ~reg ~size ~max_steps:cfg.max_steps ~recorder
-              ~out:outs.(0) ~crashed ~pending
-          else
-            reader_body ~reg ~id:(i - 1) ~size ~max_steps:cfg.max_steps
-              ~recorder ~out:outs.(i) ~crashed)
+    let reg = R.create ~readers:cfg.readers ~capacity:size ~init:fx.init in
+    let writer () =
+      try
+        let src = Array.make size 0 and seq = ref 0 in
+        while Sched.now () < cfg.max_steps do
+          write_next fx ~thread:0 ~src ~seq (fun src -> R.write reg ~src ~len:size);
+          Sched.cede ()
+        done
+      with Fault_plan.Crashed -> fx.crashed.(0) <- true
     in
-    Mem.install plan;
-    let backstop = (cfg.max_steps * 3) + 100_000 in
-    let sched_outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-    let stats = Mem.drain () in
-    let torn = Array.fold_left (fun acc o -> acc + o.torn) 0 outs in
-    let reads = ref 0 in
-    Array.iteri (fun i o -> if i > 0 then reads := !reads + o.ops) outs;
+    let reader id () =
+      let thread = id + 1 in
+      try
+        let rd = R.reader reg id in
+        while Sched.now () < cfg.max_steps do
+          let invoked = Sched.now () in
+          record_read fx ~thread ~invoked (R.read_with rd ~f:(validated fx));
+          fx.ops.(thread) <- fx.ops.(thread) + 1;
+          Sched.cede ()
+        done
+      with Fault_plan.Crashed -> fx.crashed.(thread) <- true
+    in
+    let unfinished, stats =
+      run_fibers fx plan
+        (Array.init (cfg.readers + 1) (fun i ->
+             if i = 0 then writer else reader (i - 1)))
+    in
     let starved = ref 0 in
     Array.iteri
-      (fun i o -> if i > 0 && (not crashed.(i)) && o.ops = 0 then incr starved)
-      outs;
-    let unfinished =
-      (* Crashed fibers finish by catching Crashed; anything left
-         unfinished at the backstop is a genuine livelock/hang. *)
-      sched_outcome.Sched.unfinished
-    in
-    let history = History.Recorder.history recorder in
-    let pending_write = if crashed.(0) then !pending else None in
-    let check = Checker.check_crash ?pending_write history in
+      (fun i n -> if i > 0 && (not fx.crashed.(i)) && n = 0 then incr starved)
+      fx.ops;
     ( {
-        torn;
-        reads = !reads;
-        writes = outs.(0).ops;
-        crashed;
+        torn = fx.torn;
+        reads = Array.fold_left ( + ) 0 fx.ops - fx.ops.(0);
+        writes = fx.ops.(0);
+        crashed = fx.crashed;
         unfinished;
         starved = !starved;
         stats;
-        check;
-        dropped_events = History.Recorder.dropped recorder;
+        check = check_crash fx;
+        dropped_events = History.Recorder.dropped fx.recorder;
       },
       reg )
 
@@ -314,84 +346,45 @@ struct
     let plan = random_plan rng cfg in
     let strategy = Strategy.random ~seed:(seed + 1) in
     let result, reg = run_plan ~plan ~strategy cfg in
-    let crashed_readers =
-      let n = ref 0 in
-      Array.iteri (fun i c -> if i > 0 && c then incr n) result.crashed;
-      !n
-    in
     let audit_errors =
       match audit with
       | None -> []
-      | Some f -> f reg ~crashed_readers ~writer_crashed:result.crashed.(0)
+      | Some f ->
+        f reg ~crashed_readers:(crashed_from result.crashed 1)
+          ~writer_crashed:result.crashed.(0)
     in
     (plan, result, judge ~seed ~result ~audit_errors)
 
   let run ?audit (cfg : cfg) : outcome =
-    let acc =
-      ref
-        {
-          schedules_run = 0;
-          reader_crashes = 0;
-          writer_crashes = 0;
-          stalls = 0;
-          tears = 0;
-          reads_checked = 0;
-          vanished = 0;
-          took_effect = 0;
-          violations = [];
-        }
+    let runs =
+      Arc_report.Driver.campaign ~base:cfg.seed ~runs:cfg.schedules
+        ~raised:(fun ~seed msg -> (None, [ (seed, msg) ]))
+        (fun ~seed ->
+          let _plan, result, violations = run_seed ?audit ~seed cfg in
+          (Some result, violations))
     in
-    for schedule = 1 to cfg.schedules do
-      let seed = Arc_report.Driver.derive_seed cfg.seed schedule in
-      match run_seed ?audit ~seed cfg with
-      | exception Fault_plan.Crashed ->
-        (* a Crashed escaping the fiber wrappers is a harness bug *)
-        acc :=
-          { !acc with violations = (seed, "Crashed escaped a fiber") :: !acc.violations }
-      | exception e ->
-        acc :=
-          {
-            !acc with
-            schedules_run = !acc.schedules_run + 1;
-            violations =
-              (seed, Printf.sprintf "run raised: %s" (Printexc.to_string e))
-              :: !acc.violations;
-          }
-      | _plan, result, violations ->
-        let crashed_readers =
-          let n = ref 0 in
-          Array.iteri (fun i c -> if i > 0 && c then incr n) result.crashed;
-          !n
-        in
-        let o = !acc in
-        acc :=
-          {
-            schedules_run = o.schedules_run + 1;
-            reader_crashes = o.reader_crashes + crashed_readers;
-            writer_crashes =
-              (o.writer_crashes + if result.crashed.(0) then 1 else 0);
-            stalls = o.stalls + result.stats.Fault_mem.stalls;
-            tears = o.tears + List.length result.stats.Fault_mem.tears;
-            reads_checked =
-              (o.reads_checked
-              +
-              match result.check with
-              | Ok (r, _) -> r.Checker.reads_checked
-              | Error _ -> 0);
-            vanished =
-              (o.vanished
-              +
-              match result.check with
-              | Ok (_, Checker.Vanished) -> 1
-              | _ -> 0);
-            took_effect =
-              (o.took_effect
-              +
-              match result.check with
-              | Ok (_, Checker.Took_effect) -> 1
-              | _ -> 0);
-            violations = violations @ o.violations;
-          }
-    done;
-    !acc
+    let sum f =
+      List.fold_left
+        (fun n (r, _) -> match r with Some r -> n + f r | None -> n)
+        0 runs
+    in
+    let check_is o (r : run_result) =
+      Bool.to_int (match r.check with Ok (_, c) -> c = o | Error _ -> false)
+    in
+    {
+      schedules_run = List.length runs;
+      reader_crashes = sum (fun r -> crashed_from r.crashed 1);
+      writer_crashes = sum (fun r -> Bool.to_int r.crashed.(0));
+      stalls = sum (fun r -> r.stats.Fault_mem.stalls);
+      tears = sum (fun r -> List.length r.stats.Fault_mem.tears);
+      reads_checked =
+        sum (fun r ->
+            match r.check with
+            | Ok (c, _) -> c.Checker.reads_checked
+            | Error _ -> 0);
+      vanished = sum (check_is Checker.Vanished);
+      took_effect = sum (check_is Checker.Took_effect);
+      (* Newest run first, each run's violations newest first. *)
+      violations = List.concat_map snd (List.rev runs);
+    }
 end

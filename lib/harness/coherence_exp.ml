@@ -131,7 +131,7 @@ let table ~readers ~size ~writes_quota ~reads_quota ~seed =
     (measure ~readers ~size ~writes_quota ~reads_quota ~seed);
   t
 
-let default_table (opts : Experiment.opts) =
-  let quota = if opts.Experiment.quick then 50 else 300 in
+let default_table (opts : Grid.opts) =
+  let quota = if opts.Grid.quick then 50 else 300 in
   table ~readers:8 ~size:64 ~writes_quota:quota ~reads_quota:(quota * 4)
-    ~seed:opts.Experiment.seed
+    ~seed:opts.Grid.seed

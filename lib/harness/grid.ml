@@ -2,8 +2,8 @@
     thread/size grids, single-point runners on the real and simulated
     substrates, the capability filter, and the series/CSV plumbing.
     Per-figure modules ({!Fig_throughput}, {!Fig_rmw}, {!Fig_ablation},
-    {!Fig_latency}) build on this; {!Experiment} re-exports the lot as
-    the stable façade. *)
+    {!Fig_latency}) build on this, and [bin/experiments] calls them
+    directly. *)
 
 module Series = Arc_report.Series
 module Table = Arc_report.Table

@@ -1,7 +1,20 @@
-(* Campaign seeds, violation lines, fail log and exit status.  See
+(* Campaign seeds and loop, violation lines, fail log and exit status.  See
    driver.mli. *)
 
 let derive_seed base k = (base * 1_000_003) + k
+
+let campaign ?(on_run = ignore) ~raised ~base ~runs run =
+  let results = ref [] in
+  for k = 1 to runs do
+    let seed = derive_seed base k in
+    let r =
+      try run ~seed
+      with e -> raised ~seed ("run raised: " ^ Printexc.to_string e)
+    in
+    on_run r;
+    results := r :: !results
+  done;
+  List.rev !results
 
 let violation ?(indent = 0) ?msg ~seed replay =
   let pad = String.make indent ' ' in

@@ -1,5 +1,6 @@
 (** The campaign driver shared by [arc-crash], [arc-soak] and
-    [arc-check --faults]/[--fabric]: derived run seeds, one violation
+    [arc-check --faults]/[--fabric]: derived run seeds, the seed loop,
+    one violation
     line per failing run with the command that replays it, the fail
     log (a CI artifact), negative-control verdict lines, and the exit
     status. *)
@@ -8,6 +9,19 @@ val derive_seed : int -> int -> int
 (** [derive_seed base k] is run [k]'s seed under base seed [base]:
     [base * 1_000_003 + k].  Printed seeds are derived ones, so a
     replay needs only the printed number. *)
+
+val campaign :
+  ?on_run:('r -> unit) ->
+  raised:(seed:int -> string -> 'r) ->
+  base:int ->
+  runs:int ->
+  (seed:int -> 'r) ->
+  'r list
+(** [campaign ~raised ~base ~runs run] runs [run ~seed] for runs
+    [k = 1 .. runs] in order, [seed = derive_seed base k].  A run that
+    raises [e] yields [raised ~seed "run raised: E"] instead.  Each
+    result goes to [on_run] as it lands; all are returned in run
+    order. *)
 
 val violation : ?indent:int -> ?msg:string -> seed:int -> string -> string
 (** [violation ~seed replay] renders

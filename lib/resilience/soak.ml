@@ -1,10 +1,11 @@
-(* Chaos soak for the supervised register service (ISSUE 3).
+(* Chaos soak for the supervised register service (ISSUE 3), in two
+   modes over one run skeleton.
 
-   Composes the whole resilience stack — {!Fenced} epoch fencing,
-   {!Supervisor} heartbeat failover, {!Session} deadline/backoff/
-   breaker reads — over a fault-injecting simulated register
-   ([Arc] over {!Arc_fault.Campaign.Mem}) and soaks it through many
-   seeded randomized scenarios:
+   The failover mode composes the whole resilience stack — {!Fenced}
+   epoch fencing, {!Supervisor} heartbeat failover, {!Session}
+   deadline/backoff/breaker reads — over a fault-injecting simulated
+   register ([Arc] over {!Arc_fault.Campaign.Mem}) and soaks it
+   through many seeded randomized scenarios:
 
    - fiber 0 is the incumbent writer: it may crash at a random access,
      crash mid-copy (torn slot), or turn {e zombie} — pause between
@@ -21,14 +22,21 @@
      nearly unreachable in healthy runs), which drives the retry,
      breaker and stale-serve machinery at scale.
 
-   Every run is judged: no torn snapshots, crash-aware atomicity with
-   the promotion time as the fence ({!Checker.check_crash} [?fence]),
-   every degraded serve within the declared staleness bound
-   ({!Checker.check_bounded_staleness}), liveness (no fiber left
-   unfinished, no surviving reader starved) and the ARC presence-ledger
-   audit on the quiescent final state.  A failing run prints nothing
-   by itself but carries its seed; {!replay_command} renders the exact
-   command line that reproduces it.
+   The churn mode (ISSUE 8, below) keeps one writer and churns
+   short-lived readers through an admission gate instead.
+
+   Both modes share the fixture, the [write_next] writer step, the
+   fiber run and the common judge: no torn snapshots, crash-aware
+   atomicity with the promotion time as the fence
+   ({!Checker.check_crash} [?fence]), every degraded serve within the
+   declared staleness bound ({!Checker.check_bounded_staleness}), no
+   fiber left unfinished, and the ARC presence-ledger audit on the
+   quiescent final state.  Each mode adds its own verdicts, and every
+   run yields one ['m report]: common fields plus the mode's part.  A
+   campaign returns its reports; the summary, the metrics and the
+   binary's heartbeat are sums over them.  A failing run carries its
+   seed; {!replay_command} renders the command line that reproduces
+   it.
 
    Fault soundness.  Mid-write writer stalls are drawn strictly below
    half the lease, so a live writer is never deposed while it sits
@@ -48,11 +56,12 @@ module Strategy = Arc_vsched.Strategy
 module History = Arc_trace.History
 module Checker = Arc_trace.Checker
 module Fault_plan = Arc_fault.Fault_plan
-module Mem = Arc_fault.Campaign.Mem
+module Campaign = Arc_fault.Campaign
+module Mem = Campaign.Mem
 module R = Arc_core.Arc.Make (Mem)
 module Sup = Supervisor.Make (R)
 module F = Sup.Fenced_reg
-module P = Arc_workload.Payload.Make (Mem)
+module P = Campaign.P
 
 (* Injected transient read failures: each live read fails with the
    run's probability, drawn from one seeded stream (deterministic
@@ -95,8 +104,6 @@ module Flaky = struct
            ~count:(bp.Arc_core.Register_intf.live + 1)
            ~bound:(Admission.Pool.capacity gate));
     R.read_with rd ~f
-
-  let injected () = Arc_obs.Obs.Admission.backpressured_count (Admission.Pool.events gate)
 end
 
 module S = Session.Make (Flaky)
@@ -135,6 +142,21 @@ let default =
    [(max_stale + D) / size_words] plus small slack for the in-flight
    write at each end — rounded up into a margin of 10. *)
 let staleness_bound cfg = (cfg.max_stale / cfg.size_words) + 10
+
+(* Configuration checks reject what no run could use, naming the flag
+   that set it. *)
+let require ok flag v need =
+  if not ok then invalid_arg (Printf.sprintf "%s %s: need %s" flag v need)
+
+let at_least flag v min =
+  require (v >= min) flag (string_of_int v) (Printf.sprintf ">= %d" min)
+
+let check_cfg cfg =
+  at_least "--readers" cfg.readers 1;
+  at_least "--size" cfg.size_words 1;
+  at_least "--lease" cfg.lease 400;
+  at_least "--deadline" cfg.deadline 1;
+  at_least "--max-stale" cfg.max_stale 0
 
 (* {1 Scenarios} *)
 
@@ -229,345 +251,133 @@ let scenario_of rng cfg =
   in
   { fate; plan = !plan; flaky_rate }
 
-(* {1 One run} *)
+(* {1 The run skeleton}
 
-type run_report = {
-  seed : int;
-  fate : string;
-  flaky_rate : float;
-  plan : Fault_plan.t;
-  writes : int;  (** incumbent + standby, as recorded *)
-  standby_writes : int;
+   Both modes run on {!Campaign}'s skeleton — its fixture, writer step
+   and fiber run — and pass the same common judge below; each keeps
+   only its fiber bodies, scenario draw and extra verdicts.  Fibers 0
+   and 1 are the writer side (incumbent and standby, or writer and
+   janitor); fibers 2.. read. *)
+
+let fixture ~seed ~threads cfg : Campaign.fixture =
+  Campaign.fixture ~size:cfg.size_words ~max_steps:cfg.max_steps ~threads
+    ~capacity:20_000
+    (Strategy.random ~seed:(seed + 1))
+
+let serve_stale (fx : Campaign.fixture) ~thread seq =
+  fx.stale_serves <- { Checker.thread; seq; at = Sched.now () } :: fx.stale_serves
+
+(* Every reader session's retry policy: jittered backoff capped at half
+   the deadline, a three-strike breaker cooling off for half a lease. *)
+let policy cfg ~seed =
+  ( Backoff.create ~base:8 ~cap:(max 8 (cfg.deadline / 2)) ~seed (),
+    Breaker.create ~failure_threshold:3 ~cooldown:(max 16 (cfg.lease / 2))
+      ~now:Sched.now () )
+
+(* {1 Reports} *)
+
+type 'm stats = {
+  writes : int;  (** recorded writes, both writer fibers *)
   outcomes : Outcomes.t;  (** merged across sessions *)
-  serves_checked : int;  (** degraded serves checked against the bound *)
+  crashes : int;  (** crash-stopped reader fibers *)
   torn : int;
-  failovers : int;
-  quarantined : int;  (** slots retired by crash recovery at promote *)
-  fenced_writes : int;
-  writer_crashed : bool;
-  reader_crashes : int;
-  stalls : int;
-  tears : int;
+  serves_checked : int;  (** degraded serves checked against the bound *)
   crash_outcome : Checker.crash_outcome option;
-  violations : string list;
+  mode : 'm;
 }
 
-let check_cfg cfg =
-  if cfg.readers < 1 then
-    invalid_arg (Printf.sprintf "Soak: readers = %d (need >= 1)" cfg.readers);
-  if cfg.size_words < 1 then
-    invalid_arg (Printf.sprintf "Soak: size_words = %d (need >= 1)" cfg.size_words);
-  if cfg.lease < 400 then
-    invalid_arg (Printf.sprintf "Soak: lease = %d (need >= 400)" cfg.lease);
-  if cfg.deadline < 1 then
-    invalid_arg (Printf.sprintf "Soak: deadline = %d (need >= 1)" cfg.deadline);
-  if cfg.max_stale < 0 then
-    invalid_arg (Printf.sprintf "Soak: max_stale = %d (need >= 0)" cfg.max_stale)
+type 'm report = {
+  seed : int;
+  violations : string list;
+  stats : 'm stats option;  (** [None] when the run raised *)
+}
 
-let run_one ~seed (cfg : cfg) : run_report =
-  check_cfg cfg;
-  let rng = Splitmix.of_int seed in
-  let scen = scenario_of rng cfg in
-  let strategy = Strategy.random ~seed:(seed + 1) in
-  Flaky.set ~seed:(seed + 2) ~rate:scen.flaky_rate;
-  let size = cfg.size_words in
-  let init = Array.make size 0 in
-  P.stamp init ~seq:0 ~len:size;
-  (* Identities: [0, readers) for the sessions, [readers] the standby's
-     spare; two more stay unclaimed as over-provisioned slots — a
-     writer crash between its publish (W2) and freeze (W3) leaks the
-     superseded slot's accounting, and the spares keep Lemma 4.1's
-     free-slot guarantee strict even then (both unclaimed units pin
-     the initial slot together, so each spare is a net extra slot). *)
-  let freg = F.create ~readers:(cfg.readers + 3) ~capacity:size ~init in
-  let sup = Sup.create ~now:Sched.now ~lease:cfg.lease freg in
-  let threads = cfg.readers + 2 in
-  let recorder = History.Recorder.create ~threads ~capacity:20_000 in
-  let crashed = Array.make threads false in
-  let ops = Array.make threads 0 in
-  let torn = ref 0 in
-  let pending = ref None in
-  let stale_serves = ref [] in
-  let sessions = Array.make cfg.readers None in
-
-  let writer_a () =
-    try
-      let w = Sup.acquire sup in
-      let src = Array.make size 0 in
-      let seq = ref 0 in
-      try
-        while Sched.now () < cfg.max_steps do
-          (match scen.fate with
-          | Zombie { after; pause } when !seq = after -> Sched.sleep pause
-          | _ -> ());
-          incr seq;
-          P.stamp src ~seq:!seq ~len:size;
-          let invoked = Sched.now () in
-          pending := Some (!seq, invoked);
-          F.write w ~src ~len:size;
-          History.Recorder.record recorder ~thread:0 History.Write ~seq:!seq
-            ~invoked ~returned:(Sched.now ());
-          pending := None;
-          ops.(0) <- ops.(0) + 1;
-          Sup.heartbeat sup w;
-          Sched.cede ()
-        done
-      with Fenced.Fenced_out _ ->
-        (* Deposed: the aborted attempt published nothing. *)
-        pending := None
-    with Fault_plan.Crashed -> crashed.(0) <- true
-  in
-
-  let standby_b () =
-    let continue_writing w start_seq =
-      let src = Array.make size 0 in
-      let seq = ref start_seq in
-      try
-        while Sched.now () < cfg.max_steps do
-          incr seq;
-          P.stamp src ~seq:!seq ~len:size;
-          let invoked = Sched.now () in
-          F.write w ~src ~len:size;
-          History.Recorder.record recorder ~thread:1 History.Write ~seq:!seq
-            ~invoked ~returned:(Sched.now ());
-          ops.(1) <- ops.(1) + 1;
-          Sup.heartbeat sup w;
-          Sched.cede ()
-        done
-      with Fenced.Fenced_out _ -> ()
-    in
-    let rec monitor () =
-      if Sched.now () >= cfg.max_steps then ()
-      else if Sup.expired sup then begin
-        match Sup.promote sup with
-        | Sup.Election.Won { writer = w; _ } ->
-          (* Learn where the write sequence stands through the spare
-             reader handle; a pending write that published before the
-             fence is picked up here and continued from. *)
-          let rd = F.reader freg cfg.readers in
-          let last = R.read_with rd ~f:(fun buf _len -> P.decode_seq buf) in
-          continue_writing w last
-        | Sup.Election.Lost _ ->
-          (* Another candidate won this suspicion; keep monitoring. *)
-          Sched.cede ();
-          monitor ()
-      end
-      else begin
-        Sched.cede ();
-        monitor ()
-      end
-    in
-    monitor ()
-  in
-
-  let reader_body id () =
-    try
-      let rd = F.reader freg id in
-      let session =
-        S.create
-          ~backoff:
-            (Backoff.create ~base:8
-               ~cap:(max 8 (cfg.deadline / 2))
-               ~seed:(seed + 100 + id) ())
-          ~breaker:
-            (Breaker.create ~failure_threshold:3
-               ~cooldown:(max 16 (cfg.lease / 2))
-               ~now:Sched.now ())
-          ~max_stale:cfg.max_stale ~now:Sched.now ~sleep:Sched.sleep
-          ~capacity:size rd
-      in
-      sessions.(id) <- Some session;
-      let f buf len =
-        match P.validate buf ~len with
-        | Ok s -> s
-        | Error _ ->
-          incr torn;
-          P.decode_seq buf
-      in
-      while Sched.now () < cfg.max_steps do
-        let invoked = Sched.now () in
-        let deadline = invoked + cfg.deadline in
-        (match S.read_with ~deadline session ~f with
-        | S.Fresh s ->
-          History.Recorder.record recorder ~thread:(id + 2) History.Read ~seq:s
-            ~invoked ~returned:(Sched.now ())
-        | S.Stale { value = s; age = _ } ->
-          stale_serves :=
-            { Checker.thread = id + 2; seq = s; at = Sched.now () }
-            :: !stale_serves
-        | S.Exhausted _ | S.Backpressured _ -> ());
-        ops.(id + 2) <- ops.(id + 2) + 1;
-        Sched.cede ()
-      done
-    with Fault_plan.Crashed -> crashed.(id + 2) <- true
-  in
-
-  let fibers =
-    Array.init threads (fun i ->
-        if i = 0 then writer_a
-        else if i = 1 then standby_b
-        else reader_body (i - 2))
-  in
-  Mem.install scen.plan;
-  let backstop = (cfg.max_steps * 3) + 100_000 in
-  let sched_outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-  let fstats = Mem.drain () in
-  Flaky.set ~seed:0 ~rate:0.;
-
-  (* Judge. *)
-  let outcomes = Outcomes.create () in
-  Array.iter
-    (function
-      | Some s ->
-        (* Sessions count in per-domain Obs cells; after the vsched run
-           every fiber is quiescent, so the snapshot is exact. *)
-        Outcomes.merge_into ~src:(S.Outcomes.snapshot (S.outcomes s)) ~dst:outcomes
-      | None -> ())
-    sessions;
-  let history = History.Recorder.history recorder in
-  let pending_write = if crashed.(0) then !pending else None in
-  let fence = Sup.last_fence sup in
-  let check = Checker.check_crash ?pending_write ?fence history in
-  let serves = List.rev !stale_serves in
-  let stale_check =
-    Checker.check_bounded_staleness history ~bound:(staleness_bound cfg) serves
-  in
-  let reader_crashes =
-    let n = ref 0 in
-    Array.iteri (fun i c -> if i >= 2 && c then incr n) crashed;
-    !n
-  in
+(* The common judge: torn snapshots, recorder overflow, unfinished
+   fibers, crash-aware atomicity with [fence] as the promotion time,
+   bounded staleness, and the quiescent presence ledger and Lemma
+   4.1's free slot ({!Campaign.arc_audit}, skipped when the incumbent
+   crashed mid-operation).  The mode's [extra] verdicts follow. *)
+let judge ~seed cfg (fx : Campaign.fixture) ~unfinished ?fence ~probes ~extra
+    mode =
   let violations = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  if !torn > 0 then fail "%d torn snapshots" !torn;
-  if History.Recorder.dropped recorder > 0 then
+  if fx.torn > 0 then fail "%d torn snapshots" fx.torn;
+  if History.Recorder.dropped fx.recorder > 0 then
     fail "recorder overflow (%d events dropped)"
-      (History.Recorder.dropped recorder);
-  if sched_outcome.Sched.unfinished > 0 then
+      (History.Recorder.dropped fx.recorder);
+  if unfinished > 0 then
     fail "%d fibers never finished (hang/livelock inside the backstop)"
-      sched_outcome.Sched.unfinished;
-  Array.iteri
-    (fun i o ->
-      if i >= 2 && (not crashed.(i)) && o = 0 then
-        fail "surviving reader %d completed no operation" (i - 2))
-    ops;
+      unfinished;
+  let check = Campaign.check_crash ?fence fx in
   (match check with
   | Ok _ -> ()
   | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_violation v));
+  let stale_check =
+    Checker.check_bounded_staleness
+      (History.Recorder.history fx.recorder)
+      ~bound:(staleness_bound cfg) (List.rev fx.stale_serves)
+  in
   (match stale_check with
   | Ok _ -> ()
   | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_staleness_violation v));
-  if not crashed.(0) then begin
-    (* Quiescent ARC ledger audit (skipped when the incumbent crashed
-       mid-operation: its half-done slot legitimately unbalances the
-       ledger; a fence-aborted write does not). *)
-    let reg = F.inner freg in
-    let slack = R.Debug.presence_slack reg in
-    if slack < 0 || slack > reader_crashes then
-      fail "presence-ledger slack %d outside [0, %d crashed readers]" slack
-        reader_crashes;
-    if not (R.Debug.free_slot_exists reg) then
-      fail "no free slot among the N+2 (Lemma 4.1 violated)"
-  end;
+  let crashes = Campaign.crashed_from fx.crashed 2 in
+  let ledger =
+    Campaign.arc_audit probes ~crashed_readers:crashes
+      ~writer_crashed:fx.crashed.(0)
+  in
   {
     seed;
-    fate = fate_name scen.fate;
-    flaky_rate = scen.flaky_rate;
-    plan = scen.plan;
-    writes = ops.(0) + ops.(1);
-    standby_writes = ops.(1);
-    outcomes;
-    serves_checked = (match stale_check with Ok n -> n | Error _ -> 0);
-    torn = !torn;
-    failovers = Sup.failovers sup;
-    quarantined = Sup.quarantined sup;
-    fenced_writes = F.fenced_writes freg;
-    writer_crashed = crashed.(0);
-    reader_crashes;
-    stalls = fstats.Arc_fault.Fault_mem.stalls;
-    tears = List.length fstats.Arc_fault.Fault_mem.tears;
-    crash_outcome = (match check with Ok (_, o) -> Some o | Error _ -> None);
-    violations = List.rev !violations;
+    violations = List.rev_append !violations (List.rev_append ledger extra);
+    stats =
+      Some
+        {
+          writes = fx.ops.(0) + fx.ops.(1);
+          outcomes = fx.outcomes;
+          crashes;
+          torn = fx.torn;
+          serves_checked = (match stale_check with Ok n -> n | Error _ -> 0);
+          crash_outcome = (match check with Ok (_, o) -> Some o | Error _ -> None);
+          mode;
+        };
   }
 
-(* {1 The soak loop} *)
+(* {1 Campaign totals}
 
-type outcome = {
-  runs : int;
-  writes : int;
-  reads_fresh : int;
-  stale_serves : int;
-  exhausted : int;
-  retries : int;
-  injected_errors : int;
-  failovers : int;
-  handoffs : int;  (** runs where a promoted standby went on to write *)
-  quarantined : int;  (** slots retired by successor crash recovery *)
-  fenced_writes : int;
-  writer_crashes : int;
-  reader_crashes : int;
-  zombies : int;
-  stalls : int;
-  tears : int;
-  vanished : int;
-  took_effect : int;
-  violations : (int * string) list;  (** (run seed, description) *)
-}
+   The closing summary, [--metrics] and the binary's live heartbeat
+   are all sums over the reports so far, through these functions. *)
 
-let clean o = o.violations = []
+let fold op f rs =
+  List.fold_left
+    (fun n r -> match r.stats with Some s -> op n (f s) | None -> n)
+    0 rs
 
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "@[<v>%d runs: %d writes, %d fresh reads, %d stale serves, %d exhausted, \
-     %d retries (%d injected errors)@,\
-     %d failovers (%d completed handoffs, %d slots quarantined), %d fenced \
-     writes; %d writer crashes, %d zombies, %d reader crashes, %d stalls, \
-     %d tears@,\
-     pending writes: %d vanished, %d took effect — %s@]"
-    o.runs o.writes o.reads_fresh o.stale_serves o.exhausted o.retries
-    o.injected_errors o.failovers o.handoffs o.quarantined o.fenced_writes
-    o.writer_crashes o.zombies o.reader_crashes o.stalls o.tears o.vanished
-    o.took_effect
-    (if o.violations = [] then "CLEAN"
-     else Printf.sprintf "%d VIOLATIONS" (List.length o.violations))
+let sum f rs = fold ( + ) f rs
+let count p rs = sum (fun s -> Bool.to_int (p s)) rs
+let clean rs = List.for_all (fun r -> r.violations = []) rs
+let failing rs = List.length (List.filter (fun r -> r.violations <> []) rs)
 
-(* Aggregate counters as exposition metrics for the --metrics flag of
-   the soak binary. *)
-let metrics (o : outcome) =
-  let open Arc_obs.Obs in
-  [
-    counter "soak_runs_total" ~help:"Completed soak runs" o.runs;
-    counter "soak_writes_total" ~help:"Writes across all runs" o.writes;
-    counter "soak_reads_fresh_total" ~help:"Fresh session reads" o.reads_fresh;
-    counter "soak_stale_serves_total" ~help:"Degraded stale serves"
-      o.stale_serves;
-    counter "soak_exhausted_total" ~help:"Exhausted session reads" o.exhausted;
-    counter "soak_retries_total" ~help:"Session retry attempts" o.retries;
-    counter "soak_injected_errors_total" ~help:"Injected transient errors"
-      o.injected_errors;
-    counter "soak_failovers_total" ~help:"Supervisor promotions" o.failovers;
-    counter "soak_handoffs_total" ~help:"Promotions followed by standby writes"
-      o.handoffs;
-    counter "soak_quarantined_slots_total"
-      ~help:"Slots retired by successor crash recovery" o.quarantined;
-    counter "soak_fenced_writes_total" ~help:"Writes through the epoch fence"
-      o.fenced_writes;
-    counter "soak_writer_crashes_total" ~help:"Injected writer crashes"
-      o.writer_crashes;
-    counter "soak_reader_crashes_total" ~help:"Injected reader crashes"
-      o.reader_crashes;
-    counter "soak_zombie_runs_total" ~help:"Runs with a zombie incumbent"
-      o.zombies;
-    counter "soak_tears_total"
-      ~help:
-        "Torn snapshots observed in fault windows (injected tears the \
-         session layer must surface as errors, never serve)"
-      o.tears;
-    counter "soak_violations_total" ~help:"Checker violations (must stay 0)"
-      (List.length o.violations);
-  ]
+let violations rs =
+  List.concat_map (fun r -> List.map (fun m -> (r.seed, m)) r.violations) rs
+
+let verdict rs =
+  match violations rs with
+  | [] -> "CLEAN"
+  | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs)
+
+let writes rs = sum (fun s -> s.writes) rs
+let crashes rs = sum (fun s -> s.crashes) rs
+let fresh rs = sum (fun s -> Outcomes.ok_count s.outcomes) rs
+let stale rs = sum (fun s -> Outcomes.stale_count s.outcomes) rs
+let exhausted rs = sum (fun s -> Outcomes.exhausted_count s.outcomes) rs
 
 let derive_seed (cfg : cfg) k = Arc_report.Driver.derive_seed cfg.seed k
+
+(* Runs 1 .. [cfg.runs] of [run_one], a raised run kept as a report
+   with no stats. *)
+let campaign ?on_run (cfg : cfg) run_one =
+  Arc_report.Driver.campaign ?on_run
+    ~raised:(fun ~seed msg -> { seed; violations = [ msg ]; stats = None })
+    ~base:cfg.seed ~runs:cfg.runs run_one
 
 (* The flags both campaigns' replay commands end with. *)
 let cfg_args cfg =
@@ -581,81 +391,217 @@ let cfg_args cfg =
       int "--max-stale" cfg.max_stale;
     ]
 
+(* {1 Failover mode} *)
+
+type failover = {
+  fate : string;
+  flaky_rate : float;
+  plan : Fault_plan.t;
+  standby_writes : int;
+  failovers : int;
+  quarantined : int;  (** slots retired by crash recovery at promote *)
+  fenced_writes : int;
+  writer_crashed : bool;
+  stalls : int;
+  tears : int;
+}
+
+let run_one ~seed (cfg : cfg) : failover report =
+  check_cfg cfg;
+  let rng = Splitmix.of_int seed in
+  let scen = scenario_of rng cfg in
+  let fx = fixture ~seed ~threads:(cfg.readers + 2) cfg in
+  Flaky.set ~seed:(seed + 2) ~rate:scen.flaky_rate;
+  let size = cfg.size_words in
+  (* Identities: [0, readers) for the sessions, [readers] the standby's
+     spare; two more stay unclaimed as over-provisioned slots — a
+     writer crash between its publish (W2) and freeze (W3) leaks the
+     superseded slot's accounting, and the spares keep Lemma 4.1's
+     free-slot guarantee strict even then (both unclaimed units pin
+     the initial slot together, so each spare is a net extra slot). *)
+  let freg = F.create ~readers:(cfg.readers + 3) ~capacity:size ~init:fx.init in
+  let sup = Sup.create ~now:Sched.now ~lease:cfg.lease freg in
+  let sessions = Array.make cfg.readers None in
+
+  (* Write from [start] until the run ends or the fence deposes [w]:
+     the aborted attempt published nothing. *)
+  let write_until_deposed w ~thread ~start ~pause =
+    let src = Array.make size 0 and seq = ref start in
+    try
+      while Sched.now () < cfg.max_steps do
+        pause !seq;
+        Campaign.write_next fx ~thread ~src ~seq (fun src -> F.write w ~src ~len:size);
+        Sup.heartbeat sup w;
+        Sched.cede ()
+      done
+    with Fenced.Fenced_out _ -> ()
+  in
+
+  let incumbent () =
+    try
+      write_until_deposed (Sup.acquire sup) ~thread:0 ~start:0 ~pause:(fun seq ->
+          match scen.fate with
+          | Zombie { after; pause } when seq = after -> Sched.sleep pause
+          | _ -> ())
+    with Fault_plan.Crashed -> fx.crashed.(0) <- true
+  in
+
+  let rec standby () =
+    if Sched.now () < cfg.max_steps then
+      match if Sup.expired sup then Some (Sup.promote sup) else None with
+      | Some (Sup.Election.Won { writer = w; _ }) ->
+        (* Learn where the write sequence stands through the spare
+           reader handle; a pending write that published before the
+           fence is picked up here and continued from. *)
+        let rd = F.reader freg cfg.readers in
+        let last = R.read_with rd ~f:(fun buf _len -> P.decode_seq buf) in
+        write_until_deposed w ~thread:1 ~start:last ~pause:ignore
+      | Some (Sup.Election.Lost _) | None ->
+        (* Lease still held, or another candidate won this suspicion:
+           keep monitoring. *)
+        Sched.cede ();
+        standby ()
+  in
+
+  let reader id () =
+    let thread = id + 2 in
+    try
+      let rd = F.reader freg id in
+      let backoff, breaker = policy cfg ~seed:(seed + 100 + id) in
+      let session =
+        S.create ~backoff ~breaker ~max_stale:cfg.max_stale ~now:Sched.now
+          ~sleep:Sched.sleep ~capacity:size rd
+      in
+      sessions.(id) <- Some session;
+      while Sched.now () < cfg.max_steps do
+        let invoked = Sched.now () in
+        (match
+           S.read_with ~deadline:(invoked + cfg.deadline) session
+             ~f:(Campaign.validated fx)
+         with
+        | S.Fresh s -> Campaign.record_read fx ~thread ~invoked s
+        | S.Stale { value = s; _ } -> serve_stale fx ~thread s
+        | S.Exhausted _ | S.Backpressured _ -> ());
+        fx.ops.(thread) <- fx.ops.(thread) + 1;
+        Sched.cede ()
+      done
+    with Fault_plan.Crashed -> fx.crashed.(thread) <- true
+  in
+
+  let unfinished, faults =
+    Campaign.run_fibers fx scen.plan
+      (Array.init (cfg.readers + 2) (fun i ->
+           if i = 0 then incumbent else if i = 1 then standby else reader (i - 2)))
+  in
+  (* Sessions count in per-domain Obs cells; after the vsched run every
+     fiber is quiescent, so the snapshot is exact. *)
+  Array.iter
+    (Option.iter (fun s ->
+         Outcomes.merge_into ~src:(S.Outcomes.snapshot (S.outcomes s))
+           ~dst:fx.outcomes))
+    sessions;
+  let starved =
+    List.filter_map
+      (fun id ->
+        if fx.crashed.(id + 2) || fx.ops.(id + 2) > 0 then None
+        else Some (Printf.sprintf "surviving reader %d completed no operation" id))
+      (List.init cfg.readers Fun.id)
+  in
+  let reg = F.inner freg in
+  judge ~seed cfg fx ~unfinished ?fence:(Sup.last_fence sup)
+    ~probes:
+      {
+        presence_slack = (fun () -> R.Debug.presence_slack reg);
+        free_slot_exists = (fun () -> R.Debug.free_slot_exists reg);
+      }
+    ~extra:starved
+    {
+      fate = fate_name scen.fate;
+      flaky_rate = scen.flaky_rate;
+      plan = scen.plan;
+      standby_writes = fx.ops.(1);
+      failovers = Sup.failovers sup;
+      quarantined = Sup.quarantined sup;
+      fenced_writes = F.fenced_writes freg;
+      writer_crashed = fx.crashed.(0);
+      stalls = faults.Arc_fault.Fault_mem.stalls;
+      tears = List.length faults.Arc_fault.Fault_mem.tears;
+    }
+
+let run ?on_run (cfg : cfg) =
+  check_cfg cfg;
+  campaign ?on_run cfg (fun ~seed -> run_one ~seed cfg)
+
+let failover f rs = sum (fun s -> f s.mode) rs
+let failovers rs = failover (fun m -> m.failovers) rs
+let fenced_writes rs = failover (fun m -> m.fenced_writes) rs
+let quarantined rs = failover (fun m -> m.quarantined) rs
+let tears rs = failover (fun m -> m.tears) rs
+let retries rs = sum (fun s -> Outcomes.retry_count s.outcomes) rs
+let injected rs = sum (fun s -> Outcomes.error_count s.outcomes) rs
+let writer_crashes rs = count (fun s -> s.mode.writer_crashed) rs
+let zombies rs = count (fun s -> s.mode.fate = "zombie") rs
+
+(* Runs where a promoted standby went on to write. *)
+let handoffs rs =
+  count (fun s -> s.mode.failovers > 0 && s.mode.standby_writes > 0) rs
+
+let pending_resolved o rs = count (fun s -> s.crash_outcome = Some o) rs
+
+let pp_summary ppf (rs : failover report list) =
+  Format.fprintf ppf
+    "@[<v>%d runs: %d writes, %d fresh reads, %d stale serves, %d exhausted, \
+     %d retries (%d injected errors)@,\
+     %d failovers (%d completed handoffs, %d slots quarantined), %d fenced \
+     writes; %d writer crashes, %d zombies, %d reader crashes, %d stalls, \
+     %d tears@,\
+     pending writes: %d vanished, %d took effect — %s@]"
+    (List.length rs) (writes rs) (fresh rs) (stale rs) (exhausted rs)
+    (retries rs) (injected rs) (failovers rs) (handoffs rs) (quarantined rs)
+    (fenced_writes rs) (writer_crashes rs) (zombies rs) (crashes rs)
+    (failover (fun m -> m.stalls) rs)
+    (tears rs)
+    (pending_resolved Checker.Vanished rs)
+    (pending_resolved Checker.Took_effect rs)
+    (verdict rs)
+
+(* Campaign counters for the soak binary's --metrics flag. *)
+let metrics (rs : failover report list) =
+  let open Arc_obs.Obs in
+  [
+    counter "soak_runs_total" ~help:"Completed soak runs" (List.length rs);
+    counter "soak_writes_total" ~help:"Writes across all runs" (writes rs);
+    counter "soak_reads_fresh_total" ~help:"Fresh session reads" (fresh rs);
+    counter "soak_stale_serves_total" ~help:"Degraded stale serves" (stale rs);
+    counter "soak_exhausted_total" ~help:"Exhausted session reads" (exhausted rs);
+    counter "soak_retries_total" ~help:"Session retry attempts" (retries rs);
+    counter "soak_injected_errors_total" ~help:"Injected transient errors"
+      (injected rs);
+    counter "soak_failovers_total" ~help:"Supervisor promotions" (failovers rs);
+    counter "soak_handoffs_total" ~help:"Promotions followed by standby writes"
+      (handoffs rs);
+    counter "soak_quarantined_slots_total"
+      ~help:"Slots retired by successor crash recovery" (quarantined rs);
+    counter "soak_fenced_writes_total" ~help:"Writes through the epoch fence"
+      (fenced_writes rs);
+    counter "soak_writer_crashes_total" ~help:"Injected writer crashes"
+      (writer_crashes rs);
+    counter "soak_reader_crashes_total" ~help:"Injected reader crashes"
+      (crashes rs);
+    counter "soak_zombie_runs_total" ~help:"Runs with a zombie incumbent"
+      (zombies rs);
+    counter "soak_tears_total"
+      ~help:
+        "Torn snapshots observed in fault windows (injected tears the \
+         session layer must surface as errors, never serve)"
+      (tears rs);
+    counter "soak_violations_total" ~help:"Checker violations (must stay 0)"
+      (List.length (violations rs));
+  ]
+
 let replay_command ~seed cfg =
   Arc_report.Replay.(
     render ~exe:"dune exec bin/soak.exe --" (int "--replay" seed :: cfg_args cfg))
-
-let run ?(on_run = fun (_ : run_report) -> ()) (cfg : cfg) : outcome =
-  check_cfg cfg;
-  let o =
-    ref
-      {
-        runs = 0;
-        writes = 0;
-        reads_fresh = 0;
-        stale_serves = 0;
-        exhausted = 0;
-        retries = 0;
-        injected_errors = 0;
-        failovers = 0;
-        handoffs = 0;
-        quarantined = 0;
-        fenced_writes = 0;
-        writer_crashes = 0;
-        reader_crashes = 0;
-        zombies = 0;
-        stalls = 0;
-        tears = 0;
-        vanished = 0;
-        took_effect = 0;
-        violations = [];
-      }
-  in
-  for k = 1 to cfg.runs do
-    let seed = derive_seed cfg k in
-    match run_one ~seed cfg with
-    | exception e ->
-      o :=
-        {
-          !o with
-          runs = !o.runs + 1;
-          violations =
-            (seed, Printf.sprintf "run raised: %s" (Printexc.to_string e))
-            :: !o.violations;
-        }
-    | r ->
-      on_run r;
-      let a = !o in
-      o :=
-        {
-          runs = a.runs + 1;
-          writes = a.writes + r.writes;
-          reads_fresh = a.reads_fresh + Outcomes.ok_count r.outcomes;
-          stale_serves = a.stale_serves + Outcomes.stale_count r.outcomes;
-          exhausted = a.exhausted + Outcomes.exhausted_count r.outcomes;
-          retries = a.retries + Outcomes.retry_count r.outcomes;
-          injected_errors = a.injected_errors + Outcomes.error_count r.outcomes;
-          failovers = a.failovers + r.failovers;
-          handoffs =
-            (a.handoffs + if r.failovers > 0 && r.standby_writes > 0 then 1 else 0);
-          quarantined = a.quarantined + r.quarantined;
-          fenced_writes = a.fenced_writes + r.fenced_writes;
-          writer_crashes = (a.writer_crashes + if r.writer_crashed then 1 else 0);
-          reader_crashes = a.reader_crashes + r.reader_crashes;
-          zombies = (a.zombies + if r.fate = "zombie" then 1 else 0);
-          stalls = a.stalls + r.stalls;
-          tears = a.tears + r.tears;
-          vanished =
-            (a.vanished
-            + match r.crash_outcome with Some Checker.Vanished -> 1 | _ -> 0);
-          took_effect =
-            (a.took_effect
-            + match r.crash_outcome with Some Checker.Took_effect -> 1 | _ -> 0);
-          violations =
-            List.map (fun m -> (seed, m)) r.violations @ a.violations;
-        }
-  done;
-  !o
 
 (* {1 Negative control: the same handoff, unfenced}
 
@@ -669,19 +615,13 @@ let run ?(on_run = fun (_ : run_report) -> ()) (cfg : cfg) : outcome =
 
 let unfenced_control ~seed (cfg : cfg) : bool * string list =
   check_cfg cfg;
-  Flaky.set ~seed ~rate:0.;
-  let strategy = Strategy.random ~seed:(seed + 1) in
   let size = cfg.size_words in
-  let init = Array.make size 0 in
-  P.stamp init ~seq:0 ~len:size;
-  let reg = R.create ~readers:(cfg.readers + 3) ~capacity:size ~init in
-  let threads = cfg.readers + 2 in
-  let recorder = History.Recorder.create ~threads ~capacity:20_000 in
-  let torn = ref 0 in
+  let fx = fixture ~seed ~threads:(cfg.readers + 2) cfg in
+  let reg = R.create ~readers:(cfg.readers + 3) ~capacity:size ~init:fx.init in
   let anomalies = ref [] in
   let hb = ref 0 in
   let pause_after = 3 in
-  let writer thread start_delay () =
+  let writer thread () =
     try
       (* The "failure detector" of this control is deliberately naive:
          wall-clock heartbeat age, no fencing on promotion. *)
@@ -700,78 +640,57 @@ let unfenced_control ~seed (cfg : cfg) : bool * string list =
       match wait () with
       | None -> ()
       | Some start_seq ->
-        let src = Array.make size 0 in
-        let seq = ref start_seq in
+        let src = Array.make size 0 and seq = ref start_seq in
         while Sched.now () < cfg.max_steps do
-          if thread = 0 && !seq = start_delay then Sched.sleep (3 * cfg.lease);
-          incr seq;
-          P.stamp src ~seq:!seq ~len:size;
-          let invoked = Sched.now () in
-          R.write reg ~src ~len:size;
-          History.Recorder.record recorder ~thread History.Write ~seq:!seq
-            ~invoked ~returned:(Sched.now ());
+          if thread = 0 && !seq = pause_after then Sched.sleep (3 * cfg.lease);
+          Campaign.write_next fx ~thread ~src ~seq (fun src ->
+              R.write reg ~src ~len:size);
           hb := Sched.now ();
           Sched.cede ()
         done
     with Failure msg -> anomalies := msg :: !anomalies
   in
-  let reader_body id () =
+  let reader id () =
     let rd = R.reader reg id in
     while Sched.now () < cfg.max_steps do
       let invoked = Sched.now () in
-      let seq =
-        R.read_with rd ~f:(fun buf len ->
-            match P.validate buf ~len with
-            | Ok s -> s
-            | Error _ ->
-              incr torn;
-              P.decode_seq buf)
-      in
-      History.Recorder.record recorder ~thread:(id + 2) History.Read ~seq
-        ~invoked ~returned:(Sched.now ());
+      Campaign.record_read fx ~thread:(id + 2) ~invoked
+        (R.read_with rd ~f:(Campaign.validated fx));
       Sched.cede ()
     done
   in
-  let fibers =
-    Array.init threads (fun i ->
-        if i = 0 then writer 0 pause_after
-        else if i = 1 then writer 1 (-1)
-        else reader_body (i - 2))
+  let unfinished, _ =
+    Campaign.run_fibers fx Fault_plan.empty
+      (Array.init (cfg.readers + 2) (fun i -> if i < 2 then writer i else reader (i - 2)))
   in
-  Mem.install Fault_plan.empty;
-  let backstop = (cfg.max_steps * 3) + 100_000 in
-  let sched_outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-  ignore (Mem.drain ());
   let reasons = ref !anomalies in
-  if !torn > 0 then reasons := Printf.sprintf "%d torn snapshots" !torn :: !reasons;
-  if sched_outcome.Sched.unfinished > 0 then
-    reasons :=
-      Printf.sprintf "%d fibers never finished" sched_outcome.Sched.unfinished
-      :: !reasons;
-  (match Checker.check (History.Recorder.history recorder) with
+  if fx.torn > 0 then reasons := Printf.sprintf "%d torn snapshots" fx.torn :: !reasons;
+  if unfinished > 0 then
+    reasons := Printf.sprintf "%d fibers never finished" unfinished :: !reasons;
+  (match Checker.check (History.Recorder.history fx.recorder) with
   | Ok _ -> ()
   | Error v -> reasons := Format.asprintf "%a" Checker.pp_violation v :: !reasons);
   (!reasons <> [], !reasons)
 
-(* {1 Churn campaign (ISSUE 8)}
+(* {1 Churn mode (ISSUE 8)}
 
-   The soak above holds its reader population fixed for a run — the
-   paper's model.  The churn campaign is the opposite regime: a small
-   admission gate (capacity N) in front of [Arc_dynamic], and an
-   unbounded stream of short-lived readers arriving on [lanes]
-   concurrent lanes, each tenancy admitted through the gate, reading
-   through a deadline-aware session over the gate's {e persistent}
-   handle, then departing — or abandoning its ticket (modeling
-   kill -9), leaving the lease sweep to evict it.  Lanes can also be
-   crash-stopped mid-read by the fault plan (a pin leaked {e inside}
-   the register, on top of the ticket leaked in the gate).
+   The failover mode holds its reader population fixed for a run — the
+   paper's model.  The churn mode is the opposite regime: a small
+   admission gate (capacity N) in front of ARC with elastic slot
+   storage ({!Arc_core.Arc_dynamic}, crash-tolerant storage reclaim
+   on), and an unbounded stream of short-lived readers arriving on
+   [lanes] concurrent lanes, each tenancy admitted through the gate,
+   reading through a deadline-aware session over the gate's
+   {e persistent} handle, then departing — or abandoning its ticket
+   (modeling kill -9), leaving the lease sweep to evict it.  Fiber 1
+   is the janitor running that sweep.
 
-   Judged like the main soak — atomicity, bounded staleness, presence
-   ledger — plus the gate's own books: ticket conservation
-   (admitted − departed − evicted = live at quiescence), the
-   N + 2 live-buffer bound against an arrival population ≫ N, and the
-   headline guarantee that {e no} [Saturated] raise escapes past the
-   gate to churn code. *)
+   Judged by the common judge — atomicity, bounded staleness, presence
+   ledger (slack exactly 0: no lane crashes mid-read) — plus the
+   gate's own books: ticket conservation (admitted − departed −
+   evicted = live at quiescence), the N + 2 live-buffer bound against
+   an arrival population ≫ N, and the headline guarantee that {e no}
+   [Saturated] raise escapes past the gate to churn code. *)
 
 module D = Arc_core.Arc_dynamic.Make (Mem)
 module DS = Session.Make (D)
@@ -799,33 +718,27 @@ let default_churn =
 
 let check_churn_cfg c =
   check_cfg c.base;
-  if c.rate <= 0. || c.rate > 1. then
-    invalid_arg (Printf.sprintf "Soak churn: rate = %g (need 0 < rate <= 1)" c.rate);
-  if c.gate_capacity < 1 then
-    invalid_arg (Printf.sprintf "Soak churn: gate = %d (need >= 1)" c.gate_capacity);
-  if c.lanes < 1 then
-    invalid_arg (Printf.sprintf "Soak churn: lanes = %d (need >= 1)" c.lanes);
-  if c.waiting_room < 0 then
-    invalid_arg (Printf.sprintf "Soak churn: room = %d (need >= 0)" c.waiting_room);
-  if c.crash_frac < 0. || c.crash_frac > 1. then
-    invalid_arg (Printf.sprintf "Soak churn: crash-frac = %g" c.crash_frac)
+  let g = Printf.sprintf "%g" in
+  require (c.rate > 0. && c.rate <= 1.) "--churn" (g c.rate) "0 < RATE <= 1";
+  at_least "--gate" c.gate_capacity 1;
+  at_least "--lanes" c.lanes 1;
+  at_least "--room" c.waiting_room 0;
+  require
+    (c.crash_frac >= 0. && c.crash_frac <= 1.)
+    "--crash-frac" (g c.crash_frac) "0 <= F <= 1"
 
-type churn_report = {
-  cseed : int;
+type churn = {
   arrivals : int;
-  cadmitted : int;
-  cbackpressured : int;
-  cdeparted : int;
-  cevicted : int;
+  admitted : int;
+  backpressured : int;
+  departed : int;
+  evicted : int;
   abandoned : int;  (** tenancies that deliberately skipped depart *)
-  lane_crashes : int;
-  cwrites : int;
-  coutcomes : Outcomes.t;
   refused_serves : int;  (** session reads refused by the admission guard *)
-  cserves_checked : int;
-  chigh_water : int;
+  high_water : int;
   live_buffers_max : int;
-  cviolations : string list;
+  join : Arc_util.Histogram.t;  (** arrival -> admitted, simulated steps *)
+  leave : Arc_util.Histogram.t;  (** arrival -> tenancy end, simulated steps *)
 }
 
 (* Lane fates.  Crashes and over-lease pauses are modeled {e between}
@@ -855,16 +768,14 @@ let churn_plan rng (c : churn_cfg) =
   done;
   !plan
 
-let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
+let run_churn_one ~seed (c : churn_cfg) : churn report =
   check_churn_cfg c;
   let cfg = c.base in
   let rng = Splitmix.of_int seed in
   let plan = churn_plan rng c in
-  let strategy = Strategy.random ~seed:(seed + 1) in
+  let fx = fixture ~seed ~threads:(c.lanes + 2) cfg in
   let size = cfg.size_words in
-  let init = Array.make size 0 in
-  P.stamp init ~seq:0 ~len:size;
-  let dreg = D.create ~readers:c.gate_capacity ~capacity:size ~init in
+  let dreg = D.create ~readers:c.gate_capacity ~capacity:size ~init:fx.init in
   (* Storage-reclaim lease in writes, derived from the time lease the
      way [staleness_bound] converts steps to writes. *)
   let reclaim_lease = max 1 (cfg.lease / size) in
@@ -875,32 +786,21 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
       ~on_release:(fun () -> reclaim_requested := true)
       ~now:Sched.now ~sleep:Sched.sleep ~base:0 ~capacity:c.gate_capacity dreg
   in
-  let threads = c.lanes + 2 in
-  let recorder = History.Recorder.create ~threads ~capacity:20_000 in
-  let crashed = Array.make threads false in
-  let ops = Array.make threads 0 in
-  let torn = ref 0 in
+  let join = Arc_util.Histogram.create () in
+  let leave = Arc_util.Histogram.create () in
   let arrivals = ref 0 in
   let abandoned = ref 0 in
   let refused_serves = ref 0 in
   let escaped = ref [] in
-  let stale_serves = ref [] in
   let live_buffers_max = ref 0 in
   let late_frees = ref 0 in
-  let outcomes = Outcomes.create () in
 
   let writer () =
     try
-      let src = Array.make size 0 in
-      let seq = ref 0 in
+      let src = Array.make size 0 and seq = ref 0 in
       while Sched.now () < cfg.max_steps do
-        incr seq;
-        P.stamp src ~seq:!seq ~len:size;
-        let invoked = Sched.now () in
-        D.write dreg ~src ~len:size;
-        History.Recorder.record recorder ~thread:0 History.Write ~seq:!seq
-          ~invoked ~returned:(Sched.now ());
-        ops.(0) <- ops.(0) + 1;
+        Campaign.write_next fx ~thread:0 ~src ~seq (fun src ->
+            D.write dreg ~src ~len:size);
         (* Depart-triggered reclaim runs here — storage revocation is
            the writer's side of the protocol, so the gate's
            [on_release] only raises a flag. *)
@@ -910,7 +810,7 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
         end;
         Sched.cede ()
       done
-    with Fault_plan.Crashed -> crashed.(0) <- true
+    with Fault_plan.Crashed -> fx.crashed.(0) <- true
   in
 
   let janitor () =
@@ -918,7 +818,6 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
       Sched.sleep (max 1 (cfg.lease / 2));
       ignore (DGate.sweep gate);
       live_buffers_max := max !live_buffers_max (D.live_buffers dreg);
-      ops.(1) <- ops.(1) + 1;
       Sched.cede ()
     done
   in
@@ -926,13 +825,6 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
   let lane k () =
     let thread = k + 2 in
     let lrng = Splitmix.of_int ((seed * 31) + 7_777 + k) in
-    let f buf len =
-      match P.validate buf ~len with
-      | Ok s -> s
-      | Error _ ->
-        incr torn;
-        P.decode_seq buf
-    in
     try
       while Sched.now () < cfg.max_steps do
         if Splitmix.float lrng < c.rate then begin
@@ -944,17 +836,9 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
             Sched.sleep bp.Arc_core.Register_intf.retry_after
           | Arc_core.Register_intf.Admitted ticket ->
             Arc_util.Histogram.record join (Sched.now () - t0);
+            let backoff, breaker = policy cfg ~seed:(seed + 500 + !arrivals) in
             let session =
-              DS.create
-                ~admission:(DGate.guard gate ticket)
-                ~backoff:
-                  (Backoff.create ~base:8
-                     ~cap:(max 8 (cfg.deadline / 2))
-                     ~seed:(seed + 500 + !arrivals) ())
-                ~breaker:
-                  (Breaker.create ~failure_threshold:3
-                     ~cooldown:(max 16 (cfg.lease / 2))
-                     ~now:Sched.now ())
+              DS.create ~admission:(DGate.guard gate ticket) ~backoff ~breaker
                 ~max_stale:cfg.max_stale ~now:Sched.now ~sleep:Sched.sleep
                 ~capacity:size (DGate.reader gate ticket)
             in
@@ -979,26 +863,25 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
                if !r = oversleep then
                  Sched.sleep (cfg.lease + (cfg.lease / 2));
                let invoked = Sched.now () in
-               (match DS.read_with ~deadline:(invoked + cfg.deadline) session ~f with
-               | DS.Fresh s ->
-                 History.Recorder.record recorder ~thread History.Read ~seq:s
-                   ~invoked ~returned:(Sched.now ())
-               | DS.Stale { value = s; _ } ->
-                 stale_serves :=
-                   { Checker.thread; seq = s; at = Sched.now () } :: !stale_serves
+               (match
+                  DS.read_with ~deadline:(invoked + cfg.deadline) session
+                    ~f:(Campaign.validated fx)
+                with
+               | DS.Fresh s -> Campaign.record_read fx ~thread ~invoked s
+               | DS.Stale { value = s; _ } -> serve_stale fx ~thread s
                | DS.Exhausted _ -> ()
                | DS.Backpressured _ ->
                  (* Our lease was swept out from under us (a stall made
                     us look dead).  Stop using the identity at once. *)
                  incr refused_serves;
                  evicted_underfoot := true);
-               ops.(thread) <- ops.(thread) + 1;
+               fx.ops.(thread) <- fx.ops.(thread) + 1;
                if not (DGate.renew gate ticket) then evicted_underfoot := true;
                Sched.cede ()
              done);
             Outcomes.merge_into
               ~src:(DS.Outcomes.snapshot (DS.outcomes session))
-              ~dst:outcomes;
+              ~dst:fx.outcomes;
             if !evicted_underfoot then begin
               (* Reclaim-then-late-release: the evicted zombie's depart
                  must lose its generation CAS — a success here would
@@ -1015,7 +898,7 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
         else Sched.cede ()
       done
     with
-    | Fault_plan.Crashed -> crashed.(thread) <- true
+    | Fault_plan.Crashed -> fx.crashed.(thread) <- true
     | Arc_core.Register_intf.Saturated msg ->
       (* The headline guarantee: gate-fronted churn must never see
          this.  Recorded as a violation, not re-raised, so the run
@@ -1023,141 +906,105 @@ let run_churn_one ~seed ~join ~leave (c : churn_cfg) : churn_report =
       escaped := msg :: !escaped
   in
 
-  let fibers =
-    Array.init threads (fun i ->
-        if i = 0 then writer else if i = 1 then janitor else lane (i - 2))
-  in
-  Mem.install plan;
-  let backstop = (cfg.max_steps * 3) + 100_000 in
-  let sched_outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-  ignore (Mem.drain ());
-
-  (* Judge. *)
-  let history = History.Recorder.history recorder in
-  let check = Checker.check history in
-  let serves = List.rev !stale_serves in
-  let stale_check =
-    Checker.check_bounded_staleness history ~bound:(staleness_bound cfg) serves
-  in
-  let lane_crashes =
-    let n = ref 0 in
-    Array.iteri (fun i cr -> if i >= 2 && cr then incr n) crashed;
-    !n
+  let unfinished, _ =
+    Campaign.run_fibers fx plan
+      (Array.init (c.lanes + 2) (fun i ->
+           if i = 0 then writer else if i = 1 then janitor else lane (i - 2)))
   in
   let pool = DGate.pool gate in
   let ev = Admission.Pool.events pool in
   let admitted = Arc_obs.Obs.Admission.admitted_count ev in
-  let backpressured = Arc_obs.Obs.Admission.backpressured_count ev in
   let departed = Arc_obs.Obs.Admission.departed_count ev in
   let evicted = Arc_obs.Obs.Admission.evicted_count ev in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let high_water = Admission.Pool.high_water pool in
+  live_buffers_max := max !live_buffers_max (D.live_buffers dreg);
+  let extra = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> extra := m :: !extra) fmt in
   List.iter (fun m -> fail "Saturated escaped the admission gate: %s" m) !escaped;
-  if !torn > 0 then fail "%d torn snapshots" !torn;
-  if History.Recorder.dropped recorder > 0 then
-    fail "recorder overflow (%d events dropped)"
-      (History.Recorder.dropped recorder);
-  if sched_outcome.Sched.unfinished > 0 then
-    fail "%d fibers never finished (hang/livelock inside the backstop)"
-      sched_outcome.Sched.unfinished;
-  (match check with
-  | Ok _ -> ()
-  | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_violation v));
-  (match stale_check with
-  | Ok _ -> ()
-  | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_staleness_violation v));
   (* Ticket conservation at quiescence. *)
   if admitted - departed - evicted <> Admission.Pool.live pool then
     fail "ticket books don't balance: %d admitted - %d departed - %d evicted <> %d live"
       admitted departed evicted (Admission.Pool.live pool);
-  if Admission.Pool.high_water pool > c.gate_capacity then
-    fail "high water %d exceeds gate capacity %d"
-      (Admission.Pool.high_water pool) c.gate_capacity;
+  if high_water > c.gate_capacity then
+    fail "high water %d exceeds gate capacity %d" high_water c.gate_capacity;
   (* The N+2 claim under unbounded arrivals. *)
-  live_buffers_max := max !live_buffers_max (D.live_buffers dreg);
   if !live_buffers_max > c.gate_capacity + 2 then
     fail "%d live buffers exceed the N+2 bound (N = %d)" !live_buffers_max
       c.gate_capacity;
   if !late_frees > 0 then
     fail "%d late departs freed an evicted ticket (generation CAS failed open)"
       !late_frees;
-  (* Presence ledger: abandonment, eviction and late departs all leave
-     the register's ledger untouched (the persistent handle keeps each
-     identity's pin well-formed), so the slack must be exactly zero —
-     unlike the failover soak there are no mid-read crashes here. *)
-  let slack = D.Debug.presence_slack dreg in
-  if slack <> 0 then
-    fail "presence-ledger slack %d (must be 0: tenancies end between reads)"
-      slack;
-  if not (D.Debug.free_slot_exists dreg) then
-    fail "no free slot among the N+2 (Lemma 4.1 violated)";
   (* Non-vacuity: the campaign must actually churn. *)
   if !arrivals = 0 then fail "no arrivals (vacuous run)";
   if admitted = 0 then fail "no admissions (vacuous run)";
-  if ops.(0) = 0 then fail "writer made no writes";
-  {
-    cseed = seed;
-    arrivals = !arrivals;
-    cadmitted = admitted;
-    cbackpressured = backpressured;
-    cdeparted = departed;
-    cevicted = evicted;
-    abandoned = !abandoned;
-    lane_crashes;
-    cwrites = ops.(0);
-    coutcomes = outcomes;
-    refused_serves = !refused_serves;
-    cserves_checked = (match stale_check with Ok n -> n | Error _ -> 0);
-    chigh_water = Admission.Pool.high_water pool;
-    live_buffers_max = !live_buffers_max;
-    cviolations = List.rev !violations;
-  }
+  if fx.ops.(0) = 0 then fail "writer made no writes";
+  judge ~seed cfg fx ~unfinished
+    ~probes:
+      {
+        presence_slack = (fun () -> D.Debug.presence_slack dreg);
+        free_slot_exists = (fun () -> D.Debug.free_slot_exists dreg);
+      }
+    ~extra:(List.rev !extra)
+    {
+      arrivals = !arrivals;
+      admitted;
+      backpressured = Arc_obs.Obs.Admission.backpressured_count ev;
+      departed;
+      evicted;
+      abandoned = !abandoned;
+      refused_serves = !refused_serves;
+      high_water;
+      live_buffers_max = !live_buffers_max;
+      join;
+      leave;
+    }
 
-type churn_outcome = {
-  cruns : int;
-  arrivals : int;
-  admitted : int;
-  backpressured : int;
-  departed : int;
-  evicted : int;
-  abandoned : int;
-  lane_crashes : int;
-  writes : int;
-  reads_fresh : int;
-  stale_serves : int;
-  exhausted : int;
-  refused_serves : int;
-  serves_checked : int;
-  high_water_max : int;
-  live_buffers_max : int;
-  join : Arc_util.Histogram.t;  (** arrival -> admitted, simulated steps *)
-  leave : Arc_util.Histogram.t;  (** arrival -> tenancy end, simulated steps *)
-  churn_violations : (int * string) list;
-}
+let run_churn ?on_run (c : churn_cfg) =
+  check_churn_cfg c;
+  campaign ?on_run c.base (fun ~seed -> run_churn_one ~seed c)
 
-let churn_clean o = o.churn_violations = []
+let churn f rs = sum (fun s -> f s.mode) rs
+let arrivals rs = churn (fun m -> m.arrivals) rs
+let admitted rs = churn (fun m -> m.admitted) rs
+let backpressured rs = churn (fun m -> m.backpressured) rs
+let departed rs = churn (fun m -> m.departed) rs
+let evicted rs = churn (fun m -> m.evicted) rs
+let abandoned rs = churn (fun m -> m.abandoned) rs
+let refused_serves rs = churn (fun m -> m.refused_serves) rs
+let live_buffers_max rs = fold max (fun s -> s.mode.live_buffers_max) rs
 
-let pp_churn_outcome ppf o =
+let histogram f rs =
+  let h = Arc_util.Histogram.create () in
+  List.iter
+    (fun r ->
+      Option.iter (fun s -> Arc_util.Histogram.merge_into ~src:(f s.mode) ~dst:h) r.stats)
+    rs;
+  h
+
+let pp_churn_summary ppf (rs : churn report list) =
   let pct h p =
     if Arc_util.Histogram.count h = 0 then -1
     else Arc_util.Histogram.percentile h p
   in
+  let join = histogram (fun m -> m.join) rs
+  and leave = histogram (fun m -> m.leave) rs in
   Format.fprintf ppf
     "@[<v>%d churn runs: %d arrivals -> %d admitted, %d backpressured; %d \
      departed, %d evicted (%d abandoned, %d lane crashes)@,\
      %d writes, %d fresh reads, %d stale serves, %d exhausted, %d refused \
      serves; high water %d, live buffers max %d@,\
      join p50/p99: %d/%d steps, tenancy p50/p99: %d/%d steps — %s@]"
-    o.cruns o.arrivals o.admitted o.backpressured o.departed o.evicted
-    o.abandoned o.lane_crashes o.writes o.reads_fresh o.stale_serves
-    o.exhausted o.refused_serves o.high_water_max o.live_buffers_max
-    (pct o.join 50.) (pct o.join 99.) (pct o.leave 50.) (pct o.leave 99.)
-    (if o.churn_violations = [] then "CLEAN"
-     else Printf.sprintf "%d VIOLATIONS" (List.length o.churn_violations))
+    (List.length rs) (arrivals rs) (admitted rs) (backpressured rs)
+    (departed rs) (evicted rs) (abandoned rs) (crashes rs) (writes rs)
+    (fresh rs) (stale rs) (exhausted rs) (refused_serves rs)
+    (fold max (fun s -> s.mode.high_water) rs)
+    (live_buffers_max rs) (pct join 50.) (pct join 99.) (pct leave 50.)
+    (pct leave 99.) (verdict rs)
 
-let churn_metrics (o : churn_outcome) =
+let churn_metrics (rs : churn report list) =
   let open Arc_obs.Obs in
-  let quantiles name h help =
+  let quantiles name f help =
+    let h = histogram f rs in
     if Arc_util.Histogram.count h = 0 then []
     else
       List.map
@@ -1169,32 +1016,32 @@ let churn_metrics (o : churn_outcome) =
         [ ("0.5", 50.); ("0.99", 99.) ]
   in
   [
-    counter "soak_churn_runs_total" ~help:"Completed churn runs" o.cruns;
+    counter "soak_churn_runs_total" ~help:"Completed churn runs" (List.length rs);
     counter "soak_churn_arrivals_total" ~help:"Reader arrivals offered to the gate"
-      o.arrivals;
-    counter "arc_admission_admitted_total" ~help:"Admissions granted" o.admitted;
+      (arrivals rs);
+    counter "arc_admission_admitted_total" ~help:"Admissions granted" (admitted rs);
     counter "arc_admission_backpressured_total"
-      ~help:"Arrivals refused with a typed verdict" o.backpressured;
+      ~help:"Arrivals refused with a typed verdict" (backpressured rs);
     counter "arc_admission_departed_total" ~help:"Tickets explicitly departed"
-      o.departed;
+      (departed rs);
     counter "arc_admission_evicted_total" ~help:"Tickets reclaimed by lease sweep"
-      o.evicted;
+      (evicted rs);
     counter "soak_churn_abandoned_total"
-      ~help:"Tenancies that walked away without departing" o.abandoned;
+      ~help:"Tenancies that walked away without departing" (abandoned rs);
     counter "soak_churn_lane_crashes_total" ~help:"Crash-stopped churn lanes"
-      o.lane_crashes;
+      (crashes rs);
     counter "soak_churn_refused_serves_total"
       ~help:"Session reads refused after a lease sweep revoked the ticket"
-      o.refused_serves;
+      (refused_serves rs);
     gauge "soak_churn_live_buffers_max"
       ~help:"Peak live-buffer count (bound: gate capacity + 2)"
-      (float_of_int o.live_buffers_max);
+      (float_of_int (live_buffers_max rs));
     counter "soak_churn_violations_total" ~help:"Checker violations (must stay 0)"
-      (List.length o.churn_violations);
+      (List.length (violations rs));
   ]
-  @ quantiles "soak_churn_join_steps" o.join
+  @ quantiles "soak_churn_join_steps" (fun m -> m.join)
       "Arrival-to-admission latency (simulated steps)"
-  @ quantiles "soak_churn_tenancy_steps" o.leave
+  @ quantiles "soak_churn_tenancy_steps" (fun m -> m.leave)
       "Arrival-to-tenancy-end latency (simulated steps)"
 
 let churn_replay_command ~seed (c : churn_cfg) =
@@ -1209,75 +1056,6 @@ let churn_replay_command ~seed (c : churn_cfg) =
          float "--crash-frac" c.crash_frac;
        ]
       @ cfg_args c.base))
-
-let run_churn ?(on_run = fun (_ : churn_report) -> ()) (c : churn_cfg) :
-    churn_outcome =
-  check_churn_cfg c;
-  let join = Arc_util.Histogram.create () in
-  let leave = Arc_util.Histogram.create () in
-  let o =
-    ref
-      {
-        cruns = 0;
-        arrivals = 0;
-        admitted = 0;
-        backpressured = 0;
-        departed = 0;
-        evicted = 0;
-        abandoned = 0;
-        lane_crashes = 0;
-        writes = 0;
-        reads_fresh = 0;
-        stale_serves = 0;
-        exhausted = 0;
-        refused_serves = 0;
-        serves_checked = 0;
-        high_water_max = 0;
-        live_buffers_max = 0;
-        join;
-        leave;
-        churn_violations = [];
-      }
-  in
-  for k = 1 to c.base.runs do
-    let seed = derive_seed c.base k in
-    match run_churn_one ~seed ~join ~leave c with
-    | exception e ->
-      o :=
-        {
-          !o with
-          cruns = !o.cruns + 1;
-          churn_violations =
-            (seed, Printf.sprintf "run raised: %s" (Printexc.to_string e))
-            :: !o.churn_violations;
-        }
-    | r ->
-      on_run r;
-      let a = !o in
-      o :=
-        {
-          a with
-          cruns = a.cruns + 1;
-          arrivals = a.arrivals + r.arrivals;
-          admitted = a.admitted + r.cadmitted;
-          backpressured = a.backpressured + r.cbackpressured;
-          departed = a.departed + r.cdeparted;
-          evicted = a.evicted + r.cevicted;
-          abandoned = a.abandoned + r.abandoned;
-          lane_crashes = a.lane_crashes + r.lane_crashes;
-          writes = a.writes + r.cwrites;
-          reads_fresh = a.reads_fresh + Outcomes.ok_count r.coutcomes;
-          stale_serves = a.stale_serves + Outcomes.stale_count r.coutcomes;
-          exhausted = a.exhausted + Outcomes.exhausted_count r.coutcomes;
-          refused_serves = a.refused_serves + r.refused_serves;
-          serves_checked = a.serves_checked + r.cserves_checked;
-          high_water_max = max a.high_water_max r.chigh_water;
-          live_buffers_max = max a.live_buffers_max r.live_buffers_max;
-          churn_violations =
-            List.map (fun m -> (seed, m)) r.cviolations @ a.churn_violations;
-        }
-  done;
-  !o
 
 (* {1 Negative control: churn without the gate}
 
@@ -1307,25 +1085,15 @@ let churn_control ~seed (c : churn_cfg) : bool * string list =
   let reasons = ref [] in
   let convict fmt = Printf.ksprintf (fun m -> reasons := m :: !reasons) fmt in
   (* Arm 1: fresh-handle-per-arrival churn, no gate. *)
-  (let strategy = Strategy.random ~seed:(seed + 1) in
-   let init = Array.make size 0 in
-   P.stamp init ~seq:0 ~len:size;
-   let dreg = D.create ~readers:c.gate_capacity ~capacity:size ~init in
-   let torn = ref 0 in
+  (let fx = fixture ~seed ~threads:(c.lanes + 1) cfg in
+   let dreg = D.create ~readers:c.gate_capacity ~capacity:size ~init:fx.init in
    let anomalies = ref [] in
-   let threads = c.lanes + 1 in
-   let recorder = History.Recorder.create ~threads ~capacity:20_000 in
    let writer () =
      try
-       let src = Array.make size 0 in
-       let seq = ref 0 in
+       let src = Array.make size 0 and seq = ref 0 in
        while Sched.now () < cfg.max_steps do
-         incr seq;
-         P.stamp src ~seq:!seq ~len:size;
-         let invoked = Sched.now () in
-         D.write dreg ~src ~len:size;
-         History.Recorder.record recorder ~thread:0 History.Write ~seq:!seq
-           ~invoked ~returned:(Sched.now ());
+         Campaign.write_next fx ~thread:0 ~src ~seq (fun src ->
+             D.write dreg ~src ~len:size);
          Sched.cede ()
        done
      with Failure msg -> anomalies := msg :: !anomalies
@@ -1342,16 +1110,8 @@ let churn_control ~seed (c : churn_cfg) : bool * string list =
            for _ = 1 to 1 + Splitmix.int lrng 4 do
              if Sched.now () < cfg.max_steps then begin
                let invoked = Sched.now () in
-               let s =
-                 D.read_with rd ~f:(fun buf len ->
-                     match P.validate buf ~len with
-                     | Ok s -> s
-                     | Error _ ->
-                       incr torn;
-                       P.decode_seq buf)
-               in
-               History.Recorder.record recorder ~thread History.Read ~seq:s
-                 ~invoked ~returned:(Sched.now ())
+               Campaign.record_read fx ~thread ~invoked
+                 (D.read_with rd ~f:(Campaign.validated fx))
              end
            done
          end
@@ -1362,18 +1122,14 @@ let churn_control ~seed (c : churn_cfg) : bool * string list =
        anomalies := "Saturated escaped to a churn lane" :: !anomalies
      | Failure msg -> anomalies := msg :: !anomalies
    in
-   let fibers =
-     Array.init threads (fun i -> if i = 0 then writer else lane (i - 1))
+   let unfinished, _ =
+     Campaign.run_fibers fx Fault_plan.empty
+       (Array.init (c.lanes + 1) (fun i -> if i = 0 then writer else lane (i - 1)))
    in
-   Mem.install Fault_plan.empty;
-   let backstop = (cfg.max_steps * 3) + 100_000 in
-   let sched_outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-   ignore (Mem.drain ());
    List.iter (fun m -> convict "%s" m) !anomalies;
-   if !torn > 0 then convict "%d torn snapshots" !torn;
-   if sched_outcome.Sched.unfinished > 0 then
-     convict "%d fibers never finished" sched_outcome.Sched.unfinished;
-   (match Checker.check (History.Recorder.history recorder) with
+   if fx.torn > 0 then convict "%d torn snapshots" fx.torn;
+   if unfinished > 0 then convict "%d fibers never finished" unfinished;
+   (match Checker.check (History.Recorder.history fx.recorder) with
    | Ok _ -> ()
    | Error v -> convict "%s" (Format.asprintf "%a" Checker.pp_violation v));
    let slack = D.Debug.presence_slack dreg in

@@ -2,11 +2,15 @@
    figure/table builder must return the advertised structure with
    plausible contents, so `bin/experiments.exe` cannot rot silently. *)
 
-module Experiment = Arc_harness.Experiment
+module Grid = Arc_harness.Grid
+module Fig_throughput = Arc_harness.Fig_throughput
+module Fig_rmw = Arc_harness.Fig_rmw
+module Fig_ablation = Arc_harness.Fig_ablation
+module Fig_latency = Arc_harness.Fig_latency
 module Series = Arc_report.Series
 module Table = Arc_report.Table
 
-let opts = { Experiment.quick with Experiment.duration_s = 0.02; sim_steps = 8_000 }
+let opts = { Grid.quick with Grid.duration_s = 0.02; sim_steps = 8_000 }
 
 let expect_series name series_list ~figures ~series_each =
   Alcotest.(check int) (name ^ ": figure count") figures (List.length series_list);
@@ -23,19 +27,19 @@ let expect_series name series_list ~figures ~series_each =
     series_list
 
 let test_fig1_sim () =
-  expect_series "fig1-sim" (Experiment.fig1_sim opts) ~figures:1 ~series_each:4
+  expect_series "fig1-sim" (Fig_throughput.fig1_sim opts) ~figures:1 ~series_each:4
 
 let test_fig1_real () =
-  expect_series "fig1-real" (Experiment.fig1_real opts) ~figures:1 ~series_each:4
+  expect_series "fig1-real" (Fig_throughput.fig1_real opts) ~figures:1 ~series_each:4
 
 let test_fig2_sim () =
-  expect_series "fig2-sim" (Experiment.fig2_sim opts) ~figures:1 ~series_each:4
+  expect_series "fig2-sim" (Fig_throughput.fig2_sim opts) ~figures:1 ~series_each:4
 
 let test_fig3_sim () =
-  expect_series "fig3-sim" (Experiment.fig3_sim opts) ~figures:1 ~series_each:4
+  expect_series "fig3-sim" (Fig_throughput.fig3_sim opts) ~figures:1 ~series_each:4
 
 let test_rmw_table () =
-  let t = Experiment.rmw_table opts in
+  let t = Fig_rmw.rmw_table opts in
   (* 9 algorithms, but simpson only supports 1 reader (skipped at 4)
      and everyone else contributes one row per (readers, rpw). *)
   Alcotest.(check bool) "has rows" true (Table.rows t >= 16);
@@ -52,11 +56,11 @@ let test_rmw_table () =
   | _ -> Alcotest.fail "arc r=8 row missing"
 
 let test_ablation_hint () =
-  let t = Experiment.ablation_hint opts in
+  let t = Fig_ablation.ablation_hint opts in
   Alcotest.(check bool) "two variants per reader count" true (Table.rows t >= 2)
 
 let test_ablation_dynamic () =
-  let t = Experiment.ablation_dynamic opts in
+  let t = Fig_ablation.ablation_dynamic opts in
   Alcotest.(check int) "three distributions" 3 (Table.rows t);
   (* dynamic footprint must undercut static for every distribution *)
   List.iter
@@ -69,7 +73,7 @@ let test_ablation_dynamic () =
     (Table.body t)
 
 let test_latency_table () =
-  let t = Experiment.latency_table opts in
+  let t = Fig_latency.latency_table opts in
   Alcotest.(check bool) "one row per algorithm (with history)" true
     (Table.rows t >= 6);
   List.iter

@@ -562,32 +562,52 @@ let test_session_breaker_short_circuit_and_recovery () =
 
 let test_soak_clean_and_non_vacuous () =
   let cfg = { Soak.default with Soak.runs = 12 } in
-  let o = Soak.run cfg in
-  if not (Soak.clean o) then
-    List.iter
-      (fun (seed, msg) -> Printf.printf "seed %d: %s\n%!" seed msg)
-      o.Soak.violations;
-  Alcotest.(check bool) "soak clean" true (Soak.clean o);
-  Alcotest.(check int) "all runs executed" 12 o.Soak.runs;
-  Alcotest.(check bool) "writes happened" true (o.Soak.writes > 0);
-  Alcotest.(check bool) "fresh reads happened" true (o.Soak.reads_fresh > 0);
+  let rs = Soak.run cfg in
+  List.iter
+    (fun (seed, msg) -> Printf.printf "seed %d: %s\n%!" seed msg)
+    (Soak.violations rs);
+  Alcotest.(check bool) "soak clean" true (Soak.clean rs);
+  Alcotest.(check int) "all runs executed" 12 (List.length rs);
+  Alcotest.(check bool) "writes happened" true (Soak.writes rs > 0);
+  Alcotest.(check bool) "fresh reads happened" true (Soak.fresh rs > 0);
   (* Non-vacuity: the machinery under test must actually fire. *)
   Alcotest.(check bool)
-    (Printf.sprintf "failovers (%d) occurred" o.Soak.failovers)
-    true (o.Soak.failovers > 0);
+    (Printf.sprintf "failovers (%d) occurred" (Soak.failovers rs))
+    true (Soak.failovers rs > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "fenced writes (%d) occurred" o.Soak.fenced_writes)
-    true (o.Soak.fenced_writes > 0);
+    (Printf.sprintf "fenced writes (%d) occurred" (Soak.fenced_writes rs))
+    true (Soak.fenced_writes rs > 0);
   Alcotest.(check bool)
     (Printf.sprintf "degraded serves (%d stale, %d exhausted) occurred"
-       o.Soak.stale_serves o.Soak.exhausted)
+       (Soak.stale rs) (Soak.exhausted rs))
     true
-    (o.Soak.stale_serves + o.Soak.exhausted > 0);
+    (Soak.stale rs + Soak.exhausted rs > 0);
+  let vanished = Soak.pending_resolved Arc_trace.Checker.Vanished rs
+  and took_effect = Soak.pending_resolved Arc_trace.Checker.Took_effect rs in
   Alcotest.(check bool)
     (Printf.sprintf "crash completions (%d vanished, %d took effect) judged"
-       o.Soak.vanished o.Soak.took_effect)
+       vanished took_effect)
     true
-    (o.Soak.vanished + o.Soak.took_effect > 0)
+    (vanished + took_effect > 0)
+
+(* The binary's live heartbeat sums the reports [on_run] has seen with
+   the summary's own functions, so at the end of a campaign both agree
+   (the heartbeat once counted standby writes twice). *)
+let test_soak_on_run_totals_match_summary () =
+  let cfg = { Soak.default with Soak.runs = 5 } in
+  let seen = ref [] in
+  let rs = Soak.run ~on_run:(fun r -> seen := r :: !seen) cfg in
+  let seen = List.rev !seen in
+  List.iter
+    (fun (what, total) ->
+      Alcotest.(check int) what (total rs) (total seen))
+    [
+      ("runs", List.length);
+      ("writes", Soak.writes);
+      ("fresh", Soak.fresh);
+      ("stale", Soak.stale);
+      ("failing", Soak.failing);
+    ]
 
 let test_soak_crash_recovery_regression () =
   (* Regression: a writer crash between the W2 publish and the W3
@@ -603,7 +623,8 @@ let test_soak_crash_recovery_regression () =
         [] r.Soak.violations;
       Alcotest.(check int)
         (Printf.sprintf "seed %d untorn" seed)
-        0 r.Soak.torn)
+        0
+        (Option.get r.Soak.stats).Soak.torn)
     [ 31337094032; 31337094071 ]
 
 let test_soak_unfenced_control_convicted () =
@@ -614,6 +635,39 @@ let test_soak_unfenced_control_convicted () =
   Alcotest.(check bool)
     (Printf.sprintf "unfenced handoff convicted (%d reasons)"
        (List.length reasons))
+    true convicted
+
+(* --- churn soak ------------------------------------------------------ *)
+
+let test_churn_clean_and_non_vacuous () =
+  let c = { Soak.default_churn with base = { Soak.default_churn.base with runs = 4 } } in
+  let rs = Soak.run_churn c in
+  List.iter
+    (fun (seed, msg) -> Printf.printf "seed %d: %s\n%!" seed msg)
+    (Soak.violations rs);
+  Alcotest.(check bool) "churn clean" true (Soak.clean rs);
+  Alcotest.(check int) "all runs executed" 4 (List.length rs);
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s (%d) > 0" what n) true (n > 0))
+    [
+      ("arrivals", Soak.arrivals rs);
+      ("admissions", Soak.admitted rs);
+      ("evictions", Soak.evicted rs);
+      ("abandonments", Soak.abandoned rs);
+    ];
+  Alcotest.(check bool)
+    (Printf.sprintf "live buffers max %d <= gate + 2" (Soak.live_buffers_max rs))
+    true
+    (Soak.live_buffers_max rs <= c.gate_capacity + 2)
+
+let test_churn_control_convicted () =
+  let c = Soak.default_churn in
+  let convicted, reasons =
+    Soak.churn_control ~seed:(Soak.derive_seed c.base 0) c
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "gate bypass convicted (%d reasons)" (List.length reasons))
     true convicted
 
 let suite =
@@ -662,4 +716,10 @@ let suite =
       test_soak_crash_recovery_regression;
     Alcotest.test_case "unfenced control convicted" `Quick
       test_soak_unfenced_control_convicted;
+    Alcotest.test_case "soak on_run totals match the summary" `Quick
+      test_soak_on_run_totals_match_summary;
+    Alcotest.test_case "churn soak clean and non-vacuous" `Quick
+      test_churn_clean_and_non_vacuous;
+    Alcotest.test_case "churn gate-bypass control convicted" `Quick
+      test_churn_control_convicted;
   ]
