@@ -379,8 +379,9 @@ let run_fabric ?replay algo seeds strategy_name shards readers size steps
    process that saw none of the original run.  The crash context
    (recovery fence, pending write) comes from the dump's meta lines;
    --shm overrides the fence with the authoritative value persisted in
-   the mapping's superblock, which also cross-checks that the dump and
-   the mapping belong to the same crash. *)
+   the mapping's writer seat 0, and cross-checks the mapping generation
+   against the dump's, so the dump and the mapping belong to the same
+   crash. *)
 
 let run_history hist_path shm_path =
   let h, meta = History.load hist_path in
@@ -395,7 +396,10 @@ let run_history hist_path shm_path =
     | None -> lookup "fence"
     | Some p ->
       let m = Arc_shm.Shm_mem.attach ~path:p in
-      let f = Arc_shm.Shm_mem.fence_at m in
+      let f =
+        if Arc_shm.Shm_mem.reign_shards m = 0 then 0
+        else Arc_shm.Shm_mem.shard_fence_at m ~shard:0
+      in
       let e = Arc_shm.Shm_mem.epoch m in
       Printf.printf "shm %s: epoch %d, fence_at %d, %d publishes\n" p e f
         (Arc_shm.Shm_mem.publish_seq m);
@@ -639,8 +643,8 @@ let cmd =
       value & opt (some file) None
       & info [ "shm" ] ~docv:"FILE"
           ~doc:
-            "With --history: read the authoritative recovery fence and writer \
-             epoch from this register mapping's superblock instead of the \
+            "With --history: read the authoritative recovery fence (writer \
+             seat 0's) and epoch from this register mapping instead of the \
              dump's meta lines.")
   in
   Cmd.v

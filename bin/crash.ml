@@ -1,13 +1,14 @@
 (* arc-crash: real-crash durability + writer-election harness for the
    shared-memory register substrate.
 
-   One campaign over writer SEATS.  A seat is one register's writer
-   position: its [term ∥ vote] election word, its writer-fence epoch,
-   the register, the takeover its successor runs (whole-mapping or
-   shard-scoped recovery), and whether winning it bumps the fabric's
-   configuration epoch.  Each run builds its seats in an mmap'd file
-   (Arc_shm.Shm_mem) and forks, per seat, a LEADER writer (candidate 0,
-   which wins term 1) and k hot standbys, then SIGKILLs leaders at
+   One campaign over writer SEATS.  A seat is one slot of the mapping's
+   reign table: a register's [term ∥ vote] election word, its
+   writer-fence epoch and its recovery fence.  Winning a seat bumps
+   the table's configuration epoch, and the successor's takeover is
+   the seat-scoped recovery (Arc_shm.Shm_arc.recover).  Each run
+   builds its seats in an mmap'd file (Arc_shm.Shm_mem) and forks, per
+   seat, a LEADER writer (candidate 0, which wins term 1) and k hot
+   standbys, then SIGKILLs leaders at
    seeded write counts while reader domains in the parent keep
    reading.  The standbys detect the death through a shared-clock
    heartbeat lease and campaign from a common snapshot of term 1: CAS
@@ -17,12 +18,12 @@
    rebuilds every process's testimony from write-logs stamped with the
    mapping's shared clock, and judges it.
 
-   Default mode: one superblock seat, plain reads into a history
-   recorder, one kill, the crash-aware checker over the merged
-   history — the only real-kill test of the superblock election word
-   and whole-mapping recovery.  --fabric --shards S: S reign-table
-   seats, reign-certified cross-shard snapshots, a seeded subset of
-   leaders killed, the checker's reign pass.
+   Default mode: one seat (a single register is a one-seat table),
+   plain reads into a history recorder, one kill, the crash-aware
+   checker over the merged history fenced at seat 0's recovery stamp.
+   --fabric --shards S: S seats, reign-certified cross-shard
+   snapshots, a seeded subset of leaders killed, the checker's reign
+   pass.
 
      dune exec bin/crash.exe -- --runs 200 --candidates 3
      dune exec bin/crash.exe -- --replay-seed 2049052026 -v
@@ -79,34 +80,6 @@ let lease_ticks = 50_000
    for a kill point: only a wedged run ever reaches it. *)
 let patience = 60.0
 
-(* {1 Seats} *)
-
-type succession =
-  | Election  (* the term vote alone *)
-  | Reign of int
-      (* the term vote, then a bump of this configuration-epoch cell
-         between the takeover and the issue (Arc_resilience.Reign) *)
-
-type 'reg seat = {
-  shard : int;  (* 0 for the superblock seat *)
-  tag : string;  (* prefix of this seat's violation messages *)
-  word : int;  (* election word *)
-  epoch : int;  (* writer-fence epoch cell *)
-  reg : 'reg;
-  takeover : unit -> (Shm_mem.recovery * int, string) result;
-  succession : succession;
-}
-
-module type RIG = sig
-  module M : Arc_mem.Mem_intf.S with type atomic = int
-  module R : Arc_core.Arc.S with module Mem = M
-
-  val mapping : Shm_mem.mapping
-  val seats : R.t seat array
-end
-
-type rig = (module RIG)
-
 (* {1 The shared logs}
 
    Raw regions of the mapping (skipped by the integrity scan), the
@@ -146,7 +119,7 @@ and st_torn = 4
 and st_journaled = 5
 and st_probe = 6 (* observed probe seq + 2; 0 = unset, 1 = torn *)
 and st_swrites = 7
-and st_config = 8 (* the reign's config bump; 0 under a plain election *)
+and st_config = 8 (* the config epoch the reign begins at *)
 
 let status_words = 9
 
@@ -190,7 +163,7 @@ let alloc_logs cfg m ~seats =
 
 (* {1 The seat's processes} *)
 
-module Seat (G : RIG) = struct
+module Seat (G : Shm_arc.INSTANCE) = struct
   module RG = Arc_resilience.Reign.Make (G.R)
   module F = RG.E.Fenced_reg
   module P = Arc_workload.Payload.Make (G.M)
@@ -198,28 +171,16 @@ module Seat (G : RIG) = struct
   let set = Shm_mem.atomic_set G.mapping
   let tick () = Shm_mem.tick G.mapping
 
-  type elector = Voter of RG.E.t | Reigner of RG.t
-
-  let elector seat ~candidate =
-    let freg = F.of_register seat.reg ~epoch:seat.epoch in
-    match seat.succession with
-    | Election -> Voter (RG.E.create ~word:seat.word ~candidate freg)
-    | Reign config ->
-        Reigner (RG.create ~word:seat.word ~candidate ~config freg)
-
-  let observe = function Voter e -> RG.E.observe e | Reigner r -> RG.observe r
-
-  (* [Ok (writer, term, config)] — [config] is the reign's bump value,
-     0 under a plain election — or [Error (term, winner)]. *)
-  let campaign ?from ?takeover = function
-    | Voter e -> (
-        match RG.E.campaign ?from ?takeover e with
-        | RG.E.Won { writer; term; _ } -> Ok (writer, term, 0)
-        | RG.E.Lost { term; winner } -> Error (term, winner))
-    | Reigner r -> (
-        match RG.campaign ?from ?takeover r with
-        | RG.Won { writer; term; config; _ } -> Ok (writer, term, config)
-        | RG.Lost { term; winner } -> Error (term, winner))
+  (* Candidate [candidate] for seat [shard]: the seat's election word
+     and writer-fence epoch over its register, and the configuration
+     epoch every succession bumps between takeover and issue. *)
+  let elector shard ~candidate =
+    let m = G.mapping in
+    RG.create
+      ~word:(Shm_mem.shard_election_cell m ~shard)
+      ~candidate
+      ~config:(Shm_mem.config_epoch_cell m)
+      (F.of_register G.regs.(shard) ~epoch:(Shm_mem.shard_epoch_cell m ~shard))
 
   (* {2 The leader (candidate 0)}
 
@@ -229,10 +190,10 @@ module Seat (G : RIG) = struct
      its reign begins at (the claim every value it publishes is judged
      under), then writes until killed, bracketing each write in the
      log and re-stamping the heartbeat after it. *)
-  let lead seat l ~cfg ~seed =
-    (match campaign (elector seat ~candidate:0) with
-    | Error _ -> () (* impossible on a fresh word; die silent, run fails *)
-    | Ok (w, _, config) -> (
+  let lead shard l ~cfg ~seed =
+    (match RG.campaign (elector shard ~candidate:0) with
+    | RG.Lost _ -> () (* impossible on a fresh word; die silent, run fails *)
+    | RG.Won { writer = w; config; _ } -> (
         set (l.status + st_config) config;
         set l.hb (tick ());
         let rng = Splitmix.of_int seed in
@@ -267,17 +228,17 @@ module Seat (G : RIG) = struct
      that common snapshot (failure ARBITRATION): every standby aims at
      the same succession term, so the CAS admits exactly one.  The
      winner's takeover is the seat's recovery — integrity scan,
-     quarantine, prefreeze journal; shard-scoped on a fabric seat,
-     since other shards' leaders may be alive and mid-copy — run
-     between the prefence and its own issue; then it resolves the
-     interrupted write with a probe read (reader identity [probe]) and
-     continues the sequence.  Losers record who beat them and exit. *)
-  let stand_by seat l ~cfg ~candidate ~probe =
-    let el = elector seat ~candidate in
+     quarantine, prefreeze journal; scoped to the seat, since other
+     seats' leaders may be alive and mid-copy — run between the
+     prefence and its own issue; then it resolves the interrupted
+     write with a probe read (reader identity [probe]) and continues
+     the sequence.  Losers record who beat them and exit. *)
+  let stand_by shard l ~cfg ~candidate ~probe =
+    let el = elector shard ~candidate in
     let put f v = set (l.status + (status_words * candidate) + f) v in
     (* The common snapshot: the parent forked us only after observing
        the leader's term, so every standby sees the same reign here. *)
-    let snap = observe el in
+    let snap = RG.observe el in
     let deadline = Unix.gettimeofday () +. patience in
     let rec monitor n =
       let age = Shm_mem.clock G.mapping - Shm_mem.atomic_get G.mapping l.hb in
@@ -298,7 +259,7 @@ module Seat (G : RIG) = struct
     | `Gave_up -> put st_status status_error
     | `Expired -> (
         let takeover () =
-          match seat.takeover () with
+          match Shm_arc.recover (module G) ~shard with
           | Ok ((rcv : Shm_mem.recovery), journaled) ->
               put st_convictions (List.length rcv.convicted);
               put st_torn
@@ -312,12 +273,12 @@ module Seat (G : RIG) = struct
               put st_status status_error;
               0
         in
-        match campaign ~from:snap ~takeover el with
-        | Error (term, winner) ->
+        match RG.campaign ~from:snap ~takeover el with
+        | RG.Lost { term; winner } ->
             put st_term term;
             put st_winner (match winner with Some c -> c + 1 | None -> 0);
             put st_status status_lost
-        | Ok (w, term, config) ->
+        | RG.Won { writer = w; term; config; _ } ->
             put st_term term;
             put st_winner (candidate + 1);
             put st_config config;
@@ -326,14 +287,14 @@ module Seat (G : RIG) = struct
                probe read settles whether its pending W2 exchange
                happened. *)
             let observed =
-              G.R.read_with (G.R.reader seat.reg probe) ~f:(fun buf len ->
+              G.R.read_with (G.R.reader G.regs.(shard) probe) ~f:(fun buf len ->
                   match P.validate buf ~len with Ok seq -> seq | Error _ -> -1)
             in
             put st_probe (observed + 2);
             if observed < 0 then put st_status status_error
             else begin
               let rng =
-                Splitmix.of_int (Shm_mem.publish_seq G.mapping + seat.shard)
+                Splitmix.of_int (Shm_mem.publish_seq G.mapping + shard)
               in
               let src = Array.make cfg.capacity 0 in
               let written = ref 0 in
@@ -404,8 +365,8 @@ let pp_pending = function
   | Published (k, _) -> Printf.sprintf "published@%d" k
   | Vanished k -> Printf.sprintf "vanished@%d" k
 
-let testify cfg m seat l ~fail =
-  let fail fmt = Printf.ksprintf (fun s -> fail (seat.tag ^ s)) fmt in
+let testify cfg m ~tag l ~fail =
+  let fail fmt = Printf.ksprintf (fun s -> fail (tag ^ s)) fmt in
   let get = Shm_mem.atomic_get m in
   (* The leader's write-log. *)
   let n_last = ref 0 in
@@ -573,16 +534,18 @@ module type MODE = sig
 
   val name : string  (* mapping-file prefix *)
   val seats : cfg -> int
+  val tag : int -> string  (* prefix of a seat's violation messages *)
   val identities : cfg -> int
   val replay_flags : cfg -> Arc_report.Replay.arg list
   val announce : cfg -> int -> unit
-  val rig : cfg -> Shm_mem.mapping -> init:int array -> rig
 
   val kill_plan : cfg -> Splitmix.t -> (int * int) array
   (** [(seat, write count)] pairs, killed in this order. *)
 
   val readers :
-    cfg -> rig -> view * (stop:bool Atomic.t -> int -> readings * string list)
+    cfg ->
+    Shm_arc.instance ->
+    view * (stop:bool Atomic.t -> int -> readings * string list)
   (** Built after the forks; the body runs in each reader domain. *)
 
   val judge :
@@ -634,8 +597,11 @@ module Campaign (Mo : MODE) = struct
     let m = Shm_mem.create ~path ~words in
     let init = Array.make cfg.capacity 0 in
     P0.stamp init ~seq:0 ~len:cfg.capacity;
-    let rig = Mo.rig cfg m ~init in
-    let module G = (val rig : RIG) in
+    let inst =
+      Shm_arc.create m ~shards:seats ~readers:identities ~capacity:cfg.capacity
+        ~init
+    in
+    let module G = (val inst : Shm_arc.INSTANCE) in
     let module W = Seat (G) in
     let logs = alloc_logs cfg m ~seats in
     (* The kill point is a seeded write NUMBER, not a wall-clock delay:
@@ -656,15 +622,15 @@ module Campaign (Mo : MODE) = struct
     let leaders = Array.make seats (-1) in
     let standbys = ref [] in
     Array.iteri
-      (fun s seat ->
-        let l = logs.(s) in
+      (fun s l ->
         flush_all ();
         (match Unix.fork () with
-        | 0 -> W.lead seat l ~cfg ~seed:(seed lxor (0x5DEECE66 + s))
+        | 0 -> W.lead s l ~cfg ~seed:(seed lxor (0x5DEECE66 + s))
         | pid -> leaders.(s) <- pid);
         let lead_deadline = Unix.gettimeofday () +. 10.0 in
+        let word = Shm_mem.shard_election_cell m ~shard:s in
         let rec await_leader () =
-          if Term_vote.term (Shm_mem.atomic_get m seat.word) >= 1 then true
+          if Term_vote.term (Shm_mem.atomic_get m word) >= 1 then true
           else if Unix.gettimeofday () > lead_deadline then false
           else begin
             Domain.cpu_relax ();
@@ -672,19 +638,19 @@ module Campaign (Mo : MODE) = struct
           end
         in
         if not (await_leader ()) then
-          fail (seat.tag ^ "leader never opened term 1");
+          fail (Mo.tag s ^ "leader never opened term 1");
         (* Arm the lease before any standby can look at it. *)
         if Shm_mem.atomic_get m l.hb = 0 then
           Shm_mem.atomic_set m l.hb (Shm_mem.tick m);
         for candidate = 1 to cfg.candidates do
           flush_all ();
           match Unix.fork () with
-          | 0 -> W.stand_by seat l ~cfg ~candidate ~probe:(identities - 2)
+          | 0 -> W.stand_by s l ~cfg ~candidate ~probe:(identities - 2)
           | pid -> standbys := pid :: !standbys
         done)
-      G.seats;
+      logs;
     let stop = Atomic.make false in
-    let view, reader = Mo.readers cfg rig in
+    let view, reader = Mo.readers cfg inst in
     let domains =
       List.init cfg.readers (fun id -> Domain.spawn (fun () -> reader ~stop id))
     in
@@ -719,17 +685,17 @@ module Campaign (Mo : MODE) = struct
     (* Unkilled leaders drain their writes and exit on their own; their
        seats fail over on lease expiry exactly like the killed ones. *)
     Array.iteri
-      (fun s seat ->
+      (fun s exit ->
         let st =
-          match exits.(s) with
+          match exit with
           | Some st -> st
           | None -> snd (Unix.waitpid [] leaders.(s))
         in
         match st with
         | Unix.WSIGNALED k when k = Sys.sigkill -> ()
         | Unix.WEXITED 0 -> () (* drained writes_max before the kill *)
-        | _ -> fail (seat.tag ^ "leader exited abnormally"))
-      G.seats;
+        | _ -> fail (Mo.tag s ^ "leader exited abnormally"))
+      exits;
     (* The elections now run among the standbys; wait them all out
        (losers exit as soon as they lose; winners after their
        successor writes). *)
@@ -745,7 +711,7 @@ module Campaign (Mo : MODE) = struct
         domains
     in
     let testimony =
-      Array.mapi (fun s seat -> testify cfg m seat logs.(s) ~fail) G.seats
+      Array.mapi (fun s l -> testify cfg m ~tag:(Mo.tag s) l ~fail) logs
     in
     let judgement =
       Mo.judge m ~path view readings testimony ~fail
@@ -853,44 +819,25 @@ module Campaign (Mo : MODE) = struct
     Driver.finish ~failing ~controls_ok:true
 end
 
-(* {1 Single-register mode: one superblock seat} *)
+(* {1 Single-register mode: one seat}
 
-module Superblock : MODE = struct
+   A one-seat reign table: the seat's plain reads go into a history
+   recorder, and the crash-aware checker judges the merged history
+   fenced at seat 0's recovery stamp.  The succession still bumps the
+   configuration epoch; nothing in this mode reads it. *)
+
+module Single_mode : MODE = struct
   type view = History.Recorder.recorder
   type readings = unit
 
   let name = "arc-crash"
   let seats _ = 1
+  let tag _ = ""
 
   (* [0, readers) are the reading domains. *)
   let identities cfg = cfg.readers + 2
   let replay_flags _ = []
   let announce _ seed = Printf.printf "replaying seed %d\n" seed
-
-  let rig cfg m ~init : rig =
-    let inst =
-      Shm_arc.create m ~readers:(identities cfg) ~capacity:cfg.capacity ~init
-    in
-    let module I = (val inst : Shm_arc.INSTANCE) in
-    (module struct
-      module M = I.M
-      module R = I.R
-
-      let mapping = m
-
-      let seats =
-        [|
-          {
-            shard = 0;
-            tag = "";
-            word = Shm_mem.election_cell m;
-            epoch = Shm_mem.epoch_cell m;
-            reg = I.reg;
-            takeover = (fun () -> Shm_arc.recover inst);
-            succession = Election;
-          };
-        |]
-    end)
 
   (* --kill-at pins the kill point instead of drawing it (the draw
      still runs, keeping later draws aligned between pinned and drawn
@@ -899,13 +846,13 @@ module Superblock : MODE = struct
     let drawn = 1 + Splitmix.int rng cfg.writes_max in
     [| (0, if cfg.kill_at > 0 then cfg.kill_at else drawn) |]
 
-  let readers cfg (module G : RIG) =
+  let readers cfg (module G : Shm_arc.INSTANCE) =
     let module P = Arc_workload.Payload.Make (G.M) in
     let recorder =
       History.Recorder.create ~threads:(cfg.readers + 1) ~capacity:(1 lsl 18)
     in
     let read ~stop id =
-      let rd = G.R.reader G.seats.(0).reg id in
+      let rd = G.R.reader G.regs.(0) id in
       let errors = ref [] in
       while not (Atomic.get stop) do
         (* Pace reads so a run's history stays within the recorder's
@@ -943,10 +890,9 @@ module Superblock : MODE = struct
     let pending_write =
       match t.pending with Published (k, inv) -> Some (k, inv) | _ -> None
     in
+    let fence = Shm_mem.shard_fence_at m ~shard:0 in
     let outcome =
-      match
-        Checker.check_crash ?pending_write ~fence:(Shm_mem.fence_at m) history
-      with
+      match Checker.check_crash ?pending_write ~fence history with
       | Ok (_, o) -> Checker.crash_outcome_name o
       | Error v ->
           fail (Format.asprintf "%a" Checker.pp_violation v);
@@ -954,7 +900,7 @@ module Superblock : MODE = struct
     in
     if failing () then begin
       let meta =
-        ("fence", Shm_mem.fence_at m)
+        ("fence", fence)
         :: ("epoch", Shm_mem.epoch m)
         :: ("term", t.term)
         :: ("winner", t.winner)
@@ -1041,7 +987,7 @@ end
 
 (* {1 Fabric mode: S reign-table seats}
 
-   One mapping holds [shards] registers (Shm_arc.create_fabric), each
+   One mapping holds [shards] registers (Shm_arc.create), each
    with its own leader elected through its reign-table election word
    and k hot standbys, while reader domains in the parent take
    reign-CERTIFIED cross-shard snapshots.  A seeded subset of shard
@@ -1059,6 +1005,7 @@ module Fabric_mode : MODE = struct
 
   let name = "arc-crash-fab"
   let seats cfg = cfg.shards
+  let tag = Printf.sprintf "shard %d: "
 
   (* [0, readers) are the scanning domains, [readers, readers + shards)
      the fabric's writer identities (Fabric.of_registers). *)
@@ -1069,31 +1016,6 @@ module Fabric_mode : MODE = struct
 
   let announce cfg seed =
     Printf.printf "replaying fabric seed %d (%d shards)\n" seed cfg.shards
-
-  let rig cfg m ~init : rig =
-    let finst =
-      Shm_arc.create_fabric m ~shards:cfg.shards ~readers:(identities cfg)
-        ~capacity:cfg.capacity ~init
-    in
-    let module I = (val finst : Shm_arc.FABRIC_INSTANCE) in
-    (module struct
-      module M = I.M
-      module R = I.R
-
-      let mapping = m
-
-      let seats =
-        Array.init cfg.shards (fun shard ->
-            {
-              shard;
-              tag = Printf.sprintf "shard %d: " shard;
-              word = Shm_mem.shard_election_cell m ~shard;
-              epoch = Shm_mem.shard_epoch_cell m ~shard;
-              reg = I.regs.(shard);
-              takeover = (fun () -> Shm_arc.recover_shard finst ~shard);
-              succession = Reign (Shm_mem.config_epoch_cell m);
-            })
-    end)
 
   (* At least one shard leader dies; each killed shard draws its own
      kill write-count (--kill-at pins them all).  Draws happen
@@ -1122,13 +1044,12 @@ module Fabric_mode : MODE = struct
      typed Reign_changed verdict as the escape during elections.  That
      verdict is counted, never a violation: it is the designed
      behavior while a handoff is in flight. *)
-  let readers cfg (module G : RIG) =
+  let readers cfg (module G : Shm_arc.INSTANCE) =
     let module FB = Arc_fabric.Fabric.Make (G.R) in
-    let shards = Array.length G.seats in
+    let shards = Array.length G.regs in
     let fab =
-      FB.of_registers
-        (Array.map (fun s -> s.reg) G.seats)
-        ~writers:shards ~readers:cfg.readers ~capacity:cfg.capacity
+      FB.of_registers G.regs ~writers:shards ~readers:cfg.readers
+        ~capacity:cfg.capacity
     in
     FB.attach_reign fab ~config:(Shm_mem.config_epoch_cell G.mapping);
     let scan ~stop id =
@@ -1268,7 +1189,7 @@ module Fabric_mode : MODE = struct
   let controls _ = Crash_controls.cross_reign ()
 end
 
-module Single_campaign = Campaign (Superblock)
+module Single_campaign = Campaign (Single_mode)
 module Fabric_campaign = Campaign (Fabric_mode)
 
 (* {1 Command line} *)
@@ -1301,6 +1222,7 @@ let run runs seed readers candidates capacity writes kill_at successor_writes
         exit 124
       end)
     [
+      (readers < 1, "--readers must be >= 1");
       (candidates < 1, "--candidates must be >= 1");
       (fabric && shards < 1, "--shards must be >= 1");
       (writes < 1, "--writes must be >= 1");
@@ -1331,7 +1253,7 @@ let cmd =
        ~doc:
          "Kill-9 the leading writer of a shared-memory ARC register at random \
           points while hot-standby candidates race to succeed it through the \
-          superblock's term-vote election; verify that recovery convicts \
+          seat's term-vote election; verify that recovery convicts \
           exactly the torn state, that exactly one successor is elected, and \
           that the merged cross-process history stays atomic.  With --fabric, \
           the sharded version: per-shard elections under a fabric-wide \

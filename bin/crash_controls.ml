@@ -2,7 +2,7 @@
 
    Each demands that a judgement convicts a known-bad state, or the
    clean campaign proves nothing: the integrity scan must convict
-   corrupted mappings (single-register mode), the checker must convict
+   corrupted one-seat mappings (single-register mode), the checker must convict
    what a broken election would publish (single-register mode), and
    the reign pass must convict a snapshot splicing a newer reign under
    an older certified epoch (--fabric).  All run in-process: what is
@@ -45,12 +45,12 @@ let with_control_mapping ~dir name f =
   let m = Shm_mem.create ~path ~words:(1 lsl 14) in
   let init = Array.make 8 0 in
   P0.stamp init ~seq:0 ~len:8;
-  let inst = Shm_arc.create m ~readers:2 ~capacity:8 ~init in
+  let inst = Shm_arc.create m ~shards:1 ~readers:2 ~capacity:8 ~init in
   let module I = (val inst : Shm_arc.INSTANCE) in
   let src = Array.make 8 0 in
   for k = 1 to 5 do
     P0.stamp src ~seq:k ~len:8;
-    I.R.write I.reg ~src ~len:8
+    I.R.write I.regs.(0) ~src ~len:8
   done;
   let verdict = f m in
   Shm_mem.close m;
@@ -84,7 +84,7 @@ let conviction ~dir =
   let control name tamper =
     with_control_mapping ~dir name (fun m ->
         tamper m;
-        Shm_mem.recover m)
+        Shm_mem.recover m ~shard:0)
   and convicts why = function
     | Ok (r : Shm_mem.recovery) ->
         List.exists (fun (c : Shm_mem.conviction) -> c.why = why) r.convicted

@@ -28,7 +28,7 @@ let () =
   let m = Shm_mem.create ~path ~words:(1 lsl 16) in
   let init = Array.make len 0 in
   P0.stamp init ~seq:0 ~len;
-  let inst = Shm_arc.create m ~readers:1 ~capacity:len ~init in
+  let inst = Shm_arc.create m ~shards:1 ~readers:1 ~capacity:len ~init in
   let module I = (val inst : Shm_arc.INSTANCE) in
   let module P = Arc_workload.Payload.Make (I.M) in
   match Unix.fork () with
@@ -39,7 +39,7 @@ let () =
       let src = Array.make len 0 in
       for seq = 1 to updates do
         P0.stamp src ~seq ~len;
-        I.R.write I.reg ~src ~len;
+        I.R.write I.regs.(0) ~src ~len;
         for _ = 1 to 400 do
           Domain.cpu_relax ()
         done
@@ -49,7 +49,7 @@ let () =
       (* Consumer: read the freshest snapshot in place, validating
          every word.  A single torn or mixed-generation snapshot
          fails [P.validate] with overwhelming probability. *)
-      let rd = I.R.reader I.reg 0 in
+      let rd = I.R.reader I.regs.(0) 0 in
       let reads = ref 0 and last = ref 0 and distinct = ref 0 in
       while !last < updates do
         incr reads;

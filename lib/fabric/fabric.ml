@@ -225,8 +225,8 @@ module Make (R : Register_intf.STAMPED) = struct
      have been provisioned with at least [readers + writers]
      identities (identity [readers + w] is writer [w]'s helping
      handle) — [create] guarantees this; callers bringing their own
-     registers (e.g. {!Arc_shm.Shm_arc.create_fabric} instances, whose
-     buffers live in a shared mapping) owe the same.  The deposit
+     registers (e.g. the [regs] of an {!Arc_shm.Shm_arc.create}
+     instance, whose buffers live in a shared mapping) owe the same.  The deposit
      registers use the same identities. *)
   let of_registers regs ~writers ~readers ~capacity =
     let shards = Array.length regs in

@@ -116,8 +116,8 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
 
   val of_registers :
     R.t array -> writers:int -> readers:int -> capacity:int -> t
-  (** Wrap pre-built registers — e.g. an
-      {!Arc_shm.Shm_arc.create_fabric} instance whose shards live in a
+  (** Wrap pre-built registers — e.g. the [regs] of an
+      {!Arc_shm.Shm_arc.create} instance, whose shards live in a
       shared mapping — into a fabric.  Each register must have been
       created with at least [readers + writers] identities (identity
       [readers + w] serves writer [w]'s helping collects) and

@@ -20,10 +20,12 @@
    no quorum: the word {e is} the quorum of one).
 
    Backed by a heap cell ([atomic_contended]) the election arbitrates
-   between domains of one process; backed by the shm superblock's
-   election word ({!Arc_shm.Shm_mem.election_cell}) it arbitrates
-   between OS processes and survives kill-9 — exactly as the epoch
-   fence does with [epoch_cell].
+   between domains of one process; backed by a writer seat's election
+   word in a shm mapping's reign table
+   ({!Arc_shm.Shm_mem.shard_election_cell}; a single register is a
+   one-seat table) it arbitrates between OS processes and survives
+   kill-9 — exactly as the epoch fence does with the seat's
+   [shard_epoch_cell].
 
    Winning the vote does not make it safe to write; it makes it safe
    to {e fence}.  [campaign] orders the takeover as
@@ -36,8 +38,8 @@
    winner's handle.  Prefencing {e before} takeover closes the zombie
    window: the deposed leader is convictable from the instant the
    successor exists in any capacity, while the wreckage is still being
-   inspected.  [issue] comes last because recovery paths of shared
-   mappings ({!Arc_shm.Shm_mem.recover}) bump the same epoch cell —
+   inspected.  [issue] comes last because the seat recovery of shared
+   mappings ({!Arc_shm.Shm_mem.recover}) bumps the same epoch cell —
    issuing earlier would fence the winner's own fresh handle. *)
 
 module Term_vote = Arc_util.Term_vote

@@ -24,7 +24,11 @@
    lease-fencing argument.  DESIGN.md §6c states the assumption; the
    soak's fault plans draw mid-write stalls strictly below the lease,
    and the negative-control test shows what an {e unfenced} handoff
-   does to the history. *)
+   does to the history.
+
+   Across processes the epoch word is a writer seat's fence epoch in a
+   shm mapping's reign table ([of_register]), so the fence outlives
+   the writer that held it. *)
 
 exception
   Fenced_out of {
@@ -67,10 +71,10 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
   (* Wrap an existing register, with the epoch cell supplied by the
      caller instead of freshly allocated.  This is how the fence
      survives a real process crash: a shared-memory harness backs
-     [epoch] with the mapping's superblock epoch word
-     ({!Arc_shm.Shm_mem.epoch_cell}), so handles issued before a
+     [epoch] with its writer seat's epoch word
+     ({!Arc_shm.Shm_mem.shard_epoch_cell}), so handles issued before a
      SIGKILL are already fenced when the survivor re-issues —
-     [Shm_mem.recover] bumps the same cell.  The caller owns epoch
+     [Shm_mem.recover] of the seat bumps the same cell.  The caller owns epoch
      semantics: issue after any out-of-band bump, never reuse the cell
      across registers.  [fenced_writes] is process-local either way. *)
   let of_register reg ~epoch = { reg; epoch; fenced_writes = 0 }

@@ -22,6 +22,10 @@
    the incumbent; see the residual-window note in {!Fenced} and
    DESIGN.md §6c/§6e.
 
+   Across processes, the election word and the fence epoch are one
+   writer seat of a shm mapping's reign table (DESIGN.md §6e); a single
+   register is a one-seat table.
+
    Clocks are caller-supplied so the same supervisor drives simulated
    steps (vsched) and wall-clock time.  [heartbeat] ignores handles
    whose epoch is no longer current: a zombie's heartbeat must not
@@ -47,9 +51,10 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
     mutable last_fence : int option;
   }
 
-  (* [?word] backs the election word with a caller-owned cell (the shm
-     superblock's, for cross-process supervision); [?candidate] names
-     this supervisor's process in vote outcomes. *)
+  (* [?word] backs the election word with a caller-owned cell (a shm
+     mapping's writer seat, {!Arc_shm.Shm_mem.shard_election_cell}, for
+     cross-process supervision); [?candidate] names this supervisor's
+     process in vote outcomes. *)
   let create ?word ?(candidate = 0) ~now ~lease reg =
     if lease < 1 then
       invalid_arg (Printf.sprintf "Supervisor.create: lease = %d" lease);

@@ -4,40 +4,56 @@
     The functor application [Arc.Make ((val Shm_mem.mem m))] happens
     inside {!create}, so its result types are local to that call; the
     {!INSTANCE} packaging is what lets harness code (the kill-9
-    harness, the two-process example, the benchmark) carry the
-    register around as an ordinary value. *)
+    harness, the two-process example) carry the registers around as an
+    ordinary value.  One shape covers a single register and a
+    multi-process fabric: [shards] registers in one mapping, each
+    behind its own writer seat of the reign table. *)
 
 module type INSTANCE = sig
   module M : Arc_mem.Mem_intf.S with type atomic = int
   module R : Arc_core.Arc.S with module Mem = M
 
   val mapping : Shm_mem.mapping
-  val reg : R.t
+  val regs : R.t array  (** one register per writer seat *)
 end
 
 type instance = (module INSTANCE)
 
 val create :
   Shm_mem.mapping ->
+  shards:int ->
   readers:int ->
   capacity:int ->
   init:int array ->
   instance
-(** Build an ARC register inside a {b fresh} mapping and record its
-    geometry in the superblock.  Creator-only (see {!Shm_mem}'s
-    sharing discipline): create the instance, then fork; both
-    processes use the inherited handles against the shared file.
-    @raise Invalid_argument if the mapping already holds a register,
-    or if the mapping cannot fit the register's footprint. *)
+(** Build [shards] identical ARC registers inside a {b fresh} mapping —
+    sequentially, so shard [s]'s buffers are mapping ordinals
+    [s·nslots .. (s+1)·nslots − 1] — allocate the reign table that
+    gives each register its own writer seat (election word,
+    writer-fence epoch, recovery fence) and the mapping its
+    configuration epoch, and record the per-register geometry.  A
+    single register is [~shards:1]: one seat, seat 0.  A fabric wraps
+    the registers with {!Arc_fabric.Fabric.Make}[.of_registers] and
+    attaches the configuration-epoch cell for reign-certified
+    snapshots.
 
-val recover : instance -> (Shm_mem.recovery * int, string) result
-(** The full post-crash recovery bundle, run by the surviving process
-    on its live instance after the writer died:
+    Creator-only (see {!Shm_mem}'s sharing discipline): create the
+    instance, then fork; both processes use the inherited handles
+    against the shared file.
+    @raise Invalid_argument on [shards < 1], if the mapping already
+    holds a register, or if it cannot fit the footprint. *)
 
-    + {!Shm_mem.recover}: checksum-scan the mapping, quarantining
-      torn/corrupt buffers in the file and opening a new epoch;
+val recover : instance -> shard:int -> (Shm_mem.recovery * int, string) result
+(** The full post-crash recovery bundle for seat [shard], run by the
+    seat's elected successor on its live instance after the seat's
+    writer died, while other seats' writers stay live:
+
+    + {!Shm_mem.recover}: checksum-scan the seat's buffers,
+      quarantining torn/corrupt ones in the file, and open a new epoch
+      on the seat;
     + mirror each convicted buffer into the register's free-slot
-      search ([R.quarantine] — buffer ordinal = slot index);
+      search ([R.quarantine], translating mapping ordinals to register
+      slots);
     + [R.recover_crash]: quarantine the prefreeze-journaled slot and
       re-establish the last-slot invariant from the synchronization
       word (both live in the mapping, so the journal survives the
@@ -49,46 +65,3 @@ val recover : instance -> (Shm_mem.recovery * int, string) result
     copy and the journaled slot are the same write's target and its
     predecessor — so provision one spare reader identity per crash to
     be tolerated. *)
-
-(** {1 Fabric packaging}
-
-    A multi-process fabric: [shards] identical ARC registers in {b one}
-    mapping, plus the reign table ({!Shm_mem.alloc_reign_table}) that
-    gives each shard its own election word and writer-fence epoch and
-    the whole fabric its configuration epoch.  Wrap the registers with
-    {!Arc_fabric.Fabric.Make}[.of_registers] and attach the
-    configuration-epoch cell for reign-certified snapshots. *)
-
-module type FABRIC_INSTANCE = sig
-  module M : Arc_mem.Mem_intf.S with type atomic = int
-  module R : Arc_core.Arc.S with module Mem = M
-
-  val mapping : Shm_mem.mapping
-  val shards : int
-  val regs : R.t array
-end
-
-type fabric_instance = (module FABRIC_INSTANCE)
-
-val create_fabric :
-  Shm_mem.mapping ->
-  shards:int ->
-  readers:int ->
-  capacity:int ->
-  init:int array ->
-  fabric_instance
-(** Build [shards] identical registers inside a fresh mapping —
-    sequentially, so shard [s]'s buffers are mapping ordinals
-    [s·nslots .. (s+1)·nslots − 1] — allocate the reign table, and
-    record the (per-shard) geometry.  Creator-only; create, then fork.
-    @raise Invalid_argument if the mapping already holds a register or
-    cannot fit the footprint. *)
-
-val recover_shard :
-  fabric_instance -> shard:int -> (Shm_mem.recovery * int, string) result
-(** The {!recover} bundle scoped to one shard: {!Shm_mem.recover_shard}
-    (scan only that shard's ordinals; bump the shard's reign-table
-    epoch and fence), mirror its convictions into the shard's register
-    (translating mapping ordinals to register slots), then that
-    register's [recover_crash].  Run by the shard's elected successor
-    as its campaign takeover while other shards' writers stay live. *)

@@ -22,7 +22,7 @@
 
 let magic = 0x2A52_4353_484D_0001 (* "*RCSHM" ++ version tail *)
 
-let version = 4
+let version = 5
 (* Version history:
    1 — original superblock (PR 4).
    2 — writer-election word [sb_election] (term ∥ vote, ISSUE 7).
@@ -31,10 +31,13 @@ let version = 4
    4 — buffer checksum becomes the 4-lane fold below (same trailer
        words, different checksum function): a version-3 trailer would
        convict every intact buffer as [Checksum].
+   5 — one writer seat: words 8 ([sb_fence_at]) and 14 ([sb_election])
+       are retired, and every register mapping carries a reign table —
+       a single register is a one-seat table.  [sb_epoch] is no longer
+       any seat's fence; it counts recoveries (the mapping generation).
    Attach rejects any skew outright; recover additionally convicts a
-   pre-bump mapping as stale instead of misreading word 14 as an
-   election state that was never held, or word 15 as a table pointer
-   that was never allocated. *)
+   mapping of another version as stale instead of misreading its
+   superblock words or its table pointer. *)
 
 (* {1 Superblock word indices} *)
 
@@ -46,22 +49,18 @@ let sb_cells = 4 (* cell records allocated *)
 let sb_buffers = 5 (* buffer records allocated *)
 
 let sb_epoch = 6
-(* Writer epoch: bumped by every recovery (and by epoch-fenced handle
-   issue when the fence is wired to this cell).  Stamped into every
-   buffer trailer at publish time; a trailer epoch {e ahead} of the
-   superblock convicts the superblock as stale (resurrected from an
-   older copy of the file). *)
+(* Mapping generation: starts at 1 and is bumped by every recovery
+   (any seat's).  Stamped into every buffer trailer at publish time; a
+   trailer epoch {e ahead} of the superblock convicts the superblock
+   as stale (resurrected from an older copy of the file).  Not a
+   writer fence: each seat fences with its own reign-table epoch. *)
 
 let sb_publish = 7
 (* Global publish sequence: fetch-add'd by every buffer publish, so
    trailers are totally ordered and recovery can identify the latest
    intact snapshot. *)
 
-let sb_fence_at = 8
-(* Shared-clock timestamp of the last recovery — the crash-aware
-   checker's fence for the crashed writer's pending write
-   ({!Arc_trace.Checker.check_crash} [?fence]).  0 = never
-   recovered. *)
+(* Word 8: reserved since version 5 (zero, never read). *)
 
 let sb_clock = 9
 (* Shared logical clock, ticked (fetch-add) by every process that
@@ -79,21 +78,15 @@ let sb_geom_nslots = 12
 let sb_harness = 13
 (* Base offset of the harness raw region (crash write-log), 0 = none. *)
 
-let sb_election = 14
-(* Writer-election word: [term ∥ vote], packed by {!Arc_util.Term_vote}
-   (same single-word discipline as ARC's [current]).  Manipulated only
-   by seq-cst CAS through {!Shm_mem}'s substrate — a candidate that
-   CASes the observed word to (term+1, itself) is the unique winner of
-   that term, and the winner then bumps [sb_epoch] (fencing the deposed
-   leader) before taking a writer handle.  0 = no election ever held
-   (the {!Arc_util.Term_vote.none} word). *)
+(* Word 14: reserved since version 5 (zero, never read). *)
 
 let sb_reign = 15
-(* Base offset of the reign table record ({!tag_reign}), 0 = none —
-   single-register mappings never allocate one.  The table holds one
-   election word per fabric shard plus the single fabric-wide
+(* Base offset of the reign table record ({!tag_reign}), 0 = none (a
+   mapping holding no register).  The table holds one writer seat per
+   register — election word, fence epoch, recovery fence — plus the
    configuration epoch that certifies cross-shard snapshots against
-   leader handoffs (DESIGN.md §8b). *)
+   leader handoffs (DESIGN.md §8b).  A single register is a one-seat
+   table. *)
 
 let super_words = 16
 
@@ -115,7 +108,8 @@ let cell_value = 2
 
 let line_words = 16 (* 128 bytes *)
 
-(* Reign table record (tag_reign, layout version 3):
+(* Reign table record (tag_reign, layout version 3; since version 5
+   the writer seats of every register mapping):
 
      [tag; rec_words; nshards; ...pad...]
      [config epoch          | line pad ]   <- line-aligned

@@ -72,6 +72,22 @@ let align_up x a = (x + a - 1) / a * a
 let reign_config_at base = align_up (base + 3) L.line_words
 let reign_slot_at base shard = reign_config_at base + (L.line_words * (1 + shard))
 
+(* The one reign-record validator, shared by [attach] and the arena
+   walk: [Some msg] unless [base] holds a reign record whose extent is
+   exactly its seats and ends by [limit]. *)
+let reign_record_error m base ~limit =
+  let shards = unsafe_get m (base + L.reign_nshards) in
+  let size = unsafe_get m (base + L.rec_size) in
+  if unsafe_get m (base + L.rec_tag) <> L.tag_reign then
+    Some (Printf.sprintf "word %d does not hold a reign record" base)
+  else if
+    shards < 1 || reign_slot_at base shards <> base + size || base + size > limit
+  then
+    Some
+      (Printf.sprintf "truncated reign table at word %d (%d shards in %d words)"
+         base shards size)
+  else None
+
 (* {1 Lifecycle} *)
 
 let create ~path ~words =
@@ -128,23 +144,15 @@ let attach ~path =
   let cursor = unsafe_get m L.sb_cursor in
   if cursor < L.super_words || cursor > words then
     fail "%s: allocation cursor %d out of range" path cursor;
-  (* Fabric mappings carry a reign table; validate the pointer and the
-     table's extent BEFORE anyone reads an election word through it.
-     This runs after the version gate above, so a version-2 mapping is
-     rejected without a single table byte being interpreted. *)
+  (* Register mappings carry a reign table; validate the pointer and
+     the table's extent BEFORE anyone reads a seat through it.  This
+     runs after the version gate above, so a mapping of another layout
+     is rejected without a single table byte being interpreted. *)
   let reign = unsafe_get m L.sb_reign in
   if reign <> 0 then begin
     if reign < L.super_words || reign + 3 > cursor then
       fail "%s: reign table pointer %d out of range" path reign;
-    if unsafe_get m (reign + L.rec_tag) <> L.tag_reign then
-      fail "%s: reign table pointer %d does not name a reign record" path reign;
-    let shards = unsafe_get m (reign + L.reign_nshards) in
-    let size = unsafe_get m (reign + L.rec_size) in
-    if
-      shards < 1
-      || reign_slot_at reign shards <> reign + size
-      || reign + size > cursor
-    then fail "%s: truncated reign table (%d shards in %d words)" path shards size
+    Option.iter (fail "%s: %s" path) (reign_record_error m reign ~limit:cursor)
   end;
   m
 
@@ -155,10 +163,6 @@ let close m = Unix.close m.fd
 let tick m = atomic_fetch_add_idx m.ba L.sb_clock 1
 let clock m = atomic_load_idx m.ba L.sb_clock
 let epoch m = atomic_load_idx m.ba L.sb_epoch
-let epoch_cell (_ : mapping) = L.sb_epoch
-let election m = atomic_load_idx m.ba L.sb_election
-let election_cell (_ : mapping) = L.sb_election
-let fence_at m = atomic_load_idx m.ba L.sb_fence_at
 let publish_seq m = atomic_load_idx m.ba L.sb_publish
 
 let set_geometry m ~readers ~capacity =
@@ -178,7 +182,7 @@ let geometry m =
 let set_harness_region m base = unsafe_set m L.sb_harness base
 let harness_region m = unsafe_get m L.sb_harness
 
-(* {1 Reign table (fabric mappings, layout version 3)} *)
+(* {1 Reign table: the writer seats} *)
 
 let reign_table m = unsafe_get m L.sb_reign
 
@@ -189,37 +193,25 @@ let reign_shards m =
 let reign_exn m =
   let base = reign_table m in
   if base = 0 then
-    invalid_arg "Shm_mem: mapping has no reign table (not a fabric mapping)";
+    invalid_arg "Shm_mem: mapping has no reign table (no writer seat)";
   base
 
-let check_shard m base shard =
+(* Word [field] of seat [shard]'s slot. *)
+let seat_cell m ~shard field =
+  let base = reign_exn m in
   let n = unsafe_get m (base + L.reign_nshards) in
   if shard < 0 || shard >= n then
     invalid_arg
-      (Printf.sprintf "Shm_mem: shard %d out of range (table holds %d)" shard n)
+      (Printf.sprintf "Shm_mem: shard %d out of range (table holds %d)" shard n);
+  reign_slot_at base shard + field
 
 let config_epoch_cell m = reign_config_at (reign_exn m)
 let config_epoch m = atomic_load_idx m.ba (config_epoch_cell m)
-
-let shard_election_cell m ~shard =
-  let base = reign_exn m in
-  check_shard m base shard;
-  reign_slot_at base shard + L.rs_election
-
+let shard_election_cell m ~shard = seat_cell m ~shard L.rs_election
 let shard_election m ~shard = atomic_load_idx m.ba (shard_election_cell m ~shard)
-
-let shard_epoch_cell m ~shard =
-  let base = reign_exn m in
-  check_shard m base shard;
-  reign_slot_at base shard + L.rs_epoch
-
+let shard_epoch_cell m ~shard = seat_cell m ~shard L.rs_epoch
 let shard_epoch m ~shard = atomic_load_idx m.ba (shard_epoch_cell m ~shard)
-
-let shard_fence_cell m ~shard =
-  let base = reign_exn m in
-  check_shard m base shard;
-  reign_slot_at base shard + L.rs_fence
-
+let shard_fence_cell m ~shard = seat_cell m ~shard L.rs_fence
 let shard_fence_at m ~shard = atomic_load_idx m.ba (shard_fence_cell m ~shard)
 
 (* {1 Allocator}
@@ -416,10 +408,10 @@ let buffer_info m ~ordinal ~base =
     cksum = unsafe_get m (base + L.buf_cksum);
   }
 
-(* Walk the record arena, applying [cell], [buffer], [raw] per record.
+(* Walk the record arena, applying [buffer] to every buffer record.
    Returns an [Error] on any structural damage — an unwalkable arena
    means the superblock itself cannot be trusted. *)
-let walk m ~cell ~buffer ~raw =
+let walk m ~buffer =
   let cursor = unsafe_get m L.sb_cursor in
   if cursor < L.super_words || cursor > m.words then
     Error (Printf.sprintf "allocation cursor %d out of range" cursor)
@@ -436,23 +428,16 @@ let walk m ~cell ~buffer ~raw =
           raise
             (Stop
                (Printf.sprintf "corrupt record at word %d (size %d)" base size));
-        if tag = L.tag_cell then begin
-          cell base;
-          incr cells
-        end
+        if tag = L.tag_cell then incr cells
         else if tag = L.tag_buffer then begin
           buffer ~ordinal:!buffers ~base;
           incr buffers
         end
-        else if tag = L.tag_raw then raw base
+        else if tag = L.tag_raw then ()
         else if tag = L.tag_reign then begin
-          let shards = unsafe_get m (base + L.reign_nshards) in
-          if shards < 1 || reign_slot_at base shards <> base + size then
-            raise
-              (Stop
-                 (Printf.sprintf
-                    "truncated reign table at word %d (%d shards in %d words)"
-                    base shards size));
+          Option.iter
+            (fun msg -> raise (Stop msg))
+            (reign_record_error m base ~limit:cursor);
           if unsafe_get m L.sb_reign <> base then
             raise
               (Stop
@@ -484,10 +469,7 @@ let walk m ~cell ~buffer ~raw =
 
 let iter_buffers m f =
   match
-    walk m
-      ~cell:(fun _ -> ())
-      ~buffer:(fun ~ordinal ~base -> f (buffer_info m ~ordinal ~base))
-      ~raw:(fun _ -> ())
+    walk m ~buffer:(fun ~ordinal ~base -> f (buffer_info m ~ordinal ~base))
   with
   | Ok () -> ()
   | Error msg -> failwith ("Shm_mem.iter_buffers: " ^ msg)
@@ -580,88 +562,19 @@ let reset_metrics () =
       Tel.intact;
     ]
 
-(* The scan engine shared by whole-mapping and shard-scoped recovery.
-   [in_range] selects the buffer ordinals this recovery is responsible
-   for; out-of-range buffers are not even classified — in a fabric
-   mapping they belong to OTHER shards whose writers may be mid-copy
-   right now, so a transiently torn trailer there is live traffic, not
-   evidence.  [epoch_idx]/[fence_idx] name the epoch word this
-   recovery bumps and the fence word it stamps: the superblock pair
-   for a single-register mapping, the shard's reign-table slot for a
-   fabric shard. *)
-let recover_scan_in m ~in_range ~epoch_idx ~fence_idx =
-  let sb_epoch_now = unsafe_get m L.sb_epoch in
-  let convicted = ref [] in
-  let intact = ref 0
-  and unpublished = ref 0
-  and quarantined_before = ref 0
-  and last_seq = ref 0
-  and stale = ref None in
-  let buffer ~ordinal ~base =
-    if in_range ordinal then begin
-      let info = buffer_info m ~ordinal ~base in
-      (* A trailer stamped with an epoch the superblock has not reached
-         convicts the superblock, not the buffer: this mapping is an
-         older copy of a file that lived on — its free-slot and fence
-         state cannot be trusted at all. *)
-      if info.bepoch > sb_epoch_now && !stale = None then
-        stale :=
-          Some
-            (Printf.sprintf
-               "stale superblock: buffer %d carries epoch %d, superblock at %d"
-               ordinal info.bepoch sb_epoch_now);
-      if info.state = L.state_quarantined then incr quarantined_before
-      else
-        match classify m info with
-        | None ->
-            if info.end_seq = 0 then incr unpublished
-            else begin
-              incr intact;
-              if info.end_seq > !last_seq then last_seq := info.end_seq
-            end
-        | Some why ->
-            unsafe_set m (base + L.buf_state) L.state_quarantined;
-            convicted :=
-              { ordinal; at = base; seq = info.begin_seq; why } :: !convicted
-    end
-  in
-  match
-    walk m ~cell:(fun _ -> ()) ~buffer ~raw:(fun _ -> ())
-  with
-  | Error _ as e -> e
-  | Ok () -> (
-      match !stale with
-      | Some msg -> Error msg
-      | None ->
-          (* The scanned slots are structurally sound and every damaged
-             one is quarantined: open a new writer epoch and fence the
-             crashed one at the current shared-clock instant, so the
-             crash-aware checker can bound when the pending write
-             could still have taken effect. *)
-          let new_epoch = 1 + atomic_fetch_add_idx m.ba epoch_idx 1 in
-          let recovery_fence = tick m in
-          atomic_store_idx m.ba fence_idx recovery_fence;
-          Ok
-            {
-              convicted = List.rev !convicted;
-              intact = !intact;
-              unpublished = !unpublished;
-              quarantined_before = !quarantined_before;
-              new_epoch;
-              recovery_fence;
-              last_seq = !last_seq;
-            })
-
-let recover_scan_checked m =
-  recover_scan_in m
-    ~in_range:(fun _ -> true)
-    ~epoch_idx:L.sb_epoch ~fence_idx:L.sb_fence_at
-
-let recover_scan m =
-  (* Version gate before any interpretation: a pre-bump mapping lays
-     out the same superblock words but never carried the election word,
-     so reading word 14 as a term∥vote state would fabricate election
-     history that no process ever voted for.  Convict the mapping as
+(* Seat-scoped recovery: the §6d pipeline run by seat [shard]'s elected
+   successor over that seat's slots only.  The mapping interleaves
+   every seat's buffers in one arena (register r owns ordinals
+   [r·nslots, (r+1)·nslots)), and the OTHER seats' writers are alive
+   while this one recovers — so out-of-range buffers are not even
+   classified: a transiently torn trailer there is live traffic, not
+   evidence.  A single register is seat 0 of a one-seat table, whose
+   scan covers the whole arena. *)
+let scan m ~shard =
+  (* Version gate before any interpretation: a mapping of another
+     layout may keep different state in the same superblock words —
+     version 4 kept an election word at 14 — so reading it would
+     fabricate history no process ever wrote.  Convict the mapping as
      stale instead of misreading it.  (A version {e ahead} of ours is
      just as unreadable: some newer layout we cannot interpret.) *)
   let recorded_version = unsafe_get m L.sb_version in
@@ -671,60 +584,88 @@ let recover_scan m =
          "stale layout: mapping records version %d, this build reads version \
           %d — refusing to reinterpret its superblock"
          recorded_version L.version)
-  else recover_scan_checked m
+  else if reign_table m = 0 then
+    Error "recover: mapping has no reign table (no writer seat)"
+  else if shard < 0 || shard >= reign_shards m then
+    Error
+      (Printf.sprintf "recover: seat %d out of range (table holds %d)" shard
+         (reign_shards m))
+  else
+    match geometry m with
+    | None -> Error "recover: mapping records no register geometry"
+    | Some (_, _, nslots) -> (
+        let lo = shard * nslots and hi = (shard + 1) * nslots in
+        let generation = unsafe_get m L.sb_epoch in
+        let convicted = ref [] in
+        let intact = ref 0
+        and unpublished = ref 0
+        and quarantined_before = ref 0
+        and last_seq = ref 0
+        and stale = ref None in
+        let buffer ~ordinal ~base =
+          if ordinal >= lo && ordinal < hi then begin
+            let info = buffer_info m ~ordinal ~base in
+            (* A trailer stamped with a generation the superblock has
+               not reached convicts the superblock, not the buffer:
+               this mapping is an older copy of a file that lived on —
+               its free-slot and fence state cannot be trusted at
+               all. *)
+            if info.bepoch > generation && !stale = None then
+              stale :=
+                Some
+                  (Printf.sprintf
+                     "stale superblock: buffer %d carries epoch %d, superblock \
+                      at %d"
+                     ordinal info.bepoch generation);
+            if info.state = L.state_quarantined then incr quarantined_before
+            else
+              match classify m info with
+              | None ->
+                  if info.end_seq = 0 then incr unpublished
+                  else begin
+                    incr intact;
+                    if info.end_seq > !last_seq then last_seq := info.end_seq
+                  end
+              | Some why ->
+                  unsafe_set m (base + L.buf_state) L.state_quarantined;
+                  convicted :=
+                    { ordinal; at = base; seq = info.begin_seq; why }
+                    :: !convicted
+          end
+        in
+        match walk m ~buffer with
+        | Error _ as e -> e
+        | Ok () -> (
+            match !stale with
+            | Some msg -> Error msg
+            | None ->
+                (* The scanned slots are structurally sound and every
+                   damaged one is quarantined: open a new epoch on the
+                   seat, fence the crashed writer at the current
+                   shared-clock instant (so the crash-aware checker can
+                   bound when its pending write could still have taken
+                   effect), and advance the mapping generation, so a
+                   rollback of the superblock to before this recovery
+                   is convictable by the next one. *)
+                let new_epoch =
+                  1 + atomic_fetch_add_idx m.ba (shard_epoch_cell m ~shard) 1
+                in
+                ignore (atomic_fetch_add_idx m.ba L.sb_epoch 1);
+                let recovery_fence = tick m in
+                atomic_store_idx m.ba (shard_fence_cell m ~shard) recovery_fence;
+                Ok
+                  {
+                    convicted = List.rev !convicted;
+                    intact = !intact;
+                    unpublished = !unpublished;
+                    quarantined_before = !quarantined_before;
+                    new_epoch;
+                    recovery_fence;
+                    last_seq = !last_seq;
+                  }))
 
-let recover m =
-  match recover_scan m with
-  | Error _ as e ->
-      Arc_obs.Obs.Cell.incr Tel.failures;
-      e
-  | Ok r ->
-      Arc_obs.Obs.Cell.incr Tel.recoveries;
-      Arc_obs.Obs.Cell.add Tel.convictions (List.length r.convicted);
-      Arc_obs.Obs.Cell.add Tel.intact r.intact;
-      List.iter
-        (fun c ->
-          Arc_obs.Obs.Cell.incr
-            (match c.why with
-            | Torn -> Tel.torn
-            | Checksum -> Tel.checksum
-            | Bad_length -> Tel.bad_length))
-        r.convicted;
-      Ok r
-
-(* Shard-scoped recovery for fabric mappings: the §6d pipeline run by
-   a shard's elected successor over that shard's slots only.  The
-   mapping interleaves every shard's buffers in one arena (register r
-   owns ordinals [r·nslots, (r+1)·nslots)), and the OTHER shards'
-   writers are alive while this one recovers — so the scan is scoped,
-   and the epoch bump and fence stamp land in the shard's reign-table
-   slot, not the superblock pair. *)
-let recover_shard m ~shard =
-  let scan =
-    let recorded_version = unsafe_get m L.sb_version in
-    if recorded_version <> L.version then
-      Error
-        (Printf.sprintf
-           "stale layout: mapping records version %d, this build reads version \
-            %d — refusing to reinterpret its superblock"
-           recorded_version L.version)
-    else if reign_table m = 0 then
-      Error "recover_shard: mapping has no reign table (not a fabric mapping)"
-    else if shard < 0 || shard >= reign_shards m then
-      Error
-        (Printf.sprintf "recover_shard: shard %d out of range (table holds %d)"
-           shard (reign_shards m))
-    else
-      match geometry m with
-      | None -> Error "recover_shard: mapping records no register geometry"
-      | Some (_, _, nslots) ->
-          let lo = shard * nslots and hi = (shard + 1) * nslots in
-          recover_scan_in m
-            ~in_range:(fun ordinal -> ordinal >= lo && ordinal < hi)
-            ~epoch_idx:(shard_epoch_cell m ~shard)
-            ~fence_idx:(shard_fence_cell m ~shard)
-  in
-  match scan with
+let recover m ~shard =
+  match scan m ~shard with
   | Error _ as e ->
       Arc_obs.Obs.Cell.incr Tel.failures;
       e

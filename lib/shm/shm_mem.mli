@@ -80,7 +80,7 @@ val size_words : mapping -> int
 val mem : mapping -> (module Arc_mem.Mem_intf.S with type atomic = int)
 (** The mapping as a register memory substrate ([name = "shm"]).
     Exposing [atomic = int] (a word index into the mapping) lets
-    harness code hand superblock cells — e.g. {!epoch_cell} — to
+    harness code hand mapping cells — e.g. {!shard_epoch_cell} — to
     consumers of [M.atomic], such as an epoch-fenced writer wrapper
     whose fence must survive the writer's death.
 
@@ -102,29 +102,10 @@ val clock : mapping -> int
 (** Current clock value (next [tick] will return at least this). *)
 
 val epoch : mapping -> int
-(** Current writer epoch (starts at 1; bumped by every {!recover}). *)
-
-val epoch_cell : mapping -> int
-(** The superblock epoch word as an [M.atomic] of {!mem}'s instance —
-    back an epoch fence with this cell and the fence survives any
-    process's death. *)
-
-val election : mapping -> int
-(** Current writer-election word ([term ∥ vote], see
-    {!Arc_util.Term_vote}); {!Arc_util.Term_vote.none} on a fresh
-    mapping. *)
-
-val election_cell : mapping -> int
-(** The superblock election word as an [M.atomic] of {!mem}'s
-    instance — hand it to {!Arc_resilience.Election} and the election
-    state survives any process's death, exactly like {!epoch_cell}
-    does for the fence.  Manipulate only by seq-cst CAS through the
-    substrate. *)
-
-val fence_at : mapping -> int
-(** Shared-clock stamp of the most recent {!recover}; 0 if none.  The
-    crash-aware checker's [?fence] for the crashed writer's pending
-    write. *)
+(** The mapping generation: starts at 1 and is bumped by every
+    {!recover}, whichever seat it recovers.  Stamped into every buffer
+    trailer; not a writer fence (each seat fences with its own
+    {!shard_epoch}). *)
 
 val publish_seq : mapping -> int
 (** Number of buffer publishes performed on this mapping so far. *)
@@ -143,19 +124,21 @@ val set_harness_region : mapping -> int -> unit
 val harness_region : mapping -> int
 (** Recorded harness region base, 0 if none. *)
 
-(** {1 Reign table (fabric mappings)}
+(** {1 Reign table: the writer seats}
 
-    A fabric mapping — one register per shard, all in one file — adds
-    a {e reign table} (layout version 3): per shard, a [term ∥ vote]
-    election word, a writer-fence epoch and a recovery-fence stamp,
-    each shard slot on its own cache line; plus the single fabric-wide
-    {e configuration epoch}, fetch-add-bumped after any shard changes
-    leaders.  Certified snapshots load the configuration epoch before
-    their first probe pass and re-check it after the last — equality
-    proves no handoff completed inside the window (DESIGN.md §8b).
+    A register mapping — one register per shard, all in one file; a
+    single register is one shard — carries a {e reign table}: per
+    shard, a {e writer seat} of a [term ∥ vote] election word, a
+    writer-fence epoch and a recovery-fence stamp, each seat on its
+    own cache line; plus the single fabric-wide {e configuration
+    epoch}, fetch-add-bumped after any shard changes leaders.
+    Certified snapshots load the configuration epoch before their
+    first probe pass and re-check it after the last — equality proves
+    no handoff completed inside the window (DESIGN.md §8b).
 
     All [*_cell] accessors return word indices usable as [M.atomic] of
-    {!mem}'s instance, exactly like {!epoch_cell}. *)
+    {!mem}'s instance, so state backed by them survives any process's
+    death. *)
 
 val alloc_reign_table : mapping -> shards:int -> int
 (** Allocate the mapping's reign table (creator-only, at most one per
@@ -193,18 +176,19 @@ val shard_election_cell : mapping -> shard:int -> int
 
 val shard_epoch : mapping -> shard:int -> int
 (** Shard [shard]'s writer-fence epoch (starts at 1; bumped by every
-    {!recover_shard} and by fenced-handle issue against the shard's
+    {!recover} of the seat and by fenced-handle issue against the shard's
     epoch cell).
     @raise Invalid_argument if out of range or no table. *)
 
 val shard_epoch_cell : mapping -> shard:int -> int
-(** Shard [shard]'s epoch word as an [M.atomic]: the per-shard
-    analogue of {!epoch_cell}, backing that shard's writer fence.
+(** Shard [shard]'s epoch word as an [M.atomic]: back that shard's
+    writer fence with it and the fence survives any process's death.
     @raise Invalid_argument if out of range or no table. *)
 
 val shard_fence_at : mapping -> shard:int -> int
-(** Shared-clock stamp of shard [shard]'s most recent
-    {!recover_shard}; 0 if never recovered.
+(** Shared-clock stamp of shard [shard]'s most recent {!recover}; 0 if
+    never recovered.  The crash-aware checker's [?fence] for the
+    crashed writer's pending write.
     @raise Invalid_argument if out of range or no table. *)
 
 (** {1 Raw words}
@@ -278,43 +262,34 @@ type recovery = {
   last_seq : int;  (** highest intact publish sequence, 0 if none *)
 }
 
-val recover : mapping -> (recovery, string) result
-(** Post-crash integrity scan: classify every buffer from its bytes
-    (see the durability protocol above), quarantine torn/corrupt ones
-    in the file ([state_quarantined], honoured by later scans and
-    {!read_latest}), then open a new writer epoch and stamp
-    {!fence_at} with a fresh clock tick.
+val recover : mapping -> shard:int -> (recovery, string) result
+(** Post-crash integrity scan of seat [shard]: classify the seat's
+    buffers from their bytes (see the durability protocol above) —
+    ordinals [shard·nslots .. (shard+1)·nslots − 1] under the recorded
+    geometry, the whole arena for a single register — and quarantine
+    torn/corrupt ones in the file ([state_quarantined], honoured by
+    later scans and {!read_latest}).  Then bump the seat's
+    {!shard_epoch}, stamp its {!shard_fence_at} with a fresh clock
+    tick, and advance the mapping generation ({!epoch}).
+
+    Other seats' buffers are not even classified — their writers may
+    be live and mid-copy, so a transiently torn trailer there is
+    traffic, not evidence.  Conviction ordinals are mapping-wide
+    (subtract [shard·nslots] for the register-local slot).
 
     Returns [Error] — {e convicting the whole mapping} — if the
     recorded layout version differs from this build's
-    ({!Shm_layout.version}: a pre-bump mapping has no election word,
-    so interpreting its superblock would fabricate state), if the
-    arena is unwalkable, record counts disagree with the superblock,
-    or any trailer carries an epoch {b ahead} of the superblock (a
-    stale superblock: this file is an older copy of a mapping that
-    lived on, so none of its free-slot or fence state can be
-    trusted).
+    ({!Shm_layout.version}), checked before any table byte is
+    interpreted; if the mapping has no reign table, no recorded
+    geometry, or no seat [shard]; if the arena is unwalkable or record
+    counts disagree with the superblock; or if any scanned trailer
+    carries an epoch {b ahead} of the generation (a stale superblock:
+    this file is an older copy of a mapping that lived on, so none of
+    its free-slot or fence state can be trusted).
 
     The caller owning a live register handle must mirror the slot
     convictions into it ([quarantine]) and run the register's own
     [recover_crash]; {!Shm_arc.recover} bundles all three steps. *)
-
-val recover_shard : mapping -> shard:int -> (recovery, string) result
-(** Shard-scoped recovery for fabric mappings: the same §6d pipeline
-    as {!recover}, restricted to shard [shard]'s buffer ordinals
-    ([shard·nslots .. (shard+1)·nslots − 1] under the recorded
-    geometry).  Out-of-range buffers are not even classified — their
-    shards' writers may be live and mid-copy, so a transiently torn
-    trailer there is traffic, not evidence.  The epoch bump and fence
-    stamp land in the shard's reign-table slot ({!shard_epoch},
-    {!shard_fence_at}); the superblock pair is untouched.  Conviction
-    ordinals are mapping-wide (subtract [shard·nslots] for the
-    register-local slot).
-
-    [Error] convicts the whole mapping exactly as {!recover} does —
-    version skew is rejected before any table byte is interpreted —
-    plus when the mapping has no reign table, no recorded geometry, or
-    [shard] is out of range. *)
 
 val metrics : unit -> Arc_obs.Obs.metric list
 (** Process-cumulative recovery telemetry: successful/rejected scans,

@@ -31,18 +31,21 @@ let with_mapping ?(words = 1 lsl 14) f =
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path m)
 
-(* A small published register: 2 readers, 8-word payloads, five writes
-   beyond the init.  Returns whatever [f] makes of the mapping. *)
+(* A small published register — a one-seat mapping: 2 readers, 8-word
+   payloads, five writes beyond the init.  Returns whatever [f] makes
+   of the mapping. *)
 let with_register f =
   with_mapping (fun path m ->
       let init = Array.make 8 0 in
       Payload.stamp init ~seq:0 ~len:8;
-      let inst = Arc_shm.Shm_arc.create m ~readers:2 ~capacity:8 ~init in
+      let inst =
+        Arc_shm.Shm_arc.create m ~shards:1 ~readers:2 ~capacity:8 ~init
+      in
       let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
       let src = Array.make 8 0 in
       for k = 1 to 5 do
         Payload.stamp src ~seq:k ~len:8;
-        I.R.write I.reg ~src ~len:8
+        I.R.write I.regs.(0) ~src ~len:8
       done;
       f path m inst)
 
@@ -61,6 +64,7 @@ let newest_buffer m =
 let test_create_attach () =
   with_mapping (fun path m ->
       S.set_geometry m ~readers:3 ~capacity:16;
+      ignore (S.alloc_reign_table m ~shards:1);
       Alcotest.(check (option (triple int int int)))
         "geometry survives the file round-trip"
         (Some (3, 16, 3 + 2))
@@ -72,7 +76,8 @@ let test_create_attach () =
         (let a = S.tick m and b = S.tick m in
          a < b && b < S.clock m + 1);
       Alcotest.(check int) "fresh mapping starts at epoch 1" 1 (S.epoch m);
-      Alcotest.(check int) "never recovered: fence_at = 0" 0 (S.fence_at m))
+      Alcotest.(check int) "never recovered: seat 0's fence = 0" 0
+        (S.shard_fence_at m ~shard:0))
 
 let test_attach_rejects_garbage () =
   let path = Filename.temp_file "arc_shm_test" ".reg" in
@@ -122,7 +127,7 @@ let test_convicts_flipped_payload () =
       let b = newest_buffer m in
       let at = b.base + L.buf_header + 1 in
       S.unsafe_set m at (S.unsafe_get m at lxor 1);
-      let r = recovery_exn (S.recover m) in
+      let r = recovery_exn (S.recover m ~shard:0) in
       Alcotest.(check bool) "flipped payload byte is convicted as Checksum" true
         (List.exists
            (fun (c : S.conviction) ->
@@ -162,13 +167,15 @@ let random_words rng n =
       | 2 -> [| min_int; max_int; -1; 0 |].(i / 5 mod 4)
       | _ -> Int64.to_int (Arc_util.Splitmix.next64 rng))
 
-(* A mapping holding one buffer of capacity [cap]: [f] gets the
-   mapping, a publish function, and a reader of the buffer's current
-   trailer. *)
+(* A one-seat mapping holding one buffer of capacity [cap] (seat 0's
+   slot 0): [f] gets the mapping, a publish function, and a reader of
+   the buffer's current trailer. *)
 let with_published ?(words = 1 lsl 15) ~cap f =
   with_mapping ~words (fun _path m ->
       let module M = (val S.mem m) in
       let b = M.alloc cap in
+      ignore (S.alloc_reign_table m ~shards:1);
+      S.set_geometry m ~readers:1 ~capacity:cap;
       let info () =
         let found = ref None in
         S.iter_buffers m (fun i -> found := Some i);
@@ -209,7 +216,7 @@ let test_cksum_stubs_match_reference () =
         cksum_lengths)
 
 let convicted_checksum m =
-  match S.recover m with
+  match S.recover m ~shard:0 with
   | Error msg -> Alcotest.fail ("unexpected whole-mapping conviction: " ^ msg)
   | Ok r -> List.exists (fun (c : S.conviction) -> c.why = S.Checksum) r.convicted
 
@@ -247,18 +254,18 @@ let test_convicts_torn_trailer () =
   with_register (fun _path m _inst ->
       let b = newest_buffer m in
       S.unsafe_set m (b.base + L.buf_end) 0;
-      let r = recovery_exn (S.recover m) in
+      let r = recovery_exn (S.recover m ~shard:0) in
       Alcotest.(check bool) "begin/end mismatch is convicted as Torn" true
         (List.exists
            (fun (c : S.conviction) -> c.why = S.Torn && c.ordinal = b.ordinal)
            r.convicted);
-      Alcotest.(check bool) "epoch opens past the damage" true
-        (r.new_epoch > b.bepoch))
+      Alcotest.(check bool) "generation opens past the damage" true
+        (S.epoch m > b.bepoch))
 
 let test_convicts_stale_superblock () =
   with_register (fun _path m _inst ->
       S.unsafe_set m L.sb_epoch 0;
-      match S.recover m with
+      match S.recover m ~shard:0 with
       | Error msg ->
           Alcotest.(check bool)
             "whole-mapping conviction names the stale superblock" true
@@ -269,15 +276,15 @@ let test_convicts_stale_superblock () =
           Alcotest.fail
             "trailer epoch ahead of the superblock must convict the mapping")
 
-(* Satellite (ISSUE 7): a mapping written by a pre-election build
-   (layout version 1 — no [sb_election] word) must be convicted as
-   stale by [recover], never misread: interpreting its superblock
-   would fabricate election state out of whatever the old layout kept
-   in that word. *)
+(* A mapping written by the previous layout (version 4, which kept an
+   election word at superblock word 14) must be refused by [attach] and
+   convicted as stale by [recover], never misread: interpreting its
+   superblock would fabricate state out of whatever the old layout kept
+   in its words. *)
 let test_convicts_stale_layout_version () =
   with_register (fun path m _inst ->
       S.unsafe_set m L.sb_version (L.version - 1);
-      (match S.recover m with
+      (match S.recover m ~shard:0 with
       | Error msg ->
           Alcotest.(check bool)
             "whole-mapping conviction names the stale layout" true
@@ -294,15 +301,16 @@ let test_convicts_stale_layout_version () =
           Alcotest.fail "attach must reject a version-skewed mapping")
 
 let test_election_word_durable () =
-  (* The election word lives in the superblock: a CAS through one
-     mapping is visible through a second, independent mapping of the
-     file — the same page-cache path a standby process reads. *)
+  (* The election word lives in seat 0 of the mapping's reign table: a
+     CAS through one mapping is visible through a second, independent
+     mapping of the file — the same page-cache path a standby process
+     reads. *)
   let module TV = Arc_util.Term_vote in
   with_register (fun path m inst ->
       let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
       Alcotest.(check int) "fresh mapping: no election ever held" TV.none
-        (S.election m);
-      let cell = S.election_cell I.mapping in
+        (S.shard_election m ~shard:0);
+      let cell = S.shard_election_cell I.mapping ~shard:0 in
       let won =
         I.M.compare_and_set cell TV.none
           (TV.succ_term TV.none ~candidate:2)
@@ -312,7 +320,7 @@ let test_election_word_durable () =
       Fun.protect
         ~finally:(fun () -> S.close m')
         (fun () ->
-          let w = S.election m' in
+          let w = S.shard_election m' ~shard:0 in
           Alcotest.(check int) "term visible through a second mapping" 1
             (TV.term w);
           Alcotest.(check (option int)) "vote visible through a second mapping"
@@ -320,13 +328,13 @@ let test_election_word_durable () =
 
 let test_clean_mapping_not_convicted () =
   with_register (fun _path m _inst ->
-      let r = recovery_exn (S.recover m) in
+      let r = recovery_exn (S.recover m ~shard:0) in
       Alcotest.(check (list int)) "no healthy slot is convicted" []
         (List.map (fun (c : S.conviction) -> c.ordinal) r.convicted);
       Alcotest.(check bool) "scan sees the published snapshots" true
         (r.intact > 0);
-      Alcotest.(check int) "recovery stamps the shared fence"
-        (S.fence_at m) r.recovery_fence)
+      Alcotest.(check int) "recovery stamps seat 0's fence"
+        (S.shard_fence_at m ~shard:0) r.recovery_fence)
 
 (* {1 Quarantine persistence}
 
@@ -338,13 +346,13 @@ let test_quarantine_persists () =
   with_register (fun path m _inst ->
       let b = newest_buffer m in
       S.unsafe_set m (b.base + L.buf_end) 0;
-      let r1 = recovery_exn (S.recover m) in
+      let r1 = recovery_exn (S.recover m ~shard:0) in
       Alcotest.(check int) "first scan convicts" 1 (List.length r1.convicted);
       let m' = S.attach ~path in
       Fun.protect
         ~finally:(fun () -> S.close m')
         (fun () ->
-          let r2 = recovery_exn (S.recover m') in
+          let r2 = recovery_exn (S.recover m' ~shard:0) in
           Alcotest.(check int) "second scan re-convicts nothing" 0
             (List.length r2.convicted);
           Alcotest.(check int) "second scan sees the prior quarantine" 1
@@ -353,17 +361,23 @@ let test_quarantine_persists () =
 (* {1 The bundled register recovery} *)
 
 let test_shm_arc_recover_clean () =
-  with_register (fun _path _m inst ->
-      match Arc_shm.Shm_arc.recover inst with
+  with_register (fun _path m inst ->
+      match Arc_shm.Shm_arc.recover inst ~shard:0 with
       | Error msg -> Alcotest.fail ("clean recover failed: " ^ msg)
       | Ok ((r : S.recovery), journaled) ->
           Alcotest.(check int) "no slot convicted" 0 (List.length r.convicted);
           Alcotest.(check int) "no prefreeze journal entry" 0 journaled;
           (* The epoch bump fences any pre-recovery writer handle
-             backed by the superblock cell. *)
+             backed by seat 0's epoch cell. *)
           let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
+          Alcotest.(check int) "seat epoch advanced past its initial 1" 2
+            r.new_epoch;
           Alcotest.(check int) "epoch advanced in the file" r.new_epoch
-            (I.M.load (S.epoch_cell I.mapping)))
+            (I.M.load (S.shard_epoch_cell I.mapping ~shard:0));
+          Alcotest.(check int) "mapping generation advanced" 2 (S.epoch m);
+          Alcotest.(check (pair int int)) "retired words 8 and 14 stay zero"
+            (0, 0)
+            (S.unsafe_get m 8, S.unsafe_get m 14))
 
 let test_refuses_used_mapping () =
   with_register (fun _path m _inst ->
@@ -372,25 +386,27 @@ let test_refuses_used_mapping () =
            "Shm_arc.create: mapping already holds a register (attach-and-\
             recreate is not supported; fork instead)")
         (fun () ->
-          ignore (Arc_shm.Shm_arc.create m ~readers:2 ~capacity:8 ~init:[| 0 |])))
+          ignore
+            (Arc_shm.Shm_arc.create m ~shards:1 ~readers:2 ~capacity:8
+               ~init:[| 0 |])))
 
-(* {1 Fabric mappings and the reign table (ISSUE 9)}
+(* {1 Fabric mappings and the reign table}
 
-   Layout version 3 adds the reign table: per-shard election words
-   plus the fabric-wide configuration epoch.  The migration discipline
-   of ISSUE 7 extends to it — a version-2 mapping carries no table, so
-   a v3 build must convict it on the version word alone, BEFORE any
-   reign-table byte is interpreted — and the shard-scoped recovery
-   must treat other shards' live state as traffic, never evidence. *)
+   The reign table holds one writer seat per register — election word,
+   fence epoch, recovery fence — plus the fabric-wide configuration
+   epoch.  A mapping of another layout version must be convicted on the
+   version word alone, BEFORE any reign-table byte is interpreted, and
+   a seat-scoped recovery must treat other seats' live state as
+   traffic, never evidence. *)
 
 let with_fabric ?(shards = 2) f =
   with_mapping (fun path m ->
       let init = Array.make 8 0 in
       Payload.stamp init ~seq:0 ~len:8;
       let finst =
-        Arc_shm.Shm_arc.create_fabric m ~shards ~readers:2 ~capacity:8 ~init
+        Arc_shm.Shm_arc.create m ~shards ~readers:2 ~capacity:8 ~init
       in
-      let module I = (val finst : Arc_shm.Shm_arc.FABRIC_INSTANCE) in
+      let module I = (val finst : Arc_shm.Shm_arc.INSTANCE) in
       let src = Array.make 8 0 in
       for s = 0 to shards - 1 do
         for k = 1 to 3 do
@@ -458,14 +474,14 @@ let test_fabric_stale_layout () =
              has "layout version" && not (has "reign"))
       | m' ->
           S.close m';
-          Alcotest.fail "attach must reject a version-2 fabric mapping");
-      match Arc_shm.Shm_arc.recover_shard _finst ~shard:0 with
+          Alcotest.fail "attach must reject a version-4 fabric mapping");
+      match Arc_shm.Shm_arc.recover _finst ~shard:0 with
       | Error msg ->
           Alcotest.(check bool)
             "shard recovery convicts the stale layout before reading the table"
             true
             (String.length msg >= 12 && String.sub msg 0 12 = "stale layout")
-      | Ok _ -> Alcotest.fail "recover_shard must refuse a version-2 mapping")
+      | Ok _ -> Alcotest.fail "recover must refuse a version-4 mapping")
 
 let test_fabric_truncated_table () =
   with_fabric (fun path m _finst ->
@@ -495,7 +511,7 @@ let test_recover_shard_scoped () =
       (* Tear shard 1's newest copy; shard 0 stays pristine. *)
       let b = newest_in m ~lo:nslots ~hi:(2 * nslots) in
       S.unsafe_set m (b.base + L.buf_end) 0;
-      (match Arc_shm.Shm_arc.recover_shard finst ~shard:0 with
+      (match Arc_shm.Shm_arc.recover finst ~shard:0 with
       | Error msg -> Alcotest.fail ("clean shard convicted: " ^ msg)
       | Ok (r, journaled) ->
           Alcotest.(check (list int))
@@ -507,9 +523,13 @@ let test_recover_shard_scoped () =
             (S.shard_epoch m ~shard:0);
           Alcotest.(check int) "shard 1's reign epoch untouched" 1
             (S.shard_epoch m ~shard:1);
-          Alcotest.(check int) "the superblock fence is not the fabric's" 0
-            (S.fence_at m));
-      match Arc_shm.Shm_arc.recover_shard finst ~shard:1 with
+          Alcotest.(check int) "shard 1's fence untouched" 0
+            (S.shard_fence_at m ~shard:1);
+          Alcotest.(check int) "shard 0's fence is this recovery's stamp"
+            r.recovery_fence
+            (S.shard_fence_at m ~shard:0);
+          Alcotest.(check int) "the mapping generation advanced" 2 (S.epoch m));
+      match Arc_shm.Shm_arc.recover finst ~shard:1 with
       | Error msg -> Alcotest.fail ("torn shard conviction failed: " ^ msg)
       | Ok (r, _) ->
           Alcotest.(check (list int)) "exactly the torn ordinal is convicted"
@@ -525,24 +545,53 @@ let test_recover_shard_scoped () =
             true
             (S.shard_fence_at m ~shard:1 > 0))
 
+(* The generation bump makes the stale-superblock conviction hold on a
+   multi-seat mapping: after seat 0 recovers and writes on, rolling the
+   superblock back to its pre-recovery generation must convict the
+   mapping at seat 0's next recovery. *)
+let test_fabric_stale_superblock () =
+  with_fabric (fun _path m finst ->
+      let module I = (val finst : Arc_shm.Shm_arc.INSTANCE) in
+      let before = S.epoch m in
+      (match Arc_shm.Shm_arc.recover finst ~shard:0 with
+      | Error msg -> Alcotest.fail ("clean shard convicted: " ^ msg)
+      | Ok _ -> ());
+      let src = Array.make 8 0 in
+      for k = 4 to 8 do
+        Payload.stamp src ~seq:k ~len:8;
+        I.R.write I.regs.(0) ~src ~len:8
+      done;
+      S.unsafe_set m L.sb_epoch before;
+      match S.recover m ~shard:0 with
+      | Error msg ->
+          Alcotest.(check bool)
+            "whole-mapping conviction names the stale superblock" true
+            (let needle = "stale superblock" in
+             let n = String.length needle in
+             String.length msg >= n && String.sub msg 0 n = needle)
+      | Ok _ ->
+          Alcotest.fail
+            "a superblock rolled back past a seat's recovery must convict \
+             the mapping")
+
 let test_recover_shard_errors () =
   with_fabric (fun _path _m finst ->
-      match Arc_shm.Shm_arc.recover_shard finst ~shard:2 with
+      match Arc_shm.Shm_arc.recover finst ~shard:2 with
       | Error msg ->
           Alcotest.(check bool) "out-of-range shard is refused" true
             (String.length msg > 0)
       | Ok _ -> Alcotest.fail "shard 2 of a 2-shard fabric must be refused");
-  with_register (fun _path m _inst ->
-      match S.recover_shard m ~shard:0 with
+  with_mapping (fun _path m ->
+      match S.recover m ~shard:0 with
       | Error msg ->
-          Alcotest.(check bool) "non-fabric mapping is refused" true
+          Alcotest.(check bool) "mapping without a seat is refused" true
             (let needle = "no reign table" in
              let n = String.length needle and l = String.length msg in
              let rec go i =
                i + n <= l && (String.sub msg i n = needle || go (i + 1))
              in
              go 0)
-      | Ok _ -> Alcotest.fail "recover_shard needs a reign table")
+      | Ok _ -> Alcotest.fail "recover needs a reign table")
 
 let suite =
   [
@@ -584,4 +633,6 @@ let suite =
       test_recover_shard_scoped;
     Alcotest.test_case "fabric: recover_shard refusals" `Quick
       test_recover_shard_errors;
+    Alcotest.test_case "fabric control: stale superblock convicted" `Quick
+      test_fabric_stale_superblock;
   ]
