@@ -8,12 +8,12 @@
    the seat-scoped recovery (Arc_shm.Shm_arc.recover).  Each run
    builds its seats in an mmap'd file (Arc_shm.Shm_mem) and forks, per
    seat, a LEADER writer (candidate 0, which wins term 1) and k hot
-   standbys, then SIGKILLs leaders at
-   seeded write counts while reader domains in the parent keep
-   reading.  The standbys detect the death through a shared-clock
-   heartbeat lease and campaign from a common snapshot of term 1: CAS
-   atomicity elects exactly one into term 2, and only the winner —
-   after vote → prefence → takeover → issue — continues the write
+   standbys, then SIGKILLs leaders at seeded write counts while reader
+   domains in the parent keep reading.  The standbys detect the death
+   through a shared-clock heartbeat lease and campaign from a common
+   snapshot of term 1: CAS atomicity elects exactly one into term 2,
+   and only the winner — after Arc_resilience.Election's vote →
+   prefence → takeover → config bump → issue — continues the write
    sequence.  The parent asserts exactly one successor per seat,
    rebuilds every process's testimony from write-logs stamped with the
    mapping's shared clock, and judges it.
@@ -164,8 +164,8 @@ let alloc_logs cfg m ~seats =
 (* {1 The seat's processes} *)
 
 module Seat (G : Shm_arc.INSTANCE) = struct
-  module RG = Arc_resilience.Reign.Make (G.R)
-  module F = RG.E.Fenced_reg
+  module E = Arc_resilience.Election.Make (G.R)
+  module F = E.Fenced_reg
   module P = Arc_workload.Payload.Make (G.M)
 
   let set = Shm_mem.atomic_set G.mapping
@@ -176,7 +176,7 @@ module Seat (G : Shm_arc.INSTANCE) = struct
      epoch every succession bumps between takeover and issue. *)
   let elector shard ~candidate =
     let m = G.mapping in
-    RG.create
+    E.create
       ~word:(Shm_mem.shard_election_cell m ~shard)
       ~candidate
       ~config:(Shm_mem.config_epoch_cell m)
@@ -191,9 +191,9 @@ module Seat (G : Shm_arc.INSTANCE) = struct
      under), then writes until killed, bracketing each write in the
      log and re-stamping the heartbeat after it. *)
   let lead shard l ~cfg ~seed =
-    (match RG.campaign (elector shard ~candidate:0) with
-    | RG.Lost _ -> () (* impossible on a fresh word; die silent, run fails *)
-    | RG.Won { writer = w; config; _ } -> (
+    (match E.campaign (elector shard ~candidate:0) with
+    | E.Lost _ -> () (* impossible on a fresh word; die silent, run fails *)
+    | E.Won { writer = w; config; _ } -> (
         set (l.status + st_config) config;
         set l.hb (tick ());
         let rng = Splitmix.of_int seed in
@@ -230,15 +230,17 @@ module Seat (G : Shm_arc.INSTANCE) = struct
      winner's takeover is the seat's recovery — integrity scan,
      quarantine, prefreeze journal; scoped to the seat, since other
      seats' leaders may be alive and mid-copy — run between the
-     prefence and its own issue; then it resolves the interrupted
+     prefence and the config bump; then it resolves the interrupted
      write with a probe read (reader identity [probe]) and continues
-     the sequence.  Losers record who beat them and exit. *)
+     the sequence.  Losers record who beat them and exit.  A refused
+     recovery raises out of the campaign: the vote's winner records
+     an error, is issued nothing and writes nothing. *)
   let stand_by shard l ~cfg ~candidate ~probe =
     let el = elector shard ~candidate in
     let put f v = set (l.status + (status_words * candidate) + f) v in
     (* The common snapshot: the parent forked us only after observing
        the leader's term, so every standby sees the same reign here. *)
-    let snap = RG.observe el in
+    let snap = E.observe el in
     let deadline = Unix.gettimeofday () +. patience in
     let rec monitor n =
       let age = Shm_mem.clock G.mapping - Shm_mem.atomic_get G.mapping l.hb in
@@ -269,16 +271,15 @@ module Seat (G : Shm_arc.INSTANCE) = struct
                       rcv.convicted));
               put st_journaled journaled;
               List.length rcv.convicted
-          | Error _ ->
-              put st_status status_error;
-              0
+          | Error e -> failwith e (* a refused seat: do not serve *)
         in
-        match RG.campaign ~from:snap ~takeover el with
-        | RG.Lost { term; winner } ->
+        match E.campaign ~from:snap ~takeover el with
+        | exception Failure _ -> put st_status status_error
+        | E.Lost { term; winner } ->
             put st_term term;
             put st_winner (match winner with Some c -> c + 1 | None -> 0);
             put st_status status_lost
-        | RG.Won { writer = w; term; config; _ } ->
+        | E.Won { writer = w; term; config; _ } ->
             put st_term term;
             put st_winner (candidate + 1);
             put st_config config;

@@ -162,8 +162,9 @@ let split_vote_control () =
   let freg = E.Fenced_reg.create ~readers:1 ~capacity ~init in
   let reg = E.Fenced_reg.inner freg in
   let word = Mem.atomic_contended Term_vote.none in
-  let a = E.create ~word ~candidate:0 freg in
-  let b = E.create ~word ~candidate:1 freg in
+  let config = Mem.atomic_contended 1 in
+  let a = E.create ~word ~config ~candidate:0 freg in
+  let b = E.create ~word ~config ~candidate:1 freg in
   let snap = E.observe a in
   let won_a = E.request_vote ~from:snap a <> None in
   (* Arm the lie AFTER A's honest vote: B's CAS is the ambient
@@ -213,8 +214,9 @@ let dueling_epoch_control () =
   P.stamp init ~seq:0 ~len:capacity;
   let freg = F.create ~readers:1 ~capacity ~init in
   let word = Mem.atomic_contended Term_vote.none in
-  let el0 = E.create ~word ~candidate:0 freg in
-  let el1 = E.create ~word ~candidate:1 freg in
+  let config = Mem.atomic_contended 1 in
+  let el0 = E.create ~word ~config ~candidate:0 freg in
+  let el1 = E.create ~word ~config ~candidate:1 freg in
   let timed, check = event_log () in
   let src = Array.make capacity 0 in
   let fwrite w ~thread ~seq =

@@ -72,8 +72,8 @@ type reign_change = { r_opened : int; r_now : int }
 
 (* Process-wide reign telemetry.  Unlike the per-fabric scan cells
    these are [Atomic.t]s: the epoch gauge and handoff counter are
-   written by whichever thread completes a takeover
-   ({!Arc_resilience.Reign} bumps them through this module), and the
+   written by whichever thread completes a takeover (every
+   {!Arc_resilience.Election} campaign bumps them), and the
    retry/changed counters by any scanner domain — multi-writer, off
    every fast path (a handoff or a certification failure, never a
    clean snapshot), so the RMW cost is irrelevant.  Same precedent as

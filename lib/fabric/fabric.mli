@@ -38,12 +38,12 @@
     {b Reign fencing (ISSUE 9).}  A fabric whose shards have
     individually elected writers can {!Make.attach_reign} the
     fabric-wide configuration epoch (one substrate word, bumped by
-    {!Arc_resilience.Reign} after every completed per-shard handoff).
-    {!Make.snapshot_certified} then brackets each scan round with two
-    plain loads of that word and refuses to serve a vector whose probe
-    window a handoff landed inside — retrying up to a bounded budget,
-    then returning the typed {!reign_change} verdict.  See DESIGN.md
-    §8b. *)
+    every {!Arc_resilience.Election} campaign that completes a
+    handoff).  {!Make.snapshot_certified} then brackets each scan
+    round with two plain loads of that word and refuses to serve a
+    vector whose probe window a handoff landed inside — retrying up to
+    a bounded budget, then returning the typed {!reign_change}
+    verdict.  See DESIGN.md §8b. *)
 
 type reign_change = { r_opened : int; r_now : int }
 (** Certification failure: the configuration epoch read [r_opened] when
@@ -67,7 +67,7 @@ val reset_reign_metrics : unit -> unit
 
 (**/**)
 
-(** Internal: written by {!Arc_resilience.Reign} on handoff and by
+(** Internal: written by {!Arc_resilience.Election} on handoff and by
     certified scans; exposed for that wiring and for tests. *)
 module Reign_tel : sig
   val epoch : int Atomic.t

@@ -28,7 +28,9 @@
 
    Across processes the epoch word is a writer seat's fence epoch in a
    shm mapping's reign table ([of_register]), so the fence outlives
-   the writer that held it. *)
+   the writer that held it.  Outside tests, the only caller of
+   [prefence] and [issue] is the one succession campaign
+   ({!Election.campaign}), so every handle in service was voted for. *)
 
 exception
   Fenced_out of {
@@ -97,7 +99,8 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
      moment a candidate wins the vote it prefences, so the deposed
      leader is already convictable while the winner is still
      inspecting the wreckage (recovery, quarantine) — the winner only
-     [issue]s once takeover is complete. *)
+     [issue]s once takeover and the configuration-epoch bump are
+     complete. *)
   let prefence t = ignore (M.add_and_fetch t.epoch 1)
 
   let writer_epoch w = w.gen

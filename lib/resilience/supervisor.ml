@@ -6,8 +6,8 @@
    write; a standby polls {!expired} and, once the incumbent has been
    silent past a full lease, tries to {!promote}.  Failure
    {e arbitration} — which of several suspicious standbys actually
-   takes over — is delegated to {!Election}: promotion is a term-voted
-   campaign on the shared [term ∥ vote] word, and only the vote's
+   takes over — is delegated to {!Election}: promotion is the one
+   succession campaign on a [term ∥ vote] word, and only the vote's
    unique winner gets a writer handle.  Losing an election is a normal
    outcome ([Lost]), not an error: some other standby won the same
    suspicion, and the loser goes back to monitoring its heartbeats.
@@ -22,9 +22,10 @@
    the incumbent; see the residual-window note in {!Fenced} and
    DESIGN.md §6c/§6e.
 
-   Across processes, the election word and the fence epoch are one
-   writer seat of a shm mapping's reign table (DESIGN.md §6e); a single
-   register is a one-seat table.
+   The supervisor allocates its own heap vote word and configuration
+   epoch, so each handoff bumps the epoch like any succession; across
+   processes a writer seat of a shm mapping's reign table holds both
+   (DESIGN.md §6e) and its processes campaign through {!Election}.
 
    Clocks are caller-supplied so the same supervisor drives simulated
    steps (vsched) and wall-clock time.  [heartbeat] ignores handles
@@ -51,15 +52,14 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
     mutable last_fence : int option;
   }
 
-  (* [?word] backs the election word with a caller-owned cell (a shm
-     mapping's writer seat, {!Arc_shm.Shm_mem.shard_election_cell}, for
-     cross-process supervision); [?candidate] names this supervisor's
-     process in vote outcomes. *)
-  let create ?word ?(candidate = 0) ~now ~lease reg =
+  let create ~now ~lease reg =
     if lease < 1 then
       invalid_arg (Printf.sprintf "Supervisor.create: lease = %d" lease);
     {
-      election = Election.create ?word ~candidate reg;
+      election =
+        Election.create
+          ~word:(M.atomic_contended Arc_util.Term_vote.none)
+          ~config:(M.atomic_contended 1) ~candidate:0 reg;
       now;
       lease;
       hb = M.atomic_contended (now ());
@@ -68,7 +68,6 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
       last_fence = None;
     }
 
-  let register t = Election.fenced t.election
   let election t = t.election
 
   (* First acquisition is an election too — an uncontested one on a
@@ -92,19 +91,20 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
   let expired t = age t > t.lease
 
   (* Campaign for the succession.  On [Won], the election has already
-     ordered vote → prefence → takeover → issue; the takeover here is
-     the register's own crash recovery — the deposed writer may have
-     died mid-publish, and the slot its journal names must be
-     quarantined before this successor's first free-slot search can
-     hand it out with readers still on it.  The fence time is taken
-     after the issue (epoch bump), so every write the deposed writer
-     managed to publish precedes it — the bound [check_crash ?fence]
-     needs.  On [Lost], nothing changed locally: some other candidate
-     won the term and owns the takeover. *)
+     ordered vote → prefence → takeover → config bump → issue; the
+     takeover here is the register's own crash recovery — the deposed
+     writer may have died mid-publish, and the slot its journal names
+     must be quarantined before this successor's first free-slot
+     search can hand it out with readers still on it.  The fence time
+     is taken after the issue (epoch bump), so every write the deposed
+     writer managed to publish precedes it — the bound
+     [check_crash ?fence] needs.  On [Lost], nothing changed locally:
+     some other candidate won the term and owns the takeover. *)
   let promote t =
     let outcome =
       Election.campaign
-        ~takeover:(fun () -> Fenced_reg.recover_crash (register t))
+        ~takeover:(fun () ->
+          Fenced_reg.recover_crash (Election.fenced t.election))
         t.election
     in
     (match outcome with

@@ -169,8 +169,8 @@ val shard_election : mapping -> shard:int -> int
 
 val shard_election_cell : mapping -> shard:int -> int
 (** Shard [shard]'s election word as an [M.atomic] — hand it to
-    {!Arc_resilience.Election} (or {!Arc_resilience.Reign}) and that
-    shard's election state survives any process's death.  Manipulate
+    {!Arc_resilience.Election} and that shard's election state
+    survives any process's death.  Manipulate
     only by seq-cst CAS through the substrate.
     @raise Invalid_argument if out of range or no table. *)
 

@@ -201,9 +201,10 @@ let test_json () =
     (contains ~needle:"\"k\": \"v\"" j)
 
 (* --- the reign epoch gauge against the superblock word (ISSUE 9):
-   the process-wide [arc_reign_epoch] gauge is fed by {!Reign.Config}'s
-   bump, the durable truth lives in the mapping's config-epoch word —
-   after any number of handoffs the two must agree exactly --- *)
+   the process-wide [arc_reign_epoch] gauge is fed by every election
+   campaign's config bump, the durable truth lives in the mapping's
+   config-epoch word — after any number of handoffs the two must agree
+   exactly --- *)
 
 module Shm = Arc_shm.Shm_mem
 
@@ -217,12 +218,29 @@ let test_reign_gauge_crosscheck () =
       (try Sys.remove path with Sys_error _ -> ());
       Arc_fabric.Fabric.reset_reign_metrics ())
     (fun () ->
-      ignore (Shm.alloc_reign_table m ~shards:2);
-      let module SM = (val Shm.mem m) in
-      let module C = Arc_resilience.Reign.Config (SM) in
-      let c = C.of_cell (Shm.config_epoch_cell m) in
-      Alcotest.(check int) "first handoff's epoch" 2 (C.bump c);
-      Alcotest.(check int) "second handoff's epoch" 3 (C.bump c);
+      let inst =
+        Arc_shm.Shm_arc.create m ~shards:1 ~readers:1 ~capacity:4
+          ~init:(Array.make 4 0)
+      in
+      let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
+      let module E = Arc_resilience.Election.Make (I.R) in
+      (* Seat 0's cells, as arc-crash's leader and standby see them. *)
+      let freg =
+        E.Fenced_reg.of_register I.regs.(0)
+          ~epoch:(Shm.shard_epoch_cell m ~shard:0)
+      in
+      let elector candidate =
+        E.create
+          ~word:(Shm.shard_election_cell m ~shard:0)
+          ~config:(Shm.config_epoch_cell m) ~candidate freg
+      in
+      let handoff name candidate expected =
+        match E.campaign (elector candidate) with
+        | E.Won { config; _ } -> Alcotest.(check int) name expected config
+        | E.Lost _ -> Alcotest.failf "%s: fresh-snapshot campaign lost" name
+      in
+      handoff "first handoff's epoch" 0 2;
+      handoff "second handoff's epoch" 1 3;
       Alcotest.(check int) "superblock word through the mapping" 3
         (Shm.config_epoch m);
       let find name =

@@ -172,6 +172,18 @@ let test_recover_crash_clean_journal () =
 
 module Sup = Arc_resilience.Supervisor.Make (R)
 
+(* The value of a process-wide counter, by exposition name. *)
+let counter name ms =
+  match List.find_opt (fun (m : Arc_obs.Obs.metric) -> m.mname = name) ms with
+  | Some m -> m.value
+  | None -> Alcotest.failf "%s not exported" name
+
+let won_total () =
+  counter "arc_election_elections_won_total" (Arc_resilience.Election.metrics ())
+
+let handoffs_total () =
+  counter "arc_reign_handoffs_total" (Arc_fabric.Fabric.reign_metrics ())
+
 let test_supervisor_lease_and_promotion () =
   let words = 4 in
   let t = ref 0 in
@@ -180,7 +192,10 @@ let test_supervisor_lease_and_promotion () =
       ~init:(stamped ~seq:0 ~len:words)
   in
   let sup = Sup.create ~now:(fun () -> !t) ~lease:10 freg in
+  let won0 = won_total () and handoffs0 = handoffs_total () in
   let w1 = Sup.acquire sup in
+  Alcotest.(check int) "acquire reigns at config 2" 2
+    (Sup.Election.config_at (Sup.election sup));
   Alcotest.(check bool) "fresh lease not expired" false (Sup.expired sup);
   t := 8;
   Sup.heartbeat sup w1;
@@ -190,12 +205,19 @@ let test_supervisor_lease_and_promotion () =
   Alcotest.(check bool) "silent past the lease" true (Sup.expired sup);
   let w2 =
     match Sup.promote sup with
-    | Sup.Election.Won { writer; term; _ } ->
+    | Sup.Election.Won { writer; term; config; _ } ->
       (* acquire opened term 1; the succession is term 2. *)
       Alcotest.(check int) "succession term" 2 term;
+      Alcotest.(check int) "promotion's handoff epoch" 3 config;
       writer
     | Sup.Election.Lost _ -> Alcotest.fail "uncontested promotion must win"
   in
+  Alcotest.(check (float 0.0)) "two supervised handoffs counted" 2.0
+    (handoffs_total () -. handoffs0);
+  Alcotest.(check (float 0.0)) "elections won = reign handoffs"
+    (won_total () -. won0) (handoffs_total () -. handoffs0);
+  Alcotest.(check (float 0.0)) "one counter under both names" (won_total ())
+    (handoffs_total ());
   Alcotest.(check int) "failover counted" 1 (Sup.failovers sup);
   Alcotest.(check (option int)) "fence time recorded" (Some 19)
     (Sup.last_fence sup);
@@ -211,22 +233,25 @@ let test_supervisor_lease_and_promotion () =
   Sup.heartbeat sup w2;
   Alcotest.(check bool) "successor heartbeat counts" false (Sup.expired sup)
 
-(* --- term-voted election (ISSUE 7) ----------------------------------- *)
+(* --- term-voted succession under the configuration epoch ------------ *)
 
 module E = Arc_resilience.Election.Make (R)
 module TV = Arc_util.Term_vote
 
+(* A fresh seat: register, [term ∥ vote] word, and a configuration
+   epoch starting at 1 as a shm reign table's does. *)
 let election_env ~words =
   let freg = F.create ~readers:1 ~capacity:words ~init:(stamped ~seq:0 ~len:words) in
   let word = Arc_mem.Real_mem.atomic_contended TV.none in
-  (freg, word)
+  let config = Arc_mem.Real_mem.atomic_contended 1 in
+  (freg, word, config)
 
 let test_election_exactly_one_winner () =
   (* Two candidates race from a COMMON snapshot of the word: CAS
      atomicity admits exactly one into the next term. *)
-  let freg, word = election_env ~words:4 in
-  let el0 = E.create ~word ~candidate:0 freg in
-  let el1 = E.create ~word ~candidate:1 freg in
+  let freg, word, config = election_env ~words:4 in
+  let el0 = E.create ~word ~config ~candidate:0 freg in
+  let el1 = E.create ~word ~config ~candidate:1 freg in
   let snap = E.observe el0 in
   let r0 = E.request_vote ~from:snap el0 in
   let r1 = E.request_vote ~from:snap el1 in
@@ -236,110 +261,100 @@ let test_election_exactly_one_winner () =
   | _ -> Alcotest.fail "exactly one candidate must win the term");
   Alcotest.(check int) "term advanced once" 1 (E.term el0)
 
+exception Takeover_failed
+
 let test_campaign_orders_fence_before_takeover () =
   (* Fence-after-vote: by the time the winner's takeover runs, every
      pre-election handle is already fenced — and the winner holds no
-     handle yet, so nothing can publish during the inspection. *)
-  let freg, word = election_env ~words:4 in
+     handle yet, so nothing can publish during the inspection.  The
+     certification argument adds: the config epoch must still be at
+     its pre-handoff value while the takeover runs (no publish of the
+     new reign precedes the bump), and the Won outcome must carry the
+     bump's OWN return value. *)
+  let freg, word, config = election_env ~words:4 in
   let w_old = F.issue freg in
-  let el = E.create ~word ~candidate:3 freg in
+  let el = E.create ~word ~config ~candidate:3 freg in
   let fenced_during_takeover = ref false in
+  let config_during_takeover = ref 0 in
   let outcome =
     E.campaign el ~takeover:(fun () ->
         fenced_during_takeover := not (F.current w_old);
+        config_during_takeover := E.config_at el;
         (match F.write w_old ~src:(stamped ~seq:9 ~len:4) ~len:4 with
         | () -> Alcotest.fail "old handle must be fenced inside takeover"
         | exception Fenced.Fenced_out _ -> ());
         7)
   in
   Alcotest.(check bool) "prefence precedes takeover" true !fenced_during_takeover;
-  match outcome with
-  | E.Won { writer; term; recovered } ->
-    Alcotest.(check int) "term" 1 term;
-    Alcotest.(check int) "takeover result surfaced" 7 recovered;
-    Alcotest.(check bool) "winner's handle is current" true (F.current writer);
-    F.write writer ~src:(stamped ~seq:1 ~len:4) ~len:4;
-    Alcotest.(check int) "winner writes flow" 1 (read_seq (F.reader freg 0))
-  | E.Lost _ -> Alcotest.fail "uncontested campaign must win"
+  Alcotest.(check int) "takeover ran under the old epoch" 1
+    !config_during_takeover;
+  Alcotest.(check int) "epoch bumped exactly once" 2 (E.config_at el);
+  let writer =
+    match outcome with
+    | E.Won { writer; term; recovered; config = c } ->
+      Alcotest.(check int) "term" 1 term;
+      Alcotest.(check int) "takeover result surfaced" 7 recovered;
+      Alcotest.(check int) "Won carries this handoff's epoch" 2 c;
+      Alcotest.(check bool) "winner's handle is current" true (F.current writer);
+      F.write writer ~src:(stamped ~seq:1 ~len:4) ~len:4;
+      Alcotest.(check int) "winner writes flow" 1 (read_seq (F.reader freg 0));
+      writer
+    | E.Lost _ -> Alcotest.fail "uncontested campaign must win"
+  in
+  (* A takeover that raises aborts the handoff after the prefence:
+     the exception propagates, no handle is issued, and neither the
+     config word nor the handoff counter moves. *)
+  let el' = E.create ~word ~config ~candidate:4 freg in
+  let fence_before = F.epoch freg and handoffs_before = handoffs_total () in
+  (match E.campaign el' ~takeover:(fun () -> raise Takeover_failed) with
+  | _ -> Alcotest.fail "a raising takeover must propagate"
+  | exception Takeover_failed -> ());
+  Alcotest.(check int) "term 2 was still voted" 2 (E.term el');
+  Alcotest.(check int) "prefenced, nothing issued" (fence_before + 1)
+    (F.epoch freg);
+  Alcotest.(check bool) "the deposed winner is fenced" false (F.current writer);
+  Alcotest.(check int) "config word unmoved" 2 (E.config_at el');
+  Alcotest.(check (float 0.0)) "handoff counter unmoved" handoffs_before
+    (handoffs_total ())
 
 let test_campaign_loser_reports_winner () =
-  let freg, word = election_env ~words:4 in
-  let el0 = E.create ~word ~candidate:0 freg in
-  let el1 = E.create ~word ~candidate:1 freg in
+  (* A lost election completes no handoff: no takeover, no prefence,
+     and the config word must not move — a loser's bump would convict
+     innocent snapshots.  Successive handoffs on the same seat then
+     advance term and epoch in lockstep, each winner keyed to its own
+     bump. *)
+  let freg, word, config = election_env ~words:4 in
+  let el0 = E.create ~word ~config ~candidate:0 freg in
+  let el1 = E.create ~word ~config ~candidate:1 freg in
   let snap = E.observe el0 in
-  (match E.campaign ~from:snap el0 with
-  | E.Won { term = 1; _ } -> ()
-  | _ -> Alcotest.fail "first campaign must win term 1");
-  match E.campaign ~from:snap el1 with
+  let w0 =
+    match E.campaign ~from:snap el0 with
+    | E.Won { term = 1; config = 2; writer; _ } -> writer
+    | _ -> Alcotest.fail "first campaign must win term 1 at epoch 2"
+  in
+  let fence_before = F.epoch freg in
+  let took_over = ref false in
+  (match
+     E.campaign ~from:snap el1 ~takeover:(fun () ->
+         took_over := true;
+         0)
+   with
   | E.Won _ -> Alcotest.fail "stale-snapshot campaign must lose"
   | E.Lost { term; winner } ->
     Alcotest.(check int) "observed term" 1 term;
-    Alcotest.(check (option int)) "observed winner" (Some 0) winner
-
-(* {2 Reign-fenced campaigns (ISSUE 9)} *)
-
-module RG = Arc_resilience.Reign.Make (R)
-
-let reign_env ~words =
-  let freg, word = election_env ~words in
-  let config = Arc_mem.Real_mem.atomic_contended 1 in
-  (freg, word, config)
-
-let test_reign_bump_after_takeover () =
-  (* The certification argument hinges on ordering: the config epoch
-     must still be at its pre-handoff value while the takeover runs
-     (no publish of the new reign precedes the bump), and the Won
-     outcome must carry the bump's OWN return value. *)
-  let freg, word, config = reign_env ~words:4 in
-  let el = RG.create ~word ~candidate:0 ~config freg in
-  let config_during_takeover = ref 0 in
-  (match
-     RG.campaign el ~takeover:(fun () ->
-         config_during_takeover := RG.config_at el;
-         5)
-   with
-  | RG.Won { term; recovered; config = c; writer } ->
-    Alcotest.(check int) "term" 1 term;
-    Alcotest.(check int) "takeover result surfaced" 5 recovered;
-    Alcotest.(check int) "Won carries this handoff's epoch" 2 c;
-    F.write writer ~src:(stamped ~seq:1 ~len:4) ~len:4
-  | RG.Lost _ -> Alcotest.fail "uncontested reign campaign must win");
-  Alcotest.(check int) "takeover ran under the old epoch" 1
-    !config_during_takeover;
-  Alcotest.(check int) "epoch bumped exactly once" 2 (RG.config_at el)
-
-let test_reign_second_handoff () =
-  (* Successive handoffs on the same seat: term and epoch advance in
-     lockstep, each winner keyed to its own bump. *)
-  let freg, word, config = reign_env ~words:4 in
-  let el0 = RG.create ~word ~candidate:0 ~config freg in
-  let el1 = RG.create ~word ~candidate:1 ~config freg in
-  (match RG.campaign el0 with
-  | RG.Won { term = 1; config = 2; _ } -> ()
-  | _ -> Alcotest.fail "first handoff must win term 1 at epoch 2");
-  match RG.campaign el1 with
-  | RG.Won { term; config = c; _ } ->
+    Alcotest.(check (option int)) "observed winner" (Some 0) winner);
+  Alcotest.(check bool) "loser ran no takeover" false !took_over;
+  Alcotest.(check int) "loser prefenced nothing" fence_before (F.epoch freg);
+  Alcotest.(check int) "loser left the epoch alone" 2 (E.config_at el1);
+  Alcotest.(check bool) "winner's handle still current" true (F.current w0);
+  F.write w0 ~src:(stamped ~seq:1 ~len:4) ~len:4;
+  Alcotest.(check int) "winner's next write lands" 1 (read_seq (F.reader freg 0));
+  match E.campaign el1 with
+  | E.Won { term; config = c; _ } ->
     Alcotest.(check int) "second term" 2 term;
     Alcotest.(check int) "second handoff's epoch" 3 c;
-    Alcotest.(check int) "config word agrees" 3 (RG.config_at el1)
-  | RG.Lost _ -> Alcotest.fail "fresh-snapshot campaign must win"
-
-let test_reign_loser_no_bump () =
-  (* A lost election completes no handoff: the config word must not
-     move — a loser's bump would convict innocent snapshots. *)
-  let freg, word, config = reign_env ~words:4 in
-  let el0 = RG.create ~word ~candidate:0 ~config freg in
-  let el1 = RG.create ~word ~candidate:1 ~config freg in
-  let snap = RG.observe el0 in
-  (match RG.campaign ~from:snap el0 with
-  | RG.Won _ -> ()
-  | RG.Lost _ -> Alcotest.fail "first campaign must win");
-  match RG.campaign ~from:snap el1 with
-  | RG.Won _ -> Alcotest.fail "stale-snapshot campaign must lose"
-  | RG.Lost { term; winner } ->
-    Alcotest.(check int) "observed term" 1 term;
-    Alcotest.(check (option int)) "observed winner" (Some 0) winner;
-    Alcotest.(check int) "loser left the epoch alone" 2 (RG.config_at el1)
+    Alcotest.(check int) "config word agrees" 3 (E.config_at el1)
+  | E.Lost _ -> Alcotest.fail "fresh-snapshot campaign must win"
 
 (* Satellite: under the virtual scheduler, a heartbeat carried by a
    stale-epoch handle can NEVER re-arm a lease that was lost — after a
@@ -691,12 +706,6 @@ let suite =
       test_campaign_orders_fence_before_takeover;
     Alcotest.test_case "campaign loser reports winner" `Quick
       test_campaign_loser_reports_winner;
-    Alcotest.test_case "reign: bump after takeover, before issue" `Quick
-      test_reign_bump_after_takeover;
-    Alcotest.test_case "reign: successive handoffs" `Quick
-      test_reign_second_handoff;
-    Alcotest.test_case "reign: loser bumps nothing" `Quick
-      test_reign_loser_no_bump;
     Alcotest.test_case "vsched: stale heartbeat never re-arms" `Quick
       test_vsched_stale_heartbeat_never_rearms;
     Alcotest.test_case "session fresh" `Quick test_session_fresh;
