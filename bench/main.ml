@@ -613,8 +613,8 @@ let fabric_measure ~shards f =
   Array.sort compare samples;
   samples.(shm_json_reps / 2)
 
-(* Measures the CERTIFIED path (ISSUE 9): a reign cell is attached and
-   never bumped, so every snapshot takes the no-election fast path —
+(* Measures the CERTIFIED path: the fabric's own epoch word
+   is never bumped, so every snapshot takes the no-election fast path —
    the two extra configuration-epoch loads ride inside the tracked
    metric and the ±20% gate on [snapshot_ns_per_shard] enforces that
    certification stays that cheap. *)
@@ -623,7 +623,6 @@ let fabric_real_point ~shards =
   let fab =
     Fab.create ~shards ~writers:1 ~readers:1 ~capacity:fabric_size_words ~init
   in
-  Fab.attach_reign fab ~config:(Arc_mem.Real_mem.atomic_contended 1);
   let w = Fab.writer fab 0 in
   let src = stamped ~seq:1 ~len:fabric_size_words in
   for s = 0 to shards - 1 do
@@ -649,7 +648,6 @@ let fabric_alloc_words ~shards =
     Fab.create ~shards ~writers:1 ~readers:1 ~capacity:fabric_size_words
       ~init:(stamped ~seq:0 ~len:fabric_size_words)
   in
-  Fab.attach_reign fab ~config:(Arc_mem.Real_mem.atomic_contended 1);
   let w = Fab.writer fab 0 in
   let src = stamped ~seq:1 ~len:fabric_size_words in
   for s = 0 to shards - 1 do

@@ -52,6 +52,10 @@ module RD = Arc_core.Arc_dynamic.Make (Campaign.Mem)
 module CD = Campaign.Make (RD)
 module RF_reg = Arc_baselines.Rf.Make (Campaign.Mem)
 module CF = Campaign.Make (RF_reg)
+module RP = Arc_baselines.Peterson.Make (Campaign.Mem)
+module CP = Campaign.Make (RP)
+module RS = Arc_baselines.Simpson_reg.Make (Campaign.Mem)
+module CS = Campaign.Make (RS)
 
 let arc_audit reg ~crashed_readers ~writer_crashed =
   Campaign.arc_audit
@@ -100,6 +104,18 @@ let fault_algos =
       caps = RF_reg.caps;
       frun = (fun cfg -> CF.run cfg);
       freplay = (fun ~seed cfg -> CF.run_seed ~seed cfg);
+    };
+    {
+      fname = "peterson";
+      caps = RP.caps;
+      frun = (fun cfg -> CP.run cfg);
+      freplay = (fun ~seed cfg -> CP.run_seed ~seed cfg);
+    };
+    {
+      fname = "simpson";
+      caps = RS.caps;
+      frun = (fun cfg -> CS.run cfg);
+      freplay = (fun ~seed cfg -> CS.run_seed ~seed cfg);
     };
   ]
 

@@ -547,7 +547,9 @@ module type MODE = sig
     cfg ->
     Shm_arc.instance ->
     view * (stop:bool Atomic.t -> int -> readings * string list)
-  (** Built after the forks; the body runs in each reader domain. *)
+  (** Built before the first fork, since it may allocate records in
+      the mapping (a fabric's scan counter and epoch word); the body
+      runs in each reader domain. *)
 
   val judge :
     Shm_mem.mapping ->
@@ -613,6 +615,7 @@ module Campaign (Mo : MODE) = struct
        phase (give or take the signal-delivery handful of writes,
        which is exactly the randomness a real crash has anyway). *)
     let plan = Mo.kill_plan cfg rng in
+    let view, reader = Mo.readers cfg inst in
     let violations = ref [] in
     let fail s = violations := s :: !violations in
     (* Fork each seat's leader, await its term-1 election, then fork
@@ -651,7 +654,6 @@ module Campaign (Mo : MODE) = struct
         done)
       logs;
     let stop = Atomic.make false in
-    let view, reader = Mo.readers cfg inst in
     let domains =
       List.init cfg.readers (fun id -> Domain.spawn (fun () -> reader ~stop id))
     in

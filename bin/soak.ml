@@ -22,7 +22,7 @@
    given) so CI can upload them as an artifact. *)
 
 module Soak = Arc_resilience.Soak
-module Outcomes = Arc_util.Stats.Outcomes
+module Outcomes = Arc_obs.Obs.Outcomes
 module Driver = Arc_report.Driver
 open Cmdliner
 

@@ -5,9 +5,11 @@
    need a {e consistent cross-topic view}: a trade count that matches
    the quote sequence it was risk-checked against.  Reading the four
    topics one by one can pair a new trade tape with an old risk
-   limit; [Fabric.snapshot] returns a vector of topic values that
-   were all simultaneously published at one instant — wait-free, so
-   neither producers nor other consumers are ever blocked.
+   limit; [Fabric.snapshot_certified] returns a vector of topic values
+   that were all simultaneously published at one instant — wait-free,
+   so neither producers nor other consumers are ever blocked.  Nobody
+   elects over this fabric, so its configuration epoch never moves and
+   every snapshot certifies.
 
      dune exec examples/feed_fabric.exe *)
 
@@ -57,7 +59,11 @@ let () =
     let sc = F.scanner fab id in
     let snaps = ref 0 and borrowed = ref 0 and skew = ref 0 in
     for _ = 1 to updates do
-      let snap = F.snapshot sc in
+      let snap =
+        match F.snapshot_certified sc with
+        | Ok snap -> snap
+        | Error _ -> failwith "certified snapshot failed with no elections running"
+      in
       incr snaps;
       if F.borrowed snap then incr borrowed;
       (* The cross-topic invariant: each producer writes its pair

@@ -3,11 +3,13 @@
 
    One (1,N) register per shard — any algorithm exposing the
    {!Arc_core.Register_intf.STAMPED} capability slots in — aggregated
-   into a single keyed store whose [snapshot] returns a vector of
-   shard values that were all simultaneously published at some instant
-   within the snapshot's interval.  The construction is the classic
-   double collect with modified-twice helping (Afek et al.), adapted
-   to the repository's stamped registers:
+   into a single keyed store whose [snapshot_certified] returns a
+   vector of shard values that were all simultaneously published at
+   some instant within the snapshot's interval, by reigns no later
+   than the configuration epoch it was certified under.  The
+   construction is the classic double collect with modified-twice
+   helping (Afek et al.), adapted to the repository's stamped
+   registers:
 
    - {b Collect} reads every shard once with [read_stamped_into] and
      [view_stamp], recording value and publish stamp.
@@ -39,6 +41,11 @@
    to a single process; the shards themselves may use any substrate,
    including shared memory.
 
+   {b One epoch per fabric.}  Every fabric owns a configuration epoch
+   word from birth (value 1; [attach_reign] swaps in a shared word,
+   e.g. a shm reign table's), so the certified scan is the only scan:
+   a fabric nobody elects over simply never sees its epoch move.
+
    {b No allocation.}  Collects copy into per-scanner scratch, the
    pass loops are closure-free top-level functions, and every result a
    scanner can return — direct or borrowed, bare or wrapped in [Ok] —
@@ -50,10 +57,12 @@
    in-preparation stamp up to its publication (at most one such pass
    per counted change — see [attempt]).  Change counts reach 2 on some
    shard after at most [shards + 1] counted changes, and a shard
-   counted twice always has a qualifying deposit (proved in
-   DESIGN.md §8), so a snapshot runs at most [2·shards + 3] passes of
-   O(shards) plain loads each — bounded by fabric size, independent of
-   scheduling. *)
+   counted twice always has a qualifying deposit while the epoch holds
+   still (proved in DESIGN.md §8), so a snapshot runs at most
+   [2·shards + 3] passes of O(shards) plain loads each — bounded by
+   fabric size, independent of scheduling.  Under elections each round
+   is capped at that bound and a snapshot runs at most
+   [max_retries + 1] rounds (DESIGN.md §8b). *)
 
 module Register_intf = Arc_core.Register_intf
 module Obs = Arc_obs.Obs
@@ -129,21 +138,26 @@ let reset_reign_metrics () =
 (* The helping channel: one ARC register per writer on the host heap.
    A deposit is one write of a flattened snapshot, laid out as
 
-     [epoch; valid; stamp_0; len_0; data_0 ...; stamp_1; len_1; ...]
+     [epoch; stamp_0; len_0; data_0 ...; stamp_1; len_1; ...]
 
-   with a fixed stride of [2 + capacity] words per shard.  [valid] is 0
-   only in the initial value, before the writer's first deposit. *)
+   with a fixed stride of [2 + capacity] words per shard.  [epoch] is
+   the configuration epoch the deposited vector was certified under.
+   Every configuration word starts at 1 (enforced by [attach_reign]),
+   so epoch 0 never matches a scan: it is the single "never borrow"
+   mark, carried by the initial deposit and by the one-word
+   [never_borrow] marker a writer deposits when its own helping scan
+   fails certification. *)
 module Deposit = Arc_core.Arc.Make (Arc_mem.Real_mem)
 
 let dep_epoch = 0
-let dep_valid = 1
-let dep_header = 2
+let dep_header = 1
+let never_borrow = [| 0 |]
 
 module Make (R : Register_intf.STAMPED) = struct
   module M = R.Mem
 
   (* A direct result: the scanner's collect scratch, plus the epoch it
-     was certified under (0 for plain snapshots). *)
+     was certified under (0 for the uncertified negative control). *)
   type direct = {
     stamps : int array;  (* per shard: stamp of the collected value *)
     lens : int array;
@@ -172,9 +186,9 @@ module Make (R : Register_intf.STAMPED) = struct
     scan_stats : Obs.Scan.t;  (* readers + writers cells, writers after readers *)
     shard_writes : Obs.Group.t;  (* per shard; single-writer per cell *)
     deposit_counts : Obs.Group.t;  (* per writer *)
-    mutable reign : M.atomic option;
-        (* fabric-wide configuration epoch word; attached, not created,
-           because it lives in the substrate's reign table *)
+    mutable config : M.atomic;
+        (* fabric-wide configuration epoch word: the fabric's own until
+           [attach_reign] swaps in a shared one (a reign table's) *)
     mutable reign_max_retries : int;
   }
 
@@ -191,7 +205,6 @@ module Make (R : Register_intf.STAMPED) = struct
     dir : direct;
     lent : lent;
     direct_snap : snap;
-    lent_snap : snap;
     ok_direct : (snap, reign_change) result;
     ok_lent : (snap, reign_change) result;
     c_direct : Obs.Cell.t;
@@ -247,7 +260,7 @@ module Make (R : Register_intf.STAMPED) = struct
       active_scans = M.atomic_contended 0;
       deposits =
         Array.init writers (fun _ ->
-            Deposit.create ~readers:per_reg ~capacity:dep_len ~init:[| 0; 0 |]);
+            Deposit.create ~readers:per_reg ~capacity:dep_len ~init:never_borrow);
       dep_len;
       scan_stats = Obs.Scan.create ~scanners:per_reg;
       shard_writes =
@@ -256,7 +269,7 @@ module Make (R : Register_intf.STAMPED) = struct
       deposit_counts =
         Obs.Group.create ~name:"fabric_deposits_total"
           ~help:"Helping snapshots deposited per writer" writers;
-      reign = None;
+      config = M.atomic_contended 1;
       (* One completed election per shard is the most that can overlap
          a single snapshot's interval without the epoch check catching
          the same handoff twice; the budget is overridable but this
@@ -282,13 +295,20 @@ module Make (R : Register_intf.STAMPED) = struct
     in
     of_registers regs ~writers ~readers ~capacity
 
+  (* Swap in a shared configuration word.  Epoch 0 is the deposits'
+     "never borrow" mark, so a word that could certify a scan at 0
+     would let scanners adopt the initial deposit or a failure
+     marker. *)
   let attach_reign ?max_retries fab ~config =
-    fab.reign <- Some config;
+    let e = M.load config in
+    if e < 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Fabric.attach_reign: configuration epoch reads %d (need >= 1)" e);
+    fab.config <- config;
     match max_retries with
     | Some r -> fab.reign_max_retries <- max 0 r
     | None -> ()
-
-  let reign_attached fab = match fab.reign with Some _ -> true | None -> false
 
   let make_ctx fab identity =
     let n = Array.length fab.regs in
@@ -311,7 +331,6 @@ module Make (R : Register_intf.STAMPED) = struct
       dir;
       lent;
       direct_snap;
-      lent_snap;
       ok_direct = Ok direct_snap;
       ok_lent = Ok lent_snap;
       c_direct = Obs.Scan.direct fab.scan_stats identity;
@@ -378,9 +397,6 @@ module Make (R : Register_intf.STAMPED) = struct
 
   let finish ctx = ignore (M.fetch_and_add ctx.fab.active_scans (-1))
 
-  (* The epoch filter of plain scans: any valid deposit qualifies. *)
-  let any_epoch = -1
-
   (* Read writer [w]'s current deposit through this scanner's own
      handle and adopt it if it qualifies.  The read pins the deposit's
      slot until this handle's next read — at the earliest in this
@@ -388,8 +404,7 @@ module Make (R : Register_intf.STAMPED) = struct
      stable however often its writer deposits again. *)
   let borrow ctx w ~epoch =
     let view, _ = Deposit.read_view ctx.lenders.(w) in
-    if view.(dep_valid) = 1 && (epoch = any_epoch || view.(dep_epoch) = epoch)
-    then begin
+    if view.(dep_epoch) = epoch then begin
       ctx.lent.view <- view;
       true
     end
@@ -402,10 +417,9 @@ module Make (R : Register_intf.STAMPED) = struct
      and its eventual publication must not be double-counted).  A
      shard counted twice names a writer whose second write began after
      this scan's announcement — its deposit register necessarily holds
-     a snapshot taken within this scan (DESIGN.md §8); adopt it if it
-     was certified under [epoch] (certified scans only borrow deposits
-     certified under their own configuration epoch — see DESIGN.md
-     §8b; plain scans pass [any_epoch]). *)
+     a snapshot taken within this scan, or the failure marker
+     (DESIGN.md §8); adopt it if it was certified under [epoch], the
+     scan's own configuration epoch (DESIGN.md §8b). *)
   let attempt ctx ~epoch =
     let fab = ctx.fab in
     let d = ctx.dir in
@@ -427,48 +441,21 @@ module Make (R : Register_intf.STAMPED) = struct
     done;
     if !lent then `Borrowed else if !dirty then `Dirty else `Clean
 
-  (* The pass loop shared by public snapshots and writers' helping
-     collects.  Structurally unbounded; bounded in fact by the
-     counting argument above (≤ 2·shards + 3 passes). *)
-  let rec passes ctx =
-    match attempt ctx ~epoch:any_epoch with
-    | `Clean ->
-        Obs.Cell.incr ctx.c_direct;
-        ctx.dir.epoch <- 0;
-        ctx.direct_snap
-    | `Borrowed ->
-        Obs.Cell.incr ctx.c_borrowed;
-        ctx.lent_snap
-    | `Dirty ->
-        Obs.Cell.incr ctx.c_retries;
-        passes ctx
-
-  let scan ctx =
-    announce ctx;
-    match passes ctx with
-    | snap ->
-        finish ctx;
-        snap
-    | exception e ->
-        finish ctx;
-        raise e
-
-  let snapshot ctx = scan ctx
-
-  (* Reign-certified scan (DESIGN.md §8b).  The configuration epoch is
-     loaded before the round's first probe pass ([opened]) and
+  (* The scan — the only one: reign-certified (DESIGN.md §8b), public
+     snapshots and writers' helping collects alike.  The configuration
+     epoch is loaded before the round's first probe pass ([opened]) and
      re-loaded after the clean pass ([now]): the epoch is bumped by an
      elected successor {e after} its takeover and {e before} its first
      publish, so [now = opened] proves no handoff completed inside the
      probe window, and every collected value was published by a reign
-     ≤ [opened].  On the no-election fast path this costs exactly two
-     extra plain loads over [scan].
+     ≤ [opened].  On the no-election fast path the epoch bracket costs
+     two plain loads per snapshot.
 
      Borrowing is epoch-matched: a deposit certifies its own vector
-     only under the epoch {e its} scan opened, so a certified scan
-     adopts only deposits carrying [opened].  That filter can starve
-     the modified-twice counting bound — writers whose own helping
-     certification failed deposit epoch-0 fallbacks the filter
+     only under the epoch {e its} scan opened, so a scan adopts only
+     deposits carrying [opened].  That filter can starve the
+     modified-twice counting bound — writers whose own helping
+     certification failed deposit the epoch-0 marker the filter
      rejects — so each round also caps its dirty passes at the classic
      2·shards + 3 bound and re-opens when the cap hits.  Reopens are
      counted separately by cause: an observed epoch move
@@ -512,9 +499,12 @@ module Make (R : Register_intf.STAMPED) = struct
       Error { r_opened = opened; r_now = now }
     end
 
-  let scan_certified ctx ~config ~max_retries =
+  let snapshot_certified ctx =
+    let fab = ctx.fab in
     announce ctx;
-    match round ctx ~config ~max_retries 0 with
+    match
+      round ctx ~config:fab.config ~max_retries:fab.reign_max_retries 0
+    with
     | r ->
         finish ctx;
         r
@@ -522,21 +512,11 @@ module Make (R : Register_intf.STAMPED) = struct
         finish ctx;
         raise e
 
-  let snapshot_certified ctx =
-    let fab = ctx.fab in
-    match fab.reign with
-    | None ->
-        invalid_arg
-          "Fabric.snapshot_certified: no configuration epoch attached \
-           (attach_reign first)"
-    | Some config ->
-        scan_certified ctx ~config ~max_retries:fab.reign_max_retries
-
   (* Negative-control arm: one collect pass, no announcement, no
      probe.  Deliberately non-atomic — writers racing the collect
      leave torn vectors behind — so harnesses can prove the fabric
-     checker convicts exactly what [snapshot] prevents.  Never a real
-     read path. *)
+     checker convicts exactly what [snapshot_certified] prevents.
+     Never a real read path. *)
   let snapshot_unvalidated ctx =
     for s = 0 to Array.length ctx.fab.regs - 1 do
       collect ctx s
@@ -558,7 +538,6 @@ module Make (R : Register_intf.STAMPED) = struct
       | Direct d ->
           let st = w.staging and stride = 2 + fab.capacity in
           st.(dep_epoch) <- d.epoch;
-          st.(dep_valid) <- 1;
           for s = 0 to Array.length fab.regs - 1 do
             let base = dep_header + (s * stride) in
             let len = d.lens.(s) in
@@ -587,29 +566,20 @@ module Make (R : Register_intf.STAMPED) = struct
         (Printf.sprintf "Fabric.write: shard %d is owned by writer %d, not %d"
            shard (owner_of fab shard) w.wid);
     if M.load fab.active_scans > 0 then begin
-      (* With a reign attached, the helping scan runs certified so the
-         deposit carries the epoch scanners match against.  The
-         register must be written before EVERY publish that observed
-         an announced scan — the borrow rule's freshness argument is
-         that a shard counted twice implies its owner's deposit was
-         taken inside the counting scan's window — so a helping scan
-         that itself hits Reign_changed falls back to an uncertified
-         plain scan: plain snapshots keep their freshness and the
-         2n+3 counting bound, while certified scans reject the epoch-0
-         deposit through their epoch-match filter (the configuration
-         epoch starts at 1) and surface the typed verdict through
-         their own retry budget. *)
-      let snap =
-        match fab.reign with
-        | None -> scan w.ctx
-        | Some config -> (
-            match
-              scan_certified w.ctx ~config ~max_retries:fab.reign_max_retries
-            with
-            | Ok snap -> snap
-            | Error (_ : reign_change) -> scan w.ctx)
-      in
-      deposit w snap;
+      (* The helping scan is certified, so the deposit carries the
+         epoch scanners match against.  The register must be written
+         before EVERY publish that observed an announced scan — the
+         borrow rule's freshness argument is that a shard counted
+         twice implies its owner's deposit was taken inside the
+         counting scan's window — so a helping scan that itself hits
+         Reign_changed deposits the epoch-0 marker instead: no scanner
+         can then adopt an older deposit whose epoch happens to match,
+         and scanners surface the typed verdict through their own
+         retry budget. *)
+      (match snapshot_certified w.ctx with
+      | Ok snap -> deposit w snap
+      | Error (_ : reign_change) ->
+          Deposit.write fab.deposits.(w.wid) ~src:never_borrow ~len:1);
       Obs.Cell.incr w.c_deposits
     end;
     R.write fab.regs.(shard) ~src ~len;

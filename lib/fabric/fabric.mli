@@ -4,9 +4,9 @@
     A keyed array of (1,N) registers — one shard per key, any
     algorithm with the {!Arc_core.Register_intf.STAMPED} capability
     ([caps.snapshot_read = true]) slots in — plus an atomic
-    multi-shard [snapshot]: a vector of shard values that were all
-    simultaneously published at one instant inside the snapshot's
-    interval.
+    multi-shard {!Make.snapshot_certified}: a vector of shard values
+    that were all simultaneously published at one instant inside the
+    snapshot's interval.
 
     The snapshot is Afek et al.'s double collect with modified-twice
     helping, driven by publish stamps instead of payload comparison:
@@ -20,8 +20,9 @@
     substrate counter announces active scans, and writers only pay the
     embedded collect while one is in flight (one extra load
     otherwise).  Total cost is bounded by fabric shape — at most
-    [2·shards + 3] probe passes — regardless of scheduling, so
-    [snapshot] is wait-free whenever the underlying registers are.
+    [2·shards + 3] probe passes per certification round — regardless
+    of scheduling, so a snapshot is wait-free whenever the underlying
+    registers are.
     See DESIGN.md §8 for the linearization and helping-validity
     arguments.
 
@@ -35,15 +36,18 @@
     In the steady state neither a snapshot nor a helping deposit
     allocates.
 
-    {b Reign fencing (ISSUE 9).}  A fabric whose shards have
-    individually elected writers can {!Make.attach_reign} the
-    fabric-wide configuration epoch (one substrate word, bumped by
-    every {!Arc_resilience.Election} campaign that completes a
-    handoff).  {!Make.snapshot_certified} then brackets each scan
-    round with two plain loads of that word and refuses to serve a
-    vector whose probe window a handoff landed inside — retrying up to
-    a bounded budget, then returning the typed {!reign_change}
-    verdict.  See DESIGN.md §8b. *)
+    {b Reign fencing.}  Every fabric owns a configuration
+    epoch: one substrate word, 1 at creation, bumped by every
+    {!Arc_resilience.Election} campaign that completes a handoff.  A
+    fabric whose shards have individually elected writers
+    {!Make.attach_reign}s the shared word instead (for a shm fabric,
+    the mapping's reign table).  The one snapshot,
+    {!Make.snapshot_certified}, brackets each scan round with two
+    plain loads of that word and refuses to serve a vector whose probe
+    window a handoff landed inside — retrying up to a bounded budget,
+    then returning the typed {!reign_change} verdict.  A fabric nobody
+    elects over never sees its epoch move and always certifies.  See
+    DESIGN.md §8b. *)
 
 type reign_change = { r_opened : int; r_now : int }
 (** Certification failure: the configuration epoch read [r_opened] when
@@ -93,8 +97,8 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
 
   type snap
   (** A snapshot vector.  {b Stability}: a snapshot stays valid until
-      its scanner's next snapshot ({!snapshot}, {!snapshot_certified}
-      or {!snapshot_unvalidated}) and no longer.  A direct one aliases
+      its scanner's next snapshot ({!snapshot_certified} or
+      {!snapshot_unvalidated}) and no longer.  A direct one aliases
       the scanner's scratch; a {!borrowed} one is a helping deposit
       pinned by the scanner's own handle on the lender's deposit
       register, unchanged however often the lender deposits again. *)
@@ -110,7 +114,8 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
       threads.  Register identities scale with [readers + writers]
       (thread counts), never with [shards].  The helping channel adds
       one deposit register per writer: [readers + writers + 2] slots
-      of [2 + shards·(2 + capacity)] words each.
+      of [1 + shards·(2 + capacity)] words each.  The fabric's own
+      configuration epoch word starts at 1.
       @raise Invalid_argument unless [1 <= writers <= shards] and
       [readers >= 1] (plus the register's own constraints). *)
 
@@ -129,17 +134,16 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
       [readers >= 1]. *)
 
   val attach_reign : ?max_retries:int -> t -> config:R.Mem.atomic -> unit
-  (** Attach the fabric-wide configuration epoch word (for a shm
-      fabric, {!Arc_shm.Shm_mem.config_epoch_cell} of the mapping's
-      reign table) so {!snapshot_certified} can fence snapshots
-      against leader handoffs.  [max_retries] (default: [shards t])
-      bounds how many times a certified snapshot re-opens after
-      observing the epoch move before it returns {!reign_change}.
-      Writers on this fabric value switch their helping scans to the
-      certified path; in a multi-process fabric every process must
-      attach the same word. *)
-
-  val reign_attached : t -> bool
+  (** Replace the fabric's own configuration epoch word with a shared
+      one (for a shm fabric, {!Arc_shm.Shm_mem.config_epoch_cell} of
+      the mapping's reign table), so {!snapshot_certified} fences
+      snapshots against the handoffs that bump it.  [max_retries]
+      (default: [shards t]) bounds how many times a certified
+      snapshot re-opens before it returns {!reign_change}.  Writers'
+      helping scans certify against the same word; in a
+      multi-process fabric every process must attach the same word.
+      @raise Invalid_argument if [config] reads below 1 (epoch 0 is
+      the deposits' "never borrow" mark). *)
 
   val shards : t -> int
   val writers : t -> int
@@ -160,15 +164,15 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
 
   val write : writer -> shard:int -> src:int array -> len:int -> unit
   (** Publish [src.(0..len-1)] to [shard].  While a snapshot is
-      announced, first takes and deposits a helping snapshot (the
-      wait-free helping protocol); otherwise adds a single load to the
-      plain register write.  With a reign attached the helping
-      snapshot is certified; if certification fails mid-election the
-      writer still deposits an uncertified (epoch-0) fallback, so the
-      deposit register is written before {e every} publish that
-      observed an announced scan — the invariant plain snapshots'
-      borrow freshness rests on.  The deposit is one write to the
-      writer's deposit register and allocates nothing.
+      announced, first takes and deposits a certified helping snapshot
+      (the wait-free helping protocol); otherwise adds a single load to
+      the plain register write.  If certification fails mid-election
+      the writer deposits a one-word epoch-0 marker instead, which no
+      scanner adopts — so the deposit register is written before
+      {e every} publish that observed an announced scan, and no
+      scanner can adopt an older deposit whose epoch happens to match.
+      The deposit is one write to the writer's deposit register and
+      allocates nothing.
       @raise Invalid_argument if [shard] is out of range or not owned
       by this writer. *)
 
@@ -179,34 +183,30 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
   val read_with : scanner -> shard:int -> f:(R.Mem.buffer -> int -> 'a) -> 'a
   (** Zero-copy single-shard read, as the register's [read_with]. *)
 
-  val snapshot : scanner -> snap
-  (** The wait-free atomic cross-shard snapshot.  Linearizes at an
-      instant within its own interval: either the start of the final
-      (clean) probe pass, or inside the interval of the helping
-      deposit it adopted — which itself nests in this call's
-      interval. *)
-
   val snapshot_certified : scanner -> (snap, reign_change) result
-  (** {!snapshot} plus reign certification: the configuration epoch is
-      loaded before the round's first probe pass and re-loaded after
-      its clean pass; equality proves every shard value in the vector
-      was published by a reign ≤ the snapshot's {!snap_epoch}
-      (successors bump the epoch after takeover, before their first
-      publish).  Deposits are adopted only when certified under the
-      same epoch.  Costs exactly two extra plain loads over
-      {!snapshot} when no election is in flight; when the epoch moves
-      (or epoch-matched borrowing starves the dirty-pass cap), retries
-      up to [max_retries] rounds (each bounded by the classic pass
-      cap) and then returns [Error] — a typed verdict, never a
-      possibly cross-reign vector.
-      @raise Invalid_argument if no reign is attached. *)
+  (** The wait-free atomic cross-shard snapshot, certified against the
+      configuration epoch.  Linearizes at an instant within its own
+      interval: either the start of the final (clean) probe pass, or
+      inside the interval of the helping deposit it adopted — which
+      itself nests in this call's interval.  The epoch is loaded
+      before the round's first probe pass and re-loaded after its
+      clean pass; equality proves every shard value in the vector was
+      published by a reign ≤ the snapshot's {!snap_epoch} (successors
+      bump the epoch after takeover, before their first publish).
+      Deposits are adopted only when certified under the same epoch.
+      When no election is in flight the bracket costs two plain loads
+      and the result is always [Ok]; when the epoch moves (or
+      epoch-matched borrowing starves the dirty-pass cap), retries up
+      to [max_retries] rounds (each bounded by the classic pass cap)
+      and then returns [Error] — a typed verdict, never a possibly
+      cross-reign vector. *)
 
   val snapshot_unvalidated : scanner -> snap
   (** {b Negative control} — one collect pass with no announcement and
       no probe, deliberately non-atomic: concurrent writes leave torn
       vectors.  Exists so tests and campaigns can demonstrate the
-      fabric checker convicts what {!snapshot} prevents.  Never a real
-      read path. *)
+      fabric checker convicts what {!snapshot_certified} prevents.
+      Never a real read path. *)
 
   val shard_len : snap -> int -> int
   val shard_stamp : snap -> int -> int
@@ -225,8 +225,9 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
   (** [true] iff the snapshot was served from a helping deposit. *)
 
   val snap_epoch : snap -> int
-  (** The configuration epoch the snapshot was certified under; [0]
-      for plain (uncertified) snapshots. *)
+  (** The configuration epoch the snapshot was certified under
+      ([>= 1]); [0] only for {!snapshot_unvalidated}'s uncertified
+      vectors. *)
 
   (** {2 Telemetry}
 

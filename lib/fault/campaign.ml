@@ -71,7 +71,7 @@ type fixture = {
   crashed : bool array;  (** by fiber *)
   ops : int array;  (** completed operations, by fiber *)
   pending : (int * int) option array;  (** a write in flight, by fiber *)
-  outcomes : Arc_util.Stats.Outcomes.t;  (** session read outcomes, merged *)
+  outcomes : Arc_obs.Obs.Outcomes.t;  (** session read outcomes, merged *)
   mutable torn : int;
   mutable stale_serves : Checker.stale_serve list;
 }
@@ -88,7 +88,7 @@ let fixture ~size ~max_steps ~threads ~capacity strategy =
     crashed = Array.make threads false;
     ops = Array.make threads 0;
     pending = Array.make threads None;
-    outcomes = Arc_util.Stats.Outcomes.create ();
+    outcomes = Arc_obs.Obs.Outcomes.create ();
     torn = 0;
     stale_serves = [];
   }

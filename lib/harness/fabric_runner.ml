@@ -2,8 +2,10 @@
 
    Writer fibers round-robin over their owned shards, stamping each
    shard's payload with a per-shard sequence number; scanner fibers
-   take cross-shard snapshots, validate every shard word-by-word, and
-   record one {!Arc_trace.Checker.snapshot_obs} per snapshot.  The
+   take certified cross-shard snapshots, validate every shard
+   word-by-word, and record one {!Arc_trace.Checker.snapshot_obs} per
+   snapshot.  The simulation runs no elections, so the fabric's own
+   configuration epoch stays at 1 and certification never fails.  The
    run's per-shard write histories plus the recorded snapshots feed
    {!Arc_trace.Checker.check_fabric} ([check]).
 
@@ -81,7 +83,11 @@ module Make (R : Arc_core.Register_intf.STAMPED) = struct
     while Sched.now () < cfg.fab_steps do
       let invoked = Sched.now () in
       let snap =
-        if cfg.fab_atomic then F.snapshot ctx else F.snapshot_unvalidated ctx
+        if not cfg.fab_atomic then F.snapshot_unvalidated ctx
+        else
+          match F.snapshot_certified ctx with
+          | Ok snap -> snap
+          | Error _ -> failwith "certified snapshot failed with no elections running"
       in
       let returned = Sched.now () in
       let observed =
@@ -101,7 +107,7 @@ module Make (R : Arc_core.Register_intf.STAMPED) = struct
           invoked;
           returned;
           observed;
-          sepoch = 0 (* simulated fabric has no elections *);
+          sepoch = F.snap_epoch snap;
         }
         :: !obs;
       out.ops <- out.ops + 1;

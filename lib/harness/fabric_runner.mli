@@ -2,9 +2,10 @@
 
     Writer fibers round-robin over their statically owned shards
     stamping per-shard sequence numbers; scanner fibers take
-    cross-shard snapshots ({!Arc_fabric.Fabric.Make.snapshot}, or the
-    collect-only negative control when [fab_atomic = false]), validate
-    every shard word-by-word, and record one
+    cross-shard snapshots
+    ({!Arc_fabric.Fabric.Make.snapshot_certified}, or the collect-only
+    negative control when [fab_atomic = false]), validate every shard
+    word-by-word, and record one
     {!Arc_trace.Checker.snapshot_obs} per snapshot.  The returned
     per-shard write histories plus snapshot observations are exactly
     the input of {!Arc_trace.Checker.check_fabric} — apply it with
@@ -35,5 +36,7 @@ val check :
 module Make (_ : Arc_core.Register_intf.STAMPED) : sig
   val run : ?strategy:Arc_vsched.Strategy.t -> Config.fabric_sim -> result
   (** Default strategy: [Strategy.random ~seed:cfg.fab_seed].
-      @raise Invalid_argument on nonsensical configurations. *)
+      @raise Invalid_argument on nonsensical configurations.
+      @raise Failure if a certified snapshot returns [Error] (no
+      election runs, so that is a fabric bug). *)
 end

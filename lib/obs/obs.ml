@@ -59,12 +59,14 @@ end
 
 (* {1 Read outcomes}
 
-   The per-domain replacement for {!Arc_util.Stats.Outcomes} wherever
-   a counter is read while its owner is still running: each class is
-   its own single-writer cell, so a supervisor or live-summary thread
-   can snapshot a session's outcomes mid-run with no possibility of a
-   torn or half-merged read.  [Stats.Outcomes] remains the right type
-   for merge-after-join aggregation; [snapshot] bridges into it. *)
+   Reads resolve as fresh ([ok]), served stale by a tripped breaker
+   ([stale]) or abandoned at their deadline ([exhausted]); [errors]
+   counts raw register errors absorbed by the retry loop and [retries]
+   the backoff retries taken.  Each class is its own single-writer
+   cell, so a supervisor or live-summary thread can read a session's
+   outcomes mid-run with no possibility of a torn or half-merged read;
+   campaign totals are summed into a fresh counter with [merge_into]
+   once the sessions' owners are joined. *)
 
 module Outcomes = struct
   type t = {
@@ -101,15 +103,15 @@ module Outcomes = struct
     let n = total t in
     if n = 0 then 0. else float_of_int (degraded t) /. float_of_int n
 
-  (* A fresh merge-safe copy.  Each field is read once; concurrent
-     increments may land between field reads, so the copy is a
-     point-in-time view in which every count is individually valid and
-     monotone across successive snapshots — not a linearized cut, but
-     never torn or half-merged. *)
-  let snapshot t =
-    Arc_util.Stats.Outcomes.of_counts ~ok:(ok_count t)
-      ~stale:(stale_count t) ~exhausted:(exhausted_count t)
-      ~errors:(error_count t) ~retries:(retry_count t)
+  (* Adds [src]'s counts to [dst]'s cells, so the caller must own
+     [dst]; [src] is read with plain loads, exact once its owner is
+     joined. *)
+  let merge_into ~src ~dst =
+    Cell.add dst.ok (ok_count src);
+    Cell.add dst.stale (stale_count src);
+    Cell.add dst.exhausted (exhausted_count src);
+    Cell.add dst.errors (error_count src);
+    Cell.add dst.retries (retry_count src)
 
   let pp ppf t =
     Format.fprintf ppf

@@ -51,11 +51,14 @@ module Group : sig
   val per_domain : t -> int array
 end
 
-(** Per-domain read-outcome counters: the concurrent-safe replacement
-    for {!Arc_util.Stats.Outcomes} wherever counts are read while the
-    owning session is still running (live soak summaries, supervisor
-    probes).  Same counting semantics; {!snapshot} bridges to the
-    merge-after-join [Stats.Outcomes] world. *)
+(** Per-domain read-outcome counters: reads resolve as fresh ([ok]),
+    served from a stale snapshot by a tripped circuit breaker
+    ([stale]), or abandoned at their deadline ([exhausted]); [errors]
+    counts raw register errors absorbed by the retry loop and
+    [retries] the backoff retries taken.  Each class is a
+    single-writer cell, safe to read while the owning session still
+    runs (live soak summaries, supervisor probes); campaign totals
+    accumulate with {!merge_into} after the sessions are joined. *)
 module Outcomes : sig
   type t
 
@@ -71,14 +74,18 @@ module Outcomes : sig
   val error_count : t -> int
   val retry_count : t -> int
   val total : t -> int
-  val degraded : t -> int
-  val degraded_rate : t -> float
+  (** [ok + stale + exhausted] — completed read outcomes. *)
 
-  val snapshot : t -> Arc_util.Stats.Outcomes.t
-  (** Point-in-time copy, safe to take from any domain mid-run: each
-      count is individually valid and monotone across snapshots (not a
-      linearized cut — concurrent increments may straddle the field
-      reads). *)
+  val degraded : t -> int
+  (** [stale + exhausted]. *)
+
+  val degraded_rate : t -> float
+  (** [degraded / total]; 0 on an empty counter. *)
+
+  val merge_into : src:t -> dst:t -> unit
+  (** Add [src]'s counts into [dst].  [dst]'s cells are incremented by
+      the caller, who must therefore own them; [src] is exact once its
+      owner is joined. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -21,13 +21,11 @@
    ({!Arc_trace.Checker.check_bounded_staleness}).
 
    Outcome accounting uses {!Arc_obs.Obs.Outcomes} — per-class
-   single-writer cells — not {!Arc_util.Stats.Outcomes}: the soak
-   engine's recorder and live summary read a session's counters from
-   another thread {e while the session is still running}, which the
-   plain mutable Stats record was never licensed for (it documents
-   "merge after join").  Cells make any mid-run read a valid racy
-   snapshot; {!Outcomes.snapshot} bridges back into the Stats world
-   for post-join aggregation. *)
+   single-writer cells: the soak engine's recorder and live summary
+   read a session's counters from another thread {e while the session
+   is still running}, and cells make any mid-run read a valid racy
+   snapshot; campaign totals merge them with {!Outcomes.merge_into}
+   after the sessions finish. *)
 
 module Make (R : Arc_core.Register_intf.S) = struct
   module M = R.Mem

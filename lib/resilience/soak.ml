@@ -50,7 +50,7 @@
    fence is load-bearing. *)
 
 module Splitmix = Arc_util.Splitmix
-module Outcomes = Arc_util.Stats.Outcomes
+module Outcomes = Arc_obs.Obs.Outcomes
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
 module History = Arc_trace.History
@@ -494,11 +494,9 @@ let run_one ~seed (cfg : cfg) : failover report =
            if i = 0 then incumbent else if i = 1 then standby else reader (i - 2)))
   in
   (* Sessions count in per-domain Obs cells; after the vsched run every
-     fiber is quiescent, so the snapshot is exact. *)
+     fiber is quiescent, so the merge is exact. *)
   Array.iter
-    (Option.iter (fun s ->
-         Outcomes.merge_into ~src:(S.Outcomes.snapshot (S.outcomes s))
-           ~dst:fx.outcomes))
+    (Option.iter (fun s -> Outcomes.merge_into ~src:(S.outcomes s) ~dst:fx.outcomes))
     sessions;
   let starved =
     List.filter_map
@@ -879,9 +877,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
                if not (DGate.renew gate ticket) then evicted_underfoot := true;
                Sched.cede ()
              done);
-            Outcomes.merge_into
-              ~src:(DS.Outcomes.snapshot (DS.outcomes session))
-              ~dst:fx.outcomes;
+            Outcomes.merge_into ~src:(DS.outcomes session) ~dst:fx.outcomes;
             if !evicted_underfoot then begin
               (* Reclaim-then-late-release: the evicted zombie's depart
                  must lose its generation CAS — a success here would

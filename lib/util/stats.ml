@@ -59,51 +59,6 @@ let pp_summary ppf s =
   Format.fprintf ppf "@[<h>mean=%.4g ±%.2g (sd=%.3g, n=%d, min=%.4g, max=%.4g)@]"
     s.mean s.ci95 s.stddev s.n s.min s.max
 
-module Outcomes = struct
-  type t = {
-    mutable ok : int;
-    mutable stale : int;
-    mutable exhausted : int;
-    mutable errors : int;
-    mutable retries : int;
-  }
-
-  let create () = { ok = 0; stale = 0; exhausted = 0; errors = 0; retries = 0 }
-
-  let of_counts ~ok ~stale ~exhausted ~errors ~retries =
-    { ok; stale; exhausted; errors; retries }
-  let ok t = t.ok <- t.ok + 1
-  let stale t = t.stale <- t.stale + 1
-  let exhausted t = t.exhausted <- t.exhausted + 1
-  let error t = t.errors <- t.errors + 1
-  let retry t = t.retries <- t.retries + 1
-  let ok_count t = t.ok
-  let stale_count t = t.stale
-  let exhausted_count t = t.exhausted
-  let error_count t = t.errors
-  let retry_count t = t.retries
-  let total t = t.ok + t.stale + t.exhausted
-  let degraded t = t.stale + t.exhausted
-
-  let degraded_rate t =
-    let n = total t in
-    if n = 0 then 0. else float_of_int (degraded t) /. float_of_int n
-
-  let merge_into ~src ~dst =
-    dst.ok <- dst.ok + src.ok;
-    dst.stale <- dst.stale + src.stale;
-    dst.exhausted <- dst.exhausted + src.exhausted;
-    dst.errors <- dst.errors + src.errors;
-    dst.retries <- dst.retries + src.retries
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "@[<h>ok=%d, stale=%d, exhausted=%d (degraded %.2f%%), errors=%d, retries=%d@]"
-      t.ok t.stale t.exhausted
-      (100. *. degraded_rate t)
-      t.errors t.retries
-end
-
 module Online = struct
   type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 

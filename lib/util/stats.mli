@@ -28,48 +28,6 @@ val percentile : float array -> float -> float
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** Error/degraded-outcome counters for harness and soak summaries:
-    reads resolve as fresh ([ok]), served from a stale snapshot by a
-    tripped circuit breaker ([stale]), or abandoned at their deadline
-    ([exhausted]); [errors] counts raw register errors absorbed by the
-    retry loop and [retries] the backoff retries taken.  Mutations are
-    plain (single-thread or post-join accumulation); merge per-thread
-    instances with {!Outcomes.merge_into} after workers are joined. *)
-module Outcomes : sig
-  type t
-
-  val create : unit -> t
-
-  val of_counts :
-    ok:int -> stale:int -> exhausted:int -> errors:int -> retries:int -> t
-  (** A counter pre-loaded with the given counts — the bridge for
-      snapshot copies taken from concurrent-safe per-domain cells
-      ({!Arc_obs.Obs.Outcomes}). *)
-
-  val ok : t -> unit
-  val stale : t -> unit
-  val exhausted : t -> unit
-  val error : t -> unit
-  val retry : t -> unit
-  val ok_count : t -> int
-  val stale_count : t -> int
-  val exhausted_count : t -> int
-  val error_count : t -> int
-  val retry_count : t -> int
-
-  val total : t -> int
-  (** [ok + stale + exhausted] — completed read outcomes. *)
-
-  val degraded : t -> int
-  (** [stale + exhausted]. *)
-
-  val degraded_rate : t -> float
-  (** [degraded / total]; 0 on an empty counter. *)
-
-  val merge_into : src:t -> dst:t -> unit
-  val pp : Format.formatter -> t -> unit
-end
-
 (** Online mean/variance accumulator (Welford), usable when samples
     are too many to buffer. *)
 module Online : sig

@@ -14,7 +14,6 @@
 
 module Obs = Arc_obs.Obs
 module Ring = Arc_obs.Ring
-module Stats = Arc_util.Stats
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
 module History = Arc_trace.History
@@ -73,17 +72,57 @@ let test_outcomes () =
     (Obs.Outcomes.degraded o);
   Alcotest.(check (float 1e-9)) "degraded_rate" 0.4
     (Obs.Outcomes.degraded_rate o);
-  (* The snapshot bridge must agree count-for-count with the
-     merge-after-join Stats.Outcomes world. *)
-  let s = Obs.Outcomes.snapshot o in
-  Alcotest.(check int) "snapshot ok" 3 (Stats.Outcomes.ok_count s);
-  Alcotest.(check int) "snapshot stale" 1 (Stats.Outcomes.stale_count s);
-  Alcotest.(check int) "snapshot exhausted" 1
-    (Stats.Outcomes.exhausted_count s);
-  Alcotest.(check int) "snapshot error" 1 (Stats.Outcomes.error_count s);
-  Alcotest.(check int) "snapshot retry" 2 (Stats.Outcomes.retry_count s);
-  Alcotest.(check (float 1e-9)) "snapshot degraded_rate" 0.4
-    (Stats.Outcomes.degraded_rate s)
+  (* Merged into a fresh counter, every count carries over. *)
+  let s = Obs.Outcomes.create () in
+  Obs.Outcomes.merge_into ~src:o ~dst:s;
+  Alcotest.(check int) "merged ok" 3 (Obs.Outcomes.ok_count s);
+  Alcotest.(check int) "merged stale" 1 (Obs.Outcomes.stale_count s);
+  Alcotest.(check int) "merged exhausted" 1 (Obs.Outcomes.exhausted_count s);
+  Alcotest.(check int) "merged error" 1 (Obs.Outcomes.error_count s);
+  Alcotest.(check int) "merged retry" 2 (Obs.Outcomes.retry_count s);
+  Alcotest.(check (float 1e-9)) "merged degraded_rate" 0.4
+    (Obs.Outcomes.degraded_rate s)
+
+let feq msg expected actual =
+  Alcotest.(check (float 1e-9)) msg expected actual
+
+let test_outcomes_counters () =
+  let o = Obs.Outcomes.create () in
+  Obs.Outcomes.ok o;
+  Obs.Outcomes.ok o;
+  Obs.Outcomes.stale o;
+  Obs.Outcomes.exhausted o;
+  Obs.Outcomes.error o;
+  Obs.Outcomes.error o;
+  Obs.Outcomes.error o;
+  Obs.Outcomes.retry o;
+  Alcotest.(check int) "ok" 2 (Obs.Outcomes.ok_count o);
+  Alcotest.(check int) "stale" 1 (Obs.Outcomes.stale_count o);
+  Alcotest.(check int) "exhausted" 1 (Obs.Outcomes.exhausted_count o);
+  Alcotest.(check int) "errors" 3 (Obs.Outcomes.error_count o);
+  Alcotest.(check int) "retries" 1 (Obs.Outcomes.retry_count o);
+  Alcotest.(check int) "total = ok+stale+exhausted" 4 (Obs.Outcomes.total o);
+  Alcotest.(check int) "degraded = stale+exhausted" 2 (Obs.Outcomes.degraded o);
+  feq "degraded rate" 0.5 (Obs.Outcomes.degraded_rate o)
+
+let test_outcomes_merge () =
+  let a = Obs.Outcomes.create () and b = Obs.Outcomes.create () in
+  Obs.Outcomes.ok a;
+  Obs.Outcomes.retry a;
+  Obs.Outcomes.stale b;
+  Obs.Outcomes.exhausted b;
+  Obs.Outcomes.error b;
+  Obs.Outcomes.merge_into ~src:b ~dst:a;
+  Alcotest.(check int) "ok" 1 (Obs.Outcomes.ok_count a);
+  Alcotest.(check int) "stale" 1 (Obs.Outcomes.stale_count a);
+  Alcotest.(check int) "exhausted" 1 (Obs.Outcomes.exhausted_count a);
+  Alcotest.(check int) "errors" 1 (Obs.Outcomes.error_count a);
+  Alcotest.(check int) "retries" 1 (Obs.Outcomes.retry_count a);
+  (* src is left untouched. *)
+  Alcotest.(check int) "src stale intact" 1 (Obs.Outcomes.stale_count b);
+  Alcotest.(check int) "src ok intact" 0 (Obs.Outcomes.ok_count b);
+  (* empty-counter rate is defined as 0, not NaN *)
+  feq "empty rate" 0. (Obs.Outcomes.degraded_rate (Obs.Outcomes.create ()))
 
 (* --- trace ring --- *)
 
@@ -385,7 +424,9 @@ let suite =
   [
     Alcotest.test_case "cell: incr/add/reset and exposed word" `Quick test_cell;
     Alcotest.test_case "group: per-domain cells, sum, bounds" `Quick test_group;
-    Alcotest.test_case "outcomes: counts and Stats bridge" `Quick test_outcomes;
+    Alcotest.test_case "outcomes: counts and merge_into" `Quick test_outcomes;
+    Alcotest.test_case "outcomes counters" `Quick test_outcomes_counters;
+    Alcotest.test_case "outcomes merge" `Quick test_outcomes_merge;
     Alcotest.test_case "ring: record/dump/clear" `Quick test_ring_basic;
     Alcotest.test_case "ring: wrap keeps most recent" `Quick test_ring_wrap;
     Alcotest.test_case "ring: code vocabulary" `Quick test_ring_codes;

@@ -89,44 +89,6 @@ let test_p999 () =
   Alcotest.(check bool) "p999 >= p95" true (s.Stats.p999 >= s.Stats.p95);
   Alcotest.(check bool) "p999 <= max" true (s.Stats.p999 <= s.Stats.max)
 
-let test_outcomes_counters () =
-  let o = Stats.Outcomes.create () in
-  Stats.Outcomes.ok o;
-  Stats.Outcomes.ok o;
-  Stats.Outcomes.stale o;
-  Stats.Outcomes.exhausted o;
-  Stats.Outcomes.error o;
-  Stats.Outcomes.error o;
-  Stats.Outcomes.error o;
-  Stats.Outcomes.retry o;
-  Alcotest.(check int) "ok" 2 (Stats.Outcomes.ok_count o);
-  Alcotest.(check int) "stale" 1 (Stats.Outcomes.stale_count o);
-  Alcotest.(check int) "exhausted" 1 (Stats.Outcomes.exhausted_count o);
-  Alcotest.(check int) "errors" 3 (Stats.Outcomes.error_count o);
-  Alcotest.(check int) "retries" 1 (Stats.Outcomes.retry_count o);
-  Alcotest.(check int) "total = ok+stale+exhausted" 4 (Stats.Outcomes.total o);
-  Alcotest.(check int) "degraded = stale+exhausted" 2 (Stats.Outcomes.degraded o);
-  feq "degraded rate" 0.5 (Stats.Outcomes.degraded_rate o)
-
-let test_outcomes_merge () =
-  let a = Stats.Outcomes.create () and b = Stats.Outcomes.create () in
-  Stats.Outcomes.ok a;
-  Stats.Outcomes.retry a;
-  Stats.Outcomes.stale b;
-  Stats.Outcomes.exhausted b;
-  Stats.Outcomes.error b;
-  Stats.Outcomes.merge_into ~src:b ~dst:a;
-  Alcotest.(check int) "ok" 1 (Stats.Outcomes.ok_count a);
-  Alcotest.(check int) "stale" 1 (Stats.Outcomes.stale_count a);
-  Alcotest.(check int) "exhausted" 1 (Stats.Outcomes.exhausted_count a);
-  Alcotest.(check int) "errors" 1 (Stats.Outcomes.error_count a);
-  Alcotest.(check int) "retries" 1 (Stats.Outcomes.retry_count a);
-  (* src is left untouched. *)
-  Alcotest.(check int) "src stale intact" 1 (Stats.Outcomes.stale_count b);
-  Alcotest.(check int) "src ok intact" 0 (Stats.Outcomes.ok_count b);
-  (* empty-counter rate is defined as 0, not NaN *)
-  feq "empty rate" 0. (Stats.Outcomes.degraded_rate (Stats.Outcomes.create ()))
-
 let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
@@ -137,8 +99,6 @@ let suite =
     Alcotest.test_case "summarize empty" `Quick test_summarize_empty;
     Alcotest.test_case "online matches batch" `Quick test_online_matches_batch;
     Alcotest.test_case "p999 tail percentile" `Quick test_p999;
-    Alcotest.test_case "outcomes counters" `Quick test_outcomes_counters;
-    Alcotest.test_case "outcomes merge" `Quick test_outcomes_merge;
     QCheck_alcotest.to_alcotest prop_mean_bounded;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_online_mean;
