@@ -1,6 +1,7 @@
-(* Bechamel micro-benchmarks, one group per paper artifact (DESIGN.md
-   §4).  These are the per-operation latency counterparts of the
-   throughput experiments in bin/experiments.ml:
+(* Per-operation micro-benchmarks, one group per paper artifact
+   (DESIGN.md §4), all timed by one sampler ([sample_ns]).  These are
+   the per-operation latency counterparts of the throughput
+   experiments in bin/experiments.ml:
 
    - fig1.*      — the per-op costs behind Fig. 1's hold model:
                    steady-state read (ARC's RMW-free fast path),
@@ -19,8 +20,6 @@
                    on vs off;
    - mrmw.*      — the (M,N) extension's operation costs. *)
 
-open Bechamel
-open Toolkit
 module Real = Arc_mem.Real_mem
 module P = Arc_workload.Payload.Make (Arc_mem.Real_mem)
 module Sched = Arc_vsched.Sched
@@ -58,7 +57,7 @@ module Rwlock_ops = Ops_of (Arc_baselines.Rwlock_reg.Make (Arc_mem.Real_mem))
 module Seqlock_ops = Ops_of (Arc_baselines.Seqlock_reg.Make (Arc_mem.Real_mem))
 module Lamport_ops = Ops_of (Arc_baselines.Lamport_reg.Make (Arc_mem.Real_mem))
 
-let fig1_tests =
+let fig1_rows =
   let sizes = [ ("4KB", 512); ("128KB", 16384) ] in
   let algos =
     [
@@ -77,36 +76,24 @@ let fig1_tests =
         (fun (algo, make) ->
           let read_hit, write, write_read = make ~size in
           [
-            Test.make
-              ~name:(Printf.sprintf "fig1/read-hit/%s/%s" algo size_name)
-              (Staged.stage read_hit);
-            Test.make
-              ~name:(Printf.sprintf "fig1/write/%s/%s" algo size_name)
-              (Staged.stage write);
-            Test.make
-              ~name:(Printf.sprintf "fig1/write+read/%s/%s" algo size_name)
-              (Staged.stage write_read);
+            (Printf.sprintf "fig1/read-hit/%s/%s" algo size_name, read_hit);
+            (Printf.sprintf "fig1/write/%s/%s" algo size_name, write);
+            (Printf.sprintf "fig1/write+read/%s/%s" algo size_name, write_read);
           ])
         algos)
     sizes
 
 (* --- fig2: RMW vs plain-load primitive costs ------------------------ *)
 
-let fig2_tests =
+let fig2_rows =
   let a = Atomic.make 0 in
   [
-    Test.make ~name:"fig2/primitive/plain-load"
-      (Staged.stage (fun () -> ignore (Atomic.get a)));
-    Test.make ~name:"fig2/primitive/plain-store"
-      (Staged.stage (fun () -> Atomic.set a 1));
-    Test.make ~name:"fig2/primitive/fetch-and-add"
-      (Staged.stage (fun () -> ignore (Atomic.fetch_and_add a 1)));
-    Test.make ~name:"fig2/primitive/exchange"
-      (Staged.stage (fun () -> ignore (Atomic.exchange a 2)));
-    Test.make ~name:"fig2/primitive/compare-and-set"
-      (Staged.stage (fun () -> ignore (Atomic.compare_and_set a 2 2)));
-    Test.make ~name:"fig2/primitive/fetch-or-via-cas"
-      (Staged.stage (fun () -> ignore (Real.fetch_and_or a 0)));
+    ("fig2/primitive/plain-load", (fun () -> ignore (Atomic.get a)));
+    ("fig2/primitive/plain-store", (fun () -> Atomic.set a 1));
+    ("fig2/primitive/fetch-and-add", (fun () -> ignore (Atomic.fetch_and_add a 1)));
+    ("fig2/primitive/exchange", (fun () -> ignore (Atomic.exchange a 2)));
+    ("fig2/primitive/compare-and-set", (fun () -> ignore (Atomic.compare_and_set a 2 2)));
+    ("fig2/primitive/fetch-or-via-cas", (fun () -> ignore (Real.fetch_and_or a 0)));
   ]
 
 (* --- fig3: fixed-work simulated slices ------------------------------ *)
@@ -141,19 +128,16 @@ module Arc_sim = Arc_core.Arc.Make (Arc_vsched.Sim_mem)
 module Peterson_sim = Arc_baselines.Peterson.Make (Arc_vsched.Sim_mem)
 module Rwlock_sim = Arc_baselines.Rwlock_reg.Make (Arc_vsched.Sim_mem)
 
-let fig3_tests =
+let fig3_rows =
   List.concat_map
     (fun fibers ->
       [
-        Test.make
-          ~name:(Printf.sprintf "fig3/sim-fixed-work/arc/%dfibers" fibers)
-          (Staged.stage (sim_slice (module Arc_sim) ~fibers));
-        Test.make
-          ~name:(Printf.sprintf "fig3/sim-fixed-work/peterson/%dfibers" fibers)
-          (Staged.stage (sim_slice (module Peterson_sim) ~fibers));
-        Test.make
-          ~name:(Printf.sprintf "fig3/sim-fixed-work/rwlock/%dfibers" fibers)
-          (Staged.stage (sim_slice (module Rwlock_sim) ~fibers));
+        ( Printf.sprintf "fig3/sim-fixed-work/arc/%dfibers" fibers,
+          sim_slice (module Arc_sim) ~fibers );
+        ( Printf.sprintf "fig3/sim-fixed-work/peterson/%dfibers" fibers,
+          sim_slice (module Peterson_sim) ~fibers );
+        ( Printf.sprintf "fig3/sim-fixed-work/rwlock/%dfibers" fibers,
+          sim_slice (module Rwlock_sim) ~fibers );
       ])
     [ 16; 128 ]
 
@@ -162,7 +146,7 @@ let fig3_tests =
 module Arc_real = Arc_core.Arc.Make (Arc_mem.Real_mem)
 module Rf_real = Arc_baselines.Rf.Make (Arc_mem.Real_mem)
 
-let rmw_tests =
+let rmw_rows =
   let size = 512 in
   let arc = Arc_real.create ~readers:2 ~capacity:size ~init:(stamped ~seq:0 ~len:size) in
   let arc_rd = Arc_real.reader arc 0 in
@@ -179,12 +163,9 @@ let rmw_tests =
     Arc_real.read_with miss_rd ~f:(fun _ _ -> ())
   in
   [
-    Test.make ~name:"rmw/arc-read-hit-0rmw"
-      (Staged.stage (fun () -> Arc_real.read_with arc_rd ~f:(fun _ _ -> ())));
-    Test.make ~name:"rmw/rf-read-1rmw"
-      (Staged.stage (fun () -> Rf_real.read_with rf_rd ~f:(fun _ _ -> ())));
-    Test.make ~name:"rmw/arc-write+read-miss-3rmw"
-      (Staged.stage miss_write_then_read);
+    ("rmw/arc-read-hit-0rmw", (fun () -> Arc_real.read_with arc_rd ~f:(fun _ _ -> ())));
+    ("rmw/rf-read-1rmw", (fun () -> Rf_real.read_with rf_rd ~f:(fun _ _ -> ())));
+    ("rmw/arc-write+read-miss-3rmw", miss_write_then_read);
   ]
 
 (* --- ablation: §3.4 hint under parked readers ----------------------- *)
@@ -207,19 +188,17 @@ let parked_writer ~use_hint =
     ignore (Arc_real.read_with active ~f:(fun _ _ -> ()));
     Arc_real.write reg ~src ~len:capacity
 
-let ablation_tests =
+let ablation_rows =
   [
-    Test.make ~name:"ablation/write-parked64/arc-hint"
-      (Staged.stage (parked_writer ~use_hint:true));
-    Test.make ~name:"ablation/write-parked64/arc-nohint"
-      (Staged.stage (parked_writer ~use_hint:false));
+    ("ablation/write-parked64/arc-hint", parked_writer ~use_hint:true);
+    ("ablation/write-parked64/arc-nohint", parked_writer ~use_hint:false);
   ]
 
 (* --- mrmw: the (M,N) extension -------------------------------------- *)
 
 module Mn = Arc_mrmw.Mn_register.Make (Arc_core.Arc) (Arc_mem.Real_mem)
 
-let mrmw_tests =
+let mrmw_rows =
   let reg = Mn.create ~writers:4 ~readers:4 ~capacity:64 ~init:(Array.make 64 1) in
   let w = Mn.writer reg 0 in
   let rd = Mn.reader reg 0 in
@@ -227,10 +206,8 @@ let mrmw_tests =
   let dst = Array.make 64 0 in
   Mn.write w ~src ~len:64;
   [
-    Test.make ~name:"mrmw/write-4writers"
-      (Staged.stage (fun () -> Mn.write w ~src ~len:64));
-    Test.make ~name:"mrmw/read-4writers"
-      (Staged.stage (fun () -> ignore (Mn.read_into rd ~dst)));
+    ("mrmw/write-4writers", (fun () -> Mn.write w ~src ~len:64));
+    ("mrmw/read-4writers", (fun () -> ignore (Mn.read_into rd ~dst)));
   ]
 
 (* --- shm: the file-backed substrate's per-op overhead ---------------- *)
@@ -265,20 +242,14 @@ let shm_ops ~size =
 
 let shm_sizes = [ ("4KB", 512); ("32KB", 4096); ("128KB", 16384) ]
 
-let shm_tests =
+let shm_rows =
   List.concat_map
     (fun (size_name, size) ->
       let read_hit, write, write_read = shm_ops ~size in
       [
-        Test.make
-          ~name:(Printf.sprintf "shm/read-hit/arc/%s" size_name)
-          (Staged.stage read_hit);
-        Test.make
-          ~name:(Printf.sprintf "shm/write/arc/%s" size_name)
-          (Staged.stage write);
-        Test.make
-          ~name:(Printf.sprintf "shm/write+read/arc/%s" size_name)
-          (Staged.stage write_read);
+        (Printf.sprintf "shm/read-hit/arc/%s" size_name, read_hit);
+        (Printf.sprintf "shm/write/arc/%s" size_name, write);
+        (Printf.sprintf "shm/write+read/arc/%s" size_name, write_read);
       ])
     shm_sizes
 
@@ -304,17 +275,13 @@ let obs_ops ~telemetry ~size =
   let write () = Arc_real.write reg ~src ~len:size in
   (read_hit, write)
 
-let obs_tests =
+let obs_rows =
   List.concat_map
     (fun (label, telemetry) ->
       let read_hit, write = obs_ops ~telemetry ~size:512 in
       [
-        Test.make
-          ~name:(Printf.sprintf "obs/read-hit/%s/4KB" label)
-          (Staged.stage read_hit);
-        Test.make
-          ~name:(Printf.sprintf "obs/write/%s/4KB" label)
-          (Staged.stage write);
+        (Printf.sprintf "obs/read-hit/%s/4KB" label, read_hit);
+        (Printf.sprintf "obs/write/%s/4KB" label, write);
       ])
     [ ("telemetry-off", false); ("telemetry-on", true) ]
 
@@ -327,7 +294,7 @@ let obs_tests =
    [reps] runs, and the top level embeds the telemetry-overhead
    record the perf gate reads.  Emission is opt-in:
    `dune exec bench/main.exe -- --throughput-json[=PATH]` emits only
-   this file; the default bechamel run writes nothing (the silent
+   this file; the default table run writes nothing (the silent
    default write was the ISSUE 5 CLI bug). *)
 
 module Registry = Arc_harness.Registry
@@ -366,26 +333,35 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Fixed-iteration median sampler shared by the JSON emitters: these
-   ops are far above clock resolution, and the simple harness keeps
-   the JSON modes fast enough for CI. *)
+(* The one sampler behind every per-op time this program reports: one
+   untimed warm-up sample, then [reps] timed samples of [iters]
+   back-to-back calls, summarized (Arc_util.Stats) as per-op ns.
+   [sample_interleaved] takes its samples round-robin across several
+   closures, so frequency drift lands on each of them alike.  A gated
+   key reads the summary's min (a fixed-work loop whose noise is all
+   additive) or its p50. *)
+
+module Stats = Arc_util.Stats
+
+let sample_interleaved ~iters ~reps fs =
+  let time f =
+    let t0 = Arc_util.Cpu.now_ns () in
+    for _ = 1 to iters do
+      f ()
+    done;
+    Int64.to_float (Int64.sub (Arc_util.Cpu.now_ns ()) t0) /. float_of_int iters
+  in
+  List.iter (fun f -> ignore (time f)) fs;
+  let samples = List.map (fun _ -> Array.make reps 0.) fs in
+  for r = 0 to reps - 1 do
+    List.iter2 (fun f a -> a.(r) <- time f) fs samples
+  done;
+  List.map Stats.summarize samples
+
+let sample_ns ~iters ~reps f = List.hd (sample_interleaved ~iters ~reps [ f ])
 
 let shm_json_reps = 5
 let shm_json_iters = 20_000
-
-let measure_ns f =
-  let sample () =
-    let t0 = Arc_util.Cpu.now_ns () in
-    for _ = 1 to shm_json_iters do
-      f ()
-    done;
-    Int64.to_float (Int64.sub (Arc_util.Cpu.now_ns ()) t0)
-    /. float_of_int shm_json_iters
-  in
-  ignore (sample ());
-  let samples = Array.init shm_json_reps (fun _ -> sample ()) in
-  Array.sort compare samples;
-  samples.(shm_json_reps / 2)
 
 (* Reader join/leave cost (ISSUE 8): one full tenancy — admit through
    the gate, one read through the leased handle, depart — over the
@@ -419,15 +395,9 @@ let reader_join_p99_ns () =
   for _ = 1 to 1_000 do
     cycle ()
   done;
-  let cycles = 20_000 in
-  let samples = Array.make cycles 0. in
-  for i = 0 to cycles - 1 do
-    let t0 = Arc_util.Cpu.now_ns () in
-    cycle ();
-    samples.(i) <- Int64.to_float (Int64.sub (Arc_util.Cpu.now_ns ()) t0)
-  done;
-  Array.sort compare samples;
-  samples.(cycles * 99 / 100)
+  (* 20k single-cycle samples: the default tail target, p99, leaves
+     200 beyond it. *)
+  (sample_ns ~iters:1 ~reps:20_000 cycle).Stats.tail
 
 (* The telemetry-overhead record embedded in BENCH_arc.json: per-op
    read-hit cost with the obs layer detached vs attached (the ISSUE 5
@@ -439,26 +409,14 @@ let telemetry_overhead_json () =
   let read_off, _ = obs_ops ~telemetry:false ~size:512 in
   let read_on, _ = obs_ops ~telemetry:true ~size:512 in
   (* The effect being measured (~1 plain store on an ~11ns op) is
-     smaller than run-to-run frequency drift, so sequential medians of
-     the two closures are too noisy: interleave the samples and take
-     each closure's minimum, the noise-robust estimator for a
-     fixed-work loop (all noise sources are additive). *)
-  let sample f =
-    let t0 = Arc_util.Cpu.now_ns () in
-    for _ = 1 to shm_json_iters do
-      f ()
-    done;
-    Int64.to_float (Int64.sub (Arc_util.Cpu.now_ns ()) t0)
-    /. float_of_int shm_json_iters
+     smaller than run-to-run frequency drift, so sequential samples of
+     the two closures are too noisy: interleave them and take each
+     closure's minimum. *)
+  let off_ns, on_ns =
+    match sample_interleaved ~iters:shm_json_iters ~reps:9 [ read_off; read_on ] with
+    | [ off; on ] -> (off.Stats.min, on.Stats.min)
+    | _ -> assert false
   in
-  ignore (sample read_off);
-  ignore (sample read_on);
-  let off_min = ref infinity and on_min = ref infinity in
-  for _ = 1 to 9 do
-    off_min := Float.min !off_min (sample read_off);
-    on_min := Float.min !on_min (sample read_on)
-  done;
-  let off_ns = !off_min and on_ns = !on_min in
   let overhead_pct =
     if off_ns > 0. then 100. *. (on_ns -. off_ns) /. off_ns else 0.
   in
@@ -476,12 +434,7 @@ let telemetry_overhead_json () =
        loop: hot plain hits until the next write. *)
     ignore (Arc_real.read_with rd ~f:(fun _ _ -> ()));
     let read_plain () = Arc_real.read_plain rd ~f:(fun _ _ -> ()) in
-    ignore (sample read_plain);
-    let m = ref infinity in
-    for _ = 1 to 9 do
-      m := Float.min !m (sample read_plain)
-    done;
-    !m
+    (sample_ns ~iters:shm_json_iters ~reps:9 read_plain).Stats.min
   in
   let reg =
     Arc_real.create ~readers:1 ~capacity:64 ~init:(stamped ~seq:0 ~len:64)
@@ -560,7 +513,8 @@ let emit_shm_json path =
                 Printf.sprintf
                   "    {\"substrate\": %S, \"op\": %S, \"size\": %S, \
                    \"size_words\": %d, \"median_ns_per_op\": %.1f}"
-                  substrate op size_name size (measure_ns f))
+                  substrate op size_name size
+                  (sample_ns ~iters:shm_json_iters ~reps:shm_json_reps f).Stats.p50)
               [ ("read-hit", read_hit); ("write", write); ("write+read", write_read) ])
           substrates)
       shm_sizes
@@ -596,22 +550,10 @@ let fabric_size_words = 64
 let fabric_shard_grid = [ 4; 16; 64; 256; 1024 ]
 let fabric_gate_shards = 64
 
-(* measure_ns's fixed 20k iterations would make the 1024-shard point
-   pay ~7s of sampling for no precision; scale iterations down with
-   the per-op cost instead. *)
-let fabric_measure ~shards f =
-  let iters = max 100 (20_000 / shards) in
-  let sample () =
-    let t0 = Arc_util.Cpu.now_ns () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    Int64.to_float (Int64.sub (Arc_util.Cpu.now_ns ()) t0) /. float_of_int iters
-  in
-  ignore (sample ());
-  let samples = Array.init shm_json_reps (fun _ -> sample ()) in
-  Array.sort compare samples;
-  samples.(shm_json_reps / 2)
+(* A fixed 20k iterations would make the 1024-shard point pay ~7s of
+   sampling for no precision; scale iterations down with the per-op
+   cost instead. *)
+let fabric_iters ~shards = max 100 (20_000 / shards)
 
 (* Measures the CERTIFIED path: the fabric's own epoch word
    is never bumped, so every snapshot takes the no-election fast path —
@@ -635,7 +577,7 @@ let fabric_real_point ~shards =
     | Error _ -> failwith "certified snapshot failed with no elections running"
   in
   snap ();
-  fabric_measure ~shards snap
+  (sample_ns ~iters:(fabric_iters ~shards) ~reps:shm_json_reps snap).Stats.p50
 
 (* Allocation at the gate point, in minor words: per certified
    snapshot (plus the copy-out of every shard) on a quiesced fabric,
@@ -788,8 +730,9 @@ let emit_fabric_json path =
    counts") measured rather than asserted.  Each core count spawns
    that many reader Domains plus one churn writer; every reader times
    the classic read hit and the R2' validated plain load over its own
-   handle, and the point reports the median across readers.  OCaml
-   exposes no portable thread-affinity API, so domains are not pinned;
+   handle, and the point reports the p50 across readers (the lower
+   median for an even count).  OCaml exposes no portable
+   thread-affinity API, so domains are not pinned;
    [hw_cores] records what the host actually had (an oversubscribed
    run is still a real contention measurement, just a noisier one —
    per-reader minima over several samples absorb descheduling spikes).
@@ -800,7 +743,6 @@ let emit_fabric_json path =
 
 let scaling_size = 512
 let scaling_iters = 50_000
-let scaling_warmup = 5_000
 let scaling_reps = 3
 
 let scaling_point ~cores =
@@ -824,24 +766,7 @@ let scaling_point ~cores =
   in
   let measure_reader i () =
     let rd = Arc_real.reader reg i in
-    let time_one f =
-      for _ = 1 to scaling_warmup do
-        f ()
-      done;
-      let best = ref infinity in
-      for _ = 1 to scaling_reps do
-        let t0 = Arc_util.Cpu.now_ns () in
-        for _ = 1 to scaling_iters do
-          f ()
-        done;
-        let ns =
-          Int64.to_float (Int64.sub (Arc_util.Cpu.now_ns ()) t0)
-          /. float_of_int scaling_iters
-        in
-        if ns < !best then best := ns
-      done;
-      !best
-    in
+    let time_one f = (sample_ns ~iters:scaling_iters ~reps:scaling_reps f).Stats.min in
     let hit = time_one (fun () -> Arc_real.read_with rd ~f:(fun _ _ -> ())) in
     let plain = time_one (fun () -> Arc_real.read_plain rd ~f:(fun _ _ -> ())) in
     (hit, plain)
@@ -851,11 +776,7 @@ let scaling_point ~cores =
   let results = Array.map Domain.join doms in
   Atomic.set stop true;
   Domain.join wdom;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
+  let median a = (Stats.summarize a).Stats.p50 in
   (median (Array.map fst results), median (Array.map snd results))
 
 let emit_scaling_json ~cores path =
@@ -895,38 +816,40 @@ let emit_scaling_json ~cores path =
 
 (* --- runner ---------------------------------------------------------- *)
 
-let benchmark tests =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~stabilize:false ~kde:None ()
-  in
-  let grouped = Test.make_grouped ~name:"arc" tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  Analyze.all ols instance raw
+(* The default mode's table: every row through [sample_ns], its
+   iteration count calibrated so one sample lasts [table_sample_ns]
+   (per-op costs here span ~1 ns primitives to ms-long simulated
+   slices). *)
 
-let run_bechamel () =
-  Printf.printf "arc_register benchmarks — %s\n" (Arc_util.Cpu.describe ());
-  Printf.printf "%-50s %14s %8s\n" "benchmark" "ns/op" "r^2";
-  print_endline (String.make 74 '-');
-  let tests =
-    fig1_tests @ fig2_tests @ fig3_tests @ rmw_tests @ ablation_tests @ mrmw_tests
-    @ shm_tests @ obs_tests
+let table_reps = 7
+let table_sample_ns = 1e7
+
+let calibrate f =
+  let rec go iters =
+    if iters >= 1 lsl 24
+       || (sample_ns ~iters ~reps:1 f).Stats.max *. float_of_int iters >= table_sample_ns
+    then iters
+    else go (2 * iters)
   in
-  let results = benchmark tests in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan
-        in
-        let r2 = Option.value (Analyze.OLS.r_square ols) ~default:nan in
-        (name, ns, r2) :: acc)
-      results []
-  in
+  go 1
+
+let run_table () =
+  Printf.printf "arc_register per-op table — %s\n" (Arc_util.Cpu.describe ());
+  Printf.printf "hw_cores: %d; per row: iters calibrated to a %.0f ms sample x %d reps\n"
+    (Domain.recommended_domain_count ()) (table_sample_ns /. 1e6) table_reps;
+  Printf.printf "%-44s %12s %12s %12s %13s\n" "benchmark" "p50 ns/op" "min" "max"
+    "iters x reps";
+  print_endline (String.make 97 '-');
   List.iter
-    (fun (name, ns, r2) -> Printf.printf "%-50s %14.1f %8.4f\n" name ns r2)
-    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows)
+    (fun (name, f) ->
+      let iters = calibrate f in
+      let s = sample_ns ~iters ~reps:table_reps f in
+      Printf.printf "%-44s %12.1f %12.1f %12.1f %13s\n%!" ("arc/" ^ name) s.Stats.p50
+        s.Stats.min s.Stats.max (Printf.sprintf "%d x %d" iters table_reps))
+    (List.sort
+       (fun (a, _) (b, _) -> compare a b)
+       (fig1_rows @ fig2_rows @ fig3_rows @ rmw_rows @ ablation_rows @ mrmw_rows
+      @ shm_rows @ obs_rows))
 
 (* CLI parity with arc-check/arc-soak/arc-crash (cmdliner): unknown
    flags are rejected with a usage message, and the JSON emitters are
@@ -939,7 +862,7 @@ open Cmdliner
 let throughput_json_arg =
   let doc =
     "Write the hold-model throughput grid and the telemetry-overhead \
-     snapshot as JSON to $(docv), skipping the bechamel suite.  A bare \
+     snapshot as JSON to $(docv), skipping the per-op table.  A bare \
      $(opt) writes BENCH_arc.json.  Without this flag no file is written."
   in
   Arg.(
@@ -950,7 +873,7 @@ let throughput_json_arg =
 let shm_json_arg =
   let doc =
     "Write the heap-vs-shm per-op latency snapshot as JSON to $(docv), \
-     skipping the bechamel suite.  A bare $(opt) writes BENCH_shm.json."
+     skipping the per-op table.  A bare $(opt) writes BENCH_shm.json."
   in
   Arg.(
     value
@@ -960,8 +883,8 @@ let shm_json_arg =
 let fabric_json_arg =
   let doc =
     "Write the fabric fan-out campaign (cross-shard snapshot cost per shard \
-     count, real and simulated) as JSON to $(docv), skipping the bechamel \
-     suite.  A bare $(opt) writes BENCH_fabric.json."
+     count, real and simulated) as JSON to $(docv), skipping the per-op \
+     table.  A bare $(opt) writes BENCH_fabric.json."
   in
   Arg.(
     value
@@ -972,7 +895,7 @@ let scaling_json_arg =
   let doc =
     "Write the multi-core read-scaling matrix (per-op read cost at each \
      $(b,--cores) reader Domain count, under a live writer) as JSON to \
-     $(docv), skipping the bechamel suite.  A bare $(opt) writes \
+     $(docv), skipping the per-op table.  A bare $(opt) writes \
      BENCH_scaling.json."
   in
   Arg.(
@@ -985,40 +908,31 @@ let cores_arg =
     "Comma-separated reader Domain counts for the scaling matrix, e.g. \
      2,4,8.  Each count spawns that many reader Domains plus one writer."
   in
-  Arg.(value & opt string "2,3,4" & info [ "cores" ] ~docv:"LIST" ~doc)
-
-let parse_cores s =
-  let parts = String.split_on_char ',' s in
-  let cores =
-    List.filter_map
-      (fun p ->
-        let p = String.trim p in
-        if p = "" then None else Some (int_of_string_opt p))
-      parts
+  let parse s =
+    let parts = List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s)) in
+    let cores = List.filter_map int_of_string_opt parts in
+    if cores <> [] && List.length cores = List.length parts && List.for_all (( <= ) 1) cores
+    then Ok cores
+    else Error (Printf.sprintf "%S is not a list of counts >= 1 (e.g. 2,4,8)" s)
   in
-  match
-    List.fold_left
-      (fun acc c -> match (acc, c) with Some l, Some c when c >= 1 -> Some (c :: l) | _ -> None)
-      (Some []) cores
-  with
-  | Some (_ :: _ as l) -> List.rev l
-  | _ -> raise (Invalid_argument (Printf.sprintf "bad --cores list %S" s))
+  let print ppf l = Format.pp_print_string ppf (String.concat "," (List.map string_of_int l)) in
+  Arg.(value & opt (conv' (parse, print)) [ 2; 3; 4 ] & info [ "cores" ] ~docv:"LIST" ~doc)
 
 let main throughput shm fabric scaling cores =
   match (throughput, shm, fabric, scaling) with
-  | None, None, None, None -> run_bechamel ()
+  | None, None, None, None -> run_table ()
   | _ ->
     Option.iter emit_shm_json shm;
     Option.iter emit_throughput_json throughput;
     Option.iter emit_fabric_json fabric;
-    Option.iter (emit_scaling_json ~cores:(parse_cores cores)) scaling
+    Option.iter (emit_scaling_json ~cores) scaling
 
 let cmd =
   Cmd.v
     (Cmd.info "arc-bench"
        ~doc:
-         "Per-operation microbenchmarks for the ARC register (bechamel \
-          suite by default; machine-readable JSON snapshots by opt-in \
+         "Per-operation microbenchmarks for the ARC register (the per-op \
+          table by default; machine-readable JSON snapshots by opt-in \
           flag)")
     Term.(
       const main $ throughput_json_arg $ shm_json_arg $ fabric_json_arg

@@ -544,9 +544,10 @@ and run_one algo seeds strategy_name readers size steps verbose metrics =
             report.Checker.reads_checked report.Checker.fast_path_candidates
             report.Checker.writes_checked
       | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_violation v));
-      let audit = Audit.of_history h in
-      if audit.Audit.reads.Audit.count > 0 then
-        worst_read := max !worst_read audit.Audit.reads.Audit.max_duration)
+      Option.iter
+        (fun (s : Arc_util.Stats.summary) ->
+          worst_read := max !worst_read (int_of_float s.max))
+        (Audit.of_history h).Audit.reads)
   done;
   Printf.printf
     "%s: %d seeds × %s, %d reads checked, worst read duration %d steps — %s\n" algo

@@ -5,6 +5,7 @@
 
 module Table = Arc_report.Table
 module RI = Arc_core.Register_intf
+module Stats = Arc_util.Stats
 
 let latency_table (opts : Grid.opts) =
   let table =
@@ -12,7 +13,7 @@ let latency_table (opts : Grid.opts) =
       ~title:
         "E7 — read latency distribution on real domains (Verify workload, \
          3 readers, 4KB register; microseconds)"
-      ~columns:[ "algorithm"; "reads"; "mean µs"; "p99 µs"; "p99.9 µs"; "max µs" ]
+      ~columns:[ "algorithm"; "reads"; "mean µs"; "p50 µs"; "p99.9 µs"; "max µs" ]
   in
   List.iter
     (fun (entry : Registry.entry) ->
@@ -33,21 +34,18 @@ let latency_table (opts : Grid.opts) =
         }
       in
       let result = entry.Registry.run_real cfg in
-      match result.Config.history with
-      | None -> ()
-      | Some h ->
-        let audit = Arc_trace.Audit.of_history h in
-        let reads = audit.Arc_trace.Audit.reads in
-        let us ns = ns /. 1e3 in
+      match Option.map Arc_trace.Audit.of_history result.Config.history with
+      | None | Some { Arc_trace.Audit.reads = None; _ } -> ()
+      | Some { Arc_trace.Audit.reads = Some s; _ } ->
+        let us ns = Printf.sprintf "%.2f" (ns /. 1e3) in
         Table.add_row table
           [
             entry.Registry.name;
-            string_of_int reads.Arc_trace.Audit.count;
-            Printf.sprintf "%.2f" (us reads.Arc_trace.Audit.mean_duration);
-            Printf.sprintf "%.2f" (us reads.Arc_trace.Audit.p99_duration);
-            Printf.sprintf "%.2f" (us reads.Arc_trace.Audit.p999_duration);
-            Printf.sprintf "%.2f"
-              (us (float_of_int reads.Arc_trace.Audit.max_duration));
+            string_of_int s.Stats.n;
+            us s.Stats.mean;
+            us s.Stats.p50;
+            (if s.Stats.tail_bp = 9990 then us s.Stats.tail else "—");
+            us s.Stats.max;
           ])
     Registry.all;
   table
@@ -81,16 +79,16 @@ let variability_table (opts : Grid.opts) =
         Array.init reps (fun _ ->
             (entry.Registry.run_real cfg).Config.total_throughput)
       in
-      let s = Arc_util.Stats.summarize samples in
+      let s = Stats.summarize samples in
       Table.add_row table
         [
           entry.Registry.name;
-          Printf.sprintf "%.3g" s.Arc_util.Stats.mean;
-          Printf.sprintf "%.3g" s.Arc_util.Stats.stddev;
+          Printf.sprintf "%.3g" s.Stats.mean;
+          Printf.sprintf "%.3g" s.Stats.stddev;
           Printf.sprintf "%.1f"
-            (100. *. s.Arc_util.Stats.stddev /. s.Arc_util.Stats.mean);
-          Printf.sprintf "%.3g" s.Arc_util.Stats.min;
-          Printf.sprintf "%.3g" s.Arc_util.Stats.max;
+            (100. *. s.Stats.stddev /. s.Stats.mean);
+          Printf.sprintf "%.3g" s.Stats.min;
+          Printf.sprintf "%.3g" s.Stats.max;
         ])
     Registry.paper_set;
   table

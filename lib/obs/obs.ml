@@ -179,6 +179,17 @@ let counter ?labels ?help name v =
 
 let gauge ?labels ?help name v = metric ?labels ?help Gauge name v
 
+let quantiles ?help name h bps =
+  List.filter_map
+    (fun bp ->
+      Arc_util.Histogram.percentile_opt h bp
+      |> Option.map (fun v ->
+             let q =
+               if bp = 10000 then "1.0" else Printf.sprintf "%g" (float_of_int bp /. 1e4)
+             in
+             gauge name ~labels:[ ("quantile", q) ] ?help (float_of_int v)))
+    bps
+
 let kind_name = function Counter -> "counter" | Gauge -> "gauge"
 
 (* Prometheus text exposition format (version 0.0.4): HELP/TYPE once

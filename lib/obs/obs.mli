@@ -134,6 +134,12 @@ val counter :
 val gauge :
   ?labels:(string * string) list -> ?help:string -> string -> float -> metric
 
+val quantiles :
+  ?help:string -> string -> Arc_util.Histogram.t -> int list -> metric list
+(** [quantiles name h bps]: one [quantile]-labelled gauge per
+    basis-point percentile of [bps] that [h]'s count supports
+    ({!Arc_util.Histogram.percentile_opt}); none on an empty histogram. *)
+
 val prometheus : metric list -> string
 (** Prometheus text exposition (format 0.0.4): [# HELP]/[# TYPE] once
     per family, one sample line per metric, same-name samples grouped. *)

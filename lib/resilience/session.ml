@@ -128,18 +128,11 @@ module Make (R : Arc_core.Register_intf.S) = struct
         ~help:"Clock units since the snapshot was refreshed (-1 if none)"
         (match snapshot_age t with None -> -1. | Some a -> float_of_int a);
     ]
-    @
-    if Arc_util.Histogram.count t.latency = 0 then []
-    else
-      List.map
-        (fun (q, p) ->
-          gauge "session_read_latency"
-            ~labels:[ ("quantile", q) ]
-            ~help:
-              "read_with latency in session clock units (interpolated \
-               histogram percentile)"
-            (float_of_int (Arc_util.Histogram.percentile t.latency p)))
-        [ ("0.5", 50.); ("0.99", 99.); ("1.0", 100.) ]
+    @ quantiles "session_read_latency"
+        ~help:
+          "read_with latency in session clock units (interpolated \
+           histogram percentile)"
+        t.latency [ 5000; 9900; 10000 ]
 
   let serve_degraded t ~attempts ~last_error ~f =
     let age = t.now () - t.snap_at in

@@ -978,9 +978,8 @@ let histogram f rs =
   h
 
 let pp_churn_summary ppf (rs : churn report list) =
-  let pct h p =
-    if Arc_util.Histogram.count h = 0 then -1
-    else Arc_util.Histogram.percentile h p
+  let pct h bp =
+    Option.fold ~none:"—" ~some:string_of_int (Arc_util.Histogram.percentile_opt h bp)
   in
   let join = histogram (fun m -> m.join) rs
   and leave = histogram (fun m -> m.leave) rs in
@@ -989,28 +988,16 @@ let pp_churn_summary ppf (rs : churn report list) =
      departed, %d evicted (%d abandoned, %d lane crashes)@,\
      %d writes, %d fresh reads, %d stale serves, %d exhausted, %d refused \
      serves; high water %d, live buffers max %d@,\
-     join p50/p99: %d/%d steps, tenancy p50/p99: %d/%d steps — %s@]"
+     join p50/p99: %s/%s steps, tenancy p50/p99: %s/%s steps — %s@]"
     (List.length rs) (arrivals rs) (admitted rs) (backpressured rs)
     (departed rs) (evicted rs) (abandoned rs) (crashes rs) (writes rs)
     (fresh rs) (stale rs) (exhausted rs) (refused_serves rs)
     (fold max (fun s -> s.mode.high_water) rs)
-    (live_buffers_max rs) (pct join 50.) (pct join 99.) (pct leave 50.)
-    (pct leave 99.) (verdict rs)
+    (live_buffers_max rs) (pct join 5000) (pct join 9900) (pct leave 5000)
+    (pct leave 9900) (verdict rs)
 
 let churn_metrics (rs : churn report list) =
   let open Arc_obs.Obs in
-  let quantiles name f help =
-    let h = histogram f rs in
-    if Arc_util.Histogram.count h = 0 then []
-    else
-      List.map
-        (fun (q, p) ->
-          gauge name
-            ~labels:[ ("quantile", q) ]
-            ~help
-            (float_of_int (Arc_util.Histogram.percentile h p)))
-        [ ("0.5", 50.); ("0.99", 99.) ]
-  in
   [
     counter "soak_churn_runs_total" ~help:"Completed churn runs" (List.length rs);
     counter "soak_churn_arrivals_total" ~help:"Reader arrivals offered to the gate"
@@ -1035,10 +1022,12 @@ let churn_metrics (rs : churn report list) =
     counter "soak_churn_violations_total" ~help:"Checker violations (must stay 0)"
       (List.length (violations rs));
   ]
-  @ quantiles "soak_churn_join_steps" (fun m -> m.join)
-      "Arrival-to-admission latency (simulated steps)"
-  @ quantiles "soak_churn_tenancy_steps" (fun m -> m.leave)
-      "Arrival-to-tenancy-end latency (simulated steps)"
+  @ quantiles "soak_churn_join_steps"
+      ~help:"Arrival-to-admission latency (simulated steps)"
+      (histogram (fun m -> m.join) rs) [ 5000; 9900 ]
+  @ quantiles "soak_churn_tenancy_steps"
+      ~help:"Arrival-to-tenancy-end latency (simulated steps)"
+      (histogram (fun m -> m.leave) rs) [ 5000; 9900 ]
 
 let churn_replay_command ~seed (c : churn_cfg) =
   Arc_report.Replay.(

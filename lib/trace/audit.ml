@@ -1,46 +1,21 @@
-type op_stats = {
-  count : int;
-  max_duration : int;
-  mean_duration : float;
-  p99_duration : float;
-  p999_duration : float;
+type t = {
+  reads : Arc_util.Stats.summary option;
+  writes : Arc_util.Stats.summary option;
 }
 
-let pp_op_stats ppf s =
-  Format.fprintf ppf "@[<h>n=%d, max=%d, mean=%.1f, p99=%.1f, p99.9=%.1f@]" s.count
-    s.max_duration s.mean_duration s.p99_duration s.p999_duration
-
-type t = { reads : op_stats; writes : op_stats }
-
-let zero =
-  {
-    count = 0;
-    max_duration = 0;
-    mean_duration = 0.;
-    p99_duration = 0.;
-    p999_duration = 0.;
-  }
-
-let stats_of events =
+let summary_of events =
   match events with
-  | [] -> zero
+  | [] -> None
   | _ ->
-    let durations =
-      Array.of_list
-        (List.map
-           (fun (e : History.event) -> float_of_int (e.returned - e.invoked))
-           events)
-    in
-    {
-      count = Array.length durations;
-      max_duration = int_of_float (Array.fold_left max durations.(0) durations);
-      mean_duration = Arc_util.Stats.mean durations;
-      p99_duration = Arc_util.Stats.percentile durations 99.;
-      p999_duration = Arc_util.Stats.percentile durations 99.9;
-    }
+    Some
+      (Arc_util.Stats.summarize ~target:9990
+         (Array.of_list
+            (List.map
+               (fun (e : History.event) -> float_of_int (e.returned - e.invoked))
+               events)))
 
 let of_history h =
-  { reads = stats_of (History.reads h); writes = stats_of (History.writes h) }
+  { reads = summary_of (History.reads h); writes = summary_of (History.writes h) }
 
 let bounded h ~kind ~bound =
   let events =

@@ -9,22 +9,15 @@
     delays unboundedly (the Fig. 2/3 mechanism).  Tests assert such
     bounds; experiments report the tails. *)
 
-type op_stats = {
-  count : int;
-  max_duration : int;
-  mean_duration : float;
-  p99_duration : float;
-  p999_duration : float;
-      (** the soak-triage tail: one stuck retry in 10^3 reads shows
-          here long before it moves p99 *)
+type t = {
+  reads : Arc_util.Stats.summary option;
+  writes : Arc_util.Stats.summary option;
 }
 
-val pp_op_stats : Format.formatter -> op_stats -> unit
-
-type t = { reads : op_stats; writes : op_stats }
-
 val of_history : History.t -> t
-(** Empty classes yield zeroed stats. *)
+(** Durations per class, summarized with tail target p99.9 (the
+    soak-triage tail: one stuck retry in 10^3 reads shows there long
+    before it moves p99); [None] for a class with no events. *)
 
 val bounded : History.t -> kind:History.kind -> bound:int -> (unit, History.event) result
 (** [Ok] if every operation of [kind] lasted at most [bound] clock

@@ -30,23 +30,16 @@ let max_value t = t.max_value
 let bucket_hi b = if b = 0 then 0 else (1 lsl b) - 1
 let bucket_lo b = if b <= 1 then b else (1 lsl (b - 1))
 
-(* The rank-th smallest sample lies in the first bucket whose
-   cumulative count reaches the rank; the estimate interpolates
-   linearly within that bucket by the rank's position among the
-   bucket's own samples (position c of c lands on the bucket's upper
-   bound, clamped to the recorded maximum).  The previous
-   implementation returned the raw bucket upper bound, overstating
-   mid-bucket percentiles by up to 2x — the power-of-two bucket
-   width.  Interpolation keeps the estimate inside the same bucket
-   (its error stays bucket-bounded) but centred on the requested rank;
-   the property test in test_histogram.ml cross-checks it against the
-   exact [Stats.percentile] on random samples. *)
-let percentile t p =
+(* The rank-th smallest sample ({!Stats.rank}) lies in the first
+   bucket whose cumulative count reaches the rank; the estimate
+   interpolates linearly within that bucket by the rank's position
+   among the bucket's own samples (position c of c lands on the
+   bucket's upper bound, clamped to the recorded maximum), so it stays
+   in the same power-of-two bucket as the exact order statistic. *)
+let percentile t bp =
   if t.total = 0 then invalid_arg "Histogram.percentile: empty";
-  if p < 0. || p > 100. then invalid_arg "Histogram.percentile: p out of [0,100]";
-  let rank =
-    int_of_float (ceil (p /. 100. *. float_of_int t.total)) |> max 1
-  in
+  if bp < 0 || bp > 10000 then invalid_arg "Histogram.percentile: bp out of [0,10000]";
+  let rank = Stats.rank ~n:t.total bp in
   let rec go b seen_before =
     if b >= nbuckets then t.max_value
     else begin
@@ -63,6 +56,9 @@ let percentile t p =
     end
   in
   go 0 0
+
+let percentile_opt t bp =
+  if Stats.supports ~n:t.total bp then Some (percentile t bp) else None
 
 let merge_into ~src ~dst =
   Array.iteri (fun b c -> dst.counts.(b) <- dst.counts.(b) + c) src.counts;

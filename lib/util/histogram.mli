@@ -16,17 +16,21 @@ val count : t -> int
 val max_value : t -> int
 (** Largest recorded sample (exact). *)
 
-val percentile : t -> float -> int
-(** [percentile t p]: estimate of the [p]-th percentile, linearly
-    interpolated within the power-of-two bucket holding the
-    [⌈p/100·n⌉]-th smallest sample (clamped to {!max_value}, so the
-    top percentile of a single-maximum distribution is exact).  The
-    estimate always lies in the same bucket as that order statistic —
-    within a factor of two of it — whereas returning the raw bucket
-    upper bound (the previous behaviour) overstated mid-bucket
-    percentiles by up to 2x.
-    @raise Invalid_argument on an empty histogram or [p] outside
-    [0, 100]. *)
+val percentile : t -> int -> int
+(** [percentile t bp]: estimate of the [bp]-basis-point percentile
+    ([9900] = p99), linearly interpolated within the power-of-two
+    bucket holding the sample at {!Stats.rank} (clamped to
+    {!max_value}, so the top percentile of a single-maximum
+    distribution is exact).  The estimate always lies in the same
+    bucket as that order statistic, so its error is below a factor of
+    two.
+    @raise Invalid_argument on an empty histogram or [bp] outside
+    [0, 10000]. *)
+
+val percentile_opt : t -> int -> int option
+(** [Some (percentile t bp)] when {!Stats.supports} the count, [None]
+    otherwise (an empty histogram included): the tail-refusing form
+    every report and gauge uses. *)
 
 val merge_into : src:t -> dst:t -> unit
 (** Add all of [src]'s counts into [dst] (per-thread histograms merged

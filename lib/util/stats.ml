@@ -1,15 +1,3 @@
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-  p95 : float;
-  p999 : float;
-  ci95 : float;
-}
-
 let mean xs =
   if Array.length xs = 0 then invalid_arg "Stats.mean: empty";
   Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
@@ -22,55 +10,51 @@ let stddev xs =
     let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
     sqrt (ss /. float_of_int (n - 1))
 
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty";
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of [0,100]";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let rank = p /. 100. *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = int_of_float (ceil rank) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
+(* Basis points keep ranks exact integer arithmetic. *)
+let rank ~n bp = max 1 (((bp * n) + 9999) / 10000)
 
-let summarize xs =
+let supports ~n bp = n > 0 && (bp <= 5000 || bp >= 10000 || n - rank ~n bp >= 10)
+
+let ladder = [ 9999; 9990; 9900; 9500; 9000; 7500; 5000 ]
+
+let tail_bp ?(target = 9900) n =
+  List.find_opt (fun bp -> bp <= target && n - rank ~n bp >= 10) ladder
+
+let at sorted bp = sorted.(rank ~n:(Array.length sorted) bp - 1)
+
+let sorted_copy xs =
+  let s = Array.copy xs in
+  Array.sort Float.compare s;
+  s
+
+let percentile xs bp =
+  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty";
+  if bp < 0 || bp > 10000 then invalid_arg "Stats.percentile: bp out of [0,10000]";
+  at (sorted_copy xs) bp
+
+type summary = {
+  n : int;
+  mean : float;
+  stddev : float;
+  min : float;
+  max : float;
+  p50 : float;
+  tail : float;
+  tail_bp : int;
+}
+
+let summarize ?target xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty";
-  let m = mean xs in
-  let sd = stddev xs in
-  let mn = Array.fold_left min xs.(0) xs in
-  let mx = Array.fold_left max xs.(0) xs in
+  let s = sorted_copy xs in
+  let tail_bp = Option.value (tail_bp ?target n) ~default:10000 in
   {
     n;
-    mean = m;
-    stddev = sd;
-    min = mn;
-    max = mx;
-    median = percentile xs 50.;
-    p95 = percentile xs 95.;
-    p999 = percentile xs 99.9;
-    ci95 = 1.96 *. sd /. sqrt (float_of_int n);
+    mean = mean xs;
+    stddev = stddev xs;
+    min = s.(0);
+    max = s.(n - 1);
+    p50 = at s 5000;
+    tail = at s tail_bp;
+    tail_bp;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "@[<h>mean=%.4g ±%.2g (sd=%.3g, n=%d, min=%.4g, max=%.4g)@]"
-    s.mean s.ci95 s.stddev s.n s.min s.max
-
-module Online = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.; m2 = 0. }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = t.mean
-  let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
-end

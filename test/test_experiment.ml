@@ -79,7 +79,7 @@ let test_latency_table () =
   List.iter
     (fun row ->
       match row with
-      | [ _algo; reads; mean_us; _p99; _p999; _max ] ->
+      | [ _algo; reads; mean_us; _p50; _p999; _max ] ->
         Alcotest.(check bool) "reads recorded" true (int_of_string reads > 0);
         Alcotest.(check bool) "positive latency" true (float_of_string mean_us > 0.)
       | _ -> Alcotest.fail "unexpected row shape")

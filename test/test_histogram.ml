@@ -15,40 +15,54 @@ let test_percentiles_bounded () =
   for v = 1 to 1000 do
     H.record h v
   done;
-  let p50 = H.percentile h 50. in
+  let p50 = H.percentile h 5000 in
   (* Interpolated within the bucket: for a uniform 1..1000 population
      the estimate lands within a few units of the true median, not at
      the bucket's upper bound (511) as the pre-fix code returned. *)
   Alcotest.(check bool) (Printf.sprintf "p50=%d in [495, 505]" p50) true
     (p50 >= 495 && p50 <= 505);
-  check "p100 is the max" 1000 (H.percentile h 100.)
+  check "p100 is the max" 1000 (H.percentile h 10000)
 
 let test_percentile_single_sample_exact () =
   let h = H.create () in
   H.record h 5;
   (* One sample: every percentile is that sample.  The max_value clamp
      makes the interpolation exact here despite the [4, 7] bucket. *)
-  List.iter (fun p -> check (Printf.sprintf "p%.0f" p) 5 (H.percentile h p))
-    [ 0.; 50.; 100. ]
+  List.iter (fun bp -> check (Printf.sprintf "bp %d" bp) 5 (H.percentile h bp))
+    [ 0; 5000; 10000 ]
 
 let test_percentile_identical_samples () =
   let h = H.create () in
   for _ = 1 to 100 do
     H.record h 5
   done;
-  check "p50 of identical samples" 5 (H.percentile h 50.)
+  check "p50 of identical samples" 5 (H.percentile h 5000)
 
 let test_zero_and_negative () =
   let h = H.create () in
   H.record h 0;
   H.record h (-5);
-  check "bucketed at zero" 0 (H.percentile h 100.);
+  check "bucketed at zero" 0 (H.percentile h 10000);
   check "count" 2 (H.count h)
 
 let test_empty_percentile () =
   Alcotest.check_raises "empty rejected"
     (Invalid_argument "Histogram.percentile: empty") (fun () ->
-      ignore (H.percentile (H.create ()) 50.))
+      ignore (H.percentile (H.create ()) 5000))
+
+let test_percentile_opt () =
+  let h = H.create () in
+  Alcotest.(check (option int)) "empty: no median" None (H.percentile_opt h 5000);
+  for v = 1 to 100 do
+    H.record h v
+  done;
+  Alcotest.(check (option int)) "median" (Some (H.percentile h 5000))
+    (H.percentile_opt h 5000);
+  Alcotest.(check (option int)) "p90 leaves 10 beyond" (Some (H.percentile h 9000))
+    (H.percentile_opt h 9000);
+  Alcotest.(check (option int)) "p99 of 100 leaves 1 beyond" None
+    (H.percentile_opt h 9900);
+  Alcotest.(check (option int)) "the maximum" (Some 100) (H.percentile_opt h 10000)
 
 let test_merge () =
   let a = H.create () and b = H.create () in
@@ -69,48 +83,24 @@ let test_buckets_ascending () =
     (fun (lo, hi, _) -> Alcotest.(check bool) "lo<=hi" true (lo <= hi))
     bs
 
-(* Cross-check against the exact [Stats.percentile] (the satellite fix
-   of ISSUE 5).  The histogram targets the ⌈p/100·n⌉-th smallest
-   sample [s] and interpolates inside its power-of-two bucket, so the
-   estimate must stay within factor two of [s]; and since [s] is one
-   of the two order statistics Stats interpolates between
-   ([⌊i⌋]/[⌈i⌉] at i = p(n−1)/100), the estimate is factor-two
-   bracketed by the exact percentile's own interval.  The pre-fix
-   bucket_hi behaviour satisfies the first bound but lands at the
-   bucket top; the uniform-population unit test above pins the
-   interpolation itself. *)
+(* Cross-check against the exact [Stats.percentile]: both take the
+   sample at [Stats.rank], and the histogram only interpolates inside
+   that sample's power-of-two bucket. *)
 let prop_percentile_cross_check =
+  let rec bucket v = if v <= 0 then 0 else 1 + bucket (v lsr 1) in
   QCheck.Test.make
-    ~name:"percentile within factor 2 of the exact order statistic" ~count:500
+    ~name:"percentile within factor 2: same bucket as Stats.percentile" ~count:500
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 200) (int_bound 1_000_000))
-        (float_range 0. 100.))
-    (fun (samples, p) ->
+        (int_range 0 10_000))
+    (fun (samples, bp) ->
       let h = H.create () in
       List.iter (H.record h) samples;
-      let n = List.length samples in
-      let sorted = Array.of_list (List.sort compare samples) in
-      let estimate = H.percentile h p in
-      (* The histogram's target order statistic. *)
-      let rank =
-        max 1 (int_of_float (ceil (p /. 100. *. float_of_int n)))
+      let exact =
+        Arc_util.Stats.percentile (Array.of_list (List.map float_of_int samples)) bp
       in
-      let s = sorted.(rank - 1) in
-      (* Stats' bracketing order statistics (i = p/100·(n−1), 0-based). *)
-      let i = p /. 100. *. float_of_int (n - 1) in
-      let s_lo = sorted.(int_of_float (floor i)) in
-      let s_hi = sorted.(int_of_float (ceil i)) in
-      let exact = Arc_util.Stats.percentile (Array.map float_of_int sorted) p in
-      (* Sanity: the exact value really is inside its bracket. *)
-      float_of_int s_lo -. 1e-6 <= exact
-      && exact <= float_of_int s_hi +. 1e-6
-      (* Same-bucket bound vs the target order statistic. *)
-      && estimate <= 2 * s
-      && s <= (2 * estimate) + 1
-      (* Factor-two bracket vs the exact percentile's interval. *)
-      && estimate <= (2 * s_hi) + 1
-      && s_lo <= (2 * estimate) + 1)
+      bucket (H.percentile h bp) = bucket (int_of_float exact))
 
 let prop_max_exact =
   QCheck.Test.make ~name:"max_value is exact" ~count:200
@@ -130,6 +120,7 @@ let suite =
       test_percentile_identical_samples;
     Alcotest.test_case "zero and negative" `Quick test_zero_and_negative;
     Alcotest.test_case "empty percentile" `Quick test_empty_percentile;
+    Alcotest.test_case "percentile_opt refuses thin tails" `Quick test_percentile_opt;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "buckets ascending" `Quick test_buckets_ascending;
     QCheck_alcotest.to_alcotest prop_percentile_cross_check;
