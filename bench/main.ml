@@ -217,11 +217,19 @@ let mrmw_rows =
    atomics instead of [Atomic], plus the publish trailer (sequence
    bracket + checksum over the payload) on every write.  Reads carry
    no trailer work, so read-hit should be near-identical; write pays
-   roughly one extra payload scan. *)
+   the checksum, which rides in the copy pass at the cost of the
+   checksum's multiply chains. *)
+
+let shm_mapping ~words =
+  let path = Filename.temp_file "arc_bench_shm" ".reg" in
+  let m = Arc_shm.Shm_mem.create ~path ~words in
+  at_exit (fun () ->
+      Arc_shm.Shm_mem.close m;
+      try Sys.remove path with Sys_error _ -> ());
+  m
 
 let shm_ops ~size =
-  let path = Filename.temp_file "arc_bench_shm" ".reg" in
-  let m = Arc_shm.Shm_mem.create ~path ~words:(8 * (size + 64)) in
+  let m = shm_mapping ~words:(8 * (size + 64)) in
   let module M = (val Arc_shm.Shm_mem.mem m) in
   let module R = Arc_core.Arc.Make (M) in
   let reg = R.create ~readers:2 ~capacity:size ~init:(stamped ~seq:0 ~len:size) in
@@ -235,10 +243,26 @@ let shm_ops ~size =
     R.write reg ~src ~len:size;
     R.read_with rd ~f:(fun _ _ -> ())
   in
-  at_exit (fun () ->
-      Arc_shm.Shm_mem.close m;
-      try Sys.remove path with Sys_error _ -> ());
   (read_hit, write, write_read)
+
+(* The publish kernel against its floor, on a spare buffer outside
+   any register: [publish] is one [write_words] (trailer stamps plus
+   the fused copy+checksum pass), [checksum] is [Shm_mem.checksum]
+   over the same buffer (the four xor-multiply lanes alone, reading
+   the mapping).  Their ratio is the kernel's distance from the
+   checksum's floor (DESIGN.md §6d). *)
+let shm_kernel ~size =
+  let m = shm_mapping ~words:(size + 64) in
+  let module M = (val Arc_shm.Shm_mem.mem m) in
+  let buf = M.alloc size in
+  let src = stamped ~seq:1 ~len:size in
+  let publish () = M.write_words buf ~src ~len:size in
+  publish ();
+  let info = ref None in
+  Arc_shm.Shm_mem.iter_buffers m (fun i -> info := Some i);
+  let info = Option.get !info in
+  let checksum () = ignore (Arc_shm.Shm_mem.checksum m info) in
+  (publish, checksum)
 
 let shm_sizes = [ ("4KB", 512); ("32KB", 4096); ("128KB", 16384) ]
 
@@ -246,10 +270,13 @@ let shm_rows =
   List.concat_map
     (fun (size_name, size) ->
       let read_hit, write, write_read = shm_ops ~size in
+      let publish, checksum = shm_kernel ~size in
       [
         (Printf.sprintf "shm/read-hit/arc/%s" size_name, read_hit);
         (Printf.sprintf "shm/write/arc/%s" size_name, write);
         (Printf.sprintf "shm/write+read/arc/%s" size_name, write_read);
+        (Printf.sprintf "shm/kernel/publish/%s" size_name, publish);
+        (Printf.sprintf "shm/kernel/checksum/%s" size_name, checksum);
       ])
     shm_sizes
 
@@ -499,24 +526,45 @@ let emit_throughput_json path =
 (* --- machine-readable substrate snapshot (BENCH_shm.json) ------------ *)
 
 (* Per-op latencies of the same register over both substrates, so the
-   durability tax is a number the perf trajectory tracks across PRs. *)
+   durability tax is a number the perf trajectory tracks across PRs,
+   plus the shm publish kernel against its checksum floor. *)
 
 let emit_shm_json path =
+  let record substrate op (size_name, size) (s : Stats.summary) =
+    Printf.sprintf
+      "    {\"substrate\": %S, \"op\": %S, \"size\": %S, \
+       \"size_words\": %d, \"median_ns_per_op\": %.1f}"
+      substrate op size_name size s.Stats.p50
+  in
+  (* Warm-up: the first row sampled in a fresh process read ~2x slow
+     (a 4 KB heap read hit at ~24 ns, ~12 ns when sampled again), so
+     one unrecorded pass goes first (DESIGN.md §6). *)
+  (let warm, _, _ = Arc_ops.make ~size:512 in
+   ignore (sample_ns ~iters:shm_json_iters ~reps:shm_json_reps warm));
   let records =
     List.concat_map
-      (fun (size_name, size) ->
+      (fun ((_, size) as sz) ->
         let substrates = [ ("heap", Arc_ops.make ~size); ("shm", shm_ops ~size) ] in
-        List.concat_map
-          (fun (substrate, (read_hit, write, write_read)) ->
-            List.map
-              (fun (op, f) ->
-                Printf.sprintf
-                  "    {\"substrate\": %S, \"op\": %S, \"size\": %S, \
-                   \"size_words\": %d, \"median_ns_per_op\": %.1f}"
-                  substrate op size_name size
-                  (sample_ns ~iters:shm_json_iters ~reps:shm_json_reps f).Stats.p50)
-              [ ("read-hit", read_hit); ("write", write); ("write+read", write_read) ])
-          substrates)
+        let per_op =
+          List.concat_map
+            (fun (substrate, (read_hit, write, write_read)) ->
+              List.map
+                (fun (op, f) ->
+                  record substrate op sz
+                    (sample_ns ~iters:shm_json_iters ~reps:shm_json_reps f))
+                [ ("read-hit", read_hit); ("write", write); ("write+read", write_read) ])
+            substrates
+        in
+        (* The kernel and its floor interleaved, so drift lands on
+           both alike and their ratio is meaningful. *)
+        let publish, checksum = shm_kernel ~size in
+        match
+          sample_interleaved ~iters:shm_json_iters ~reps:shm_json_reps
+            [ publish; checksum ]
+        with
+        | [ p; c ] ->
+          per_op @ [ record "shm" "publish-kernel" sz p; record "shm" "checksum-floor" sz c ]
+        | _ -> assert false)
       shm_sizes
   in
   let oc = open_out path in

@@ -161,9 +161,20 @@ let state_quarantined = 1
 
      cksum = mix (mix (mix lane0 lane1) lane2) lane3
 
-   Four chains instead of one let the computation keep pace with the
-   copy (shm_stubs.c computes it in the copy loop itself).  Not
-   cryptographic — the threat model is torn writes and stray bit
+   One serial chain is latency-bound on the multiply (about 4 cycles
+   per word); four chains allow about one word per cycle, and that is
+   the publish pass's floor.  shm_stubs.c computes the checksum in the
+   copy loop itself and runs at that floor: at 128 KB (GCC 12 -O2,
+   2-vCPU x86-64 VM, best of 5) the fused copy+checksum costs
+   0.35-0.40 ns/word, the four chains alone 0.33-0.39 and a plain
+   memcpy 0.24.  The loop it replaced cost 0.54-0.67 ns/word, because
+   the compiler vectorized its plain stores' 4-word groups and paid to
+   move each word back for its multiply; the loop stores each word
+   with a relaxed atomic store, which no compiler vectorizes and which
+   keeps every mapping word whole for racing R2' plain readers.
+   Residual: 4K aliasing, a destination 128-256 bytes past the source
+   modulo 4 KiB, measured once at about 1.5x the floor and not
+   reproduced since (DESIGN.md §6d).  Not cryptographic — the threat model is torn writes and stray bit
    flips, not an adversary.  OCaml's native-int wraparound is part of
    the function; it is deterministic across processes on the same
    architecture, which is the only place a mapping is shared. *)

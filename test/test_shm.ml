@@ -140,6 +140,73 @@ let test_convicts_flipped_payload () =
           Alcotest.(check bool) "read_latest skips the convicted slot" true
             (seq <> b.end_seq))
 
+(* {1 A racing reader}
+
+   Two domains over one shm register: a writer publishing stamped
+   payloads through the fused copy+checksum kernel, and a reader
+   validating every classic read and every R2' plain read (which scans
+   the slot the writer may be re-preparing, so it relies on each
+   mapping word being stored whole).  The length leaves a 4-word group
+   and a 3-word tail after the 8-word loop. *)
+
+let test_racing_reader () =
+  with_mapping (fun _path m ->
+      let len = 1031 and writes = 20_000 in
+      let init = Array.make len 0 in
+      Payload.stamp init ~seq:0 ~len;
+      let inst = Arc_shm.Shm_arc.create m ~shards:1 ~readers:1 ~capacity:len ~init in
+      let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
+      let module P = Arc_workload.Payload.Make (I.M) in
+      let reg = I.regs.(0) in
+      let rd = I.R.reader reg 0 in
+      let started = Atomic.make false and finished = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            while not (Atomic.get started) do
+              Domain.cpu_relax ()
+            done;
+            let src = Array.make len 0 in
+            for k = 1 to writes do
+              Payload.stamp src ~seq:k ~len;
+              I.R.write reg ~src ~len
+            done;
+            Atomic.set finished true)
+      in
+      let validate buf n = P.validate buf ~len:n in
+      let reader =
+        Domain.spawn (fun () ->
+            let last = ref 0 and reads = ref 0 in
+            let check what = function
+              | Error e -> Alcotest.failf "%s after seq %d: torn: %s" what !last e
+              | Ok s ->
+                  if s < !last then
+                    Alcotest.failf "%s went backward: %d after %d" what s !last;
+                  last := s;
+                  incr reads
+            in
+            Atomic.set started true;
+            while not (Atomic.get finished) do
+              check "read_with" (I.R.read_with rd ~f:validate);
+              check "read_plain" (I.R.read_plain rd ~f:validate)
+            done;
+            !reads)
+      in
+      Domain.join writer;
+      let reads = Domain.join reader in
+      Alcotest.(check bool) (Printf.sprintf "reads raced the writer (%d)" reads) true
+        (reads > 0);
+      Alcotest.(check (result int string)) "the last read is the last write"
+        (Ok writes) (I.R.read_with rd ~f:validate);
+      Alcotest.(check bool) "presence ledger balanced" true
+        (I.R.Debug.presence_bound_holds reg);
+      (match S.read_latest m with
+      | None -> Alcotest.fail "nothing verified in the mapping"
+      | Some (_seq, payload) ->
+          Alcotest.(check (result int string)) "read_latest names the last write"
+            (Ok writes) (Payload.validate_words payload ~len));
+      let r = recovery_exn (S.recover m ~shard:0) in
+      Alcotest.(check int) "recovery convicts nothing" 0 (List.length r.convicted))
+
 (* {1 The 4-lane publish checksum}
 
    Both C checksum stubs — the fused copy+checksum of [write_words]
@@ -183,11 +250,15 @@ let with_published ?(words = 1 lsl 15) ~cap f =
       in
       f m (fun ~src ~len -> M.write_words b ~src ~len) info)
 
-let cksum_lengths = [ 0; 1; 3; 4; 5; 7; 512; 16387 ]
+(* Every length 0..17 (each residue mod 8 on both sides of one
+   8-word group of the publish kernel), a 4 KB register, and 128 KB
+   plus 3 words (a 3-word tail after the last 8-word group) and plus
+   6 (a 4-word group, then a 2-word tail). *)
+let cksum_lengths = List.init 18 Fun.id @ [ 512; 16387; 16390 ]
 
 let test_cksum_stubs_match_reference () =
   let rng = Arc_util.Splitmix.of_int 0x5eed in
-  with_published ~cap:16387 (fun m write info ->
+  with_published ~cap:(List.fold_left max 0 cksum_lengths) (fun m write info ->
       List.iter
         (fun len ->
           let src = random_words rng len in
@@ -214,6 +285,28 @@ let test_cksum_stubs_match_reference () =
             (reference_cksum ~epoch:i.bepoch ~seq:i.begin_seq other len)
             (S.checksum m i))
         cksum_lengths)
+
+(* Neither remainder of the publish kernel (the 4-word group after
+   the 8-word loop, the len mod 4 tail) may store past [len]: publish
+   into a buffer one word larger, from a source one word longer, with
+   a sentinel planted at payload word [len]. *)
+let test_publish_stays_in_bounds () =
+  let rng = Arc_util.Splitmix.of_int 0xb0b5 in
+  List.iter
+    (fun len ->
+      with_published ~cap:(len + 1) (fun m write info ->
+          let src = random_words rng (len + 1) in
+          let at = (info ()).base + L.buf_header + len in
+          let sentinel = lnot src.(len) in
+          S.unsafe_set m at sentinel;
+          write ~src ~len;
+          Alcotest.(check int)
+            (Printf.sprintf "len %d: sentinel at word %d untouched" len len)
+            sentinel (S.unsafe_get m at);
+          Alcotest.(check int)
+            (Printf.sprintf "len %d: trailer length" len)
+            len (info ()).len))
+    cksum_lengths
 
 let convicted_checksum m =
   match S.recover m ~shard:0 with
@@ -603,6 +696,10 @@ let suite =
       test_convicts_flipped_payload;
     Alcotest.test_case "checksum stubs match the 4-lane reference" `Quick
       test_cksum_stubs_match_reference;
+    Alcotest.test_case "publish kernel stores nothing past len" `Quick
+      test_publish_stays_in_bounds;
+    Alcotest.test_case "racing reader over the shm register" `Quick
+      test_racing_reader;
     Alcotest.test_case "control: flipped word convicted in every lane" `Quick
       test_convicts_flip_every_lane;
     Alcotest.test_case "control: swapped adjacent words convicted" `Quick
