@@ -51,6 +51,10 @@ let store a v =
   touch ~is_write:true a.line;
   a.v <- v
 
+(* The model prices coherence, not ordering: a release store takes
+   the line for writing exactly like a store. *)
+let store_release = store
+
 (* RMWs hold the line exclusively: one write-intent access. *)
 let exchange a v =
   touch ~is_write:true a.line;

@@ -407,10 +407,11 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     M.incr released.r_end (* R3 *);
     if reg.use_hint then begin
       (* §3.4: if this release made the slot reusable, propose it to
-         the writer.  Plain loads/stores suffice: a stale proposal is
-         re-validated by the writer before use. *)
+         the writer.  Plain loads and a release store suffice: a stale
+         proposal is re-validated by the writer before use. *)
       let fin = M.load released.r_end in
-      if fin = M.load released.r_start then M.store reg.hint rd.last_index
+      if fin = M.load released.r_start then
+        M.store_release reg.hint rd.last_index
     end;
     let now = M.add_and_fetch reg.current 1 (* R4 *) in
     (* Saturation guard: with count ≤ readers ≤ 2^32 - 2 by
@@ -677,7 +678,7 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
       if not reg.use_hint then -1
       else begin
         let h = M.load reg.hint in
-        if h >= 0 then M.store reg.hint (-1);
+        if h >= 0 then M.store_release reg.hint (-1);
         h
       end
     in
@@ -776,7 +777,9 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
        least one side (see the [slot] type).  A guard abort burns the
        stamp — stamps are unique, not dense.  A writer crash mid-copy
        leaves [seq <> seq_end], so no plain read can ever validate the
-       torn content. *)
+       torn content.  A sequentially consistent [store]: it is a
+       seqlock begin, which the content stores must not pass, and a
+       release store orders only what comes before it. *)
     w.stamp <- w.stamp + 1;
     M.store entry.seq w.stamp;
     if elastic && needs_realloc entry len then begin
@@ -792,10 +795,15 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     end;
     w.superseded_at.(slot) <- -1;
     M.write_words entry.content ~src ~len;
-    M.store entry.size len;
-    M.store entry.seq_end w.stamp;
-    M.store entry.r_start 0;
-    M.store entry.r_end 0;
+    (* Release stores from here on (DESIGN.md §6 lists every ARC store
+       with its order): each only has to follow the stores before it,
+       which a release store guarantees, and W2's exchange orders them
+       all before the publish.  The [seq] store above and the journal
+       store below stay sequentially consistent. *)
+    M.store_release entry.size len;
+    M.store_release entry.seq_end w.stamp;
+    M.store_release entry.r_start 0;
+    M.store_release entry.r_end 0;
     (* W1.5: journal the slot about to be superseded.  Its subscriber
        count exists only in [current] until W3 freezes it into
        r_start; if this writer dies in between, a successor's
@@ -805,7 +813,8 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
        equals [current]'s index between writes, by [recover_crash] for
        a successor's first write).  Journalled before [guard] so the
        fencing residual window (guard load → publish) stays a single
-       instruction. *)
+       instruction — a store→load order, hence the sequentially
+       consistent [store]. *)
     M.store reg.prefreeze w.last_slot;
     (try guard ()
      with e ->
@@ -816,10 +825,10 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     (* W3: freeze the readers-presence of the superseded slot into its
        r_start; it becomes free again once the laggards' R3 increments
        bring r_end up to this value. *)
-    M.store reg.slots.(old_slot).r_start (Packed.count old);
+    M.store_release reg.slots.(old_slot).r_start (Packed.count old);
     w.superseded_at.(old_slot) <- w.writes;
     w.last_slot <- slot;
-    M.store reg.prefreeze (-1);
+    M.store_release reg.prefreeze (-1);
     w.writes <- w.writes + 1;
     if batch > 0 then begin
       w.co_pending <- 0;

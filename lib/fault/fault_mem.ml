@@ -136,6 +136,10 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
 
   let store a v = match before `Store with `Skip -> () | _ -> M.store a v
 
+  (* One `Store point, like [store]: a plan cannot tell them apart. *)
+  let store_release a v =
+    match before `Store with `Skip -> () | _ -> M.store_release a v
+
   let exchange a v =
     ignore (before `Rmw);
     M.exchange a v

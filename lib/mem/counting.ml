@@ -80,6 +80,12 @@ module Make (M : Mem_intf.S) = struct
     (cell ()).atomic_store <- (cell ()).atomic_store + 1;
     M.store a v
 
+  (* Same class as [store]: E4 counts RMWs, and a release store is
+     one plain store whatever its order. *)
+  let store_release a v =
+    (cell ()).atomic_store <- (cell ()).atomic_store + 1;
+    M.store_release a v
+
   let count_rmw () =
     let c = cell () in
     c.rmw <- c.rmw + 1

@@ -27,17 +27,18 @@
     Memory-ordering note.  The paper assumes TSO and argues (§3.3, §4)
     that publishing a slot index through an RMW on [current] makes the
     slot contents visible to any reader that subsequently observes
-    that index.  In OCaml's memory model the same discipline holds
-    more strongly: all [Atomic] accesses are sequentially consistent,
-    so the writer's plain buffer stores happen-before the
-    [exchange] on [current], which happens-before a reader's
-    [add_and_fetch]/[load] of [current], which happens-before the
-    reader's plain buffer loads.  Plain buffer accesses therefore
-    never race in ARC/RF/lock executions.  (Peterson's algorithm
-    intentionally lets buffer reads race with writes and discards torn
-    results; on OCaml [int array]s a racy per-word read is
-    memory-safe and returns one of the written values, which is
-    exactly the per-word atomicity Peterson assumes of single words.) *)
+    that index.  Every hardware instance keeps that discipline: RMWs,
+    {!S.load} and {!S.store} are sequentially consistent and
+    {!S.store_release} is a release store, so the writer's plain
+    buffer stores happen-before the [exchange] on [current], which
+    happens-before a reader's [add_and_fetch]/[load] of [current],
+    which happens-before the reader's plain buffer loads.  Plain
+    buffer accesses therefore never race in ARC/RF/lock executions.
+    (Peterson's algorithm intentionally lets buffer reads race with
+    writes and discards torn results; on OCaml [int array]s a racy
+    per-word read is memory-safe and returns one of the written
+    values, which is exactly the per-word atomicity Peterson assumes
+    of single words.) *)
 
 module type S = sig
   val name : string
@@ -74,8 +75,24 @@ module type S = sig
   (** Plain (non-RMW) load.  Statement R1 of the paper's read path. *)
 
   val store : atomic -> int -> unit
-  (** Plain (non-RMW) store.  Used for writer-private resets (W1a) and
-      the freeze at W3. *)
+  (** Sequentially consistent non-RMW store: no earlier or later load
+      or store of the calling thread passes it.  On x86 this costs a
+      locked exchange (OCaml's [Atomic.set]), so algorithms use it
+      only where a release store is too weak — a seqlock begin stamp
+      that later stores must not pass, or a store that must be
+      visible before a later load of another word (a store→load
+      pair). *)
+
+  val store_release : atomic -> int -> unit
+  (** Release store: every earlier load and store of the calling
+      thread is visible to a thread that observes this value through
+      an acquire or stronger load; later accesses may pass it.  On
+      x86-TSO a bare MOV — the paper's "plain store" (§3.3).  Used
+      for ARC's slot bookkeeping (W1 resets, W3 freeze, the §3.4
+      hint; DESIGN.md §6 lists every store and its order).  Simulated
+      instances implement it exactly as {!store} — same scheduling
+      point, same coherence access, counted as one atomic store — so
+      schedules and counted costs do not depend on the choice. *)
 
   val exchange : atomic -> int -> int
   (** RMW: atomically replace the value, returning the old one
@@ -145,10 +162,11 @@ module type S = sig
   (** {1 Scheduling} *)
 
   val cede : unit -> unit
-  (** A possible preemption point.  No-op on real hardware instances;
-      a scheduler yield in simulation.  Algorithms call it inside
-      unbounded or O(N) loops so simulated adversaries can interleave
-      there. *)
+  (** A possible preemption point.  On hardware instances a spin-loop
+      hint ([Domain.cpu_relax], the x86 [pause]); a scheduler yield in
+      simulation.  Algorithms call it inside unbounded or O(N) loops —
+      ARC once per W1 scan probe — so simulated adversaries can
+      interleave there. *)
 end
 
 (** Counters produced by the {!module:Counting} instrumentation. *)

@@ -1,10 +1,12 @@
 (** Hardware instance of {!Mem_intf.S}: OCaml 5 [Atomic] for
     synchronization variables, native [int array]s for buffers.
 
-    OCaml atomics are sequentially consistent, which is strictly
-    stronger than the TSO fragments the paper's correctness argument
-    needs (§3.3); the RMW/plain-load cost asymmetry that ARC's
-    fast-path optimization exploits is preserved.
+    Loads, RMWs and {!store} are OCaml's sequentially consistent
+    atomics.  [Atomic.get] is a bare load, but [Atomic.set] is a
+    locked exchange on x86 ([caml_atomic_exchange]), so
+    {!store_release} goes through a C stub (real_mem_stubs.c) that is
+    a bare MOV on x86-TSO — the paper's plain store (§3.3), and what
+    keeps an ARC write at the paper's one RMW on real hardware.
 
     [fetch_and_or]/[fetch_and_and] have no native OCaml primitive and
     are emulated with CAS retry loops — the standard substitution,
@@ -32,6 +34,10 @@ let atomic_contended_pair v1 v2 =
 
 let load = Atomic.get
 let store = Atomic.set
+
+external store_release : int Atomic.t -> int -> unit = "arc_real_store_release"
+[@@noalloc]
+
 let exchange = Atomic.exchange
 let fetch_and_add = Atomic.fetch_and_add
 let add_and_fetch a k = Atomic.fetch_and_add a k + k

@@ -1,6 +1,8 @@
-(** Hardware instance of {!Mem_intf.S}: OCaml 5 atomics (sequentially
-    consistent, strictly stronger than the TSO fragments the paper's
-    §4 proofs need) and native [int array] buffers.
+(** Hardware instance of {!Mem_intf.S}: OCaml 5 atomics for loads,
+    RMWs and the sequentially consistent [store] (a locked exchange on
+    x86), a C release store for [store_release] (a bare MOV on
+    x86-TSO, the paper's plain store), and native [int array]
+    buffers.
 
     [fetch_and_or]/[fetch_and_and] are CAS-retry emulations — OCaml
     has no native fetch-or — as recorded in DESIGN.md §2; each retry

@@ -325,7 +325,13 @@ let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
     let atomic_contended v = alloc_cell_contended m v
     let atomic_contended_pair v1 v2 = alloc_cell_pair m v1 v2
     let load i = atomic_load_idx m.ba i
-    let store i v = atomic_store_idx m.ba i v
+
+    (* [store] is sequentially consistent, as [Atomic.set] is on the
+       heap: a seq-cst exchange whose old value is dropped, since a
+       seq-cst [__atomic_store_n] on x86 is the same locked exchange.
+       [store_release] is the bare MOV. *)
+    let store i v = ignore (atomic_exchange_idx m.ba i v)
+    let store_release i v = atomic_store_idx m.ba i v
     let exchange i v = atomic_exchange_idx m.ba i v
     let fetch_and_add i k = atomic_fetch_add_idx m.ba i k
     let add_and_fetch i k = atomic_fetch_add_idx m.ba i k + k

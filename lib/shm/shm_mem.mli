@@ -16,9 +16,10 @@
     hardware [__atomic] builtins to the mapping (OCaml's [Atomic] only
     covers heap cells): RMWs are seq-cst — they are the paper's
     synchronization instructions and their cost is the thing being
-    measured — and plain cell load/store are acquire/release, which on
-    x86-TSO compile to bare MOVs, preserving the paper's §3.3 cost
-    model.
+    measured.  Cell loads are seq-cst and cell [store_release]s are
+    release, both bare MOVs on x86-TSO — the paper's §3.3 plain
+    accesses.  A cell [store] is sequentially consistent, as on the
+    heap: a seq-cst exchange whose old value is dropped.
 
     {1 Sharing discipline}
 

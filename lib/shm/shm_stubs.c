@@ -12,13 +12,15 @@
  * Memory orders: RMW operations are SEQ_CST — they are the
  * synchronization instructions of the paper's algorithms (W2
  * exchange, R3/R4 presence counters) and their cost asymmetry versus
- * plain accesses is the point being measured.  Plain load/store are
- * ACQUIRE/RELEASE: on x86-TSO they compile to bare MOVs, which is
- * exactly the "plain load/store" cost model of the paper (§3.3),
+ * plain accesses is the point being measured.  The load is SEQ_CST
+ * and the store RELEASE: on x86-TSO both compile to bare MOVs, which
+ * is exactly the "plain load/store" cost model of the paper (§3.3),
  * while still providing the publish/subscribe ordering the
  * correctness argument needs (writer's payload stores happen-before
- * the RELEASE/RMW publish; a reader's ACQUIRE/RMW subscribe
- * happens-before its payload loads).
+ * the RELEASE/RMW publish; a reader's load or RMW subscribe
+ * happens-before its payload loads).  Shm_mem's sequentially
+ * consistent [store] is [arc_shm_exchange] with the result dropped;
+ * [arc_shm_store] is its [store_release].
  *
  * None of these allocate, raise, or call back into the runtime, so
  * they are declared [@@noalloc] on the OCaml side.  The mapping is
@@ -38,7 +40,7 @@ static inline intnat *cell(value ba, value idx)
 
 CAMLprim value arc_shm_load(value ba, value idx)
 {
-  return Val_long(__atomic_load_n(cell(ba, idx), __ATOMIC_ACQUIRE));
+  return Val_long(__atomic_load_n(cell(ba, idx), __ATOMIC_SEQ_CST));
 }
 
 CAMLprim value arc_shm_store(value ba, value idx, value v)

@@ -22,6 +22,10 @@ let store a v =
   plain ();
   a := v
 
+(* The simulator is sequentially consistent: a release store is the
+   same scheduling point as a store. *)
+let store_release = store
+
 (* The scheduler only preempts at [cede], so the read-modify-write
    below really is atomic with respect to every other fiber. *)
 let exchange a v =

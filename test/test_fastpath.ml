@@ -72,6 +72,69 @@ let test_plain_hot_hit_after_subscribe () =
   (* The classic path still works and resubscribes past it. *)
   ignore (A.read_with rd ~f:(fun _ _ -> ()))
 
+(* --- racing domains over the heap register ---------------------------- *)
+
+(* The heap twin of test_shm's racing reader: a writer domain and a
+   reader domain over [Arc.Make (Real_mem)], the reader alternating
+   classic reads and R2' plain reads, which scan the slot the writer
+   may be re-preparing with release stores.  Lengths alternate, so a
+   read that pairs one write's [size] with another's content fails as
+   surely as a torn word. *)
+
+let test_racing_reader () =
+  let cap = 1031 and writes = 20_000 in
+  let len_of seq = if seq land 1 = 0 then cap else cap - 514 in
+  let reg = A.create ~readers:1 ~capacity:cap ~init:(stamped ~seq:0 ~len:cap) in
+  let rd = A.reader reg 0 in
+  let started = Atomic.make false and finished = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let src = Array.make cap 0 in
+        for k = 1 to writes do
+          let len = len_of k in
+          P.stamp src ~seq:k ~len;
+          A.write reg ~src ~len
+        done;
+        Atomic.set finished true)
+  in
+  let validate buf len =
+    match P.validate buf ~len with
+    | Ok s when len <> len_of s ->
+      Error (Printf.sprintf "seq %d read with length %d" s len)
+    | r -> r
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let last = ref 0 and reads = ref 0 in
+        let check what = function
+          | Error e -> Alcotest.failf "%s after seq %d: torn: %s" what !last e
+          | Ok s ->
+            if s < !last then
+              Alcotest.failf "%s went backward: %d after %d" what s !last;
+            last := s;
+            incr reads
+        in
+        Atomic.set started true;
+        while not (Atomic.get finished) do
+          check "read_with" (A.read_with rd ~f:validate);
+          check "read_plain" (A.read_plain rd ~f:validate)
+        done;
+        !reads)
+  in
+  Domain.join writer;
+  let reads = Domain.join reader in
+  Alcotest.(check bool) (Printf.sprintf "reads raced the writer (%d)" reads) true
+    (reads > 0);
+  Alcotest.(check (result int string)) "the last read is the last write"
+    (Ok writes) (A.read_with rd ~f:validate);
+  Alcotest.(check (result int string)) "the last plain read is the last write"
+    (Ok writes) (A.read_plain rd ~f:validate);
+  Alcotest.(check bool) "presence ledger balanced" true
+    (A.Debug.presence_bound_holds reg)
+
 (* --- write coalescing ------------------------------------------------ *)
 
 let test_coalescing_property () =
@@ -299,6 +362,8 @@ let suite =
     Alcotest.test_case "plain read returns values" `Quick test_plain_reads_values;
     Alcotest.test_case "plain hot hit after subscribe" `Quick
       test_plain_hot_hit_after_subscribe;
+    Alcotest.test_case "racing reader over the heap register" `Quick
+      test_racing_reader;
     Alcotest.test_case "coalescing property" `Quick test_coalescing_property;
     Alcotest.test_case "coalescing flush + validation" `Quick
       test_coalescing_lone_flush_and_validation;

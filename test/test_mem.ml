@@ -323,6 +323,116 @@ let test_arc_fast_path_rmw_free () =
   let after = (Counting.counts ()).Intf.rmw in
   check "10 fast-path reads, 0 RMWs" 0 (after - before)
 
+(* {1 Store orders}
+
+   [store_release] is a release store on the hardware instances (a C
+   MOV on the heap, the release stub on shm) and exactly [store] in
+   simulation; every instance must round-trip it, count it as one
+   plain store, and fault it like one. *)
+
+module Cc = Arc_coherence.Cc_mem
+module Shm = Arc_shm.Shm_mem
+
+let round_trip (module M : Intf.S) =
+  List.iter
+    (fun a ->
+      M.store_release a 11;
+      check (M.name ^ ": store_release then load") 11 (M.load a);
+      M.store a 12;
+      M.store_release a (-7);
+      check (M.name ^ ": store_release after store") (-7) (M.load a);
+      check (M.name ^ ": exchange sees the released value") (-7)
+        (M.exchange a 1);
+      M.store_release a max_int;
+      check (M.name ^ ": full-range value") max_int (M.load a))
+    [ M.atomic 3; M.atomic_contended 3; fst (M.atomic_contended_pair 3 4) ]
+
+let test_store_release_round_trips () =
+  round_trip (module Real);
+  round_trip (module Sim);
+  round_trip (module Cc);
+  let path = Filename.temp_file "arc_mem_test" ".reg" in
+  let m = Shm.create ~path ~words:1024 in
+  Fun.protect
+    ~finally:(fun () ->
+      Shm.close m;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      round_trip (Shm.mem m :> (module Intf.S)))
+
+let test_counting_store_release () =
+  Counting.reset ();
+  let a = Counting.atomic 0 in
+  Counting.store_release a 4;
+  let c = Counting.counts () in
+  check "one plain store" 1 c.Intf.atomic_store;
+  check "no RMW" 0 c.Intf.rmw;
+  check "the value landed" 4 (Real.load a)
+
+module Faulty = Arc_fault.Fault_mem.Make (Real)
+
+let test_fault_drops_store_release () =
+  (* [store] and [store_release] share the `Store access index, so a
+     plan addressing the second store drops the release that lands
+     there. *)
+  let plan = Arc_fault.Fault_plan.(drop ~fiber:0 ~kind:`Store ~nth:2 empty) in
+  Faulty.install plan;
+  Faulty.set_ambient_fiber (Some 0);
+  Fun.protect
+    ~finally:(fun () -> Faulty.set_ambient_fiber None)
+    (fun () ->
+      let a = Faulty.atomic 0 in
+      Faulty.store a 1;
+      Faulty.store_release a 2;
+      check "the second store was dropped" 1 (Faulty.load a);
+      Faulty.store_release a 3;
+      check "the plan is spent" 3 (Faulty.load a);
+      check "one drop" 1 (Faulty.drain ()).Arc_fault.Fault_mem.drops)
+
+(* A substrate that tells the two store orders apart, so the test
+   below pins which ARC stores pay a locked exchange on x86 ([store])
+   and which are bare moves ([store_release]). *)
+module Ordered = struct
+  include Real
+
+  let sc = ref 0
+  let release = ref 0
+
+  let store a v =
+    Stdlib.incr sc;
+    Real.store a v
+
+  let store_release a v =
+    Stdlib.incr release;
+    Real.store_release a v
+end
+
+module Arc_ord = Arc_core.Arc.Make (Ordered)
+
+let test_arc_write_one_rmw () =
+  (* The paper's write: one RMW (W2), everything else plain stores.
+     Counted, the store total is the same as when every store was
+     sequentially consistent; on hardware, only the [seq] begin stamp
+     and the W1.5 journal stay sequentially consistent. *)
+  let len = 8 in
+  let init = Array.make len 0 in
+  P_cnt.stamp init ~seq:0 ~len;
+  let src = Array.make len 0 in
+  P_cnt.stamp src ~seq:1 ~len;
+  let reg = Arc_cnt.create ~readers:2 ~capacity:len ~init in
+  Counting.reset ();
+  Arc_cnt.write reg ~src ~len;
+  let c = Counting.counts () in
+  check "one RMW per write" 1 c.Intf.rmw;
+  check "eight plain stores per write" 8 c.Intf.atomic_store;
+  let reg = Arc_ord.create ~readers:2 ~capacity:len ~init in
+  Ordered.sc := 0;
+  Ordered.release := 0;
+  Arc_ord.write reg ~src ~len;
+  check "seq stamp + journal are the sequentially consistent stores" 2
+    !Ordered.sc;
+  check "the other six are release stores" 6 !Ordered.release
+
 let prop_exchange_sequence =
   QCheck.Test.make ~name:"exchange chains return previous values" ~count:200
     QCheck.(small_list int)
@@ -364,5 +474,13 @@ let suite =
       test_counting_contended_alloc_free;
     Alcotest.test_case "arc fast-path read is RMW-free" `Quick
       test_arc_fast_path_rmw_free;
+    Alcotest.test_case "store_release round-trips (real, sim, cc, shm)" `Quick
+      test_store_release_round_trips;
+    Alcotest.test_case "counting charges store_release as one store" `Quick
+      test_counting_store_release;
+    Alcotest.test_case "fault plan drops a store_release like a store" `Quick
+      test_fault_drops_store_release;
+    Alcotest.test_case "arc write: one RMW, two sequentially consistent stores"
+      `Quick test_arc_write_one_rmw;
     QCheck_alcotest.to_alcotest prop_exchange_sequence;
   ]
