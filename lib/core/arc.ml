@@ -413,7 +413,7 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
       if fin = M.load released.r_start then
         M.store_release reg.hint rd.last_index
     end;
-    let now = M.add_and_fetch reg.current 1 (* R4 *) in
+    let now = 1 + M.fetch_and_add reg.current 1 (* R4 *) in
     (* Saturation guard: with count ≤ readers ≤ 2^32 - 2 by
        construction this cannot fire; if the count word is ever
        corrupted (or force-saturated by a fault campaign), the next

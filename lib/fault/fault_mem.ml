@@ -144,10 +144,6 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     ignore (before `Rmw);
     M.exchange a v
 
-  let add_and_fetch a k =
-    ignore (before `Rmw);
-    M.add_and_fetch a k
-
   let fetch_and_add a k =
     ignore (before `Rmw);
     M.fetch_and_add a k
@@ -167,10 +163,6 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   let fetch_and_or a mask =
     ignore (before `Rmw);
     M.fetch_and_or a mask
-
-  let fetch_and_and a mask =
-    ignore (before `Rmw);
-    M.fetch_and_and a mask
 
   (* {1 Buffers} *)
 

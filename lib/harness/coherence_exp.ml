@@ -1,6 +1,7 @@
 (** Experiment E9: cache-coherence traffic per operation.
 
-    Runs each algorithm over the {!Arc_coherence.Cc_mem} instance
+    Runs each algorithm over {!Arc_vsched.Sim_mem} with a MESI
+    {!Arc_vsched.Cache} installed ({!Arc_vsched.Sim_mem.with_cache})
     under the virtual scheduler and reports MESI protocol messages
     normalized per read and per write — the measured form of the
     paper's §1/§3.2 interconnect argument: ARC's fast-path read leaves
@@ -8,8 +9,8 @@
     FetchAndOr takes the sync line exclusive on {e every} read,
     bouncing it between all readers, and the lock does so twice. *)
 
-module Cache = Arc_coherence.Cache
-module Cc = Arc_coherence.Cc_mem
+module Cache = Arc_vsched.Cache
+module Sim_mem = Arc_vsched.Sim_mem
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
 module Table = Arc_report.Table
@@ -25,9 +26,9 @@ type row = {
   throughput : float;  (** ops per 1000 coherence-weighted steps *)
 }
 
-(* The register must be built over Cc_mem (the caller instantiates it
+(* The register must be built over Sim_mem (the caller instantiates it
    so below); the functor itself only needs the generic interface —
-   the cache is installed through the global Cc context. *)
+   the cache is installed through [Sim_mem.with_cache]. *)
 module Run_of (R : Arc_core.Register_intf.S) = struct
   module P = Arc_workload.Payload.Make (R.Mem)
 
@@ -41,7 +42,7 @@ module Run_of (R : Arc_core.Register_intf.S) = struct
       | None -> readers
     in
     let cache = Cache.create ~agents:(supported + 2) in
-    Cc.install cache;
+    Sim_mem.with_cache cache @@ fun () ->
     let init = Array.make size 0 in
     P.stamp init ~seq:0 ~len:size;
     let reg = R.create ~readers:supported ~capacity:size ~init in
@@ -73,7 +74,6 @@ module Run_of (R : Arc_core.Register_intf.S) = struct
     in
     let outcome = Sched.run ~strategy:(Strategy.random ~seed) fibers in
     let stats = Cache.stats cache in
-    Cc.uninstall ();
     let per num denom = float_of_int num /. float_of_int (max denom 1) in
     {
       algorithm = R.algorithm;
@@ -88,11 +88,11 @@ module Run_of (R : Arc_core.Register_intf.S) = struct
     }
 end
 
-module Arc_run = Run_of (Arc_core.Arc.Make (Cc))
-module Rf_run = Run_of (Arc_baselines.Rf.Make (Cc))
-module Peterson_run = Run_of (Arc_baselines.Peterson.Make (Cc))
-module Rwlock_run = Run_of (Arc_baselines.Rwlock_reg.Make (Cc))
-module Seqlock_run = Run_of (Arc_baselines.Seqlock_reg.Make (Cc))
+module Arc_run = Run_of (Arc_core.Arc.Make (Sim_mem))
+module Rf_run = Run_of (Arc_baselines.Rf.Make (Sim_mem))
+module Peterson_run = Run_of (Arc_baselines.Peterson.Make (Sim_mem))
+module Rwlock_run = Run_of (Arc_baselines.Rwlock_reg.Make (Sim_mem))
+module Seqlock_run = Run_of (Arc_baselines.Seqlock_reg.Make (Sim_mem))
 
 let runners =
   [ Arc_run.run; Rf_run.run; Peterson_run.run; Rwlock_run.run; Seqlock_run.run ]

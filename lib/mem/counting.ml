@@ -94,10 +94,6 @@ module Make (M : Mem_intf.S) = struct
     count_rmw ();
     M.exchange a v
 
-  let add_and_fetch a k =
-    count_rmw ();
-    M.add_and_fetch a k
-
   let fetch_and_add a k =
     count_rmw ();
     M.fetch_and_add a k
@@ -110,16 +106,11 @@ module Make (M : Mem_intf.S) = struct
     count_rmw ();
     M.compare_and_set a old v
 
-  (* Emulate fetch_and_or/and on top of the counted CAS so every retry
-     is charged as one RMW, matching what the hardware would issue. *)
+  (* Emulate fetch_and_or on top of the counted CAS so every retry is
+     charged as one RMW, matching what the hardware would issue. *)
   let rec fetch_and_or a mask =
     let old = load a in
     if compare_and_set a old (old lor mask) then old else fetch_and_or a mask
-
-  let rec fetch_and_and a mask =
-    let old = load a in
-    if compare_and_set a old (old land mask) then old
-    else fetch_and_and a mask
 
   type buffer = M.buffer
 

@@ -7,7 +7,8 @@
     - single-word {e synchronization variables} manipulated with plain
       loads/stores and with Read-Modify-Write (RMW) instructions
       ([AtomicAddAndFetch], [AtomicExchange], [AtomicInc], and — for
-      the RF baseline — [FetchAndOr]);
+      the RF baseline — [FetchAndOr]; [AtomicAddAndFetch] is
+      {!S.fetch_and_add} plus the addend);
     - {e multi-word buffers} holding register snapshots, accessed with
       plain per-word loads and stores.
 
@@ -31,7 +32,7 @@
     {!S.load} and {!S.store} are sequentially consistent and
     {!S.store_release} is a release store, so the writer's plain
     buffer stores happen-before the [exchange] on [current], which
-    happens-before a reader's [add_and_fetch]/[load] of [current],
+    happens-before a reader's [fetch_and_add]/[load] of [current],
     which happens-before the reader's plain buffer loads.  Plain
     buffer accesses therefore never race in ARC/RF/lock executions.
     (Peterson's algorithm intentionally lets buffer reads race with
@@ -98,15 +99,15 @@ module type S = sig
   (** RMW: atomically replace the value, returning the old one
       ([AtomicExchange], statement W2). *)
 
-  val add_and_fetch : atomic -> int -> int
-  (** RMW: atomically add, returning the {e new} value
-      ([AtomicAddAndFetch], statement R4). *)
-
   val fetch_and_add : atomic -> int -> int
-  (** RMW: atomically add, returning the {e old} value. *)
+  (** RMW: atomically add, returning the {e old} value.  The paper's
+      [AtomicAddAndFetch] (statement R4) is [fetch_and_add a k + k]. *)
 
   val incr : atomic -> unit
-  (** RMW: atomic increment ([AtomicInc], statement R3). *)
+  (** RMW: atomic increment ([AtomicInc], statement R3).  Kept apart
+      from {!fetch_and_add} because it returns nothing: it is the one
+      RMW whose effect a fault plan can drop without inventing a
+      result. *)
 
   val compare_and_set : atomic -> int -> int -> bool
   (** RMW: CAS; true iff the swap happened. *)
@@ -115,9 +116,6 @@ module type S = sig
   (** RMW: atomically OR a mask in, returning the old value.  Needed
       by the RF baseline.  Emulated with a CAS loop on instances whose
       platform lacks a native fetch-or. *)
-
-  val fetch_and_and : atomic -> int -> int
-  (** RMW: atomically AND a mask in, returning the old value. *)
 
   (** {1 Multi-word buffers} *)
 
@@ -171,7 +169,7 @@ end
 
 (** Counters produced by the {!module:Counting} instrumentation. *)
 type counts = {
-  rmw : int;  (** exchange + add/fetch + incr + cas (incl. retries) + or + and *)
+  rmw : int;  (** exchange + fetch/add + incr + cas (incl. retries) + or *)
   atomic_load : int;
   atomic_store : int;
   word_read : int;

@@ -8,8 +8,8 @@
     a bare MOV on x86-TSO — the paper's plain store (§3.3), and what
     keeps an ARC write at the paper's one RMW on real hardware.
 
-    [fetch_and_or]/[fetch_and_and] have no native OCaml primitive and
-    are emulated with CAS retry loops — the standard substitution,
+    [fetch_and_or] has no native OCaml primitive and is emulated with
+    a CAS retry loop — the standard substitution,
     recorded in DESIGN.md §2.  Each retry is itself an RMW, so the
     counting instance reports the true hardware cost. *)
 
@@ -40,18 +40,12 @@ external store_release : int Atomic.t -> int -> unit = "arc_real_store_release"
 
 let exchange = Atomic.exchange
 let fetch_and_add = Atomic.fetch_and_add
-let add_and_fetch a k = Atomic.fetch_and_add a k + k
 let incr a = ignore (Atomic.fetch_and_add a 1)
 let compare_and_set = Atomic.compare_and_set
 
 let rec fetch_and_or a mask =
   let old = Atomic.get a in
   if Atomic.compare_and_set a old (old lor mask) then old else fetch_and_or a mask
-
-let rec fetch_and_and a mask =
-  let old = Atomic.get a in
-  if Atomic.compare_and_set a old (old land mask) then old
-  else fetch_and_and a mask
 
 type buffer = int array
 

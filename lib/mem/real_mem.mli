@@ -4,8 +4,8 @@
     x86-TSO, the paper's plain store), and native [int array]
     buffers.
 
-    [fetch_and_or]/[fetch_and_and] are CAS-retry emulations — OCaml
-    has no native fetch-or — as recorded in DESIGN.md §2; each retry
+    [fetch_and_or] is a CAS-retry emulation — OCaml has no native
+    fetch-or — as recorded in DESIGN.md §2; each retry
     costs one real RMW and is charged as such by {!Counting}. *)
 
 include

@@ -91,7 +91,7 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
       the register's epoch. *)
   type writer = { t : t; gen : int }
 
-  let issue t = { t; gen = M.add_and_fetch t.epoch 1 }
+  let issue t = { t; gen = 1 + M.fetch_and_add t.epoch 1 }
 
   (* Bump the epoch WITHOUT issuing a handle: every outstanding handle
      is fenced, and nobody holds the new generation.  This is the
@@ -101,7 +101,7 @@ module Make (R : Arc_core.Register_intf.FENCEABLE) = struct
      inspecting the wreckage (recovery, quarantine) — the winner only
      [issue]s once takeover and the configuration-epoch bump are
      complete. *)
-  let prefence t = ignore (M.add_and_fetch t.epoch 1)
+  let prefence t = ignore (M.fetch_and_add t.epoch 1)
 
   let writer_epoch w = w.gen
   let current w = M.load w.t.epoch = w.gen

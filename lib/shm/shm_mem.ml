@@ -27,9 +27,6 @@ external atomic_cas_idx : words -> int -> int -> int -> bool = "arc_shm_cas"
 external atomic_fetch_or_idx : words -> int -> int -> int = "arc_shm_fetch_or"
 [@@noalloc]
 
-external atomic_fetch_and_idx : words -> int -> int -> int = "arc_shm_fetch_and"
-[@@noalloc]
-
 (* One pass over the payload: copy it in and return its checksum
    (the 4-lane fold of Shm_layout, seeded with the header fold). *)
 external copy_in_cksum : words -> int -> int array -> int -> int -> int
@@ -334,11 +331,9 @@ let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
     let store_release i v = atomic_store_idx m.ba i v
     let exchange i v = atomic_exchange_idx m.ba i v
     let fetch_and_add i k = atomic_fetch_add_idx m.ba i k
-    let add_and_fetch i k = atomic_fetch_add_idx m.ba i k + k
     let incr i = ignore (atomic_fetch_add_idx m.ba i 1)
     let compare_and_set i old desired = atomic_cas_idx m.ba i old desired
     let fetch_and_or i mask = atomic_fetch_or_idx m.ba i mask
-    let fetch_and_and i mask = atomic_fetch_and_idx m.ba i mask
 
     type buffer = int (* record base word index *)
 

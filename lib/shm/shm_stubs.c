@@ -75,12 +75,6 @@ CAMLprim value arc_shm_fetch_or(value ba, value idx, value v)
       __atomic_fetch_or(cell(ba, idx), Long_val(v), __ATOMIC_SEQ_CST));
 }
 
-CAMLprim value arc_shm_fetch_and(value ba, value idx, value v)
-{
-  return Val_long(
-      __atomic_fetch_and(cell(ba, idx), Long_val(v), __ATOMIC_SEQ_CST));
-}
-
 /* Bulk word copies between OCaml [int array]s (tagged words) and the
  * mapping (untagged words).  memcpy cannot be used directly because
  * the representations differ by the tag bit, but each copy is one C

@@ -20,12 +20,6 @@ module Seqlock_sim_suite = Reg_suite.Make (Arc_baselines.Seqlock_reg.Make (Arc_v
 module Arc_dynamic_sim_suite =
   Reg_suite.Make (Arc_core.Arc_dynamic.Make (Arc_vsched.Sim_mem))
 
-(* ... and over the coherence-modelled memory (uninstalled cache:
-   degrades to unit costs, still exercises the line-mapped buffers). *)
-module Arc_cc_suite = Reg_suite.Make (Arc_core.Arc.Make (Arc_coherence.Cc_mem))
-module Peterson_cc_suite =
-  Reg_suite.Make (Arc_baselines.Peterson.Make (Arc_coherence.Cc_mem))
-
 let () =
   Alcotest.run "arc_register"
     [
@@ -56,8 +50,6 @@ let () =
       ("generic:rwlock-sim", Rwlock_sim_suite.suite);
       ("generic:seqlock-sim", Seqlock_sim_suite.suite);
       ("generic:arc-dynamic-sim", Arc_dynamic_sim_suite.suite);
-      ("generic:arc-coherence", Arc_cc_suite.suite);
-      ("generic:peterson-coherence", Peterson_cc_suite.suite);
       ("arc", Test_arc.suite);
       ("rf", Test_rf.suite);
       ("peterson", Test_peterson.suite);

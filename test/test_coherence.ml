@@ -1,8 +1,8 @@
-(* The MESI cache model, the coherence-modelled memory instance, and
-   the E9 claims as assertions. *)
+(* The MESI cache model, simulated memory's coherence cost rule
+   ([Sim_mem.with_cache]), and the E9 claims as assertions. *)
 
-module Cache = Arc_coherence.Cache
-module Cc = Arc_coherence.Cc_mem
+module Cache = Arc_vsched.Cache
+module Sim = Arc_vsched.Sim_mem
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
 module Coherence_exp = Arc_harness.Coherence_exp
@@ -62,45 +62,86 @@ let test_validation () =
   raises (fun () -> Cache.read c ~agent:2 ~line:0);
   raises (fun () -> Cache.write c ~agent:(-1) ~line:0)
 
-let test_cc_mem_without_cache () =
-  Cc.uninstall ();
-  let a = Cc.atomic 5 in
-  check "degrades to plain" 5 (Cc.load a);
-  Cc.store a 6;
-  check "store works" 6 (Cc.load a)
+(* Steps a single fiber takes to run [f] under round-robin: the
+   accesses' weights plus one scheduler decision per quantum. *)
+let steps_of f =
+  (Sched.run ~strategy:(Strategy.round_robin ()) [| f |]).Sched.steps
 
-let test_cc_mem_charges_costs () =
+let test_unit_costs_without_cache () =
+  let a = Sim.atomic 5 in
+  check "plain load" 5 (Sim.load a);
+  Sim.store a 6;
+  check "store works" 6 (Sim.load a);
+  (* load + store + RMW: 1 + 1 + rmw_weight, plus the initial
+     dispatch and one resumption after each of the three cedes. *)
+  check "unit-cost steps"
+    (1 + 1 + !Sim.rmw_weight + 4)
+    (steps_of (fun () ->
+         ignore (Sim.load a);
+         Sim.store a 7;
+         Sim.incr a))
+
+let test_with_cache_charges_costs () =
   let cache = Cache.create ~agents:3 in
-  Cc.install cache;
-  let a = Cc.atomic 0 in
-  let steps = ref 0 in
-  let fiber () =
-    ignore (Cc.load a) (* fiber 0: fetch *);
-    ignore (Cc.load a) (* hit *);
-    Cc.incr a (* RFO upgrade *)
+  let steps =
+    Sim.with_cache cache (fun () ->
+        let a = Sim.atomic 0 in
+        steps_of (fun () ->
+            ignore (Sim.load a) (* fiber 0: fetch *);
+            ignore (Sim.load a) (* hit *);
+            Sim.incr a (* RFO upgrade *)))
   in
-  let outcome = Sched.run ~strategy:(Strategy.round_robin ()) [| fiber |] in
-  steps := outcome.Sched.steps;
-  Cc.uninstall ();
   (* fetch + hit + rfo, plus one scheduler decision per quantum:
      the initial dispatch and one resumption after each of the three
      cedes. *)
   check "weighted steps"
     (Cache.fetch_cost + Cache.hit_cost + Cache.rfo_cost + 4)
-    !steps
+    steps
 
 let test_buffer_lines () =
   let cache = Cache.create ~agents:2 in
-  Cc.install cache;
-  let b = Cc.alloc 16 (* two lines *) in
-  let fiber () = Cc.write_words b ~src:(Array.make 16 1) ~len:16 in
-  ignore (Sched.run ~strategy:(Strategy.round_robin ()) [| fiber |]);
-  let s = Cache.stats cache in
-  Cc.uninstall ();
+  let s =
+    Sim.with_cache cache (fun () ->
+        let b = Sim.alloc 16 (* two lines *) in
+        ignore (steps_of (fun () -> Sim.write_words b ~src:(Array.make 16 1) ~len:16));
+        Cache.stats cache)
+  in
   check "16 writes" 16 s.Cache.writes;
   (* 2 cold RFOs (one per line), 14 hits *)
   check "two RFOs" 2 s.Cache.rfos;
   check "fourteen hits" 14 s.Cache.hits
+
+let test_blit_reads_and_writes () =
+  (* Under a cache, a word copied by [blit] is a read of the source
+     line and a write of the destination line. *)
+  let cache = Cache.create ~agents:2 in
+  Sim.with_cache cache @@ fun () ->
+  let src = Sim.alloc 8 and dst = Sim.alloc 8 (* one line each *) in
+  let steps = steps_of (fun () -> Sim.blit src dst ~len:1) in
+  let s = Cache.stats cache in
+  check "one read" 1 s.Cache.reads;
+  check "one write" 1 s.Cache.writes;
+  (* cold source fetch + cold destination RFO, two cedes *)
+  check "weighted steps" (Cache.fetch_cost + Cache.rfo_cost + 3) steps;
+  Cache.reset_stats cache;
+  let steps = steps_of (fun () -> Sim.blit src dst ~len:3) in
+  let s = Cache.stats cache in
+  check "three reads" 3 s.Cache.reads;
+  check "three writes" 3 s.Cache.writes;
+  check "warm: hits only" (6 * Cache.hit_cost + 7) steps
+
+let test_with_cache_uninstalls_on_raise () =
+  let cache = Cache.create ~agents:2 in
+  (match Sim.with_cache cache (fun () -> failwith "body") with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "expected the body's exception");
+  let a = Sim.atomic 0 in
+  check "the next run is charged unit costs"
+    (1 + !Sim.rmw_weight + 3)
+    (steps_of (fun () ->
+         ignore (Sim.load a);
+         Sim.incr a));
+  check "the cache saw none of it" 0 (stat (fun s -> s.Cache.reads + s.Cache.writes) cache)
 
 (* E9's headline claims as assertions. *)
 let test_arc_beats_rf_on_coherence_traffic () =
@@ -131,9 +172,9 @@ let test_arc_steady_state_reads_are_traffic_free () =
   (* No writes at all: after warm-up, ARC readers generate zero
      coherence messages — the fast path never touches a line
      exclusively. *)
-  let module Arc = Arc_core.Arc.Make (Cc) in
+  let module Arc = Arc_core.Arc.Make (Sim) in
   let cache = Cache.create ~agents:4 in
-  Cc.install cache;
+  Sim.with_cache cache @@ fun () ->
   let reg = Arc.create ~readers:3 ~capacity:8 ~init:(Array.make 8 1) in
   let handles = Array.init 3 (Arc.reader reg) in
   (* Warm each reader under the same fiber id it will measure with,
@@ -151,7 +192,6 @@ let test_arc_steady_state_reads_are_traffic_free () =
   Cache.reset_stats cache;
   ignore (Sched.run ~strategy:(Strategy.random ~seed:5) fibers);
   let s = Cache.stats cache in
-  Cc.uninstall ();
   check "zero invalidations" 0 s.Cache.invalidations;
   check "zero RFOs" 0 s.Cache.rfos;
   check "zero fetches" 0 s.Cache.fetches;
@@ -164,9 +204,11 @@ let suite =
       test_write_invalidates_sharers;
     Alcotest.test_case "rmw ping-pong" `Quick test_rmw_ping_pong;
     Alcotest.test_case "validation" `Quick test_validation;
-    Alcotest.test_case "cc_mem without cache" `Quick test_cc_mem_without_cache;
-    Alcotest.test_case "cc_mem charges costs" `Quick test_cc_mem_charges_costs;
+    Alcotest.test_case "no cache: unit costs" `Quick test_unit_costs_without_cache;
+    Alcotest.test_case "with_cache costs" `Quick test_with_cache_charges_costs;
     Alcotest.test_case "buffer lines" `Quick test_buffer_lines;
+    Alcotest.test_case "blit: read + write" `Quick test_blit_reads_and_writes;
+    Alcotest.test_case "raise uninstalls" `Quick test_with_cache_uninstalls_on_raise;
     Alcotest.test_case "E9: arc beats rf on traffic" `Quick
       test_arc_beats_rf_on_coherence_traffic;
     Alcotest.test_case "E9: steady-state reads traffic-free" `Quick

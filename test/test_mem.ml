@@ -20,7 +20,7 @@ let test_add_semantics () =
   let a = Real.atomic 100 in
   check "fetch_and_add returns old" 100 (Real.fetch_and_add a 5);
   check "after faa" 105 (Real.load a);
-  check "add_and_fetch returns new" 112 (Real.add_and_fetch a 7);
+  check "R4's add-and-fetch is faa + k" 112 (Real.fetch_and_add a 7 + 7);
   Real.incr a;
   check "incr" 113 (Real.load a)
 
@@ -34,8 +34,8 @@ let test_fetch_or_and () =
   let a = Real.atomic 0b1010 in
   check "fetch_and_or returns old" 0b1010 (Real.fetch_and_or a 0b0101);
   check "or applied" 0b1111 (Real.load a);
-  check "fetch_and_and returns old" 0b1111 (Real.fetch_and_and a 0b0110);
-  check "and applied" 0b0110 (Real.load a)
+  check "fetch_and_add returns old" 0b1111 (Real.fetch_and_add a (-0b1001));
+  check "add applied" 0b0110 (Real.load a)
 
 let test_buffers () =
   let b = Real.alloc 8 in
@@ -70,7 +70,7 @@ let test_counting_classifies () =
   ignore (Counting.load a);
   Counting.store a 5;
   ignore (Counting.exchange a 6);
-  ignore (Counting.add_and_fetch a 1);
+  ignore (Counting.fetch_and_add a 1);
   ignore (Counting.fetch_and_add a 1);
   Counting.incr a;
   ignore (Counting.compare_and_set a 9 10);
@@ -330,7 +330,6 @@ let test_arc_fast_path_rmw_free () =
    simulation; every instance must round-trip it, count it as one
    plain store, and fault it like one. *)
 
-module Cc = Arc_coherence.Cc_mem
 module Shm = Arc_shm.Shm_mem
 
 let round_trip (module M : Intf.S) =
@@ -350,7 +349,8 @@ let round_trip (module M : Intf.S) =
 let test_store_release_round_trips () =
   round_trip (module Real);
   round_trip (module Sim);
-  round_trip (module Cc);
+  Sim.with_cache (Arc_vsched.Cache.create ~agents:1) (fun () ->
+      round_trip (module Sim));
   let path = Filename.temp_file "arc_mem_test" ".reg" in
   let m = Shm.create ~path ~words:1024 in
   Fun.protect

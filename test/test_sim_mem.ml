@@ -50,6 +50,16 @@ let test_plain_rmw_weights () =
      difference is exactly the extra RMW weight: 100 × (w − 1). *)
   check "RMW surcharge" (100 * (!Sim.rmw_weight - 1)) (rmw_steps - plain_steps)
 
+let test_blit_unit_costs () =
+  (* Without a cache a word copied by [blit] is one step; the run adds
+     one scheduler decision per quantum (dispatch + one per cede). *)
+  let src = Sim.alloc 8 and dst = Sim.alloc 8 in
+  let steps f = (Sched.run ~strategy:(Strategy.round_robin ()) [| f |]).Sched.steps in
+  check "one step per word" (5 + 6) (steps (fun () -> Sim.blit src dst ~len:5));
+  let a = Sim.atomic 0 in
+  check "an RMW is rmw_weight steps" (!Sim.rmw_weight + 2)
+    (steps (fun () -> ignore (Sim.fetch_and_add a 1)))
+
 let test_cas_semantics () =
   let a = Sim.atomic 5 in
   let ok = ref false and ko = ref true in
@@ -119,7 +129,7 @@ let test_determinism_of_interleaving () =
     let log = ref [] in
     let fiber i () =
       for _ = 1 to 5 do
-        log := (i, Sim.add_and_fetch a 1) :: !log
+        log := (i, Sim.fetch_and_add a 1) :: !log
       done
     in
     ignore (Sched.run ~strategy:(Strategy.random ~seed) (Array.init 3 fiber));
@@ -136,5 +146,6 @@ let suite =
     Alcotest.test_case "fetch_or" `Quick test_fetch_or;
     Alcotest.test_case "tearing representable" `Quick test_buffer_tearing_is_representable;
     Alcotest.test_case "blit and capacity" `Quick test_blit_and_capacity;
+    Alcotest.test_case "blit: step per word" `Quick test_blit_unit_costs;
     Alcotest.test_case "interleaving deterministic" `Quick test_determinism_of_interleaving;
   ]
