@@ -13,7 +13,7 @@
    wait-free algorithm runs through seeded (schedule, fault-plan)
    pairs — crash-stop readers, stalled threads, torn writer copies,
    crashed writers — judged by the crash-aware checker, the liveness
-   checks and (for ARC) the presence-ledger audit, plus a
+   checks and (for every ARC variant) the presence-ledger audit, plus a
    silent-tear negative control that must be rejected:
 
      dune exec bin/check.exe -- --faults --seeds 100
@@ -57,13 +57,9 @@ module CP = Campaign.Make (RP)
 module RS = Arc_baselines.Simpson_reg.Make (Campaign.Mem)
 module CS = Campaign.Make (RS)
 
-let arc_audit reg ~crashed_readers ~writer_crashed =
-  Campaign.arc_audit
-    {
-      Campaign.presence_slack = (fun () -> RA.Debug.presence_slack reg);
-      free_slot_exists = (fun () -> RA.Debug.free_slot_exists reg);
-    }
-    ~crashed_readers ~writer_crashed
+module PA = Campaign.Arc_probes (RA)
+module PN = Campaign.Arc_probes (RN)
+module PD = Campaign.Arc_probes (RD)
 
 (* One row per wait-free algorithm, with both entry points of its
    campaign instantiation: the seeded sweep and the single-seed replay
@@ -84,20 +80,20 @@ let fault_algos =
     {
       fname = "arc";
       caps = RA.caps;
-      frun = (fun cfg -> CA.run ~audit:arc_audit cfg);
-      freplay = (fun ~seed cfg -> CA.run_seed ~audit:arc_audit ~seed cfg);
+      frun = (fun cfg -> CA.run ~audit:PA.audit cfg);
+      freplay = (fun ~seed cfg -> CA.run_seed ~audit:PA.audit ~seed cfg);
     };
     {
       fname = "arc-nohint";
       caps = RN.caps;
-      frun = (fun cfg -> CN.run cfg);
-      freplay = (fun ~seed cfg -> CN.run_seed ~seed cfg);
+      frun = (fun cfg -> CN.run ~audit:PN.audit cfg);
+      freplay = (fun ~seed cfg -> CN.run_seed ~audit:PN.audit ~seed cfg);
     };
     {
       fname = "arc-dynamic";
       caps = RD.caps;
-      frun = (fun cfg -> CD.run cfg);
-      freplay = (fun ~seed cfg -> CD.run_seed ~seed cfg);
+      frun = (fun cfg -> CD.run ~audit:PD.audit cfg);
+      freplay = (fun ~seed cfg -> CD.run_seed ~audit:PD.audit ~seed cfg);
     };
     {
       fname = "rf";

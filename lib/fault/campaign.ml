@@ -15,7 +15,7 @@
 
    plus an optional register-specific invariant audit (for ARC: the
    presence-ledger slack bound and Lemma 4.1's free slot, see
-   {!arc_audit}).
+   {!arc_audit} and {!Arc_probes}).
 
    This module deliberately has no [.mli]: callers instantiate
    [A.Make (Campaign.Mem)] themselves and pass the result to
@@ -175,6 +175,18 @@ let arc_audit probes ~crashed_readers ~writer_crashed =
       errs := "no free slot among the N+2 (Lemma 4.1 violated)" :: !errs;
     !errs
   end
+
+(* The probes of any ARC variant (arc, arc-nohint, arc-dynamic), read
+   from its white-box [Debug], and the audit over them. *)
+module Arc_probes (R : Arc_core.Arc.BASE) = struct
+  let probes reg =
+    {
+      presence_slack = (fun () -> R.Debug.presence_slack reg);
+      free_slot_exists = (fun () -> R.Debug.free_slot_exists reg);
+    }
+
+  let audit reg = arc_audit (probes reg)
+end
 
 (* {1 Outcomes} *)
 

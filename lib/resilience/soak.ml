@@ -59,6 +59,7 @@ module Fault_plan = Arc_fault.Fault_plan
 module Campaign = Arc_fault.Campaign
 module Mem = Campaign.Mem
 module R = Arc_core.Arc.Make (Mem)
+module R_probes = Campaign.Arc_probes (R)
 module Sup = Supervisor.Make (R)
 module F = Sup.Fenced_reg
 module P = Campaign.P
@@ -507,11 +508,7 @@ let run_one ~seed (cfg : cfg) : failover report =
   in
   let reg = F.inner freg in
   judge ~seed cfg fx ~unfinished ?fence:(Sup.last_fence sup)
-    ~probes:
-      {
-        presence_slack = (fun () -> R.Debug.presence_slack reg);
-        free_slot_exists = (fun () -> R.Debug.free_slot_exists reg);
-      }
+    ~probes:(R_probes.probes reg)
     ~extra:starved
     {
       fate = fate_name scen.fate;
@@ -691,6 +688,7 @@ let unfenced_control ~seed (cfg : cfg) : bool * string list =
    [Saturated] raise escapes past the gate to churn code. *)
 
 module D = Arc_core.Arc_dynamic.Make (Mem)
+module D_probes = Campaign.Arc_probes (D)
 module DS = Session.Make (D)
 module DGate = Admission.Make (D)
 module Packed = Arc_util.Packed
@@ -935,11 +933,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
   if admitted = 0 then fail "no admissions (vacuous run)";
   if fx.ops.(0) = 0 then fail "writer made no writes";
   judge ~seed cfg fx ~unfinished
-    ~probes:
-      {
-        presence_slack = (fun () -> D.Debug.presence_slack dreg);
-        free_slot_exists = (fun () -> D.Debug.free_slot_exists dreg);
-      }
+    ~probes:(D_probes.probes dreg)
     ~extra:(List.rev !extra)
     {
       arrivals = !arrivals;

@@ -28,16 +28,12 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* White-box probes wiring ARC's Debug into the campaign's invariant
-   audit (presence-ledger slack within [0, crashed]; Lemma 4.1's free
-   slot survives crashes). *)
-let arc_audit reg ~crashed_readers ~writer_crashed =
-  Campaign.arc_audit
-    {
-      Campaign.presence_slack = (fun () -> RA.Debug.presence_slack reg);
-      free_slot_exists = (fun () -> RA.Debug.free_slot_exists reg);
-    }
-    ~crashed_readers ~writer_crashed
+(* White-box probes wiring each ARC variant's Debug into the
+   campaign's invariant audit (presence-ledger slack within
+   [0, crashed]; Lemma 4.1's free slot survives crashes). *)
+module PA = Campaign.Arc_probes (RA)
+module PN = Campaign.Arc_probes (RN)
+module PD = Campaign.Arc_probes (RD)
 
 let fail_violations who (o : Campaign.outcome) =
   match o.Campaign.violations with
@@ -51,7 +47,7 @@ let fail_violations who (o : Campaign.outcome) =
 
 let test_campaign_arc () =
   let cfg = { Campaign.default with schedules = 100; seed = 2024 } in
-  let o = CA.run ~audit:arc_audit cfg in
+  let o = CA.run ~audit:PA.audit cfg in
   fail_violations "arc" o;
   Alcotest.(check int) "all schedules ran" 100 o.Campaign.schedules_run;
   (* Non-vacuity: over 100 random plans the fault classes must all
@@ -67,13 +63,13 @@ let test_campaign_arc () =
 
 let test_campaign_arc_nohint () =
   let cfg = { Campaign.default with schedules = 40; seed = 31 } in
-  let o = CN.run cfg in
+  let o = CN.run ~audit:PN.audit cfg in
   fail_violations "arc-nohint" o;
   Alcotest.(check bool) "faults fired" true (o.Campaign.reader_crashes > 0)
 
 let test_campaign_arc_dynamic () =
   let cfg = { Campaign.default with schedules = 40; seed = 47 } in
-  let o = CD.run cfg in
+  let o = CD.run ~audit:PD.audit cfg in
   fail_violations "arc-dynamic" o;
   Alcotest.(check bool) "faults fired" true (o.Campaign.reader_crashes > 0)
 
@@ -85,8 +81,8 @@ let test_campaign_rf () =
 
 let test_campaign_deterministic () =
   let cfg = { Campaign.default with schedules = 20; seed = 7 } in
-  let o1 = CA.run ~audit:arc_audit cfg in
-  let o2 = CA.run ~audit:arc_audit cfg in
+  let o1 = CA.run ~audit:PA.audit cfg in
+  let o2 = CA.run ~audit:PA.audit cfg in
   Alcotest.(check bool) "same seed, same outcome" true (o1 = o2)
 
 (* {1 Negative controls: the pipeline must convict} *)
@@ -123,7 +119,7 @@ let test_lost_release_convicted () =
       (Printf.sprintf "negative ledger slack convicts (slack = %d)" slack)
       true (slack < 0);
     (* ... and the generic audit hook turns that into a violation. *)
-    (match arc_audit reg ~crashed_readers:0 ~writer_crashed:false with
+    (match PA.audit reg ~crashed_readers:0 ~writer_crashed:false with
     | [] -> Alcotest.fail "audit accepted a lost release"
     | _ -> ())
 
