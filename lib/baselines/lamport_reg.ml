@@ -79,8 +79,11 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   let write reg ~src ~len =
     if len < 0 || len > Array.length src then invalid_arg "Lamport_reg.write: bad length";
     if len > M.capacity reg.content then invalid_arg "Lamport_reg.write: exceeds capacity";
+    (* [v1] opens the write and stays sequentially consistent, so the
+       content stores cannot pass it; [size] and the closing [v2] only
+       follow the stores before them. *)
     M.store reg.v1 (M.load reg.v1 + 1);
     M.write_words reg.content ~src ~len;
-    M.store reg.size len;
-    M.store reg.v2 (M.load reg.v1)
+    M.store_release reg.size len;
+    M.store_release reg.v2 (M.load reg.v1)
 end

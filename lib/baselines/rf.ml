@@ -113,7 +113,8 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     let entry = reg.slots.(slot) in
     if len > M.capacity entry.content then invalid_arg "Rf.write: exceeds capacity";
     M.write_words entry.content ~src ~len;
-    M.store entry.size len;
+    (* The publish exchange below orders [size] for readers. *)
+    M.store_release entry.size len;
     let old = M.exchange reg.sync (word_of_pointer reg slot) in
     let old_ptr = pointer_of reg old in
     (* Readers whose bit was set read their pointer while [old_ptr]

@@ -57,7 +57,9 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       write_lock reg
     end
 
-  let write_unlock reg = M.store reg.lock 0
+  (* Unlock is a release store, as in a C spin-lock: the critical
+     section's stores must be visible before it, nothing after it is. *)
+  let write_unlock reg = M.store_release reg.lock 0
 
   let read_with reg ~f =
     read_lock reg;
@@ -85,6 +87,6 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     if len > M.capacity reg.content then invalid_arg "Rwlock_reg.write: exceeds capacity";
     write_lock reg;
     M.write_words reg.content ~src ~len;
-    M.store reg.size len;
+    M.store_release reg.size len;
     write_unlock reg
 end

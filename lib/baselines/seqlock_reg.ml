@@ -93,10 +93,13 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     if len < 0 || len > Array.length src then invalid_arg "Seqlock_reg.write: bad length";
     if len > M.capacity reg.content then
       invalid_arg "Seqlock_reg.write: exceeds capacity";
+    (* The odd stamp stays sequentially consistent: the content stores
+       must not pass it.  The size and the closing even stamp only
+       follow the stores before them, so they are release stores. *)
     M.store reg.version (M.load reg.version + 1) (* odd: write in progress *);
     M.write_words reg.content ~src ~len;
-    M.store reg.size len;
-    M.store reg.version (M.load reg.version + 1) (* even: stable *)
+    M.store_release reg.size len;
+    M.store_release reg.version (M.load reg.version + 1) (* even: stable *)
 
   module Debug = struct
     (* Test-only: plant a (possibly out-of-range) size word as a torn

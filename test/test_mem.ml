@@ -433,6 +433,27 @@ let test_arc_write_one_rmw () =
     !Ordered.sc;
   check "the other six are release stores" 6 !Ordered.release
 
+(* The baselines' writes, split the same way: only the stores that
+   later stores must not pass stay sequentially consistent (the
+   seqlock's odd stamp, Lamport's [v1]); the rest follow the stores
+   before them and are release stores, as in their C originals. *)
+let test_baseline_store_orders () =
+  let len = 8 in
+  let init = Array.make len 0 and src = Array.make len 1 in
+  let orders name (module R : Arc_core.Register_intf.S
+                     with type Mem.atomic = Ordered.atomic) ~sc ~release =
+    let reg = R.create ~readers:2 ~capacity:len ~init in
+    Ordered.sc := 0;
+    Ordered.release := 0;
+    R.write reg ~src ~len;
+    check (name ^ ": sequentially consistent stores") sc !Ordered.sc;
+    check (name ^ ": release stores") release !Ordered.release
+  in
+  orders "rwlock" (module Arc_baselines.Rwlock_reg.Make (Ordered)) ~sc:0 ~release:2;
+  orders "seqlock" (module Arc_baselines.Seqlock_reg.Make (Ordered)) ~sc:1 ~release:2;
+  orders "lamport" (module Arc_baselines.Lamport_reg.Make (Ordered)) ~sc:1 ~release:2;
+  orders "rf" (module Arc_baselines.Rf.Make (Ordered)) ~sc:0 ~release:1
+
 let prop_exchange_sequence =
   QCheck.Test.make ~name:"exchange chains return previous values" ~count:200
     QCheck.(small_list int)
@@ -474,7 +495,7 @@ let suite =
       test_counting_contended_alloc_free;
     Alcotest.test_case "arc fast-path read is RMW-free" `Quick
       test_arc_fast_path_rmw_free;
-    Alcotest.test_case "store_release round-trips (real, sim, cc, shm)" `Quick
+    Alcotest.test_case "store_release round-trips (real, sim, cached sim, shm)" `Quick
       test_store_release_round_trips;
     Alcotest.test_case "counting charges store_release as one store" `Quick
       test_counting_store_release;
@@ -482,5 +503,6 @@ let suite =
       test_fault_drops_store_release;
     Alcotest.test_case "arc write: one RMW, two sequentially consistent stores"
       `Quick test_arc_write_one_rmw;
+    Alcotest.test_case "baseline store orders" `Quick test_baseline_store_orders;
     QCheck_alcotest.to_alcotest prop_exchange_sequence;
   ]
