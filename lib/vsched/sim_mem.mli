@@ -21,9 +21,8 @@
     destination line.  This is the substrate of experiment E9.
 
     Layout.  Every atomic owns a private cache line (as a careful
-    implementation would pad it) and buffers span
-    [words_per_line]-word lines; lines are allocated whether or not a
-    cache is installed.
+    implementation would pad it) and buffers span 8-word lines; lines
+    are allocated whether or not a cache is installed.
 
     Buffers interleave at word granularity, so a simulated schedule
     can expose torn multi-word reads if an algorithm under test is
@@ -33,8 +32,6 @@ val rmw_weight : int ref
 (** Simulated cost of one RMW in plain-access units under unit costs.
     Default 4.  Read at each operation, so sweeps can vary it between
     runs (never during one). *)
-
-val words_per_line : int
 
 val with_cache : Cache.t -> (unit -> 'a) -> 'a
 (** [with_cache c f] runs [f] with [c] pricing every access, the line

@@ -67,20 +67,6 @@ let test_validation () =
 let steps_of f =
   (Sched.run ~strategy:(Strategy.round_robin ()) [| f |]).Sched.steps
 
-let test_unit_costs_without_cache () =
-  let a = Sim.atomic 5 in
-  check "plain load" 5 (Sim.load a);
-  Sim.store a 6;
-  check "store works" 6 (Sim.load a);
-  (* load + store + RMW: 1 + 1 + rmw_weight, plus the initial
-     dispatch and one resumption after each of the three cedes. *)
-  check "unit-cost steps"
-    (1 + 1 + !Sim.rmw_weight + 4)
-    (steps_of (fun () ->
-         ignore (Sim.load a);
-         Sim.store a 7;
-         Sim.incr a))
-
 let test_with_cache_charges_costs () =
   let cache = Cache.create ~agents:3 in
   let steps =
@@ -204,7 +190,6 @@ let suite =
       test_write_invalidates_sharers;
     Alcotest.test_case "rmw ping-pong" `Quick test_rmw_ping_pong;
     Alcotest.test_case "validation" `Quick test_validation;
-    Alcotest.test_case "no cache: unit costs" `Quick test_unit_costs_without_cache;
     Alcotest.test_case "with_cache costs" `Quick test_with_cache_charges_costs;
     Alcotest.test_case "buffer lines" `Quick test_buffer_lines;
     Alcotest.test_case "blit: read + write" `Quick test_blit_reads_and_writes;
