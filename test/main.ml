@@ -20,6 +20,18 @@ module Seqlock_sim_suite = Reg_suite.Make (Arc_baselines.Seqlock_reg.Make (Arc_v
 module Arc_dynamic_sim_suite =
   Reg_suite.Make (Arc_core.Arc_dynamic.Make (Arc_vsched.Sim_mem))
 
+(* ... and over simulated memory priced by a MESI cache: each case runs
+   inside [Sim_mem.with_cache], so every access of the suite goes
+   through the coherence cost rule (line-mapped atomics and buffers,
+   charged to the cache's setup agent). *)
+let under_cache suite =
+  List.map
+    (fun (name, speed, f) ->
+      ( name,
+        speed,
+        fun () -> Arc_vsched.Sim_mem.with_cache (Arc_vsched.Cache.create ~agents:1) f ))
+    suite
+
 let () =
   Alcotest.run "arc_register"
     [
@@ -50,6 +62,8 @@ let () =
       ("generic:rwlock-sim", Rwlock_sim_suite.suite);
       ("generic:seqlock-sim", Seqlock_sim_suite.suite);
       ("generic:arc-dynamic-sim", Arc_dynamic_sim_suite.suite);
+      ("generic:arc-coherence", under_cache Arc_sim_suite.suite);
+      ("generic:peterson-coherence", under_cache Peterson_sim_suite.suite);
       ("arc", Test_arc.suite);
       ("rf", Test_rf.suite);
       ("peterson", Test_peterson.suite);
