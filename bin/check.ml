@@ -391,9 +391,9 @@ let run_fabric ?replay algo seeds strategy_name shards readers size steps
    process that saw none of the original run.  The crash context
    (recovery fence, pending write) comes from the dump's meta lines;
    --shm overrides the fence with the authoritative value persisted in
-   the mapping's writer seat 0, and cross-checks the mapping generation
-   against the dump's, so the dump and the mapping belong to the same
-   crash. *)
+   the mapping's writer seat named by the dump's [shard] meta line (0
+   without one), and cross-checks the mapping generation against the
+   dump's, so the dump and the mapping belong to the same crash. *)
 
 let run_history hist_path shm_path =
   let h, meta = History.load hist_path in
@@ -410,7 +410,9 @@ let run_history hist_path shm_path =
       let m = Arc_shm.Shm_mem.attach ~path:p in
       let f =
         if Arc_shm.Shm_mem.reign_shards m = 0 then 0
-        else Arc_shm.Shm_mem.shard_fence_at m ~shard:0
+        else
+          Arc_shm.Shm_mem.shard_fence_at m
+            ~shard:(Option.value ~default:0 (lookup "shard"))
       in
       let e = Arc_shm.Shm_mem.epoch m in
       Printf.printf "shm %s: epoch %d, fence_at %d, %d publishes\n" p e f
@@ -656,9 +658,10 @@ let cmd =
       value & opt (some file) None
       & info [ "shm" ] ~docv:"FILE"
           ~doc:
-            "With --history: read the authoritative recovery fence (writer \
-             seat 0's) and epoch from this register mapping instead of the \
-             dump's meta lines.")
+            "With --history: read the authoritative recovery fence (of the \
+             writer seat named by the dump's $(b,shard) meta line, 0 \
+             without one) and epoch from this register mapping instead of \
+             the dump's meta lines.")
   in
   Cmd.v
     (Cmd.info "arc-check"

@@ -1,33 +1,30 @@
 (* arc-crash: real-crash durability + writer-election harness for the
    shared-memory register substrate.
 
-   One campaign over writer SEATS.  A seat is one slot of the mapping's
-   reign table: a register's [term ∥ vote] election word, its
-   writer-fence epoch and its recovery fence.  Winning a seat bumps
-   the table's configuration epoch, and the successor's takeover is
-   the seat-scoped recovery (Arc_shm.Shm_arc.recover).  Each run
-   builds its seats in an mmap'd file (Arc_shm.Shm_mem) and forks, per
-   seat, a LEADER writer (candidate 0, which wins term 1) and k hot
-   standbys, then SIGKILLs leaders at seeded write counts while reader
-   domains in the parent keep reading.  The standbys detect the death
-   through a shared-clock heartbeat lease and campaign from a common
-   snapshot of term 1: CAS atomicity elects exactly one into term 2,
-   and only the winner — after Arc_resilience.Election's vote →
-   prefence → takeover → config bump → issue — continues the write
+   One campaign over S >= 1 writer SEATS (--shards; a single register
+   is a one-seat table).  A seat is one slot of the mapping's reign
+   table: a register's [term ∥ vote] election word, its writer-fence
+   epoch and its recovery fence.  Winning a seat bumps the table's
+   configuration epoch, and the successor's takeover is the
+   seat-scoped recovery (Arc_shm.Shm_arc.recover).  Each run builds
+   its seats in an mmap'd file (Arc_shm.Shm_mem) and forks, per seat,
+   a LEADER writer (candidate 0, which wins term 1) and k hot
+   standbys, then SIGKILLs a seeded nonempty subset of leaders at
+   seeded write counts while reader domains in the parent keep
+   reading — each domain both plain reads of one seat and
+   reign-certified snapshots across all of them.  The standbys detect
+   the death through a shared-clock heartbeat lease and campaign from
+   a common snapshot of term 1: CAS atomicity elects exactly one into
+   term 2, and only the winner — after Arc_resilience.Election's vote
+   → prefence → takeover → config bump → issue — continues the write
    sequence.  The parent asserts exactly one successor per seat,
    rebuilds every process's testimony from write-logs stamped with the
-   mapping's shared clock, and judges it.
-
-   Default mode: one seat (a single register is a one-seat table),
-   plain reads into a history recorder, one kill, the crash-aware
-   checker over the merged history fenced at seat 0's recovery stamp.
-   --fabric --shards S: S seats, reign-certified cross-shard
-   snapshots, a seeded subset of leaders killed, the checker's reign
-   pass.
+   mapping's shared clock, and judges every seat's merged history and
+   every certified snapshot through the checker's fabric pass.
 
      dune exec bin/crash.exe -- --runs 200 --candidates 3
-     dune exec bin/crash.exe -- --replay-seed 2049052026 -v
-     dune exec bin/crash.exe -- --fabric --shards 2 --runs 10
+     dune exec bin/crash.exe -- --replay-seed 2049052026 --shards 1 -v
+     dune exec bin/crash.exe -- --shards 2 --runs 10
 
    Exit status 0 = clean (and all negative controls behaved);
    1 = violations (each with the exact replay command, also written
@@ -61,7 +58,7 @@ type cfg = {
   writes_max : int;
   kill_at : int;  (* 0 = draw the kill write count from the seed *)
   successor_writes : int;
-  shards : int;  (* seats under --fabric *)
+  shards : int;  (* writer seats *)
   dir : string;
   verbose : bool;
 }
@@ -131,10 +128,14 @@ let log_words cfg = 2 * (cfg.writes_max + 1)
 let slog_words cfg = 3 * (cfg.successor_writes + 1)
 let status_block_words cfg = status_words * (cfg.candidates + 1)
 
-(* Reader identities per register: [identities - 2] is the elected
-   successor's post-crash probe read, and [identities - 1] is never
-   used — the spare covering the one slot a crash may quarantine
-   (Shm_arc.recover's bounded-leak accounting). *)
+(* Reader identities per register: [0, readers) scan the fabric,
+   [readers, readers + seats) serve its writers' helping collects
+   (Fabric.of_registers), [readers + seats, 2·readers + seats) are the
+   plain readers, then the elected successor's post-crash probe read,
+   and last the spare that is never used — covering the one slot a
+   crash may quarantine (Shm_arc.recover's bounded-leak accounting). *)
+let identities cfg = (2 * cfg.readers) + cfg.shards + 2
+
 let mapping_words cfg ~seats ~identities =
   let nslots = identities + 2 in
   let per_seat =
@@ -501,14 +502,21 @@ let testify cfg m ~tag l ~fail =
         successor = !successor;
       }
 
+(* The testimony's verdict on the interrupted write, named as the
+   crash-aware checker names its outcomes. *)
+let outcome t =
+  match t.pending with
+  | No_pending -> Checker.No_crash
+  | Published _ -> Checker.Took_effect
+  | Vanished _ -> Checker.Vanished
+
 (* {1 One run} *)
 
 type judgement = {
-  reads : int;  (* recorded reads, or certified snapshots *)
-  dropped : int;  (* reads the recorder had no room for *)
+  reads : int;  (* validated plain reads *)
+  snapshots : int;  (* certified snapshots *)
   reign_changed : int;  (* snapshots that returned the typed verdict *)
   config : int;  (* final configuration epoch *)
-  outcome : string;  (* checker outcome, or "exception" / "lost" *)
 }
 
 type run_result = {
@@ -520,685 +528,522 @@ type run_result = {
   path : string;
 }
 
-(* Sum [f] over every seat of every run. *)
-let total rs f =
-  List.fold_left (fun a r -> Array.fold_left (fun a s -> a + f s) a r.seats) 0 rs
+(* Sum [f] over every run, and over every seat of every run. *)
+let sum rs f = List.fold_left (fun a r -> a + f r) 0 rs
+let total rs f = sum rs (fun r -> Array.fold_left (fun a s -> a + f s) 0 r.seats)
 
 let elected s = if s.winner >= 0 then 1 else 0
 let pended s = if s.pending <> No_pending then 1 else 0
+let tag = Printf.sprintf "seat %d: "
+let history_path path s = Printf.sprintf "%s.%d.history" path s
 
-(* What a campaign mode supplies; the seat campaign below is the
-   rest. *)
-module type MODE = sig
-  type view  (* what the judge needs of the parent's reading side *)
-  type readings  (* one reader domain's yield, besides its errors *)
+(* At least one seat's leader dies — at one seat, always seat 0's;
+   each killed seat draws its own kill write count (--kill-at pins
+   them all).  Draws happen unconditionally so pinned and drawn runs
+   of one seed stay aligned. *)
+let kill_plan cfg rng =
+  let seats = cfg.shards in
+  let kill_count = 1 + Splitmix.int rng seats in
+  let kill_order = Array.init seats Fun.id in
+  for i = seats - 1 downto 1 do
+    let j = Splitmix.int rng (i + 1) in
+    let t = kill_order.(i) in
+    kill_order.(i) <- kill_order.(j);
+    kill_order.(j) <- t
+  done;
+  Array.map
+    (fun s ->
+      let drawn = 1 + Splitmix.int rng cfg.writes_max in
+      (s, if cfg.kill_at > 0 then cfg.kill_at else drawn))
+    (Array.sub kill_order 0 kill_count)
 
-  val name : string  (* mapping-file prefix *)
-  val seats : cfg -> int
-  val tag : int -> string  (* prefix of a seat's violation messages *)
-  val identities : cfg -> int
-  val replay_flags : cfg -> Arc_report.Replay.arg list
-  val announce : cfg -> int -> unit
+(* {2 The readers}
 
-  val kill_plan : cfg -> Splitmix.t -> (int * int) array
-  (** [(seat, write count)] pairs, killed in this order. *)
+   Each reader domain [id] does two reads per paced iteration: one
+   validated plain read of seat [id mod seats] (a history read,
+   thread [1 + id]) and one reign-certified cross-seat snapshot (a
+   snapshot_obs, thread [1000 + id]).  Helping deposits are heap-local,
+   so cross-process scans certify by clean probe passes alone — bounded
+   by the certified scan's round budget, with the typed Reign_changed
+   verdict as the escape during elections.  That verdict is counted,
+   never a violation: it is the designed behavior while a handoff is
+   in flight.  The fabric is built before the first fork; the body
+   runs in each reader domain. *)
 
-  val readers :
-    cfg ->
-    Shm_arc.instance ->
-    view * (stop:bool Atomic.t -> int -> readings * string list)
-  (** Built before the first fork, since it may allocate records in
-      the mapping (a fabric's scan counter and epoch word); the body
-      runs in each reader domain. *)
+type readings = {
+  plain : History.event list;
+  snaps : Checker.snapshot_obs list;
+  changed : int;  (* Reign_changed verdicts *)
+}
 
-  val judge :
-    Shm_mem.mapping ->
-    path:string ->
-    view ->
-    readings list ->
-    testimony array ->
-    fail:(string -> unit) ->
-    failing:(unit -> bool) ->
-    judgement
-
-  val print : verbose:bool -> run_result -> unit
-  val summary : cfg -> failing:int -> run_result list -> unit
-
-  val counters :
-    runs:int -> failing:int -> run_result list -> Arc_obs.Obs.metric list
-
-  val controls : cfg -> bool
-end
-
-module Campaign (Mo : MODE) = struct
-  let replay_command cfg seed =
-    Arc_report.Replay.(
-      render ~exe:"arc-crash"
-        (Mo.replay_flags cfg
-        @ [
-            int "--replay-seed" seed;
-            int "--readers" cfg.readers;
-            int "--candidates" cfg.candidates;
-            int "--kill-at" cfg.kill_at;
-            int "--capacity" cfg.capacity;
-            int "--writes" cfg.writes_max;
-            int "--successor-writes" cfg.successor_writes;
-          ]))
-
-  let flush_all () =
-    flush stdout;
-    flush stderr
-
-  let run_one cfg ~seed =
-    let rng = Splitmix.of_int seed in
-    let path =
-      Filename.concat cfg.dir
-        (Printf.sprintf "%s-%d-%d.shm" Mo.name (Unix.getpid ()) seed)
-    in
-    let seats = Mo.seats cfg and identities = Mo.identities cfg in
-    let words = mapping_words cfg ~seats ~identities in
-    let m = Shm_mem.create ~path ~words in
-    let init = Array.make cfg.capacity 0 in
-    P0.stamp init ~seq:0 ~len:cfg.capacity;
-    let inst =
-      Shm_arc.create m ~shards:seats ~readers:identities ~capacity:cfg.capacity
-        ~init
-    in
-    let module G = (val inst : Shm_arc.INSTANCE) in
-    let module W = Seat (G) in
-    let logs = alloc_logs cfg m ~seats in
-    (* The kill point is a seeded write NUMBER, not a wall-clock delay:
-       the parent watches the shared write-log until the leader reaches
-       it, then kills.  Wall clocks drift with machine load — a loaded
-       box would land every kill after the leader had already finished
-       — while a count always lands the signal inside the writing
-       phase (give or take the signal-delivery handful of writes,
-       which is exactly the randomness a real crash has anyway). *)
-    let plan = Mo.kill_plan cfg rng in
-    let view, reader = Mo.readers cfg inst in
-    let violations = ref [] in
-    let fail s = violations := s :: !violations in
-    (* Fork each seat's leader, await its term-1 election, then fork
-       its standbys, so every standby snapshots the same reign to
-       campaign from — the exactly-one-successor argument starts at
-       this common snapshot.  All forks complete before any reader
-       domain spawns (OCaml 5 refuses to fork once domains exist). *)
-    let leaders = Array.make seats (-1) in
-    let standbys = ref [] in
-    Array.iteri
-      (fun s l ->
-        flush_all ();
-        (match Unix.fork () with
-        | 0 -> W.lead s l ~cfg ~seed:(seed lxor (0x5DEECE66 + s))
-        | pid -> leaders.(s) <- pid);
-        let lead_deadline = Unix.gettimeofday () +. 10.0 in
-        let word = Shm_mem.shard_election_cell m ~shard:s in
-        let rec await_leader () =
-          if Term_vote.term (Shm_mem.atomic_get m word) >= 1 then true
-          else if Unix.gettimeofday () > lead_deadline then false
-          else begin
-            Domain.cpu_relax ();
-            await_leader ()
-          end
-        in
-        if not (await_leader ()) then
-          fail (Mo.tag s ^ "leader never opened term 1");
-        (* Arm the lease before any standby can look at it. *)
-        if Shm_mem.atomic_get m l.hb = 0 then
-          Shm_mem.atomic_set m l.hb (Shm_mem.tick m);
-        for candidate = 1 to cfg.candidates do
-          flush_all ();
-          match Unix.fork () with
-          | 0 -> W.stand_by s l ~cfg ~candidate ~probe:(identities - 2)
-          | pid -> standbys := pid :: !standbys
-        done)
-      logs;
-    let stop = Atomic.make false in
-    let domains =
-      List.init cfg.readers (fun id -> Domain.spawn (fun () -> reader ~stop id))
-    in
-    (* Kill each condemned leader when its log reaches the drawn write
-       count (or the leader drains first — then the "kill" lands on an
-       exited process and the seat fails over on lease expiry like any
-       other). *)
-    let exits = Array.make seats None in
-    let deadline = Unix.gettimeofday () +. patience in
-    Array.iter
-      (fun (s, kill_at) ->
-        let rec await n =
-          if Shm_mem.atomic_get m (log_invoked logs.(s).log kill_at) <> 0 then ()
-          else if n land 4095 = 0 && Unix.gettimeofday () > deadline then ()
-          else begin
-            (if n land 4095 = 0 then
-               match Unix.waitpid [ Unix.WNOHANG ] leaders.(s) with
-               | 0, _ -> ()
-               | _, st -> exits.(s) <- Some st);
-            if exits.(s) = None then begin
-              Domain.cpu_relax ();
-              await (n + 1)
-            end
-          end
-        in
-        await 1;
-        if exits.(s) = None then begin
-          Unix.kill leaders.(s) Sys.sigkill;
-          exits.(s) <- Some (snd (Unix.waitpid [] leaders.(s)))
-        end)
-      plan;
-    (* Unkilled leaders drain their writes and exit on their own; their
-       seats fail over on lease expiry exactly like the killed ones. *)
-    Array.iteri
-      (fun s exit ->
-        let st =
-          match exit with
-          | Some st -> st
-          | None -> snd (Unix.waitpid [] leaders.(s))
-        in
-        match st with
-        | Unix.WSIGNALED k when k = Sys.sigkill -> ()
-        | Unix.WEXITED 0 -> () (* drained writes_max before the kill *)
-        | _ -> fail (Mo.tag s ^ "leader exited abnormally"))
-      exits;
-    (* The elections now run among the standbys; wait them all out
-       (losers exit as soon as they lose; winners after their
-       successor writes). *)
-    List.iter (fun pid -> ignore (Unix.waitpid [] pid)) !standbys;
-    Unix.sleepf 0.002;
-    Atomic.set stop true;
-    let readings =
-      List.map
-        (fun d ->
-          let r, errors = Domain.join d in
-          List.iter fail errors;
-          r)
-        domains
-    in
-    let testimony =
-      Array.mapi (fun s l -> testify cfg m ~tag:(Mo.tag s) l ~fail) logs
-    in
-    let judgement =
-      Mo.judge m ~path view readings testimony ~fail
-        ~failing:(fun () -> !violations <> [])
-    in
-    let result =
-      {
-        seed;
-        seats =
-          Array.map
-            (fun t -> { t with completed = []; successor = [] })
-            testimony;
-        killed = Array.length plan;
-        judgement;
-        violations = List.rev !violations;
-        path;
-      }
-    in
-    Shm_mem.close m;
-    if result.violations = [] then Sys.remove path;
-    result
-
-  (* A forked process may not fork again once it has spawned domains
-     (OCaml 5's Unix.fork refuses), and each run needs both — fork the
-     leaders and standbys first, then spawn reader domains.  So the
-     campaign runs every run in its own forked subprocess, which
-     performs its forks while still single-domain.  The subprocess
-     prints its own per-run line and ships the result record back
-     through a temp file. *)
-  let run_one_isolated cfg ~seed =
-    let stub outcome msg =
-      {
-        seed;
-        seats = Array.make (Mo.seats cfg) no_testimony;
-        killed = 0;
-        judgement =
-          { reads = 0; dropped = 0; reign_changed = 0; config = 0; outcome };
-        violations = [ msg ];
-        path = "";
-      }
-    in
-    let tmp = Filename.temp_file "arc-crash-res" ".bin" in
-    flush_all ();
-    match Unix.fork () with
-    | 0 ->
-        let r =
-          try run_one cfg ~seed with e -> stub "exception" (Printexc.to_string e)
-        in
-        Mo.print ~verbose:cfg.verbose r;
-        flush stdout;
-        let oc = open_out_bin tmp in
-        Marshal.to_channel oc r [];
-        close_out oc;
-        Unix._exit 0
-    | pid ->
-        ignore (Unix.waitpid [] pid);
-        let r =
-          try
-            let ic = open_in_bin tmp in
-            let r : run_result = Marshal.from_channel ic in
-            close_in ic;
-            r
-          with _ -> stub "lost" "run subprocess died without reporting"
-        in
-        (try Sys.remove tmp with Sys_error _ -> ());
-        if r.judgement.outcome = "lost" then Mo.print ~verbose:cfg.verbose r;
-        r
-
-  (* Campaign counters as an exposition dump.  The per-run elections and
-     recoveries happen in forked subprocesses, so their process-local
-     Obs cells die with them — the campaign aggregates come from the
-     marshalled run results instead, while the Election/Shm_mem sections
-     reflect only what this process did itself (the negative controls,
-     or a --replay-seed run). *)
-  let print_metrics ~runs ~failing rs =
-    print_string
-      (Arc_obs.Obs.prometheus
-         (Mo.counters ~runs ~failing rs
-         @ Arc_resilience.Election.metrics ()
-         @ Arc_fabric.Fabric.reign_metrics ()
-         @ Shm_mem.metrics ()))
-
-  let run_campaign cfg fail_log skip_controls metrics =
-    let results = ref [] in
-    for run = 1 to cfg.runs do
-      let seed = Driver.derive_seed cfg.seed run in
-      results := run_one_isolated cfg ~seed :: !results
-    done;
-    let results = List.rev !results in
-    let failing = List.filter (fun r -> r.violations <> []) results in
-    let nfailing = List.length failing in
-    Mo.summary cfg ~failing:nfailing results;
-    Driver.report ?fail_log ~replay:(replay_command cfg)
-      (List.map (fun r -> (r.seed, None)) failing);
-    let controls_ok = skip_controls || Mo.controls cfg in
-    if metrics then print_metrics ~runs:cfg.runs ~failing:nfailing results;
-    Driver.finish ~failing:nfailing ~controls_ok
-
-  let replay cfg seed metrics =
-    Mo.announce cfg seed;
-    let r = run_one cfg ~seed in
-    Mo.print ~verbose:true r;
-    let failing = if r.violations <> [] then 1 else 0 in
-    if metrics then print_metrics ~runs:1 ~failing [ r ];
-    Driver.finish ~failing ~controls_ok:true
-end
-
-(* {1 Single-register mode: one seat}
-
-   A one-seat reign table: the seat's plain reads go into a history
-   recorder, and the crash-aware checker judges the merged history
-   fenced at seat 0's recovery stamp.  The succession still bumps the
-   configuration epoch; nothing in this mode reads it. *)
-
-module Single_mode : MODE = struct
-  type view = History.Recorder.recorder
-  type readings = unit
-
-  let name = "arc-crash"
-  let seats _ = 1
-  let tag _ = ""
-
-  (* [0, readers) are the reading domains. *)
-  let identities cfg = cfg.readers + 2
-  let replay_flags _ = []
-  let announce _ seed = Printf.printf "replaying seed %d\n" seed
-
-  (* --kill-at pins the kill point instead of drawing it (the draw
-     still runs, keeping later draws aligned between pinned and drawn
-     runs of one seed). *)
-  let kill_plan cfg rng =
-    let drawn = 1 + Splitmix.int rng cfg.writes_max in
-    [| (0, if cfg.kill_at > 0 then cfg.kill_at else drawn) |]
-
-  let readers cfg (module G : Shm_arc.INSTANCE) =
-    let module P = Arc_workload.Payload.Make (G.M) in
-    let recorder =
-      History.Recorder.create ~threads:(cfg.readers + 1) ~capacity:(1 lsl 18)
-    in
-    let read ~stop id =
-      let rd = G.R.reader G.regs.(0) id in
-      let errors = ref [] in
-      while not (Atomic.get stop) do
-        (* Pace reads so a run's history stays within the recorder's
-           preallocated capacity; the interleaving stress lives in the
-           concurrency, not the raw poll rate. *)
-        for _ = 1 to 512 do
-          Domain.cpu_relax ()
-        done;
-        let invoked = Shm_mem.tick G.mapping in
-        match G.R.read_with rd ~f:(fun buf len -> P.validate buf ~len) with
-        | Ok seq ->
-            let returned = Shm_mem.tick G.mapping in
-            History.Recorder.record recorder ~thread:(1 + id) History.Read ~seq
-              ~invoked ~returned
-        | Error msg ->
-            errors :=
-              Printf.sprintf "reader %d: torn snapshot: %s" id msg :: !errors
+let readers cfg (module G : Shm_arc.INSTANCE) =
+  let module P = Arc_workload.Payload.Make (G.M) in
+  let module FB = Arc_fabric.Fabric.Make (G.R) in
+  let seats = Array.length G.regs in
+  let fab =
+    FB.of_registers G.regs ~writers:seats ~readers:cfg.readers
+      ~capacity:cfg.capacity
+  in
+  FB.attach_reign fab ~config:(Shm_mem.config_epoch_cell G.mapping);
+  fun ~stop id ->
+    let rd = G.R.reader G.regs.(id mod seats) (cfg.readers + seats + id) in
+    let ctx = FB.scanner fab id in
+    let scratch = Array.make cfg.capacity 0 in
+    let plain = ref [] and snaps = ref [] and changed = ref 0 in
+    let errors = ref [] in
+    let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+    while not (Atomic.get stop) do
+      (* Pace the reads: the interleaving stress lives in the
+         concurrency, not the raw poll rate. *)
+      for _ = 1 to 512 do
+        Domain.cpu_relax ()
       done;
-      ((), List.rev !errors)
-    in
-    (recorder, read)
-
-  (* The merged cross-process history — leader writes, successor
-     writes, every recorded read — through the crash-aware checker,
-     fenced at the recovery stamp.  A failing history is kept next to
-     the mapping with its crash context, so arc-check --history can
-     re-judge it offline. *)
-  let judge m ~path recorder _ testimony ~fail ~failing =
-    let t = testimony.(0) in
-    let history =
-      History.of_events
-        (t.completed @ t.successor
-        @ History.events (History.Recorder.history recorder))
-    in
-    let pending_write =
-      match t.pending with Published (k, inv) -> Some (k, inv) | _ -> None
-    in
-    let fence = Shm_mem.shard_fence_at m ~shard:0 in
-    let outcome =
-      match Checker.check_crash ?pending_write ~fence history with
-      | Ok (_, o) -> Checker.crash_outcome_name o
-      | Error v ->
-          fail (Format.asprintf "%a" Checker.pp_violation v);
-          "violation"
-    in
-    if failing () then begin
-      let meta =
-        ("fence", fence)
-        :: ("epoch", Shm_mem.epoch m)
-        :: ("term", t.term)
-        :: ("winner", t.winner)
-        ::
-        (match pending_write with
-        | Some (k, inv) -> [ ("pending_seq", k); ("pending_invoked", inv) ]
-        | None -> [])
-      in
-      History.dump ~meta history (path ^ ".history")
-    end;
-    {
-      reads = List.length (History.reads history);
-      dropped = History.Recorder.dropped recorder;
-      reign_changed = 0;
-      config = 0;
-      outcome;
-    }
-
-  let print ~verbose r =
-    let s = r.seats.(0) and j = r.judgement in
-    if verbose || r.violations <> [] then begin
-      Printf.printf
-        "run [seed %d]: writes=%d pending=%s winner=c%d term=%d losers=%d \
-         convicted=%d torn=%d journaled=%d swrites=%d reads=%d%s outcome=%s — %s\n"
-        r.seed s.writes (pp_pending s.pending) s.winner s.term s.losers
-        s.convictions s.torn s.journaled s.swrites j.reads
-        (if j.dropped > 0 then Printf.sprintf " (dropped %d)" j.dropped else "")
-        j.outcome
-        (if r.violations = [] then "ok" else String.concat "; " r.violations);
-      if r.violations <> [] then
-        Printf.printf
-          "  mapping kept at %s\n\
-          \  re-judge: dune exec bin/check.exe -- --history %s.history --shm %s\n"
-          r.path r.path r.path
-    end
-
-  let summary cfg ~failing rs =
-    let outcomes = Hashtbl.create 8 in
-    List.iter
-      (fun r ->
-        let o = r.judgement.outcome in
-        Hashtbl.replace outcomes o
-          (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes o)))
-      rs;
-    Printf.printf
-      "arc-crash: %d runs, %d failing; pending-at-kill %d, slots convicted %d, \
-       journal quarantines %d, elected successors %d, losing candidates %d; \
-       outcomes: %s\n"
-      cfg.runs failing (total rs pended)
-      (total rs (fun s -> s.convictions))
-      (total rs (fun s -> s.journaled))
-      (total rs elected)
-      (total rs (fun s -> s.losers))
-      (String.concat ", "
-         (Hashtbl.fold
-            (fun k v acc -> Printf.sprintf "%s=%d" k v :: acc)
-            outcomes []))
-
-  let counters ~runs ~failing rs =
-    let open Arc_obs.Obs in
-    [
-      counter "crash_runs_total" ~help:"Kill-9 runs executed" runs;
-      counter "crash_failing_runs_total" ~help:"Runs with violations" failing;
-      counter "crash_pending_at_kill_total"
-        ~help:"Runs where the leader died with a write in flight"
-        (total rs pended);
-      counter "crash_slots_convicted_total"
-        ~help:"Register slots convicted by post-crash recovery"
-        (total rs (fun s -> s.convictions));
-      counter "crash_journal_quarantines_total"
-        ~help:"Slots quarantined via the prefreeze journal"
-        (total rs (fun s -> s.journaled));
-      counter "crash_elected_successors_total"
-        ~help:"Runs where exactly one standby won the succession"
-        (total rs elected);
-      counter "crash_losing_candidates_total"
-        ~help:"Standby campaigns that lost their election"
-        (total rs (fun s -> s.losers));
-    ]
-
-  let controls cfg =
-    Crash_controls.conviction ~dir:cfg.dir && Crash_controls.election ()
-end
-
-(* {1 Fabric mode: S reign-table seats}
-
-   One mapping holds [shards] registers (Shm_arc.create), each
-   with its own leader elected through its reign-table election word
-   and k hot standbys, while reader domains in the parent take
-   reign-CERTIFIED cross-shard snapshots.  A seeded subset of shard
-   leaders is SIGKILLed mid-run; each killed shard's standbys
-   arbitrate exactly one successor whose campaign (vote → prefence →
-   shard-scoped recovery → config bump → issue) advances the
-   fabric-wide configuration epoch.  The judge merges the per-shard
-   histories and checks them together with every certified snapshot
-   through the checker's reign dimension: a snapshot certified under
-   epoch e must draw every shard value from a reign <= e. *)
-
-module Fabric_mode : MODE = struct
-  type view = unit
-  type readings = Checker.snapshot_obs list * int
-
-  let name = "arc-crash-fab"
-  let seats cfg = cfg.shards
-  let tag = Printf.sprintf "shard %d: "
-
-  (* [0, readers) are the scanning domains, [readers, readers + shards)
-     the fabric's writer identities (Fabric.of_registers). *)
-  let identities cfg = cfg.readers + cfg.shards + 2
-
-  let replay_flags cfg =
-    Arc_report.Replay.[ flag "--fabric"; int "--shards" cfg.shards ]
-
-  let announce cfg seed =
-    Printf.printf "replaying fabric seed %d (%d shards)\n" seed cfg.shards
-
-  (* At least one shard leader dies; each killed shard draws its own
-     kill write-count (--kill-at pins them all).  Draws happen
-     unconditionally so pinned and drawn runs of one seed stay
-     aligned. *)
-  let kill_plan cfg rng =
-    let shards = cfg.shards in
-    let kill_count = 1 + Splitmix.int rng shards in
-    let kill_order = Array.init shards Fun.id in
-    for i = shards - 1 downto 1 do
-      let j = Splitmix.int rng (i + 1) in
-      let t = kill_order.(i) in
-      kill_order.(i) <- kill_order.(j);
-      kill_order.(j) <- t
-    done;
-    Array.map
-      (fun s ->
-        let drawn = 1 + Splitmix.int rng cfg.writes_max in
-        (s, if cfg.kill_at > 0 then cfg.kill_at else drawn))
-      (Array.sub kill_order 0 kill_count)
-
-  (* Certified snapshots over the shared registers, decoded per shard,
-     one snapshot_obs per certified vector.  Helping deposits are
-     heap-local, so cross-process scans certify by clean probe passes
-     alone — bounded by the certified scan's round budget, with the
-     typed Reign_changed verdict as the escape during elections.  That
-     verdict is counted, never a violation: it is the designed
-     behavior while a handoff is in flight. *)
-  let readers cfg (module G : Shm_arc.INSTANCE) =
-    let module FB = Arc_fabric.Fabric.Make (G.R) in
-    let shards = Array.length G.regs in
-    let fab =
-      FB.of_registers G.regs ~writers:shards ~readers:cfg.readers
-        ~capacity:cfg.capacity
-    in
-    FB.attach_reign fab ~config:(Shm_mem.config_epoch_cell G.mapping);
-    let scan ~stop id =
-      let ctx = FB.scanner fab id in
-      let scratch = Array.make cfg.capacity 0 in
-      let obs = ref [] and changed = ref 0 and errors = ref [] in
-      while not (Atomic.get stop) do
-        for _ = 1 to 512 do
-          Domain.cpu_relax ()
-        done;
-        let invoked = Shm_mem.tick G.mapping in
-        match FB.snapshot_certified ctx with
-        | Error (_ : Arc_fabric.Fabric.reign_change) -> incr changed
-        | Ok snap ->
-            let returned = Shm_mem.tick G.mapping in
-            let observed =
-              Array.init shards (fun s ->
-                  let len = FB.shard_copy snap s ~dst:scratch in
-                  match P0.validate_words scratch ~len with
-                  | Ok seq -> seq
-                  | Error msg ->
-                      errors :=
-                        Printf.sprintf "reader %d: shard %d torn in snapshot: %s"
-                          id s msg
-                        :: !errors;
-                      P0.decode_words scratch)
-            in
-            obs :=
-              {
-                Checker.sthread = 1000 + id;
-                invoked;
-                returned;
-                observed;
-                sepoch = FB.snap_epoch snap;
-              }
-              :: !obs
-      done;
-      ((List.rev !obs, !changed), List.rev !errors)
-    in
-    ((), scan)
-
-  (* Each shard's history is its leader's writes plus its successor's;
-     each reign claims the values it published from the config epoch
-     it began at.  A published pending write joins the history with
-     the shard's fence as its completion bound: the probe already
-     settled THAT it published, the fence bounds WHEN it still could
-     have. *)
-  let judge m ~path:_ () readings testimony ~fail ~failing:_ =
-    let reigns = ref [] in
-    let claim s first_seq config what =
-      if config <= 0 then
-        fail (Printf.sprintf "shard %d: %s never recorded its reign" s what)
-      else reigns := { Checker.rshard = s; first_seq; config } :: !reigns
-    in
-    let histories =
-      Array.mapi
-        (fun s t ->
-          claim s 1 t.leader_config "leader";
-          let completed =
-            match t.pending with
-            | Published (k, invoked) ->
-                History.event History.Write ~thread:0 ~seq:k ~invoked
-                  ~returned:(max (Shm_mem.shard_fence_at m ~shard:s) invoked)
-                :: t.completed
-            | _ -> t.completed
+      let invoked = Shm_mem.tick G.mapping in
+      (match G.R.read_with rd ~f:(fun buf len -> P.validate buf ~len) with
+      | Ok seq ->
+          let returned = Shm_mem.tick G.mapping in
+          plain :=
+            History.event History.Read ~thread:(1 + id) ~seq ~invoked ~returned
+            :: !plain
+      | Error msg ->
+          err "reader %d: torn read of seat %d: %s" id (id mod seats) msg);
+      let invoked = Shm_mem.tick G.mapping in
+      match FB.snapshot_certified ctx with
+      | Error (_ : Arc_fabric.Fabric.reign_change) -> incr changed
+      | Ok snap ->
+          let returned = Shm_mem.tick G.mapping in
+          let observed =
+            Array.init seats (fun s ->
+                let len = FB.shard_copy snap s ~dst:scratch in
+                match P0.validate_words scratch ~len with
+                | Ok seq -> seq
+                | Error msg ->
+                    err "reader %d: seat %d torn in snapshot: %s" id s msg;
+                    P0.decode_words scratch)
           in
-          if t.winner >= 0 then
-            claim s (t.probe + 1) t.successor_config "successor";
-          History.of_events (completed @ t.successor))
-        testimony
-    in
-    let snapshots = List.concat_map fst readings in
-    (match
-       Checker.check_fabric ~reigns:!reigns ~writes:histories ~snapshots ()
-     with
-    | Ok _ -> ()
-    | Error v -> fail (Format.asprintf "%a" Checker.pp_fabric_violation v));
+          snaps :=
+            {
+              Checker.sthread = 1000 + id;
+              invoked;
+              returned;
+              observed;
+              sepoch = FB.snap_epoch snap;
+            }
+            :: !snaps
+    done;
+    ( { plain = !plain; snaps = List.rev !snaps; changed = !changed },
+      List.rev !errors )
+
+(* {2 The judge}
+
+   Each seat's history is its leader's completed writes, a published
+   pending write completed at the seat's recovery fence (the probe
+   settled THAT it published, the fence bounds WHEN it still could
+   have), its successor's writes, and that seat's plain reads.  Each
+   reign claims the values it published from the configuration epoch
+   it began at.  The checker's per-shard pass runs the full
+   single-register check over the plain reads together with the
+   projected snapshot reads; its cross-shard and reign passes judge
+   every certified snapshot.  A failing run keeps each seat's history
+   next to the mapping, the pending write in its meta lines, so
+   arc-check --history can re-judge it offline. *)
+let judge m ~path readings testimony ~fail ~failing =
+  let seats = Array.length testimony in
+  let plain = Array.make seats [] in
+  List.iteri
+    (fun id r -> plain.(id mod seats) <- r.plain @ plain.(id mod seats))
+    readings;
+  let reigns = ref [] in
+  let claim s first_seq config what =
+    if config <= 0 then
+      fail (Printf.sprintf "%s%s never recorded its reign" (tag s) what)
+    else reigns := { Checker.rshard = s; first_seq; config } :: !reigns
+  in
+  let fence s = Shm_mem.shard_fence_at m ~shard:s in
+  let recorded =
+    Array.mapi
+      (fun s t -> History.of_events (t.completed @ t.successor @ plain.(s)))
+      testimony
+  in
+  let histories =
+    Array.mapi
+      (fun s t ->
+        claim s 1 t.leader_config "leader";
+        if t.winner >= 0 then
+          claim s (t.probe + 1) t.successor_config "successor";
+        match t.pending with
+        | Published (k, invoked) ->
+            History.of_events
+              (History.event History.Write ~thread:0 ~seq:k ~invoked
+                 ~returned:(max (fence s) invoked)
+              :: History.events recorded.(s))
+        | _ -> recorded.(s))
+      testimony
+  in
+  let snapshots = List.concat_map (fun r -> r.snaps) readings in
+  (match
+     Checker.check_fabric ~reigns:!reigns ~writes:histories ~snapshots ()
+   with
+  | Ok _ -> ()
+  | Error v -> fail (Format.asprintf "%a" Checker.pp_fabric_violation v));
+  if failing () then
+    Array.iteri
+      (fun s t ->
+        let meta =
+          ("fence", fence s)
+          :: ("epoch", Shm_mem.epoch m)
+          :: ("term", t.term)
+          :: ("winner", t.winner)
+          :: ("shard", s)
+          ::
+          (match t.pending with
+          | Published (k, inv) -> [ ("pending_seq", k); ("pending_invoked", inv) ]
+          | _ -> [])
+        in
+        History.dump ~meta recorded.(s) (history_path path s))
+      testimony;
+  {
+    reads = Array.fold_left (fun a ev -> a + List.length ev) 0 plain;
+    snapshots = List.length snapshots;
+    reign_changed = List.fold_left (fun a r -> a + r.changed) 0 readings;
+    config = Shm_mem.config_epoch m;
+  }
+
+let flush_all () =
+  flush stdout;
+  flush stderr
+
+let run_one cfg ~seed =
+  let rng = Splitmix.of_int seed in
+  let path =
+    Filename.concat cfg.dir
+      (Printf.sprintf "arc-crash-%d-%d.shm" (Unix.getpid ()) seed)
+  in
+  let seats = cfg.shards and identities = identities cfg in
+  let words = mapping_words cfg ~seats ~identities in
+  let m = Shm_mem.create ~path ~words in
+  let init = Array.make cfg.capacity 0 in
+  P0.stamp init ~seq:0 ~len:cfg.capacity;
+  let inst =
+    Shm_arc.create m ~shards:seats ~readers:identities ~capacity:cfg.capacity
+      ~init
+  in
+  let module G = (val inst : Shm_arc.INSTANCE) in
+  let module W = Seat (G) in
+  let logs = alloc_logs cfg m ~seats in
+  (* The kill point is a seeded write NUMBER, not a wall-clock delay:
+     the parent watches the shared write-log until the leader reaches
+     it, then kills.  Wall clocks drift with machine load — a loaded
+     box would land every kill after the leader had already finished
+     — while a count always lands the signal inside the writing
+     phase (give or take the signal-delivery handful of writes,
+     which is exactly the randomness a real crash has anyway). *)
+  let plan = kill_plan cfg rng in
+  let reader = readers cfg inst in
+  let violations = ref [] in
+  let fail s = violations := s :: !violations in
+  (* Fork each seat's leader, await its term-1 election, then fork
+     its standbys, so every standby snapshots the same reign to
+     campaign from — the exactly-one-successor argument starts at
+     this common snapshot.  All forks complete before any reader
+     domain spawns (OCaml 5 refuses to fork once domains exist). *)
+  let leaders = Array.make seats (-1) in
+  let standbys = ref [] in
+  Array.iteri
+    (fun s l ->
+      flush_all ();
+      (match Unix.fork () with
+      | 0 -> W.lead s l ~cfg ~seed:(seed lxor (0x5DEECE66 + s))
+      | pid -> leaders.(s) <- pid);
+      let lead_deadline = Unix.gettimeofday () +. 10.0 in
+      let word = Shm_mem.shard_election_cell m ~shard:s in
+      let rec await_leader () =
+        if Term_vote.term (Shm_mem.atomic_get m word) >= 1 then true
+        else if Unix.gettimeofday () > lead_deadline then false
+        else begin
+          Domain.cpu_relax ();
+          await_leader ()
+        end
+      in
+      if not (await_leader ()) then fail (tag s ^ "leader never opened term 1");
+      (* Arm the lease before any standby can look at it. *)
+      if Shm_mem.atomic_get m l.hb = 0 then
+        Shm_mem.atomic_set m l.hb (Shm_mem.tick m);
+      for candidate = 1 to cfg.candidates do
+        flush_all ();
+        match Unix.fork () with
+        | 0 -> W.stand_by s l ~cfg ~candidate ~probe:(identities - 2)
+        | pid -> standbys := pid :: !standbys
+      done)
+    logs;
+  let stop = Atomic.make false in
+  let domains =
+    List.init cfg.readers (fun id -> Domain.spawn (fun () -> reader ~stop id))
+  in
+  (* Kill each condemned leader when its log reaches the drawn write
+     count (or the leader drains first — then the "kill" lands on an
+     exited process and the seat fails over on lease expiry like any
+     other). *)
+  let exits = Array.make seats None in
+  let deadline = Unix.gettimeofday () +. patience in
+  Array.iter
+    (fun (s, kill_at) ->
+      let rec await n =
+        if Shm_mem.atomic_get m (log_invoked logs.(s).log kill_at) <> 0 then ()
+        else if n land 4095 = 0 && Unix.gettimeofday () > deadline then ()
+        else begin
+          (if n land 4095 = 0 then
+             match Unix.waitpid [ Unix.WNOHANG ] leaders.(s) with
+             | 0, _ -> ()
+             | _, st -> exits.(s) <- Some st);
+          if exits.(s) = None then begin
+            Domain.cpu_relax ();
+            await (n + 1)
+          end
+        end
+      in
+      await 1;
+      if exits.(s) = None then begin
+        Unix.kill leaders.(s) Sys.sigkill;
+        exits.(s) <- Some (snd (Unix.waitpid [] leaders.(s)))
+      end)
+    plan;
+  (* Unkilled leaders drain their writes and exit on their own; their
+     seats fail over on lease expiry exactly like the killed ones. *)
+  Array.iteri
+    (fun s exit ->
+      let st =
+        match exit with Some st -> st | None -> snd (Unix.waitpid [] leaders.(s))
+      in
+      match st with
+      | Unix.WSIGNALED k when k = Sys.sigkill -> ()
+      | Unix.WEXITED 0 -> () (* drained writes_max before the kill *)
+      | _ -> fail (tag s ^ "leader exited abnormally"))
+    exits;
+  (* The elections now run among the standbys; wait them all out
+     (losers exit as soon as they lose; winners after their
+     successor writes). *)
+  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) !standbys;
+  Unix.sleepf 0.002;
+  Atomic.set stop true;
+  let readings =
+    List.map
+      (fun d ->
+        let r, errors = Domain.join d in
+        List.iter fail errors;
+        r)
+      domains
+  in
+  let testimony =
+    Array.mapi (fun s l -> testify cfg m ~tag:(tag s) l ~fail) logs
+  in
+  let judgement =
+    judge m ~path readings testimony ~fail ~failing:(fun () -> !violations <> [])
+  in
+  let result =
     {
-      reads = List.length snapshots;
-      dropped = 0;
-      reign_changed = List.fold_left (fun acc (_, c) -> acc + c) 0 readings;
-      config = Shm_mem.config_epoch m;
-      outcome = "";
+      seed;
+      seats =
+        Array.map (fun t -> { t with completed = []; successor = [] }) testimony;
+      killed = Array.length plan;
+      judgement;
+      violations = List.rev !violations;
+      path;
     }
+  in
+  Shm_mem.close m;
+  if result.violations = [] then Sys.remove path;
+  result
 
-  let print ~verbose r =
+let pp_seat s t =
+  Printf.sprintf
+    "seat %d: writes=%d pending=%s winner=c%d term=%d losers=%d convicted=%d \
+     torn=%d journaled=%d swrites=%d outcome=%s"
+    s t.writes (pp_pending t.pending) t.winner t.term t.losers t.convictions
+    t.torn t.journaled t.swrites
+    (Checker.crash_outcome_name (outcome t))
+
+let print ~verbose r =
+  if verbose || r.violations <> [] then begin
     let j = r.judgement in
-    if verbose || r.violations <> [] then
-      Printf.printf
-        "fabric run [seed %d]: shards=%d killed=%d elected=%d losers=%d \
-         pending=%d convicted=%d journaled=%d snapshots=%d reign-changed=%d \
-         config=%d — %s\n"
-        r.seed (Array.length r.seats) r.killed (total [ r ] elected)
-        (total [ r ] (fun s -> s.losers))
-        (total [ r ] pended)
-        (total [ r ] (fun s -> s.convictions))
-        (total [ r ] (fun s -> s.journaled))
-        j.reads j.reign_changed j.config
-        (if r.violations = [] then "ok"
-         else
-           String.concat "; " r.violations
-           ^ Printf.sprintf " (mapping kept at %s)" r.path)
-
-  let sum rs f = List.fold_left (fun a r -> a + f r) 0 rs
-
-  let summary cfg ~failing rs =
     Printf.printf
-      "arc-crash --fabric: %d runs (%d shards each), %d failing; leaders killed \
-       %d, successors elected %d, pending-at-kill %d, slots convicted %d, \
-       snapshots certified %d, reign-changed verdicts %d\n"
-      cfg.runs cfg.shards failing
-      (sum rs (fun r -> r.killed))
-      (total rs elected) (total rs pended)
-      (total rs (fun s -> s.convictions))
-      (sum rs (fun r -> r.judgement.reads))
-      (sum rs (fun r -> r.judgement.reign_changed))
+      "run [seed %d]: %s%skilled=%d reads=%d snapshots=%d reign-changed=%d \
+       config=%d — %s\n"
+      r.seed
+      (String.concat "; " (Array.to_list (Array.mapi pp_seat r.seats)))
+      (if r.seats = [||] then "" else "; ")
+      r.killed j.reads j.snapshots j.reign_changed j.config
+      (if r.violations = [] then "ok" else String.concat "; " r.violations);
+    if r.violations <> [] && r.path <> "" then begin
+      Printf.printf "  mapping kept at %s\n" r.path;
+      Array.iteri
+        (fun s _ ->
+          Printf.printf
+            "  re-judge: dune exec bin/check.exe -- --history %s --shm %s\n"
+            (history_path r.path s) r.path)
+        r.seats
+    end
+  end
 
-  let counters ~runs ~failing rs =
-    let open Arc_obs.Obs in
-    [
-      counter "crash_fabric_runs_total" ~help:"Fabric kill-9 runs executed"
-        runs;
-      counter "crash_fabric_failing_runs_total" ~help:"Runs with violations"
-        failing;
-      counter "crash_fabric_killed_leaders_total" ~help:"Shard leaders SIGKILLed"
-        (sum rs (fun r -> r.killed));
-      counter "crash_fabric_elected_successors_total"
-        ~help:"Shards that elected exactly one successor" (total rs elected);
-      counter "crash_fabric_snapshots_total"
-        ~help:"Certified cross-shard snapshots served"
-        (sum rs (fun r -> r.judgement.reads));
-      counter "crash_fabric_reign_changed_total"
-        ~help:"Snapshots that returned the typed Reign_changed verdict"
-        (sum rs (fun r -> r.judgement.reign_changed));
-    ]
+(* A forked process may not fork again once it has spawned domains
+   (OCaml 5's Unix.fork refuses), and each run needs both — fork the
+   leaders and standbys first, then spawn reader domains.  So the
+   campaign runs every run in its own forked subprocess, which
+   performs its forks while still single-domain.  The subprocess
+   prints its own per-run line and ships the result record back
+   through a temp file. *)
+let run_one_isolated cfg ~seed =
+  let stub msg =
+    {
+      seed;
+      seats = [||];
+      killed = 0;
+      judgement = { reads = 0; snapshots = 0; reign_changed = 0; config = 0 };
+      violations = [ msg ];
+      path = "";
+    }
+  in
+  let tmp = Filename.temp_file "arc-crash-res" ".bin" in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+      let r = try run_one cfg ~seed with e -> stub (Printexc.to_string e) in
+      print ~verbose:cfg.verbose r;
+      flush stdout;
+      let oc = open_out_bin tmp in
+      Marshal.to_channel oc r [];
+      close_out oc;
+      Unix._exit 0
+  | pid ->
+      ignore (Unix.waitpid [] pid);
+      let r =
+        try
+          let ic = open_in_bin tmp in
+          let r : run_result = Marshal.from_channel ic in
+          close_in ic;
+          r
+        with _ ->
+          let r = stub "run subprocess died without reporting" in
+          print ~verbose:cfg.verbose r;
+          r
+      in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      r
 
-  let controls _ = Crash_controls.cross_reign ()
-end
+let summary cfg ~failing rs =
+  let tally o = total rs (fun t -> if outcome t = o then 1 else 0) in
+  Printf.printf
+    "arc-crash: %d runs (%d seat%s each), %d failing; leaders killed %d, \
+     pending-at-kill %d, slots convicted %d, journal quarantines %d, elected \
+     successors %d, losing candidates %d, plain reads %d, snapshots certified \
+     %d, reign-changed verdicts %d; outcomes: %s\n"
+    cfg.runs cfg.shards
+    (if cfg.shards = 1 then "" else "s")
+    failing
+    (sum rs (fun r -> r.killed))
+    (total rs pended)
+    (total rs (fun s -> s.convictions))
+    (total rs (fun s -> s.journaled))
+    (total rs elected)
+    (total rs (fun s -> s.losers))
+    (sum rs (fun r -> r.judgement.reads))
+    (sum rs (fun r -> r.judgement.snapshots))
+    (sum rs (fun r -> r.judgement.reign_changed))
+    (String.concat ", "
+       (List.map
+          (fun o ->
+            Printf.sprintf "%s=%d" (Checker.crash_outcome_name o) (tally o))
+          Checker.[ No_crash; Vanished; Took_effect ]))
 
-module Single_campaign = Campaign (Single_mode)
-module Fabric_campaign = Campaign (Fabric_mode)
+(* Campaign counters as an exposition dump.  The per-run elections and
+   recoveries happen in forked subprocesses, so their process-local
+   Obs cells die with them — the campaign aggregates come from the
+   marshalled run results instead, while the Election/Shm_mem sections
+   reflect only what this process did itself (the negative controls,
+   or a --replay-seed run). *)
+let print_metrics ~runs ~failing rs =
+  let open Arc_obs.Obs in
+  print_string
+    (prometheus
+       ([
+          counter "crash_runs_total" ~help:"Kill-9 runs executed" runs;
+          counter "crash_failing_runs_total" ~help:"Runs with violations" failing;
+          counter "crash_killed_leaders_total" ~help:"Seat leaders SIGKILLed"
+            (sum rs (fun r -> r.killed));
+          counter "crash_pending_at_kill_total"
+            ~help:"Seats whose leader died with a write in flight"
+            (total rs pended);
+          counter "crash_slots_convicted_total"
+            ~help:"Register slots convicted by post-crash recovery"
+            (total rs (fun s -> s.convictions));
+          counter "crash_journal_quarantines_total"
+            ~help:"Slots quarantined via the prefreeze journal"
+            (total rs (fun s -> s.journaled));
+          counter "crash_elected_successors_total"
+            ~help:"Seats where exactly one standby won the succession"
+            (total rs elected);
+          counter "crash_losing_candidates_total"
+            ~help:"Standby campaigns that lost their election"
+            (total rs (fun s -> s.losers));
+          counter "crash_snapshots_total"
+            ~help:"Certified cross-seat snapshots served"
+            (sum rs (fun r -> r.judgement.snapshots));
+          counter "crash_reign_changed_total"
+            ~help:"Snapshots that returned the typed Reign_changed verdict"
+            (sum rs (fun r -> r.judgement.reign_changed));
+        ]
+       @ Arc_resilience.Election.metrics ()
+       @ Arc_fabric.Fabric.reign_metrics ()
+       @ Shm_mem.metrics ()))
+
+(* Every invocation runs all three control families — each prints its
+   verdict lines, so none is short-circuited. *)
+let controls cfg =
+  let conviction = Crash_controls.conviction ~dir:cfg.dir in
+  let election = Crash_controls.election () in
+  let cross_reign = Crash_controls.cross_reign () in
+  conviction && election && cross_reign
+
+let replay_command cfg seed =
+  Arc_report.Replay.(
+    render ~exe:"arc-crash"
+      [
+        int "--replay-seed" seed;
+        int "--shards" cfg.shards;
+        int "--readers" cfg.readers;
+        int "--candidates" cfg.candidates;
+        int "--kill-at" cfg.kill_at;
+        int "--capacity" cfg.capacity;
+        int "--writes" cfg.writes_max;
+        int "--successor-writes" cfg.successor_writes;
+      ])
+
+let run_campaign cfg fail_log skip_controls metrics =
+  let results =
+    List.init cfg.runs (fun k ->
+        run_one_isolated cfg ~seed:(Driver.derive_seed cfg.seed (k + 1)))
+  in
+  let failing = List.filter (fun r -> r.violations <> []) results in
+  let nfailing = List.length failing in
+  summary cfg ~failing:nfailing results;
+  Driver.report ?fail_log ~replay:(replay_command cfg)
+    (List.map (fun r -> (r.seed, None)) failing);
+  let controls_ok = skip_controls || controls cfg in
+  if metrics then print_metrics ~runs:cfg.runs ~failing:nfailing results;
+  Driver.finish ~failing:nfailing ~controls_ok
+
+let replay cfg seed metrics =
+  Printf.printf "replaying seed %d (%d seats)\n" seed cfg.shards;
+  let r = run_one cfg ~seed in
+  print ~verbose:true r;
+  let failing = if r.violations <> [] then 1 else 0 in
+  if metrics then print_metrics ~runs:1 ~failing [ r ];
+  Driver.finish ~failing ~controls_ok:true
 
 (* {1 Command line} *)
 
 let run runs seed readers candidates capacity writes kill_at successor_writes
-    dir replay_seed verbose fail_log skip_controls metrics fabric shards =
+    dir replay_seed verbose fail_log skip_controls metrics shards =
   let dir = match dir with Some d -> d | None -> Filename.get_temp_dir_name () in
   let cfg =
     {
@@ -1217,7 +1062,7 @@ let run runs seed readers candidates capacity writes kill_at successor_writes
   in
   (* Reject what would misconfigure every run, before any fork: a kill
      point past the leader's log would read beyond it (into the next
-     shard's, under --fabric) and kill nobody. *)
+     seat's) and kill nobody. *)
   List.iter
     (fun (bad, msg) ->
       if bad then begin
@@ -1227,7 +1072,7 @@ let run runs seed readers candidates capacity writes kill_at successor_writes
     [
       (readers < 1, "--readers must be >= 1");
       (candidates < 1, "--candidates must be >= 1");
-      (fabric && shards < 1, "--shards must be >= 1");
+      (shards < 1, "--shards must be >= 1");
       (writes < 1, "--writes must be >= 1");
       (capacity < 1, "--capacity must be >= 1");
       (successor_writes < 1, "--successor-writes must be >= 1");
@@ -1235,13 +1080,9 @@ let run runs seed readers candidates capacity writes kill_at successor_writes
         Printf.sprintf "--kill-at %d is outside [0, --writes] = [0, %d]" kill_at
           writes );
     ];
-  let replay, campaign =
-    if fabric then (Fabric_campaign.replay, Fabric_campaign.run_campaign)
-    else (Single_campaign.replay, Single_campaign.run_campaign)
-  in
   match replay_seed with
   | Some s -> replay cfg s metrics
-  | None -> campaign cfg fail_log skip_controls metrics
+  | None -> run_campaign cfg fail_log skip_controls metrics
 
 let cmd =
   let int_opt name default docv doc =
@@ -1254,31 +1095,33 @@ let cmd =
   Cmd.v
     (Cmd.info "arc-crash"
        ~doc:
-         "Kill-9 the leading writer of a shared-memory ARC register at random \
-          points while hot-standby candidates race to succeed it through the \
-          seat's term-vote election; verify that recovery convicts \
-          exactly the torn state, that exactly one successor is elected, and \
-          that the merged cross-process history stays atomic.  With --fabric, \
-          the sharded version: per-shard elections under a fabric-wide \
-          configuration epoch, proven against reign-certified cross-shard \
-          snapshots.")
+         "Kill-9 the leading writers of shared-memory ARC registers (writer \
+          seats of one reign table) at random points while hot-standby \
+          candidates race to succeed them through each seat's term-vote \
+          election; verify that recovery convicts exactly the torn state, \
+          that exactly one successor is elected per seat, and that every \
+          seat's merged cross-process history — plain reads and \
+          reign-certified cross-seat snapshots alike — stays atomic.")
     Term.(
       const run
       $ int_opt "runs" 20 "N" "Kill-9 runs."
       $ int_opt "seed" 2049 "N" "Base seed."
-      $ int_opt "readers" 3 "N" "Reader domains in the parent."
+      $ int_opt "readers" 3 "N"
+          "Reader domains in the parent; each takes plain reads of one seat \
+           and certified snapshots of all of them."
       $ int_opt "candidates" 2 "K"
-          "Hot-standby candidate processes forked beside the leader; after \
+          "Hot-standby candidate processes forked beside each leader; after \
            the kill they campaign for the succession and exactly one must \
            win."
       $ int_opt "capacity" 32 "WORDS" "Snapshot words."
       $ int_opt "writes" 30_000 "N" "Leader writes before it stops on its own."
       $ int_opt "kill-at" 0 "K"
-          "Kill the leader at its K-th write instead of drawing K from the \
-           seed (0 = draw).  Printed in every replay command so a replay is \
-           bit-identical in configuration."
+          "Kill each condemned leader at its K-th write instead of drawing K \
+           from the seed (0 = draw; the draws still run, so a pinned run \
+           keeps the seed's choice of seats).  Printed in every replay \
+           command so a replay is bit-identical in configuration."
       $ int_opt "successor-writes" 100 "N"
-          "Writes by the elected successor after failover."
+          "Writes by each elected successor after failover."
       $ some_opt Arg.string "dir" "DIR"
           "Directory for mapping files (default: system temp dir)."
       $ some_opt Arg.int "replay-seed" "SEED"
@@ -1288,18 +1131,15 @@ let cmd =
       $ some_opt Arg.string "fail-log" "PATH"
           "Write failing-seed replay commands to this file (CI artifact)."
       $ flag [ "skip-controls" ]
-          "Skip the corruption and election negative controls."
+          "Skip the conviction, election and cross-reign negative controls."
       $ flag [ "metrics" ]
           "After the campaign (or replay), print the crash/recovery/election \
-           counters — runs, pending-at-kill, convictions, journal \
-           quarantines, elections — as a Prometheus-style text dump."
-      $ flag [ "fabric" ]
-          "Run the sharded-fabric campaign instead: one leader and \
-           $(b,--candidates) hot standbys per shard, reign-certified \
-           cross-shard snapshots in the parent, a seeded subset of shard \
-           leaders SIGKILLed mid-run, exactly-one-successor asserted per \
-           shard, and every certified snapshot judged against the reign \
-           claims."
-      $ int_opt "shards" 2 "S" "Registers in the fabric (with --fabric).")
+           counters — runs, leaders killed, pending-at-kill, convictions, \
+           journal quarantines, elections, snapshots — as a Prometheus-style \
+           text dump."
+      $ int_opt "shards" 1 "S"
+          "Writer seats (registers of one reign table), each with its own \
+           leader and $(b,--candidates) hot standbys; a seeded nonempty \
+           subset of leaders is SIGKILLed.  1 = a single register.")
 
 let () = exit (Cmd.eval cmd)

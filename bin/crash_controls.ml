@@ -1,13 +1,12 @@
-(* The negative controls arc-crash runs after its campaign.
+(* The negative controls arc-crash runs after every campaign.
 
    Each demands that a judgement convicts a known-bad state, or the
    clean campaign proves nothing: the integrity scan must convict
-   corrupted one-seat mappings (single-register mode), the checker must convict
-   what a broken election would publish (single-register mode), and
-   the reign pass must convict a snapshot splicing a newer reign under
-   an older certified epoch (--fabric).  All run in-process: what is
-   under test is the judgement, not the kill.  Each prints one verdict
-   line and returns whether it convicted. *)
+   corrupted one-seat mappings, the checker must convict what a broken
+   election would publish, and the reign pass must convict a snapshot
+   splicing a newer reign under an older certified epoch.  All run
+   in-process: what is under test is the judgement, not the kill.
+   Each prints one verdict line and returns whether it convicted. *)
 
 module Shm_mem = Arc_shm.Shm_mem
 module Shm_arc = Arc_shm.Shm_arc
