@@ -166,22 +166,24 @@ let alloc_logs cfg m ~seats =
 
 module Seat (G : Shm_arc.INSTANCE) = struct
   module E = Arc_resilience.Election.Make (G.R)
-  module F = E.Fenced_reg
   module P = Arc_workload.Payload.Make (G.M)
 
   let set = Shm_mem.atomic_set G.mapping
   let tick () = Shm_mem.tick G.mapping
 
-  (* Candidate [candidate] for seat [shard]: the seat's election word
-     and writer-fence epoch over its register, and the configuration
-     epoch every succession bumps between takeover and issue. *)
-  let elector shard ~candidate =
+  (* Seat [shard] as every process sees it: its election word and
+     writer-fence epoch over its register, the configuration epoch
+     every succession bumps between takeover and issue, and the seat's
+     heartbeat word.  The lease clock is [tick], so every look at it
+     also keeps the shared clock moving: lease age is measured in
+     ticks, and a frozen clock would mask a dead leader. *)
+  let seat shard l =
     let m = G.mapping in
-    E.create
+    E.of_cells G.regs.(shard)
       ~word:(Shm_mem.shard_election_cell m ~shard)
-      ~candidate
+      ~epoch:(Shm_mem.shard_epoch_cell m ~shard)
       ~config:(Shm_mem.config_epoch_cell m)
-      (F.of_register G.regs.(shard) ~epoch:(Shm_mem.shard_epoch_cell m ~shard))
+      ~hb:l.hb ~now:tick ~lease:lease_ticks
 
   (* {2 The leader (candidate 0)}
 
@@ -190,13 +192,15 @@ module Seat (G : Shm_arc.INSTANCE) = struct
      handle in the system was voted for — records the config epoch
      its reign begins at (the claim every value it publishes is judged
      under), then writes until killed, bracketing each write in the
-     log and re-stamping the heartbeat after it. *)
+     log and re-stamping the heartbeat after it.  Only the fence may
+     end its reign early (after a spurious failover); any other
+     exception exits non-zero, so the parent reports the run. *)
   let lead shard l ~cfg ~seed =
-    (match E.campaign (elector shard ~candidate:0) with
+    let el = seat shard l in
+    (match E.campaign el ~candidate:0 with
     | E.Lost _ -> () (* impossible on a fresh word; die silent, run fails *)
     | E.Won { writer = w; config; _ } -> (
         set (l.status + st_config) config;
-        set l.hb (tick ());
         let rng = Splitmix.of_int seed in
         let src = Array.make cfg.capacity 0 in
         try
@@ -215,11 +219,16 @@ module Seat (G : Shm_arc.INSTANCE) = struct
             let len = 1 + Splitmix.int rng cfg.capacity in
             P0.stamp src ~seq:k ~len;
             set (log_invoked l.log k) (tick ());
-            F.write w ~src ~len;
+            E.write w ~src ~len;
             set (log_returned l.log k) (tick ());
-            set l.hb (tick ())
+            E.heartbeat w
           done
-        with _ -> () (* incl. Fenced_out after a spurious failover *)));
+        with
+        | Arc_resilience.Election.Fenced_out _ -> ()
+        | e ->
+            Printf.eprintf "arc-crash: seat %d leader: %s\n%!" shard
+              (Printexc.to_string e);
+            Unix._exit 1));
     Unix._exit 0
 
   (* {2 The hot standbys (candidates 1..k)}
@@ -235,26 +244,22 @@ module Seat (G : Shm_arc.INSTANCE) = struct
      write with a probe read (reader identity [probe]) and continues
      the sequence.  Losers record who beat them and exit.  A refused
      recovery raises out of the campaign: the vote's winner records
-     an error, is issued nothing and writes nothing. *)
+     an error, is issued nothing and writes nothing.  So does a
+     successor whose write raises anything but the fence. *)
   let stand_by shard l ~cfg ~candidate ~probe =
-    let el = elector shard ~candidate in
+    let el = seat shard l in
     let put f v = set (l.status + (status_words * candidate) + f) v in
     (* The common snapshot: the parent forked us only after observing
        the leader's term, so every standby sees the same reign here. *)
     let snap = E.observe el in
     let deadline = Unix.gettimeofday () +. patience in
     let rec monitor n =
-      let age = Shm_mem.clock G.mapping - Shm_mem.atomic_get G.mapping l.hb in
-      if age > lease_ticks then `Expired
+      if E.expired el then `Expired
       else if n land 1023 = 0 && Unix.gettimeofday () > deadline then `Gave_up
       else begin
         for _ = 1 to 256 do
           Domain.cpu_relax ()
         done;
-        (* Keep the shared clock moving even before the readers spin
-           up: lease age is measured in ticks, and a frozen clock
-           would mask a dead leader. *)
-        ignore (tick ());
         monitor (n + 1)
       end
     in
@@ -274,7 +279,7 @@ module Seat (G : Shm_arc.INSTANCE) = struct
               List.length rcv.convicted
           | Error e -> failwith e (* a refused seat: do not serve *)
         in
-        match E.campaign ~from:snap ~takeover el with
+        match E.campaign ~from:snap ~takeover el ~candidate with
         | exception Failure _ -> put st_status status_error
         | E.Lost { term; winner } ->
             put st_term term;
@@ -300,22 +305,27 @@ module Seat (G : Shm_arc.INSTANCE) = struct
               in
               let src = Array.make cfg.capacity 0 in
               let written = ref 0 in
-              (try
-                 for j = 0 to cfg.successor_writes - 1 do
-                   let seq = observed + 1 + j in
-                   let len = 1 + Splitmix.int rng cfg.capacity in
-                   P0.stamp src ~seq ~len;
-                   let invoked = tick () in
-                   F.write w ~src ~len;
-                   let returned = tick () in
-                   set (slog_invoked l.slog j) invoked;
-                   set (slog_returned l.slog j) returned;
-                   set (slog_seq l.slog j) seq;
-                   incr written
-                 done
-               with _ -> ());
+              let status =
+                try
+                  for j = 0 to cfg.successor_writes - 1 do
+                    let seq = observed + 1 + j in
+                    let len = 1 + Splitmix.int rng cfg.capacity in
+                    P0.stamp src ~seq ~len;
+                    let invoked = tick () in
+                    E.write w ~src ~len;
+                    let returned = tick () in
+                    set (slog_invoked l.slog j) invoked;
+                    set (slog_returned l.slog j) returned;
+                    set (slog_seq l.slog j) seq;
+                    incr written
+                  done;
+                  status_won
+                with
+                | Arc_resilience.Election.Fenced_out _ -> status_won
+                | _ -> status_error
+              in
               put st_swrites !written;
-              put st_status status_won
+              put st_status status
             end));
     Unix._exit 0
 end

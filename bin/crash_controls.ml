@@ -13,7 +13,6 @@ module Shm_arc = Arc_shm.Shm_arc
 module Layout = Arc_shm.Shm_layout
 module History = Arc_trace.History
 module Checker = Arc_trace.Checker
-module Term_vote = Arc_util.Term_vote
 module Driver = Arc_report.Driver
 module P0 = Arc_workload.Payload.Make (Arc_mem.Real_mem)
 
@@ -158,20 +157,16 @@ let split_vote_control () =
   let capacity = 8 in
   let init = Array.make capacity 0 in
   P.stamp init ~seq:0 ~len:capacity;
-  let freg = E.Fenced_reg.create ~readers:1 ~capacity ~init in
-  let reg = E.Fenced_reg.inner freg in
-  let word = Mem.atomic_contended Term_vote.none in
-  let config = Mem.atomic_contended 1 in
-  let a = E.create ~word ~config ~candidate:0 freg in
-  let b = E.create ~word ~config ~candidate:1 freg in
-  let snap = E.observe a in
-  let won_a = E.request_vote ~from:snap a <> None in
+  let seat = E.create ~readers:1 ~capacity ~init ~now:(fun () -> 0) ~lease:1 in
+  let reg = E.register seat in
+  let snap = E.observe seat in
+  let won_a = E.request_vote ~from:snap seat ~candidate:0 <> None in
   (* Arm the lie AFTER A's honest vote: B's CAS is the ambient
      context's first rmw from here on. *)
   Mem.install
     (Arc_fault.Fault_plan.cas_lie ~fiber:0 ~nth:1 Arc_fault.Fault_plan.empty);
   Mem.set_ambient_fiber (Some 0);
-  let won_b = E.request_vote ~from:snap b <> None in
+  let won_b = E.request_vote ~from:snap seat ~candidate:1 <> None in
   Mem.set_ambient_fiber None;
   let stats = Mem.drain () in
   if not (won_a && won_b) || stats.Arc_fault.Fault_mem.cas_lies <> 1 then
@@ -206,48 +201,43 @@ let dueling_epoch_control () =
   let module Mem = Arc_mem.Real_mem in
   let module R = Arc_core.Arc.Make (Mem) in
   let module E = Arc_resilience.Election.Make (R) in
-  let module F = E.Fenced_reg in
   let module P = Arc_workload.Payload.Make (Mem) in
   let capacity = 8 in
   let init = Array.make capacity 0 in
   P.stamp init ~seq:0 ~len:capacity;
-  let freg = F.create ~readers:1 ~capacity ~init in
-  let word = Mem.atomic_contended Term_vote.none in
-  let config = Mem.atomic_contended 1 in
-  let el0 = E.create ~word ~config ~candidate:0 freg in
-  let el1 = E.create ~word ~config ~candidate:1 freg in
+  let seat = E.create ~readers:1 ~capacity ~init ~now:(fun () -> 0) ~lease:1 in
   let timed, check = event_log () in
   let src = Array.make capacity 0 in
   let fwrite w ~thread ~seq =
     ignore
       (timed History.Write ~thread (fun () ->
            P.stamp src ~seq ~len:capacity;
-           F.write w ~src ~len:capacity;
+           E.write w ~src ~len:capacity;
            seq))
   in
-  let rd = F.reader freg 0 in
+  let rd = E.reader seat 0 in
   let read ~thread =
     timed History.Read ~thread (fun () ->
         R.read_with rd ~f:(fun buf len ->
             match P.validate buf ~len with Ok s -> s | Error _ -> -1))
   in
-  match E.campaign el0 with
+  match E.campaign seat ~candidate:0 with
   | E.Lost _ -> (false, "leader's uncontested campaign lost (control is vacuous)")
   | E.Won { writer = w0; _ } -> (
       (* The leader's completed reign: writes 1..5 under term 1. *)
       for seq = 1 to 5 do
         fwrite w0 ~thread:0 ~seq
       done;
-      match E.campaign el1 with
+      match E.campaign seat ~candidate:1 with
       | E.Lost _ ->
           (false, "successor's campaign lost (control is vacuous)")
       | E.Won { writer = w1; _ } -> (
-      (* el1's campaign deposed w0 the moment it won term 2. *)
+      (* Candidate 1's campaign deposed w0 the moment it won term 2. *)
       let zombified =
         (* The healthy path: the zombie's fenced write must abort. *)
         match fwrite w0 ~thread:0 ~seq:99 with
         | () -> false
-        | exception Arc_resilience.Fenced.Fenced_out _ -> true
+        | exception Arc_resilience.Election.Fenced_out _ -> true
       in
       if not zombified then
         (false, "deposed leader's write was not fenced (control is vacuous)")
@@ -262,7 +252,7 @@ let dueling_epoch_control () =
            the model knows; the damage must surface through what
            readers then observe. *)
         P.stamp src ~seq:6 ~len:capacity;
-        R.write (F.inner freg) ~src ~len:capacity;
+        R.write (E.register seat) ~src ~len:capacity;
         let after = read ~thread:2 in
         if before <> 10 || after <> 6 then
           ( false,

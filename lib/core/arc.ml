@@ -48,9 +48,6 @@ module type BASE = sig
     val current : t -> int
     val r_start : t -> int -> int
     val r_end : t -> int -> int
-    val slot_size : t -> int -> int
-    val slot_seq : t -> int -> int
-    val slot_seq_end : t -> int -> int
     val presence_slack : t -> int
     val presence_bound_holds : t -> bool
     val free_slot_exists : t -> bool
@@ -1022,9 +1019,6 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     let current reg = M.load reg.current
     let r_start reg j = M.load reg.slots.(j).r_start
     let r_end reg j = M.load reg.slots.(j).r_end
-    let slot_size reg j = M.load reg.slots.(j).size
-    let slot_seq reg j = M.load reg.slots.(j).seq
-    let slot_seq_end reg j = M.load reg.slots.(j).seq_end
 
     (* Negative control for the R2' tests: the same plain scan with the
        stamp validation deliberately skipped — a schedule overlapping a

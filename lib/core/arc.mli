@@ -90,7 +90,7 @@ module type BASE = sig
       the content copy and the W2 publish exchange.  A raising guard
       aborts the write with nothing published (the prepared slot stays
       free with counters 0/0) — the epoch-fence hook of
-      [Arc_resilience.Fenced]. *)
+      [Arc_resilience.Election]. *)
 
   val recover_crash : t -> int
   (** {!Register_intf.FENCEABLE}: successor-writer recovery after a
@@ -229,12 +229,6 @@ module type BASE = sig
 
     val r_start : t -> int -> int
     val r_end : t -> int -> int
-    val slot_size : t -> int -> int
-
-    val slot_seq : t -> int -> int
-    val slot_seq_end : t -> int -> int
-    (** The R2' begin/end publish stamps of a slot; equal exactly when
-        the slot's content is a complete write. *)
 
     val presence_slack : t -> int
     (** [readers - (Σ_j (r_start(j) - r_end(j)) + count(current))] —

@@ -172,8 +172,8 @@ end
     and the next write simply reuses it.
 
     This is the register-side hook epoch-fenced writer failover
-    ({!Arc_resilience.Fenced}) builds on: a supervisor that promotes a
-    standby writer bumps an epoch, and the deposed writer's in-flight
+    ({!Arc_resilience.Election}) builds on: a standby that wins the
+    succession bumps an epoch, and the deposed writer's in-flight
     write re-validates the epoch at the last step before publication,
     so its late write raises instead of regressing the register.  The
     guard narrows the unfenced window to the single publish
@@ -192,10 +192,10 @@ module type FENCEABLE = sig
 
   val recover_crash : t -> int
   (** Writer-succession hook: called by a {e new} writer taking over
-      from one that may have crashed mid-write (see
-      {!Arc_resilience.Supervisor}).  The paper's single-immortal-
-      writer model never revisits a half-finished write, but a
-      successor must: a crash between the publish exchange and the
+      from one that may have crashed mid-write (the takeover of
+      {!Arc_resilience.Election.Make.campaign}).  The paper's
+      single-immortal-writer model never revisits a half-finished
+      write, but a successor must: a crash between the publish exchange and the
       supersede-freeze leaves a slot whose subscribed readers are
       recorded nowhere — it looks free while still being read.
       Implementations journal the at-risk slot before publishing;

@@ -12,13 +12,6 @@ type per_op = {
   writes : int;
 }
 
-let pp_per_op ppf p =
-  Format.fprintf ppf
-    "@[<h>rmw/read=%.3f, rmw/write=%.3f, loads/read=%.3f, word-writes/write=%.1f \
-     (%d reads, %d writes)@]"
-    p.rmw_per_read p.rmw_per_write p.atomic_loads_per_read p.word_writes_per_write
-    p.reads p.writes
-
 module Make (C : COUNTERS) (R : Arc_core.Register_intf.S) = struct
   module P = Arc_workload.Payload.Make (R.Mem)
 

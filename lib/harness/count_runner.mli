@@ -29,8 +29,6 @@ type per_op = {
   writes : int;
 }
 
-val pp_per_op : Format.formatter -> per_op -> unit
-
 module Make (_ : COUNTERS) (_ : Arc_core.Register_intf.S) : sig
   val measure :
     readers:int -> size_words:int -> rounds:int -> reads_per_write:int -> per_op

@@ -1,20 +1,23 @@
-(* Chaos soak for the supervised register service (ISSUE 3), in two
-   modes over one run skeleton.
+(* Chaos soak for the supervised register service, in two modes over
+   one run skeleton.
 
-   The failover mode composes the whole resilience stack — {!Fenced}
-   epoch fencing, {!Supervisor} heartbeat failover, {!Session}
+   The failover mode composes the whole resilience stack — one
+   {!Election} seat on heap cells (heartbeat lease, term-voted
+   campaign, epoch-fenced writer handles) and {!Session}
    deadline/backoff/breaker reads — over a fault-injecting simulated
    register ([Arc] over {!Arc_fault.Campaign.Mem}) and soaks it
    through many seeded randomized scenarios:
 
-   - fiber 0 is the incumbent writer: it may crash at a random access,
-     crash mid-copy (torn slot), or turn {e zombie} — pause between
-     writes for several leases (a GC/OS pause), get deposed, and have
-     its post-fence write rejected by [Fenced_out];
-   - fiber 1 is the standby: it polls the supervisor, promotes itself
-     once the lease expires, learns the last published value through a
+   - fiber 0 is the incumbent writer: it wins term 1 and may crash at
+     a random access, crash mid-copy (torn slot), or turn {e zombie} —
+     pause between writes for several leases (a GC/OS pause), get
+     deposed, and have its post-fence write rejected by [Fenced_out];
+   - fiber 1 is the standby: it polls the seat's lease and, once it
+     has expired, campaigns with the register's crash recovery as the
+     takeover; on [Won] it counts the failover, the quarantined slots
+     and the fence time, learns the last published value through a
      spare reader handle, and continues the write sequence (it can be
-     stalled to model a supervisor outage);
+     stalled to model a monitoring outage);
    - fibers 2.. are deadline-aware reader sessions; the read path
      additionally suffers {e injected transient saturation} (a seeded
      probability of {!Register_intf.Saturated} per live read, standing
@@ -22,7 +25,7 @@
      nearly unreachable in healthy runs), which drives the retry,
      breaker and stale-serve machinery at scale.
 
-   The churn mode (ISSUE 8, below) keeps one writer and churns
+   The churn mode (below) keeps one writer and churns
    short-lived readers through an admission gate instead.
 
    Both modes share the fixture, the [write_next] writer step, the
@@ -41,10 +44,10 @@
    Fault soundness.  Mid-write writer stalls are drawn strictly below
    half the lease, so a live writer is never deposed while it sits
    between the epoch-guard load and the publish exchange — the
-   residual window of {!Fenced} — matching the lease discipline
-   documented in DESIGN.md §6c.  Zombie pauses, which do exceed the
-   lease, are taken {e between} writes, where the entry epoch check
-   fences the returnee before it touches the register.  The
+   fence's residual window ({!Election}) — matching the lease
+   discipline documented in DESIGN.md §6c.  Zombie pauses, which do
+   exceed the lease, are taken {e between} writes, where the entry
+   epoch check fences the returnee before it touches the register.  The
    {!unfenced_control} shows the same handoff without fencing is
    convicted by the checker — the negative control that proves the
    fence is load-bearing. *)
@@ -60,8 +63,7 @@ module Campaign = Arc_fault.Campaign
 module Mem = Campaign.Mem
 module R = Arc_core.Arc.Make (Mem)
 module R_probes = Campaign.Arc_probes (R)
-module Sup = Supervisor.Make (R)
-module F = Sup.Fenced_reg
+module E = Election.Make (R)
 module P = Campaign.P
 
 (* Injected transient read failures: each live read fails with the
@@ -420,8 +422,14 @@ let run_one ~seed (cfg : cfg) : failover report =
      superseded slot's accounting, and the spares keep Lemma 4.1's
      free-slot guarantee strict even then (both unclaimed units pin
      the initial slot together, so each spare is a net extra slot). *)
-  let freg = F.create ~readers:(cfg.readers + 3) ~capacity:size ~init:fx.init in
-  let sup = Sup.create ~now:Sched.now ~lease:cfg.lease freg in
+  (* One seat; both fibers campaign as candidate 0, the incumbent for
+     term 1 and each standby promotion for the next. *)
+  let seat =
+    E.create ~readers:(cfg.readers + 3) ~capacity:size ~init:fx.init ~now:Sched.now
+      ~lease:cfg.lease
+  in
+  let failovers = ref 0 and quarantined = ref 0 and last_fence = ref None in
+  let fenced_writes = ref 0 (* writes aborted by the fence *) in
   let sessions = Array.make cfg.readers None in
 
   (* Write from [start] until the run ends or the fence deposes [w]:
@@ -431,33 +439,53 @@ let run_one ~seed (cfg : cfg) : failover report =
     try
       while Sched.now () < cfg.max_steps do
         pause !seq;
-        Campaign.write_next fx ~thread ~src ~seq (fun src -> F.write w ~src ~len:size);
-        Sup.heartbeat sup w;
+        Campaign.write_next fx ~thread ~src ~seq (fun src -> E.write w ~src ~len:size);
+        E.heartbeat w;
         Sched.cede ()
       done
-    with Fenced.Fenced_out _ -> ()
+    with Election.Fenced_out _ -> incr fenced_writes
   in
 
   let incumbent () =
     try
-      write_until_deposed (Sup.acquire sup) ~thread:0 ~start:0 ~pause:(fun seq ->
+      let w =
+        match E.campaign seat ~candidate:0 with
+        | E.Won { writer; _ } -> writer
+        | E.Lost { term; _ } ->
+          failwith
+            (Printf.sprintf "Soak: incumbent lost the initial election (term %d)" term)
+      in
+      write_until_deposed w ~thread:0 ~start:0 ~pause:(fun seq ->
           match scen.fate with
           | Zombie { after; pause } when seq = after -> Sched.sleep pause
           | _ -> ())
     with Fault_plan.Crashed -> fx.crashed.(0) <- true
   in
 
+  (* The standby's takeover is the register's own crash recovery: the
+     deposed writer may have died mid-publish, and the slot its journal
+     names must be quarantined before this successor's first free-slot
+     search can hand it out with readers still on it. *)
   let rec standby () =
     if Sched.now () < cfg.max_steps then
-      match if Sup.expired sup then Some (Sup.promote sup) else None with
-      | Some (Sup.Election.Won { writer = w; _ }) ->
+      match
+        if E.expired seat then
+          Some
+            (E.campaign seat ~candidate:0 ~takeover:(fun () ->
+                 R.recover_crash (E.register seat)))
+        else None
+      with
+      | Some (E.Won { writer = w; recovered; at; _ }) ->
+        incr failovers;
+        quarantined := !quarantined + recovered;
+        last_fence := Some at;
         (* Learn where the write sequence stands through the spare
            reader handle; a pending write that published before the
            fence is picked up here and continued from. *)
-        let rd = F.reader freg cfg.readers in
+        let rd = E.reader seat cfg.readers in
         let last = R.read_with rd ~f:(fun buf _len -> P.decode_seq buf) in
         write_until_deposed w ~thread:1 ~start:last ~pause:ignore
-      | Some (Sup.Election.Lost _) | None ->
+      | Some (E.Lost _) | None ->
         (* Lease still held, or another candidate won this suspicion:
            keep monitoring. *)
         Sched.cede ();
@@ -467,7 +495,7 @@ let run_one ~seed (cfg : cfg) : failover report =
   let reader id () =
     let thread = id + 2 in
     try
-      let rd = F.reader freg id in
+      let rd = E.reader seat id in
       let backoff, breaker = policy cfg ~seed:(seed + 100 + id) in
       let session =
         S.create ~backoff ~breaker ~max_stale:cfg.max_stale ~now:Sched.now
@@ -506,18 +534,17 @@ let run_one ~seed (cfg : cfg) : failover report =
         else Some (Printf.sprintf "surviving reader %d completed no operation" id))
       (List.init cfg.readers Fun.id)
   in
-  let reg = F.inner freg in
-  judge ~seed cfg fx ~unfinished ?fence:(Sup.last_fence sup)
-    ~probes:(R_probes.probes reg)
+  judge ~seed cfg fx ~unfinished ?fence:!last_fence
+    ~probes:(R_probes.probes (E.register seat))
     ~extra:starved
     {
       fate = fate_name scen.fate;
       flaky_rate = scen.flaky_rate;
       plan = scen.plan;
       standby_writes = fx.ops.(1);
-      failovers = Sup.failovers sup;
-      quarantined = Sup.quarantined sup;
-      fenced_writes = F.fenced_writes freg;
+      failovers = !failovers;
+      quarantined = !quarantined;
+      fenced_writes = !fenced_writes;
       writer_crashed = fx.crashed.(0);
       stalls = faults.Arc_fault.Fault_mem.stalls;
       tears = List.length faults.Arc_fault.Fault_mem.tears;
@@ -572,7 +599,7 @@ let metrics (rs : failover report list) =
     counter "soak_retries_total" ~help:"Session retry attempts" (retries rs);
     counter "soak_injected_errors_total" ~help:"Injected transient errors"
       (injected rs);
-    counter "soak_failovers_total" ~help:"Supervisor promotions" (failovers rs);
+    counter "soak_failovers_total" ~help:"Standby promotions" (failovers rs);
     counter "soak_handoffs_total" ~help:"Promotions followed by standby writes"
       (handoffs rs);
     counter "soak_quarantined_slots_total"

@@ -60,7 +60,6 @@ let unsafe_set m i v = Bigarray.Array1.set m.ba i v
    write-logs) shared between processes. *)
 let atomic_get m i = atomic_load_idx m.ba i
 let atomic_set m i v = atomic_store_idx m.ba i v
-let atomic_add m i k = atomic_fetch_add_idx m.ba i k
 
 (* Reign-table address arithmetic (layout version 3): deterministic
    from the record base alone, so a recovering process derives every
@@ -177,7 +176,6 @@ let geometry m =
         unsafe_get m L.sb_geom_nslots )
 
 let set_harness_region m base = unsafe_set m L.sb_harness base
-let harness_region m = unsafe_get m L.sb_harness
 
 (* {1 Reign table: the writer seats} *)
 
@@ -550,18 +548,6 @@ let metrics () =
     counter "shm_intact_buffers_total"
       ~help:"Buffers that passed the integrity scan" (Cell.get Tel.intact);
   ]
-
-let reset_metrics () =
-  List.iter Arc_obs.Obs.Cell.reset
-    [
-      Tel.recoveries;
-      Tel.failures;
-      Tel.convictions;
-      Tel.torn;
-      Tel.checksum;
-      Tel.bad_length;
-      Tel.intact;
-    ]
 
 (* Seat-scoped recovery: the §6d pipeline run by seat [shard]'s elected
    successor over that seat's slots only.  The mapping interleaves

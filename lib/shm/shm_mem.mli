@@ -122,9 +122,6 @@ val set_harness_region : mapping -> int -> unit
 (** Record the base index of the harness raw region (e.g. a crash
     write-log) in the superblock, so the recovering side can find it. *)
 
-val harness_region : mapping -> int
-(** Recorded harness region base, 0 if none. *)
-
 (** {1 Reign table: the writer seats}
 
     A register mapping — one register per shard, all in one file; a
@@ -205,7 +202,6 @@ val alloc_raw : mapping -> int -> int
 
 val atomic_get : mapping -> int -> int
 val atomic_set : mapping -> int -> int -> unit
-val atomic_add : mapping -> int -> int -> int
 
 val unsafe_get : mapping -> int -> int
 val unsafe_set : mapping -> int -> int -> unit
@@ -298,9 +294,6 @@ val metrics : unit -> Arc_obs.Obs.metric list
     intact buffers, across every mapping this process has recovered.
     Counters are {!Arc_obs.Obs.Cell}s updated on the (effectively
     single-threaded) recovery path. *)
-
-val reset_metrics : unit -> unit
-(** Zero the process-cumulative recovery counters (test isolation). *)
 
 val read_latest : mapping -> (int * int array) option
 (** The most recent verified snapshot: scans live, intact buffers and

@@ -161,8 +161,8 @@ let crash_outcome_name = function
    satisfy reads but never forces staleness on them.
 
    [?fence] bounds that window: under epoch-fenced failover
-   (Arc_resilience.Fenced) the crashed writer's pending write can only
-   have been published before the supervisor fenced its epoch, so the
+   (Arc_resilience.Election) the crashed writer's pending write can only
+   have been published before the successor fenced its epoch, so the
    took-effect candidate completes at the fence instead of never.
    This is strictly stronger — a post-fence history in which the
    successor's writes interleave after the fence must still be

@@ -14,12 +14,6 @@ let zero_stats =
   { reads = 0; writes = 0; hits = 0; fetches = 0; rfos = 0; invalidations = 0;
     writebacks = 0 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<h>reads=%d, writes=%d, hits=%d, fetches=%d, rfos=%d, invalidations=%d, \
-     writebacks=%d@]"
-    s.reads s.writes s.hits s.fetches s.rfos s.invalidations s.writebacks
-
 type t = {
   nagents : int;
   lines : (int, state array) Hashtbl.t;

@@ -29,7 +29,6 @@ type stats = {
 }
 
 val zero_stats : stats
-val pp_stats : Format.formatter -> stats -> unit
 
 val create : agents:int -> t
 (** [agents] caches sharing the directory; agent ids are

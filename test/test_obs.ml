@@ -264,17 +264,15 @@ let test_reign_gauge_crosscheck () =
       let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
       let module E = Arc_resilience.Election.Make (I.R) in
       (* Seat 0's cells, as arc-crash's leader and standby see them. *)
-      let freg =
-        E.Fenced_reg.of_register I.regs.(0)
-          ~epoch:(Shm.shard_epoch_cell m ~shard:0)
-      in
-      let elector candidate =
-        E.create
+      let seat =
+        E.of_cells I.regs.(0)
           ~word:(Shm.shard_election_cell m ~shard:0)
-          ~config:(Shm.config_epoch_cell m) ~candidate freg
+          ~epoch:(Shm.shard_epoch_cell m ~shard:0)
+          ~config:(Shm.config_epoch_cell m) ~hb:(Shm.alloc_raw m 1)
+          ~now:(fun () -> Shm.tick m) ~lease:1
       in
       let handoff name candidate expected =
-        match E.campaign (elector candidate) with
+        match E.campaign seat ~candidate with
         | E.Won { config; _ } -> Alcotest.(check int) name expected config
         | E.Lost _ -> Alcotest.failf "%s: fresh-snapshot campaign lost" name
       in

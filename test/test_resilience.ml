@@ -1,11 +1,12 @@
-(* The supervision layer (ISSUE 3): backoff, breaker, epoch fencing,
-   lease supervision, degraded reader sessions — each over a manual
-   clock, no scheduler — then the chaos soak end to end (simulated
-   scheduler, injected faults) plus its unfenced negative control. *)
+(* The supervision layer: backoff, breaker, epoch fencing, lease
+   supervision and term-voted succession, degraded reader sessions —
+   each over a manual clock, no scheduler — then the chaos soak end to
+   end (simulated scheduler, injected faults) plus its unfenced
+   negative control. *)
 
 module Backoff = Arc_resilience.Backoff
 module Breaker = Arc_resilience.Breaker
-module Fenced = Arc_resilience.Fenced
+module Election = Arc_resilience.Election
 module Soak = Arc_resilience.Soak
 module Outcomes = Arc_obs.Obs.Outcomes
 
@@ -95,7 +96,7 @@ let test_breaker_forced_trip () =
 (* --- fenced writer handles ------------------------------------------- *)
 
 module R = Arc_core.Arc.Make (Arc_mem.Real_mem)
-module F = Fenced.Make (R)
+module E = Election.Make (R)
 module P = Arc_workload.Payload.Make (Arc_mem.Real_mem)
 
 let stamped ~seq ~len =
@@ -109,29 +110,49 @@ let read_seq rd =
       | Ok seq -> seq
       | Error msg -> Alcotest.fail msg)
 
+(* The value of a process-wide counter, by exposition name. *)
+let counter name ms =
+  match List.find_opt (fun (m : Arc_obs.Obs.metric) -> m.mname = name) ms with
+  | Some m -> m.value
+  | None -> Alcotest.failf "%s not exported" name
+
+let won_total () = counter "arc_election_elections_won_total" (Election.metrics ())
+let zombie_fences () = counter "arc_election_zombie_fences_total" (Election.metrics ())
+
+let handoffs_total () =
+  counter "arc_reign_handoffs_total" (Arc_fabric.Fabric.reign_metrics ())
+
+(* A fresh heap seat: register, fence epoch, [term ∥ vote] word, a
+   configuration epoch starting at 1 as a shm reign table's does, and
+   a lease of 10 ticks of [now]. *)
+let heap_seat ?(now = fun () -> 0) ~words () =
+  E.create ~readers:1 ~capacity:words ~init:(stamped ~seq:0 ~len:words) ~now
+    ~lease:10
+
 let test_fenced_write_and_revoke () =
   let words = 4 in
-  let freg = F.create ~readers:1 ~capacity:words ~init:(stamped ~seq:0 ~len:words) in
-  let rd = F.reader freg 0 in
-  let w1 = F.issue freg in
-  Alcotest.(check bool) "w1 current" true (F.current w1);
-  F.write w1 ~src:(stamped ~seq:1 ~len:words) ~len:words;
+  let seat = heap_seat ~words () in
+  let rd = E.reader seat 0 in
+  let fences0 = zombie_fences () in
+  let w1 = E.issue seat in
+  Alcotest.(check bool) "w1 current" true (E.current w1);
+  E.write w1 ~src:(stamped ~seq:1 ~len:words) ~len:words;
   Alcotest.(check int) "w1's write lands" 1 (read_seq rd);
-  let w2 = F.issue freg in
-  Alcotest.(check bool) "w1 fenced by issue" false (F.current w1);
-  Alcotest.(check bool) "w2 current" true (F.current w2);
-  (match F.write w1 ~src:(stamped ~seq:99 ~len:words) ~len:words with
+  let w2 = E.issue seat in
+  Alcotest.(check bool) "w1 fenced by issue" false (E.current w1);
+  Alcotest.(check bool) "w2 current" true (E.current w2);
+  (match E.write w1 ~src:(stamped ~seq:99 ~len:words) ~len:words with
   | () -> Alcotest.fail "fenced write must not publish"
-  | exception Fenced.Fenced_out { writer_epoch; current_epoch } ->
+  | exception Election.Fenced_out { writer_epoch; current_epoch } ->
     Alcotest.(check int) "writer epoch" 1 writer_epoch;
     Alcotest.(check int) "current epoch" 2 current_epoch);
-  Alcotest.(check int) "fenced write counted" 1 (F.fenced_writes freg);
+  Alcotest.(check (float 0.0)) "fenced write counted" 1.0 (zombie_fences () -. fences0);
   Alcotest.(check int) "old value still served" 1 (read_seq rd);
-  F.write w2 ~src:(stamped ~seq:2 ~len:words) ~len:words;
+  E.write w2 ~src:(stamped ~seq:2 ~len:words) ~len:words;
   Alcotest.(check int) "successor writes flow" 2 (read_seq rd)
 
 let test_guard_abort_publishes_nothing () =
-  (* The primitive Fenced relies on: a guard raising between the
+  (* The primitive the fence relies on: a guard raising between the
      content copy and the publish exchange aborts with nothing
      published and no slot leaked. *)
   let words = 4 in
@@ -168,98 +189,110 @@ let test_recover_crash_clean_journal () =
   done;
   Alcotest.(check int) "register unaffected" 25 (read_seq rd)
 
-(* --- supervisor ------------------------------------------------------ *)
+(* --- succession: lease, campaign, fence, over both seat backings ---- *)
 
-module Sup = Arc_resilience.Supervisor.Make (R)
+(* One check, run over any seat whose clock is [!t] (starting at 0),
+   whose lease is 10 and whose configuration epoch starts at 1: the
+   heap seat soak builds and the shm reign-table seat arc-crash builds
+   differ only in where the cells live. *)
+module Succession (R : Arc_core.Register_intf.FENCEABLE) = struct
+  module E = Election.Make (R)
 
-(* The value of a process-wide counter, by exposition name. *)
-let counter name ms =
-  match List.find_opt (fun (m : Arc_obs.Obs.metric) -> m.mname = name) ms with
-  | Some m -> m.value
-  | None -> Alcotest.failf "%s not exported" name
+  let check t seat =
+    let words = 4 in
+    let won0 = won_total () and handoffs0 = handoffs_total () in
+    let w1 =
+      match E.campaign seat ~candidate:0 with
+      | E.Won { writer; _ } -> writer
+      | E.Lost _ -> Alcotest.fail "uncontested first campaign must win"
+    in
+    Alcotest.(check int) "acquire reigns at config 2" 2 (E.config_at seat);
+    Alcotest.(check bool) "fresh lease not expired" false (E.expired seat);
+    t := 8;
+    E.heartbeat w1;
+    t := 15;
+    Alcotest.(check bool) "heartbeat re-armed the lease" false (E.expired seat);
+    t := 19;
+    Alcotest.(check bool) "silent past the lease" true (E.expired seat);
+    let takeovers = ref 0 in
+    let w2 =
+      match
+        E.campaign seat ~candidate:1 ~takeover:(fun () ->
+            incr takeovers;
+            R.recover_crash (E.register seat))
+      with
+      | E.Won { writer; term; config; recovered; at } ->
+        (* The first campaign opened term 1; the succession is term 2. *)
+        Alcotest.(check int) "succession term" 2 term;
+        Alcotest.(check int) "promotion's handoff epoch" 3 config;
+        Alcotest.(check int) "clean journal: nothing quarantined" 0 recovered;
+        Alcotest.(check int) "fence time recorded" 19 at;
+        writer
+      | E.Lost _ -> Alcotest.fail "uncontested promotion must win"
+    in
+    Alcotest.(check (option int)) "the standby reigns" (Some 1) (E.leader seat);
+    Alcotest.(check (float 0.0)) "two handoffs counted" 2.0
+      (handoffs_total () -. handoffs0);
+    Alcotest.(check (float 0.0)) "elections won = reign handoffs"
+      (won_total () -. won0) (handoffs_total () -. handoffs0);
+    Alcotest.(check (float 0.0)) "one counter under both names" (won_total ())
+      (handoffs_total ());
+    Alcotest.(check int) "one takeover ran" 1 !takeovers;
+    Alcotest.(check bool) "promotion re-armed the lease" false (E.expired seat);
+    (* The deposed incumbent is fenced... *)
+    (match E.write w1 ~src:(stamped ~seq:7 ~len:words) ~len:words with
+    | () -> Alcotest.fail "zombie write must be fenced"
+    | exception Election.Fenced_out _ -> ());
+    (* ...and its heartbeats no longer re-arm the lease it lost. *)
+    t := 35;
+    E.heartbeat w1;
+    Alcotest.(check bool) "zombie heartbeat ignored" true (E.expired seat);
+    E.heartbeat w2;
+    Alcotest.(check bool) "successor heartbeat counts" false (E.expired seat)
+end
 
-let won_total () =
-  counter "arc_election_elections_won_total" (Arc_resilience.Election.metrics ())
+module Heap_succession = Succession (R)
 
-let handoffs_total () =
-  counter "arc_reign_handoffs_total" (Arc_fabric.Fabric.reign_metrics ())
-
-let test_supervisor_lease_and_promotion () =
-  let words = 4 in
+let test_succession_lease_and_promotion () =
   let t = ref 0 in
-  let freg =
-    Sup.Fenced_reg.create ~readers:1 ~capacity:words
-      ~init:(stamped ~seq:0 ~len:words)
-  in
-  let sup = Sup.create ~now:(fun () -> !t) ~lease:10 freg in
-  let won0 = won_total () and handoffs0 = handoffs_total () in
-  let w1 = Sup.acquire sup in
-  Alcotest.(check int) "acquire reigns at config 2" 2
-    (Sup.Election.config_at (Sup.election sup));
-  Alcotest.(check bool) "fresh lease not expired" false (Sup.expired sup);
-  t := 8;
-  Sup.heartbeat sup w1;
-  t := 15;
-  Alcotest.(check bool) "heartbeat re-armed the lease" false (Sup.expired sup);
-  t := 19;
-  Alcotest.(check bool) "silent past the lease" true (Sup.expired sup);
-  let w2 =
-    match Sup.promote sup with
-    | Sup.Election.Won { writer; term; config; _ } ->
-      (* acquire opened term 1; the succession is term 2. *)
-      Alcotest.(check int) "succession term" 2 term;
-      Alcotest.(check int) "promotion's handoff epoch" 3 config;
-      writer
-    | Sup.Election.Lost _ -> Alcotest.fail "uncontested promotion must win"
-  in
-  Alcotest.(check (float 0.0)) "two supervised handoffs counted" 2.0
-    (handoffs_total () -. handoffs0);
-  Alcotest.(check (float 0.0)) "elections won = reign handoffs"
-    (won_total () -. won0) (handoffs_total () -. handoffs0);
-  Alcotest.(check (float 0.0)) "one counter under both names" (won_total ())
-    (handoffs_total ());
-  Alcotest.(check int) "failover counted" 1 (Sup.failovers sup);
-  Alcotest.(check (option int)) "fence time recorded" (Some 19)
-    (Sup.last_fence sup);
-  Alcotest.(check bool) "promotion re-armed the lease" false (Sup.expired sup);
-  (* The deposed incumbent is fenced... *)
-  (match Sup.Fenced_reg.write w1 ~src:(stamped ~seq:7 ~len:words) ~len:words with
-  | () -> Alcotest.fail "zombie write must be fenced"
-  | exception Fenced.Fenced_out _ -> ());
-  (* ...and its heartbeats no longer re-arm the lease it lost. *)
-  t := 35;
-  Sup.heartbeat sup w1;
-  Alcotest.(check bool) "zombie heartbeat ignored" true (Sup.expired sup);
-  Sup.heartbeat sup w2;
-  Alcotest.(check bool) "successor heartbeat counts" false (Sup.expired sup)
+  Heap_succession.check t (heap_seat ~now:(fun () -> !t) ~words:4 ());
+  (* Seat 0 of a shm reign table, plus a raw heartbeat word. *)
+  let module Shm = Arc_shm.Shm_mem in
+  let path = Filename.temp_file "arc_succession" ".reg" in
+  let m = Shm.create ~path ~words:(1 lsl 12) in
+  Fun.protect
+    ~finally:(fun () ->
+      Shm.close m;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let inst =
+        Arc_shm.Shm_arc.create m ~shards:1 ~readers:1 ~capacity:4
+          ~init:(stamped ~seq:0 ~len:4)
+      in
+      let module I = (val inst : Arc_shm.Shm_arc.INSTANCE) in
+      let module S = Succession (I.R) in
+      let t = ref 0 in
+      S.check t
+        (S.E.of_cells I.regs.(0)
+           ~word:(Shm.shard_election_cell m ~shard:0)
+           ~epoch:(Shm.shard_epoch_cell m ~shard:0)
+           ~config:(Shm.config_epoch_cell m) ~hb:(Shm.alloc_raw m 1)
+           ~now:(fun () -> !t) ~lease:10))
 
 (* --- term-voted succession under the configuration epoch ------------ *)
-
-module E = Arc_resilience.Election.Make (R)
-module TV = Arc_util.Term_vote
-
-(* A fresh seat: register, [term ∥ vote] word, and a configuration
-   epoch starting at 1 as a shm reign table's does. *)
-let election_env ~words =
-  let freg = F.create ~readers:1 ~capacity:words ~init:(stamped ~seq:0 ~len:words) in
-  let word = Arc_mem.Real_mem.atomic_contended TV.none in
-  let config = Arc_mem.Real_mem.atomic_contended 1 in
-  (freg, word, config)
 
 let test_election_exactly_one_winner () =
   (* Two candidates race from a COMMON snapshot of the word: CAS
      atomicity admits exactly one into the next term. *)
-  let freg, word, config = election_env ~words:4 in
-  let el0 = E.create ~word ~config ~candidate:0 freg in
-  let el1 = E.create ~word ~config ~candidate:1 freg in
-  let snap = E.observe el0 in
-  let r0 = E.request_vote ~from:snap el0 in
-  let r1 = E.request_vote ~from:snap el1 in
+  let seat = heap_seat ~words:4 () in
+  let snap = E.observe seat in
+  let r0 = E.request_vote ~from:snap seat ~candidate:0 in
+  let r1 = E.request_vote ~from:snap seat ~candidate:1 in
   (match (r0, r1) with
-  | Some 1, None -> Alcotest.(check (option int)) "leader" (Some 0) (E.leader el1)
-  | None, Some 1 -> Alcotest.(check (option int)) "leader" (Some 1) (E.leader el0)
+  | Some 1, None -> Alcotest.(check (option int)) "leader" (Some 0) (E.leader seat)
+  | None, Some 1 -> Alcotest.(check (option int)) "leader" (Some 1) (E.leader seat)
   | _ -> Alcotest.fail "exactly one candidate must win the term");
-  Alcotest.(check int) "term advanced once" 1 (E.term el0)
+  Alcotest.(check int) "term advanced once" 1 (E.term seat)
 
 exception Takeover_failed
 
@@ -271,49 +304,47 @@ let test_campaign_orders_fence_before_takeover () =
      its pre-handoff value while the takeover runs (no publish of the
      new reign precedes the bump), and the Won outcome must carry the
      bump's OWN return value. *)
-  let freg, word, config = election_env ~words:4 in
-  let w_old = F.issue freg in
-  let el = E.create ~word ~config ~candidate:3 freg in
+  let seat = heap_seat ~words:4 () in
+  let w_old = E.issue seat in
   let fenced_during_takeover = ref false in
   let config_during_takeover = ref 0 in
   let outcome =
-    E.campaign el ~takeover:(fun () ->
-        fenced_during_takeover := not (F.current w_old);
-        config_during_takeover := E.config_at el;
-        (match F.write w_old ~src:(stamped ~seq:9 ~len:4) ~len:4 with
+    E.campaign seat ~candidate:3 ~takeover:(fun () ->
+        fenced_during_takeover := not (E.current w_old);
+        config_during_takeover := E.config_at seat;
+        (match E.write w_old ~src:(stamped ~seq:9 ~len:4) ~len:4 with
         | () -> Alcotest.fail "old handle must be fenced inside takeover"
-        | exception Fenced.Fenced_out _ -> ());
+        | exception Election.Fenced_out _ -> ());
         7)
   in
   Alcotest.(check bool) "prefence precedes takeover" true !fenced_during_takeover;
   Alcotest.(check int) "takeover ran under the old epoch" 1
     !config_during_takeover;
-  Alcotest.(check int) "epoch bumped exactly once" 2 (E.config_at el);
+  Alcotest.(check int) "epoch bumped exactly once" 2 (E.config_at seat);
   let writer =
     match outcome with
-    | E.Won { writer; term; recovered; config = c } ->
+    | E.Won { writer; term; recovered; config = c; _ } ->
       Alcotest.(check int) "term" 1 term;
       Alcotest.(check int) "takeover result surfaced" 7 recovered;
       Alcotest.(check int) "Won carries this handoff's epoch" 2 c;
-      Alcotest.(check bool) "winner's handle is current" true (F.current writer);
-      F.write writer ~src:(stamped ~seq:1 ~len:4) ~len:4;
-      Alcotest.(check int) "winner writes flow" 1 (read_seq (F.reader freg 0));
+      Alcotest.(check bool) "winner's handle is current" true (E.current writer);
+      E.write writer ~src:(stamped ~seq:1 ~len:4) ~len:4;
+      Alcotest.(check int) "winner writes flow" 1 (read_seq (E.reader seat 0));
       writer
     | E.Lost _ -> Alcotest.fail "uncontested campaign must win"
   in
   (* A takeover that raises aborts the handoff after the prefence:
      the exception propagates, no handle is issued, and neither the
      config word nor the handoff counter moves. *)
-  let el' = E.create ~word ~config ~candidate:4 freg in
-  let fence_before = F.epoch freg and handoffs_before = handoffs_total () in
-  (match E.campaign el' ~takeover:(fun () -> raise Takeover_failed) with
+  let fence_before = E.epoch seat and handoffs_before = handoffs_total () in
+  (match E.campaign seat ~candidate:4 ~takeover:(fun () -> raise Takeover_failed) with
   | _ -> Alcotest.fail "a raising takeover must propagate"
   | exception Takeover_failed -> ());
-  Alcotest.(check int) "term 2 was still voted" 2 (E.term el');
+  Alcotest.(check int) "term 2 was still voted" 2 (E.term seat);
   Alcotest.(check int) "prefenced, nothing issued" (fence_before + 1)
-    (F.epoch freg);
-  Alcotest.(check bool) "the deposed winner is fenced" false (F.current writer);
-  Alcotest.(check int) "config word unmoved" 2 (E.config_at el');
+    (E.epoch seat);
+  Alcotest.(check bool) "the deposed winner is fenced" false (E.current writer);
+  Alcotest.(check int) "config word unmoved" 2 (E.config_at seat);
   Alcotest.(check (float 0.0)) "handoff counter unmoved" handoffs_before
     (handoffs_total ())
 
@@ -323,19 +354,17 @@ let test_campaign_loser_reports_winner () =
      innocent snapshots.  Successive handoffs on the same seat then
      advance term and epoch in lockstep, each winner keyed to its own
      bump. *)
-  let freg, word, config = election_env ~words:4 in
-  let el0 = E.create ~word ~config ~candidate:0 freg in
-  let el1 = E.create ~word ~config ~candidate:1 freg in
-  let snap = E.observe el0 in
+  let seat = heap_seat ~words:4 () in
+  let snap = E.observe seat in
   let w0 =
-    match E.campaign ~from:snap el0 with
+    match E.campaign ~from:snap seat ~candidate:0 with
     | E.Won { term = 1; config = 2; writer; _ } -> writer
     | _ -> Alcotest.fail "first campaign must win term 1 at epoch 2"
   in
-  let fence_before = F.epoch freg in
+  let fence_before = E.epoch seat in
   let took_over = ref false in
   (match
-     E.campaign ~from:snap el1 ~takeover:(fun () ->
+     E.campaign ~from:snap seat ~candidate:1 ~takeover:(fun () ->
          took_over := true;
          0)
    with
@@ -344,16 +373,16 @@ let test_campaign_loser_reports_winner () =
     Alcotest.(check int) "observed term" 1 term;
     Alcotest.(check (option int)) "observed winner" (Some 0) winner);
   Alcotest.(check bool) "loser ran no takeover" false !took_over;
-  Alcotest.(check int) "loser prefenced nothing" fence_before (F.epoch freg);
-  Alcotest.(check int) "loser left the epoch alone" 2 (E.config_at el1);
-  Alcotest.(check bool) "winner's handle still current" true (F.current w0);
-  F.write w0 ~src:(stamped ~seq:1 ~len:4) ~len:4;
-  Alcotest.(check int) "winner's next write lands" 1 (read_seq (F.reader freg 0));
-  match E.campaign el1 with
+  Alcotest.(check int) "loser prefenced nothing" fence_before (E.epoch seat);
+  Alcotest.(check int) "loser left the epoch alone" 2 (E.config_at seat);
+  Alcotest.(check bool) "winner's handle still current" true (E.current w0);
+  E.write w0 ~src:(stamped ~seq:1 ~len:4) ~len:4;
+  Alcotest.(check int) "winner's next write lands" 1 (read_seq (E.reader seat 0));
+  match E.campaign seat ~candidate:1 with
   | E.Won { term; config = c; _ } ->
     Alcotest.(check int) "second term" 2 term;
     Alcotest.(check int) "second handoff's epoch" 3 c;
-    Alcotest.(check int) "config word agrees" 3 (E.config_at el1)
+    Alcotest.(check int) "config word agrees" 3 (E.config_at seat)
   | E.Lost _ -> Alcotest.fail "fresh-snapshot campaign must win"
 
 (* Satellite: under the virtual scheduler, a heartbeat carried by a
@@ -361,7 +390,7 @@ let test_campaign_loser_reports_winner () =
    promotion, only the successor's handle refreshes the word, so a
    zombie hammering [heartbeat] still leaves the lease expired. *)
 module Rs = Arc_core.Arc.Make (Arc_vsched.Sim_mem)
-module Sups = Arc_resilience.Supervisor.Make (Rs)
+module Es = Election.Make (Rs)
 module Ps = Arc_workload.Payload.Make (Arc_vsched.Sim_mem)
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
@@ -371,44 +400,50 @@ let test_vsched_stale_heartbeat_never_rearms () =
   let lease = 20 in
   let init = Array.make words 0 in
   Ps.stamp init ~seq:0 ~len:words;
-  let freg = Sups.Fenced_reg.create ~readers:1 ~capacity:words ~init in
-  let sup = Sups.create ~now:Sched.now ~lease freg in
+  let seat = Es.create ~readers:1 ~capacity:words ~init ~now:Sched.now ~lease in
   let promoted = ref false in
   let zombie_beats = ref 0 in
   let rearmed = ref false in
   let zombie_fenced = ref false in
   let still_expired = ref false in
   let leader () =
-    let w1 = Sups.acquire sup in
-    Sups.heartbeat sup w1;
+    let w1 =
+      match Es.campaign seat ~candidate:0 with
+      | Es.Won { writer; _ } -> writer
+      | Es.Lost _ -> Alcotest.fail "uncontested first campaign lost"
+    in
+    Es.heartbeat w1;
     (* Stall far past the lease: the classic paused-leader zombie. *)
     Sched.sleep 200;
     (* Wake up deposed and hammer the lease; none of these beats may
        re-arm it (the successor is deliberately silent). *)
     for _ = 1 to 5 do
-      Sups.heartbeat sup w1;
+      Es.heartbeat w1;
       incr zombie_beats;
-      if not (Sups.expired sup) then rearmed := true;
+      if not (Es.expired seat) then rearmed := true;
       Sched.sleep 10
     done;
     let src = Array.make words 0 in
     Ps.stamp src ~seq:99 ~len:words;
-    (match Sups.Fenced_reg.write w1 ~src ~len:words with
+    (match Es.write w1 ~src ~len:words with
     | () -> ()
-    | exception Fenced.Fenced_out _ -> zombie_fenced := true);
+    | exception Election.Fenced_out _ -> zombie_fenced := true);
     (* Judged in-fiber: the virtual clock only exists during the run. *)
-    still_expired := Sups.expired sup
+    still_expired := Es.expired seat
   in
   let standby () =
     let rec monitor () =
       if !promoted then ()
-      else if Sups.expired sup then
-        match Sups.promote sup with
-        | Sups.Election.Won _ ->
+      else if Es.expired seat then
+        match
+          Es.campaign seat ~candidate:1 ~takeover:(fun () ->
+              Rs.recover_crash (Es.register seat))
+        with
+        | Es.Won _ ->
           (* Promote, then fall silent: any later lease refresh could
              only come from the zombie. *)
           promoted := true
-        | Sups.Election.Lost _ -> Alcotest.fail "uncontested promotion lost"
+        | Es.Lost _ -> Alcotest.fail "uncontested promotion lost"
       else begin
         Sched.cede ();
         monitor ()
@@ -698,8 +733,8 @@ let suite =
       test_guard_abort_publishes_nothing;
     Alcotest.test_case "recover_crash clean journal" `Quick
       test_recover_crash_clean_journal;
-    Alcotest.test_case "supervisor lease and promotion" `Quick
-      test_supervisor_lease_and_promotion;
+    Alcotest.test_case "succession lease and promotion" `Quick
+      test_succession_lease_and_promotion;
     Alcotest.test_case "election exactly one winner" `Quick
       test_election_exactly_one_winner;
     Alcotest.test_case "campaign fences before takeover" `Quick
