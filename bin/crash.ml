@@ -150,7 +150,6 @@ let mapping_words cfg ~seats ~identities =
    allocator must be quiescent by then. *)
 let alloc_logs cfg m ~seats =
   let logs = Shm_mem.alloc_raw m (seats * log_words cfg) in
-  Shm_mem.set_harness_region m logs;
   let hbs = Shm_mem.alloc_raw m seats in
   let statuses = Shm_mem.alloc_raw m (seats * status_block_words cfg) in
   let slogs = Shm_mem.alloc_raw m (seats * slog_words cfg) in

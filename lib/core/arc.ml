@@ -117,14 +117,15 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
 
   (* Layout note.  [r_start]/[r_end] are hammered by releasing readers
      while the writer polls them during its free-slot scan, and the
-     writer resets them on every recycle — pair-contended allocation
-     keeps that RMW traffic off the cache lines of [size], the buffer
-     and the neighbouring slots, while keeping the two counters
-     together: every operation that touches one touches the other
-     (read entry/exit, the probe's equality test), so the pair costs
-     one line, not two.  [size] stays a plain cell: it is written once
-     per recycle and read once per read, always adjacent in time to
-     the content accesses of the same slot. *)
+     writer resets them on every recycle.  They are allocated as a
+     contended pair: every operation that touches one touches the
+     other (read entry/exit, the probe's equality test), so they sit
+     back to back.  On the heap the pair is two plain atomics and the
+     rest of the slot's words are packed next to them by promotion
+     (DESIGN.md §6); the shm substrate gives the pair its own line.
+     [size] stays a plain cell: it is written once per recycle and
+     read once per read, always adjacent in time to the content
+     accesses of the same slot. *)
   type slot = {
     size : M.atomic;
         (* words of the snapshot currently in [content]; -1 is the
@@ -296,8 +297,10 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
       slots;
       (* [current] is the single globally hottest word (every reader
          loads it, misses RMW it, the writer exchanges it) and [hint]
-         is stored by readers while the writer polls it — both get
-         their own cache lines. *)
+         is stored by readers while the writer polls it — both are
+         declared contended.  The shm substrate gives each its own
+         line; on the heap they share one with [prefreeze] after
+         promotion, which the writer gains from (DESIGN.md §6). *)
       current = M.atomic_contended (Packed.make ~index:0 ~count:readers);
       readers;
       use_hint;

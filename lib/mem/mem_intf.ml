@@ -53,24 +53,25 @@ module type S = sig
   val atomic : int -> atomic
 
   val atomic_contended : int -> atomic
-  (** Like {!atomic}, but for {e hot} synchronization words that
+  (** Like {!atomic}, but declares a {e hot} synchronization word that
       distinct threads hammer concurrently (ARC's [current] and the
       per-slot [r_start]/[r_end] counters, RF's presence word, lock
-      and seqlock control words): the cell is allocated with
-      cache-line isolation so that RMW traffic on it does not
-      false-share a line with unrelated heap neighbours.  Semantics
-      are identical to {!atomic} — instances that model per-access
-      cost rather than layout (simulation, counting) may alias the
-      two, so operation counts and scheduling points are unchanged. *)
+      and seqlock control words).  An instance that controls its
+      layout gives the cell its own cache line, so RMW traffic on it
+      does not false-share with its neighbours: the shm substrate
+      does.  The heap instance cannot on OCaml 5.1 and returns a plain
+      {!atomic} (DESIGN.md §6); this is where 5.2's
+      [Atomic.make_contended] goes.  Semantics are identical to
+      {!atomic} — instances that model per-access cost rather than
+      layout (simulation, counting) alias the two, so operation counts
+      and scheduling points are unchanged. *)
 
   val atomic_contended_pair : int -> int -> atomic * atomic
   (** Two hot words that the {e same} operations always touch together
-      (ARC's per-slot [r_start]/[r_end]), allocated co-located inside
-      one isolated region: isolated from other slots' words — that is
-      where cross-reader false sharing lives — but deliberately
-      sharing a line with each other, so the pair costs one cache line
-      rather than two.  Same aliasing freedom as
-      {!atomic_contended}. *)
+      (ARC's per-slot [r_start]/[r_end]), allocated next to each
+      other: where the instance isolates hot words, the pair shares
+      one isolated line, so it costs one cache line rather than two.
+      Same semantics and aliasing freedom as {!atomic_contended}. *)
 
   val load : atomic -> int
   (** Plain (non-RMW) load.  Statement R1 of the paper's read path. *)

@@ -19,18 +19,20 @@ type atomic = int Atomic.t
 
 let atomic = Atomic.make
 
-(* Cache-line isolation for hot synchronization words lives in
-   {!Isolate} (shared with the telemetry cells of [Arc_obs]): the
-   spacer-boxing stand-in for 5.2's [Atomic.make_contended], gated on
-   the machine actually having more than one core. *)
-let atomic_contended v = Isolate.alloc (fun () -> Atomic.make v)
+(* Hot words are plain heap atomics.  OCaml 5.1 has no
+   [Atomic.make_contended] (it arrives in 5.2), and padding around a
+   minor-heap block does not survive promotion: the minor GC copies
+   each surviving block into the major-heap pool of its size class,
+   so the layout of hot cells is the one promotion gives them
+   (DESIGN.md §6).  These two hooks are where 5.2's
+   [Atomic.make_contended] goes. *)
+let atomic_contended = Atomic.make
 
-(* Co-located pair: the two cells are allocated back to back inside
-   the padded region, so operations that touch both (ARC's read entry
-   and exit, the writer's slot probe) pay one cache line, while other
-   slots' counters stay off it. *)
-let atomic_contended_pair v1 v2 =
-  Isolate.alloc (fun () -> (Atomic.make v1, Atomic.make v2))
+(* The two cells are allocated back to back and stay adjacent after
+   promotion, so an operation that touches both (ARC's read entry and
+   exit, the writer's slot probe) touches one line, or two when the
+   pair straddles a line boundary. *)
+let atomic_contended_pair v1 v2 = (Atomic.make v1, Atomic.make v2)
 
 let load = Atomic.get
 let store = Atomic.set

@@ -7,9 +7,9 @@
    domain its own word.
 
    A {!Cell} is a single-writer counter: a plain [mutable int] record
-   field, allocated cache-line-isolated through the same spacer-boxing
-   machinery as the substrate's hot synchronization words
-   ({!Arc_mem.Isolate}, extracted from PR 1's [atomic_contended]).  The owner increments it with
+   field on the host heap, laid out wherever promotion puts it (no
+   cache-line isolation: OCaml 5.1 cannot give a heap block its own
+   line, DESIGN.md §6).  The owner increments it with
    a plain load + store — one or two cycles, no fence, no RMW — and
    any other domain may read it concurrently.  A racy read of a
    word-sized field cannot tear in OCaml's memory model (it returns
@@ -31,7 +31,7 @@
 module Cell = struct
   type t = { mutable v : int }
 
-  let create () = Arc_mem.Isolate.alloc (fun () -> { v = 0 })
+  let create () = { v = 0 }
 
   (* Owner-only: plain read-modify-write of a private word.  Not
      atomic, by design — see the module comment. *)

@@ -3,8 +3,8 @@
 
     Recording never blocks, never retries, and on the register's read
     fast path never executes an RMW: a {!Cell} is a plain single-writer
-    [mutable int], cache-line-isolated via {!Arc_mem.Isolate},
-    incremented with an ordinary load + store.  Any domain may read a cell concurrently — a word-sized
+    [mutable int] on the host heap, incremented with an ordinary
+    load + store.  Any domain may read a cell concurrently — a word-sized
     racy read cannot tear, so observers see a possibly-stale but
     never-corrupt count, and a happens-before edge (e.g.
     [Domain.join]) makes it exact.
@@ -14,7 +14,8 @@
     scheduler (enabling telemetry changes no checker-visible history)
     and no operations to {!Arc_mem.Counting}'s ledger. *)
 
-(** A single-writer counter word on its own cache line.  [incr]/[add]
+(** A single-writer counter word, a plain heap block with no cache-line
+    isolation (DESIGN.md §6).  [incr]/[add]
     are owner-only (plain, unfenced); [get] is safe from any domain. *)
 module Cell : sig
   type t = { mutable v : int }

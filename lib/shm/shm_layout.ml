@@ -76,7 +76,8 @@ let sb_geom_nslots = 12
    in allocation order).  0/0/0 = not recorded. *)
 
 let sb_harness = 13
-(* Base offset of the harness raw region (crash write-log), 0 = none. *)
+(* Reserved (zero, never written or read); kept so no index is
+   renumbered and the layout version stands. *)
 
 (* Word 14: reserved since version 5 (zero, never read). *)
 
@@ -102,8 +103,8 @@ let rec_size = 1
 
 (* Cell records: value at [cell_value] for plain cells; contended
    cells pad the value out to its own 128-byte block (cache line plus
-   the adjacent-line prefetcher pair), mirroring Real_mem's
-   spacer-boxing. *)
+   the adjacent-line prefetcher pair), which only the mapping can do:
+   heap cells get whatever layout promotion gives them. *)
 let cell_value = 2
 
 let line_words = 16 (* 128 bytes *)

@@ -175,8 +175,6 @@ let geometry m =
         unsafe_get m L.sb_geom_capacity,
         unsafe_get m L.sb_geom_nslots )
 
-let set_harness_region m base = unsafe_set m L.sb_harness base
-
 (* {1 Reign table: the writer seats} *)
 
 let reign_table m = unsafe_get m L.sb_reign
@@ -239,8 +237,8 @@ let alloc_cell m v =
 
 (* Contended cells: the value is placed at a 128-byte-aligned word and
    the record extends to the end of that block, so the hot word owns
-   its cache line (plus the adjacent-prefetch pair) — the mmap analogue
-   of Real_mem's spacer boxing. *)
+   its cache line (plus the adjacent-prefetch pair).  Unlike the heap,
+   the mapping never moves a cell, so the isolation holds. *)
 let alloc_cell_contended m v =
   let base = unsafe_get m L.sb_cursor in
   let value = align_up (base + 2) L.line_words in

@@ -118,10 +118,6 @@ val set_geometry : mapping -> readers:int -> capacity:int -> unit
 val geometry : mapping -> (int * int * int) option
 (** [(readers, capacity, nslots)] as recorded, or [None]. *)
 
-val set_harness_region : mapping -> int -> unit
-(** Record the base index of the harness raw region (e.g. a crash
-    write-log) in the superblock, so the recovering side can find it. *)
-
 (** {1 Reign table: the writer seats}
 
     A register mapping — one register per shard, all in one file; a

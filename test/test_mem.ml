@@ -454,6 +454,35 @@ let test_baseline_store_orders () =
   orders "lamport" (module Arc_baselines.Lamport_reg.Make (Ordered)) ~sc:1 ~release:2;
   orders "rf" (module Arc_baselines.Rf.Make (Ordered)) ~sc:0 ~release:1
 
+(* Hot heap cells are plain blocks: a dropped register, fabric or
+   telemetry group leaves nothing live behind it once collected (no
+   padding retained for the life of the process). *)
+module Arc_real = Arc_core.Arc.Make (Real)
+module Fabric_real = Arc_fabric.Fabric.Make (Arc_real)
+
+let[@inline never] make_and_drop () =
+  let init = Array.make 64 0 in
+  for _ = 1 to 2_000 do
+    ignore (Sys.opaque_identity (Arc_real.create ~readers:8 ~capacity:64 ~init))
+  done;
+  ignore
+    (Sys.opaque_identity
+       (Fabric_real.create ~shards:64 ~writers:1 ~readers:2 ~capacity:8
+          ~init:(Array.make 8 0)));
+  ignore (Sys.opaque_identity (Arc_obs.Obs.Group.create ~name:"leak" ~help:"h" 64))
+
+let test_dropped_register_leaves_no_heap () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let before = live () in
+  make_and_drop ();
+  let grown = live () - before in
+  if grown > 1_000 then
+    Alcotest.failf "dropping 2000 registers, a fabric and a group left %d live words"
+      grown
+
 let prop_exchange_sequence =
   QCheck.Test.make ~name:"exchange chains return previous values" ~count:200
     QCheck.(small_list int)
@@ -504,5 +533,7 @@ let suite =
     Alcotest.test_case "arc write: one RMW, two sequentially consistent stores"
       `Quick test_arc_write_one_rmw;
     Alcotest.test_case "baseline store orders" `Quick test_baseline_store_orders;
+    Alcotest.test_case "dropped registers leave no heap behind" `Quick
+      test_dropped_register_leaves_no_heap;
     QCheck_alcotest.to_alcotest prop_exchange_sequence;
   ]
