@@ -19,15 +19,6 @@ module type BASE = sig
   val write_probes : t -> int
   val writes : t -> int
 
-  val write_coalesced :
-    t -> max_pending:int -> max_staleness:int -> src:int array -> len:int -> unit
-
-  val flush_coalesced : t -> unit
-  val pending_writes : t -> int
-  val coalesced_batches : t -> int
-  val coalesced_absorbed : t -> int
-  val max_coalesced_batch : t -> int
-
   type telemetry
 
   val make_telemetry :
@@ -75,8 +66,8 @@ end
 
 (* Slot-storage policy — the one point of variation between ARC's two
    instantiations ({!Make} below and [Arc_dynamic.Make]).  Everything
-   else — Algorithms 2 and 3, the §3.4 hint, R2', coalescing, crash
-   recovery, telemetry — is the single core. *)
+   else — Algorithms 2 and 3, the §3.4 hint, R2', crash recovery,
+   telemetry — is the single core. *)
 type storage = Fixed | Elastic
 
 module type POLICY = sig
@@ -162,7 +153,10 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
      is never written after [create] (bar [set_telemetry]): the R2 hot
      hit loads [current] out of [t], so a writer store landing on that
      cache line would cost every write a line transfer to and from
-     each spinning reader. *)
+     each spinning reader.  Nothing here grows with the capacity: the
+     slot buffers are the register's only C-sized storage, so a fresh
+     heap register is (N+2)·C words plus a remainder independent of C
+     (DESIGN.md §6a, pinned by test_mem's "arc space"). *)
   type writer = {
     mutable quarantined : int list;  (* slots retired by [recover_crash] *)
     mutable last_slot : int;
@@ -174,16 +168,10 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
        publish.  A successor resyncs it from the slots in
        [recover_crash] so stamps stay unique across failover. *)
     mutable stamp : int;
-    (* Write-coalescing staging (host-heap): the latest absorbed
-       snapshot plus the count of absorbed-but-unpublished writes.
-       Publishing the staged value is one ordinary write — one W2
-       exchange and one slot copy for the whole batch. *)
-    co_buf : int array;  (* [capacity] words: its length is the bound *)
-    mutable co_len : int;  (* staged length; -1 = nothing staged *)
-    mutable co_pending : int;  (* absorbed writes since the last publish *)
-    mutable co_batches : int;  (* coalesced publishes *)
-    mutable co_absorbed : int;  (* total writes absorbed into batches *)
-    mutable co_max_batch : int;  (* largest batch published so far *)
+    capacity : int;
+        (* the [capacity] passed to [create]: the longest write accepted.
+           Fixed buffers hold exactly this many words; elastic buffers are
+           sized per write, so only this field remembers the bound. *)
     (* Elastic storage: read only by [set_lease], [reclaim_stale] and
        the footprint accessors. *)
     mutable lease : int option;  (* auto-reclaim period, see [set_lease] *)
@@ -313,12 +301,7 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
           probes = 0;
           writes = 0;
           stamp = 1;
-          co_buf = Array.make capacity 0;
-          co_len = -1;
-          co_pending = 0;
-          co_batches = 0;
-          co_absorbed = 0;
-          co_max_batch = 0;
+          capacity;
           lease = None;
           reallocations = 0;
           reclaimed = 0;
@@ -747,25 +730,17 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     | _ -> ());
     reg.w.lease <- lease
 
-  (* Length and capacity are validated before any writer state is
-     touched, so a rejected write leaves the register and the
-     coalescing stage exactly as they were. *)
-  let check_write reg ~op ~src ~len =
-    if len < 0 || len > Array.length src then
-      invalid_arg (P.name ^ "." ^ op ^ ": bad length");
-    if len > Array.length reg.w.co_buf then
-      invalid_arg (P.name ^ "." ^ op ^ ": exceeds capacity")
-
   (* Algorithm 3.  [guard] is the epoch-fence hook
      (Register_intf.FENCEABLE): it runs once the slot is fully
      prepared, immediately before the W2 publish.  If it raises, the
      write aborts with nothing published — the slot was free and both
      its counters are 0/0, so the ledger is untouched and the next
-     write reuses it.  [batch] is the number of staged coalesced writes
-     this publish retires (0 for none); the coalescing bookkeeping is
-     committed only once W2 has published, so an aborted publish keeps
-     the staged writes for a later flush. *)
-  let publish reg ~guard ~src ~len ~batch =
+     write reuses it.  Length and capacity are checked before any
+     writer state is touched: a rejected write changes nothing. *)
+  let write_guarded reg ~guard ~src ~len =
+    if len < 0 || len > Array.length src then
+      invalid_arg (P.name ^ ".write: bad length");
+    if len > reg.w.capacity then invalid_arg (P.name ^ ".write: exceeds capacity");
     let w = reg.w in
     let slot = find_free reg (* W1 *) in
     let entry = reg.slots.(slot) in
@@ -830,12 +805,6 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     w.last_slot <- slot;
     M.store_release reg.prefreeze (-1);
     w.writes <- w.writes + 1;
-    if batch > 0 then begin
-      w.co_pending <- 0;
-      w.co_len <- -1;
-      w.co_batches <- w.co_batches + 1;
-      if batch > w.co_max_batch then w.co_max_batch <- batch
-    end;
     (match reg.tel with
     | Some tel ->
       let at = tel.clock () in
@@ -846,14 +815,6 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
     match w.lease with
     | Some l when w.writes mod l = 0 -> ignore (reclaim_stale reg ~lease:l)
     | _ -> ()
-
-  (* A direct write supersedes anything still staged by
-     [write_coalesced]: the staged writes are absorbed into this batch
-     (they were older), never resurrected by a later flush. *)
-  let write_guarded reg ~guard ~src ~len =
-    check_write reg ~op:"write" ~src ~len;
-    let batch = if reg.w.co_pending > 0 then reg.w.co_pending + 1 else 0 in
-    publish reg ~guard ~src ~len ~batch
 
   (* Successor-writer recovery (Register_intf.FENCEABLE): quarantine
      the journaled mid-publish slot, if any, and re-establish the
@@ -902,42 +863,6 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
 
   let write reg ~src ~len = write_guarded reg ~guard:ignore ~src ~len
 
-  (* Write coalescing (ROADMAP item 2b).  Absorb into writer-private
-     staging; publish the whole batch with one ordinary write — one W2
-     exchange and one slot copy.  Readers observe the bounded-staleness
-     contract of [Checker.check_bounded_staleness]: a published value
-     lags the newest absorbed write by at most [max_pending - 1]
-     absorbed writes, and [Checker.check_coalesced] judges the publish
-     subsequence (monotone, gaps ≤ the bound, final write never
-     lost provided the caller flushes). *)
-  let flush_coalesced reg =
-    let w = reg.w in
-    if w.co_pending > 0 then
-      publish reg ~guard:ignore ~src:w.co_buf ~len:w.co_len
-        ~batch:w.co_pending
-
-  let write_coalesced reg ~max_pending ~max_staleness ~src ~len =
-    let w = reg.w in
-    if max_pending < 1 then
-      invalid_arg
-        (Printf.sprintf "%s.write_coalesced: max_pending = %d (need >= 1)" P.name
-           max_pending);
-    if max_staleness < max_pending then
-      invalid_arg
-        (Printf.sprintf
-           "%s.write_coalesced: max_pending = %d exceeds max_staleness = %d"
-           P.name max_pending max_staleness);
-    check_write reg ~op:"write_coalesced" ~src ~len;
-    Arc_util.Words.blit src 0 w.co_buf 0 len;
-    w.co_len <- len;
-    w.co_pending <- w.co_pending + 1;
-    w.co_absorbed <- w.co_absorbed + 1;
-    if w.co_pending >= max_pending then flush_coalesced reg
-
-  let pending_writes reg = reg.w.co_pending
-  let coalesced_batches reg = reg.w.co_batches
-  let coalesced_absorbed reg = reg.w.co_absorbed
-  let max_coalesced_batch reg = reg.w.co_max_batch
   let write_probes reg = reg.w.probes
   let writes reg = reg.w.writes
 
@@ -982,16 +907,6 @@ module Core (P : POLICY) (M : Arc_mem.Mem_intf.S) = struct
            ~help:"Slots retired by crash recovery or external conviction"
            (List.length w.quarantined)
       :: storage
-      @ [
-          Obs.counter "arc_coalesced_batches_total"
-            ~help:"Coalesced publishes (one exchange per batch)"
-            w.co_batches;
-          Obs.counter "arc_coalesced_writes_total"
-            ~help:"Writes absorbed into coalescing batches" w.co_absorbed;
-          Obs.gauge "arc_coalesced_max_batch"
-            ~help:"Largest coalesced batch published so far"
-            (float_of_int w.co_max_batch);
-        ]
     in
     match reg.tel with
     | None -> base

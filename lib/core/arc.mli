@@ -31,7 +31,7 @@ val algorithm : string
 
 (** The register surface both slot-storage policies share —
     {!Register_intf.ZERO_COPY} and {!Register_intf.FENCEABLE} plus
-    R2', coalescing, telemetry and the white-box surface. *)
+    R2', telemetry and the white-box surface. *)
 module type BASE = sig
   include Register_intf.ZERO_COPY
   (** [read_view] is the pinned zero-copy read: the view stays stable
@@ -124,43 +124,6 @@ module type BASE = sig
 
   val writes : t -> int
   (** Number of completed writes (writer-thread view). *)
-
-  val write_coalesced :
-    t -> max_pending:int -> max_staleness:int -> src:int array -> len:int -> unit
-  (** Write coalescing (ROADMAP item 2b): absorb the write into a
-      writer-private staging buffer (latest value wins) and publish
-      the batch with {e one} W2 exchange and one slot copy once
-      [max_pending] writes are pending.  Readers observe the
-      bounded-staleness contract ({!Arc_trace.Checker}'s
-      [check_bounded_staleness] / [check_coalesced]): a published
-      value lags the newest absorbed write by fewer than [max_pending]
-      writes, and [max_pending <= max_staleness] is enforced here so
-      every batch respects the declared staleness bound.  The final
-      write of a burst is pending until {!flush_coalesced} (or a
-      direct {!S.write}, which absorbs and supersedes the staged
-      batch) — callers must flush at burst end or the tail write is
-      never published.  Writer-thread only.
-      @raise Invalid_argument if [max_pending < 1],
-      [max_staleness < max_pending], or the length is invalid. *)
-
-  val flush_coalesced : t -> unit
-  (** Publish the staged batch now, if any — one classic write.
-      Writer-thread only; a no-op with nothing pending. *)
-
-  val pending_writes : t -> int
-  (** Writes currently absorbed but not yet published. *)
-
-  val coalesced_batches : t -> int
-  (** Batches published so far (by flush, threshold, or a superseding
-      direct write). *)
-
-  val coalesced_absorbed : t -> int
-  (** Total writes absorbed by {!write_coalesced} so far. *)
-
-  val max_coalesced_batch : t -> int
-  (** Largest batch published so far — the property-test bound:
-      must never exceed the [max_staleness] passed to the absorbing
-      writes. *)
 
   (** {2 Telemetry (ISSUE 5)}
 
@@ -323,8 +286,8 @@ end
 
     ARC has one implementation, {!Core}, parameterised by how slot
     buffers are stored.  That is the only point of variation; the
-    synchronization (Algorithms 2–3), the §3.4 hint, R2', coalescing,
-    crash recovery and telemetry are shared. *)
+    synchronization (Algorithms 2–3), the §3.4 hint, R2', crash
+    recovery and telemetry are shared. *)
 
 type storage =
   | Fixed

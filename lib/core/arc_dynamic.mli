@@ -5,8 +5,8 @@
     value to be stored upon write operations could be employed."
 
     This is {!Arc.Core} instantiated with {!Arc.Elastic} slot storage:
-    the synchronization, hint, R2', coalescing, recovery and telemetry
-    code is {!Arc}'s own.  The only difference is buffer
+    the synchronization, hint, R2', recovery and telemetry code is
+    {!Arc}'s own.  The only difference is buffer
     management: a write replaces the target slot's buffer with an
     exactly-sized fresh one when the new length exceeds the buffer or
     is under half of it (grow always, shrink with hysteresis).  This

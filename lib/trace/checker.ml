@@ -400,48 +400,3 @@ let check_bounded_staleness h ~bound serves =
       else go (checked + 1) rest
   in
   go 0 serves
-
-type coalesce_violation =
-  | Coalesce_malformed of string
-  | Lost_final_write of { last_enqueued : int; last_published : int }
-  | Oversized_batch of { published : int; previous : int; bound : int }
-
-let pp_coalesce_violation ppf = function
-  | Coalesce_malformed msg -> Format.fprintf ppf "malformed publish list: %s" msg
-  | Lost_final_write { last_enqueued; last_published } ->
-    Format.fprintf ppf
-      "lost final write: enqueued up to seq %d but the last publish carried seq %d"
-      last_enqueued last_published
-  | Oversized_batch { published; previous; bound } ->
-    Format.fprintf ppf
-      "oversized batch: publish of seq %d coalesced %d writes past seq %d (bound %d)"
-      published (published - previous) previous bound
-
-let check_coalesced ~enqueued ~bound published =
-  if enqueued < 0 then
-    invalid_arg
-      (Printf.sprintf "Checker.check_coalesced: enqueued = %d (need >= 0)" enqueued);
-  if bound < 1 then
-    invalid_arg
-      (Printf.sprintf "Checker.check_coalesced: bound = %d (need >= 1)" bound);
-  let rec go prev batches = function
-    | [] ->
-      if prev <> enqueued then
-        Error (Lost_final_write { last_enqueued = enqueued; last_published = prev })
-      else Ok batches
-    | p :: rest ->
-      if p < 1 || p > enqueued then
-        Error
-          (Coalesce_malformed
-             (Printf.sprintf "published seq %d outside the enqueued range 1..%d" p
-                enqueued))
-      else if p <= prev then
-        Error
-          (Coalesce_malformed
-             (Printf.sprintf "publish order not increasing: seq %d after seq %d" p
-                prev))
-      else if p - prev > bound then
-        Error (Oversized_batch { published = p; previous = prev; bound })
-      else go p (batches + 1) rest
-  in
-  go 0 0 published

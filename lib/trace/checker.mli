@@ -194,37 +194,3 @@ val check_bounded_staleness :
     [h] completed at its serve time; [Ok n] is the number of serves
     checked.
     @raise Invalid_argument if [bound < 0]. *)
-
-(** {2 Coalesced-publish checking (ROADMAP item 2b)}
-
-    A coalescing writer absorbs writes into a staging buffer and
-    publishes only some of them; the published sequence numbers must
-    be an increasing subsequence of the enqueued writes [1..k], each
-    publish may coalesce at most [bound] enqueued writes (the declared
-    [max_staleness]), and the {e final} enqueued write must be the
-    last publish — a burst whose tail value never reaches readers is
-    a lost write, not a staleness artifact. *)
-
-type coalesce_violation =
-  | Coalesce_malformed of string
-  | Lost_final_write of { last_enqueued : int; last_published : int }
-  | Oversized_batch of {
-      published : int;
-      previous : int;  (** the publish before it (0 = initial value) *)
-      bound : int;
-    }
-
-val pp_coalesce_violation : Format.formatter -> coalesce_violation -> unit
-
-val check_coalesced :
-  enqueued:int -> bound:int -> int list -> (int, coalesce_violation) result
-(** [check_coalesced ~enqueued ~bound published] — [published] is the
-    enqueue-sequence number carried by each publish, in publish order;
-    [enqueued] the number of absorbed writes (their seqs are 1..k in
-    absorb order).  [Ok n] is the number of publishes checked.
-    Violations: a publish outside [1..enqueued] or out of order
-    ([Coalesce_malformed]), a gap of more than [bound] enqueued writes
-    between consecutive publishes ([Oversized_batch], staleness-bound
-    breach), or a final publish older than the final enqueue
-    ([Lost_final_write]).
-    @raise Invalid_argument if [enqueued < 0] or [bound < 1]. *)

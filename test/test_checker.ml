@@ -439,65 +439,3 @@ let suite =
       Alcotest.test_case "bounded staleness violation" `Quick
         test_bounded_staleness_violation;
     ]
-
-(* --- coalesced-publish checking (ISSUE 10) --------------------------- *)
-
-let coalesce_ok ~enqueued ~bound published expected =
-  match Checker.check_coalesced ~enqueued ~bound published with
-  | Ok n -> Alcotest.(check int) "publishes checked" expected n
-  | Error v ->
-    Alcotest.failf "unexpected conviction: %a" Checker.pp_coalesce_violation v
-
-let coalesce_convicts ~enqueued ~bound published pred =
-  match Checker.check_coalesced ~enqueued ~bound published with
-  | Ok _ -> Alcotest.fail "violation not convicted"
-  | Error v ->
-    if not (pred v) then
-      Alcotest.failf "wrong conviction: %a" Checker.pp_coalesce_violation v
-
-let test_coalesce_ok () =
-  coalesce_ok ~enqueued:0 ~bound:3 [] 0;
-  coalesce_ok ~enqueued:10 ~bound:3 [ 2; 5; 8; 10 ] 4;
-  (* bound exactly met *)
-  coalesce_ok ~enqueued:6 ~bound:3 [ 3; 6 ] 2;
-  (* every write published: coalescing degenerates to classic writes *)
-  coalesce_ok ~enqueued:3 ~bound:1 [ 1; 2; 3 ] 3
-
-let test_coalesce_lost_final_write () =
-  coalesce_convicts ~enqueued:10 ~bound:5 [ 4; 8 ] (function
-    | Checker.Lost_final_write { last_enqueued = 10; last_published = 8 } -> true
-    | _ -> false);
-  (* a burst that never published at all is the degenerate case *)
-  coalesce_convicts ~enqueued:2 ~bound:5 [] (function
-    | Checker.Lost_final_write { last_published = 0; _ } -> true
-    | _ -> false)
-
-let test_coalesce_oversized_batch () =
-  coalesce_convicts ~enqueued:10 ~bound:3 [ 2; 6; 10 ] (function
-    | Checker.Oversized_batch { published = 6; previous = 2; bound = 3 } -> true
-    | _ -> false)
-
-let test_coalesce_malformed () =
-  coalesce_convicts ~enqueued:5 ~bound:3 [ 2; 2; 5 ] (function
-    | Checker.Coalesce_malformed _ -> true
-    | _ -> false);
-  coalesce_convicts ~enqueued:5 ~bound:3 [ 7 ] (function
-    | Checker.Coalesce_malformed _ -> true
-    | _ -> false);
-  (match Checker.check_coalesced ~enqueued:(-1) ~bound:3 [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative enqueued must raise");
-  match Checker.check_coalesced ~enqueued:3 ~bound:0 [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bound 0 must raise"
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "coalesce: ok" `Quick test_coalesce_ok;
-      Alcotest.test_case "coalesce: lost final write" `Quick
-        test_coalesce_lost_final_write;
-      Alcotest.test_case "coalesce: oversized batch" `Quick
-        test_coalesce_oversized_batch;
-      Alcotest.test_case "coalesce: malformed" `Quick test_coalesce_malformed;
-    ]

@@ -1,4 +1,4 @@
-(* ISSUE 10: the R2' validated plain-load read and write coalescing.
+(* The R2' validated plain-load read.
 
    Real-memory tests pin down the single-threaded semantics and the
    telemetry accounting; the virtual-scheduler tests drive the
@@ -8,12 +8,10 @@
    the stamped-payload validation under the same schedules. *)
 
 module A = Arc_core.Arc.Make (Arc_mem.Real_mem)
-module Ad = Arc_core.Arc_dynamic.Make (Arc_mem.Real_mem)
 module P = Arc_workload.Payload.Make (Arc_mem.Real_mem)
 module As = Arc_core.Arc.Make (Arc_vsched.Sim_mem)
 module Ps = Arc_workload.Payload.Make (Arc_vsched.Sim_mem)
 module Sq = Arc_baselines.Seqlock_reg.Make (Arc_vsched.Sim_mem)
-module Checker = Arc_trace.Checker
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
 
@@ -134,103 +132,6 @@ let test_racing_reader () =
     (Ok writes) (A.read_plain rd ~f:validate);
   Alcotest.(check bool) "presence ledger balanced" true
     (A.Debug.presence_bound_holds reg)
-
-(* --- write coalescing ------------------------------------------------ *)
-
-let test_coalescing_property () =
-  let n = 8 in
-  let max_pending = 4 and max_staleness = 6 in
-  let reg = A.create ~readers:1 ~capacity:n ~init:(stamped ~seq:0 ~len:n) in
-  let rd = A.reader reg 0 in
-  let published = ref [] and last_pub = ref 0 in
-  let observe () =
-    (* Single-threaded: at most one publish can have happened since
-       the previous observation, so polling after every operation
-       records the complete publish sequence. *)
-    match A.read_plain rd ~f:(fun buf len -> P.validate buf ~len) with
-    | Ok s -> if s <> !last_pub then (published := s :: !published; last_pub := s)
-    | Error e -> Alcotest.failf "torn read while observing publishes: %s" e
-  in
-  let enq = ref 0 in
-  let src = Array.make n 0 in
-  for k = 1 to 25 do
-    incr enq;
-    P.stamp src ~seq:!enq ~len:n;
-    A.write_coalesced reg ~max_pending ~max_staleness ~src ~len:n;
-    observe ();
-    if k mod 7 = 0 then begin
-      (* A direct write must absorb (supersede) the staged batch, not
-         lose it or publish stale staged data after fresher data. *)
-      incr enq;
-      P.stamp src ~seq:!enq ~len:n;
-      A.write reg ~src ~len:n;
-      observe ()
-    end
-  done;
-  A.flush_coalesced reg;
-  observe ();
-  check "nothing left pending after flush" 0 (A.pending_writes reg);
-  (match
-     Checker.check_coalesced ~enqueued:!enq ~bound:max_staleness
-       (List.rev !published)
-   with
-  | Ok publishes -> Alcotest.(check bool) "published at least once" true (publishes > 0)
-  | Error v ->
-    Alcotest.failf "coalescing contract violated: %a" Checker.pp_coalesce_violation v);
-  Alcotest.(check bool) "batches formed" true (A.coalesced_batches reg > 0);
-  Alcotest.(check bool) "absorbed writes counted" true (A.coalesced_absorbed reg > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "max batch %d within max_pending %d" (A.max_coalesced_batch reg)
-       max_pending)
-    true
-    (A.max_coalesced_batch reg <= max_pending)
-
-let test_coalescing_lone_flush_and_validation () =
-  let n = 4 in
-  let reg = A.create ~readers:1 ~capacity:n ~init:(stamped ~seq:0 ~len:n) in
-  let rd = A.reader reg 0 in
-  let src = stamped ~seq:1 ~len:n in
-  A.write_coalesced reg ~max_pending:8 ~max_staleness:8 ~src ~len:n;
-  check "staged, not yet published" 1 (A.pending_writes reg);
-  (match A.read_plain rd ~f:(fun buf len -> P.validate buf ~len) with
-  | Ok s -> check "reader still sees the pre-batch value" 0 s
-  | Error e -> Alcotest.fail e);
-  A.flush_coalesced reg;
-  (match A.read_plain rd ~f:(fun buf len -> P.validate buf ~len) with
-  | Ok s -> check "flush published the batch" 1 s
-  | Error e -> Alcotest.fail e);
-  A.flush_coalesced reg (* idempotent on empty staging *);
-  check "still published value" 1 (A.read_with rd ~f:(fun buf _ -> P.decode_seq buf));
-  let raises f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  raises (fun () ->
-      A.write_coalesced reg ~max_pending:0 ~max_staleness:4 ~src ~len:n);
-  raises (fun () ->
-      (* staleness bound must cover the batch size *)
-      A.write_coalesced reg ~max_pending:4 ~max_staleness:3 ~src ~len:n);
-  raises (fun () ->
-      A.write_coalesced reg ~max_pending:2 ~max_staleness:4 ~src ~len:(n + 1))
-
-let test_coalescing_dynamic_variant () =
-  let n = 8 in
-  let module Pd = P in
-  let reg = Ad.create ~readers:1 ~capacity:n ~init:(stamped ~seq:0 ~len:n) in
-  let rd = Ad.reader reg 0 in
-  let src = Array.make n 0 in
-  for k = 1 to 10 do
-    Pd.stamp src ~seq:k ~len:n;
-    Ad.write_coalesced reg ~max_pending:3 ~max_staleness:5 ~src ~len:n
-  done;
-  Ad.flush_coalesced reg;
-  (match Ad.read_plain rd ~f:(fun buf len -> Pd.validate buf ~len) with
-  | Ok s -> check "dynamic variant: final write published" 10 s
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "dynamic variant batches" true (Ad.coalesced_batches reg >= 3);
-  Alcotest.(check bool) "dynamic max batch bounded" true
-    (Ad.max_coalesced_batch reg <= 3)
 
 (* --- vsched: the stamp-mismatch fallback and the negative control ---- *)
 
@@ -364,11 +265,6 @@ let suite =
       test_plain_hot_hit_after_subscribe;
     Alcotest.test_case "racing reader over the heap register" `Quick
       test_racing_reader;
-    Alcotest.test_case "coalescing property" `Quick test_coalescing_property;
-    Alcotest.test_case "coalescing flush + validation" `Quick
-      test_coalescing_lone_flush_and_validation;
-    Alcotest.test_case "coalescing (dynamic variant)" `Quick
-      test_coalescing_dynamic_variant;
     Alcotest.test_case "fallback under schedules" `Quick
       test_plain_fallback_under_schedules;
     Alcotest.test_case "unvalidated control convicted" `Quick

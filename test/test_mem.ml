@@ -483,6 +483,37 @@ let test_dropped_register_leaves_no_heap () =
     Alcotest.failf "dropping 2000 registers, a fabric and a group left %d live words"
       grown
 
+(* ARC's space is the paper's N+2 slot buffers and nothing else of size
+   C: on fresh registers of every heap policy, the words reachable from
+   the register minus the N+2 buffers (empty until written, for elastic
+   storage) do not change with the capacity. *)
+module Arc_nohint_real = Arc_core.Arc_nohint.Make (Real)
+module Arc_dynamic_real = Arc_core.Arc_dynamic.Make (Real)
+
+let test_arc_space_is_slot_buffers () =
+  let capacities = [ 512; 4096; 16384 ] in
+  let words reg = Obj.reachable_words (Obj.repr reg) in
+  let same_at_every_capacity label remainder =
+    let first = remainder (List.hd capacities) in
+    List.iter
+      (fun c -> check (Printf.sprintf "%s, C = %d" label c) first (remainder c))
+      (List.tl capacities)
+  in
+  List.iter
+    (fun readers ->
+      let label name = Printf.sprintf "%s, N = %d" name readers in
+      let above_buffers create capacity =
+        words (create ~readers ~capacity ~init:(Array.make capacity 0))
+        - ((readers + 2) * capacity)
+      in
+      same_at_every_capacity (label "arc: words - (N+2)C")
+        (above_buffers Arc_real.create);
+      same_at_every_capacity (label "arc-nohint: words - (N+2)C")
+        (above_buffers Arc_nohint_real.create);
+      same_at_every_capacity (label "arc-dynamic: words") (fun capacity ->
+          words (Arc_dynamic_real.create ~readers ~capacity ~init:[| 0 |])))
+    [ 1; 8 ]
+
 let prop_exchange_sequence =
   QCheck.Test.make ~name:"exchange chains return previous values" ~count:200
     QCheck.(small_list int)
@@ -535,5 +566,7 @@ let suite =
     Alcotest.test_case "baseline store orders" `Quick test_baseline_store_orders;
     Alcotest.test_case "dropped registers leave no heap behind" `Quick
       test_dropped_register_leaves_no_heap;
+    Alcotest.test_case "arc space: N+2 buffers, remainder independent of C" `Quick
+      test_arc_space_is_slot_buffers;
     QCheck_alcotest.to_alcotest prop_exchange_sequence;
   ]

@@ -26,63 +26,66 @@ struct
         | Ok seq -> seq
         | Error msg -> Alcotest.failf "torn read: %s" msg)
 
-  (* An oversized direct write is rejected before it touches the
-     coalescing stage: the staged write survives and a later flush
-     publishes it. *)
-  let test_rejected_write_keeps_stage () =
+  (* An oversized write is rejected before it touches any writer
+     state: nothing is published and the next in-capacity write is an
+     ordinary one. *)
+  let test_rejected_write_keeps_register () =
     let capacity = 8 in
     let reg = R.create ~readers:1 ~capacity ~init:(stamped ~seq:0 ~len:2) in
     let rd = R.reader reg 0 in
-    R.write_coalesced reg ~max_pending:4 ~max_staleness:4
-      ~src:(stamped ~seq:1 ~len:2) ~len:2;
-    check "staged" 1 (R.pending_writes reg);
     let big = capacity + 1 in
-    (match R.write reg ~src:(stamped ~seq:2 ~len:big) ~len:big with
+    (match R.write reg ~src:(stamped ~seq:1 ~len:big) ~len:big with
     | () -> Alcotest.fail "oversized write accepted"
     | exception Invalid_argument _ -> ());
-    check "stage kept" 1 (R.pending_writes reg);
-    check "no batch committed" 0 (R.coalesced_batches reg);
     check "nothing published" 0 (R.writes reg);
     check "readers still see the initial value" 0 (read_seq rd);
-    R.flush_coalesced reg;
-    check "flush published" 1 (R.writes reg);
-    check "stage drained" 0 (R.pending_writes reg);
-    check "one batch" 1 (R.coalesced_batches reg);
-    check "staged value visible" 1 (read_seq rd)
+    R.write reg ~src:(stamped ~seq:2 ~len:capacity) ~len:capacity;
+    check "in-capacity write visible" 2 (read_seq rd)
 
-  (* A fenced-off direct write publishes nothing, so it must not
-     retire the staged batch either. *)
-  let test_fenced_write_keeps_stage () =
+  (* A fenced-off write aborts before W2: nothing is published and the
+     next write reuses the register as if the abort never happened. *)
+  let test_fenced_write_keeps_register () =
     let reg = R.create ~readers:1 ~capacity:8 ~init:(stamped ~seq:0 ~len:4) in
     let rd = R.reader reg 0 in
-    R.write_coalesced reg ~max_pending:4 ~max_staleness:4
-      ~src:(stamped ~seq:1 ~len:4) ~len:4;
     (match
        R.write_guarded reg
          ~guard:(fun () -> raise Fenced)
-         ~src:(stamped ~seq:2 ~len:4) ~len:4
+         ~src:(stamped ~seq:1 ~len:4) ~len:4
      with
     | () -> Alcotest.fail "guard did not abort the write"
     | exception Fenced -> ());
-    check "stage kept" 1 (R.pending_writes reg);
-    check "no batch committed" 0 (R.coalesced_batches reg);
     check "nothing published" 0 (R.writes reg);
     check "readers still see the initial value" 0 (read_seq rd);
-    R.flush_coalesced reg;
-    check "one batch" 1 (R.coalesced_batches reg);
-    check "staged value visible" 1 (read_seq rd);
-    (* The stage is now empty: an unguarded direct write is an ordinary
-       write, not a batch. *)
-    R.write reg ~src:(stamped ~seq:3 ~len:4) ~len:4;
-    check "no further batch" 1 (R.coalesced_batches reg);
-    check "direct write visible" 3 (read_seq rd)
+    R.write reg ~src:(stamped ~seq:2 ~len:4) ~len:4;
+    check "direct write visible" 2 (read_seq rd)
+
+  (* The capacity bound is the writer's, not the buffers': an elastic
+     write that grew its slot to the full capacity does not widen what
+     later writes may store. *)
+  let test_capacity_survives_growth () =
+    let capacity = 8 in
+    let reg = R.create ~readers:1 ~capacity ~init:(stamped ~seq:0 ~len:1) in
+    let rd = R.reader reg 0 in
+    R.write reg ~src:(stamped ~seq:1 ~len:capacity) ~len:capacity;
+    check "full-capacity write visible" 1 (read_seq rd);
+    let big = capacity + 1 in
+    (match R.write reg ~src:(stamped ~seq:2 ~len:big) ~len:big with
+    | () -> Alcotest.fail "write past capacity accepted after growth"
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        ("rejection names the capacity: " ^ msg)
+        true
+        (String.ends_with ~suffix:".write: exceeds capacity" msg));
+    check "one write published" 1 (R.writes reg)
 
   let suite ~label =
     [
-      Alcotest.test_case (label ^ ": rejected write keeps staged writes") `Quick
-        test_rejected_write_keeps_stage;
-      Alcotest.test_case (label ^ ": fenced write keeps staged writes") `Quick
-        test_fenced_write_keeps_stage;
+      Alcotest.test_case (label ^ ": rejected write keeps register unchanged") `Quick
+        test_rejected_write_keeps_register;
+      Alcotest.test_case (label ^ ": fenced write keeps register unchanged") `Quick
+        test_fenced_write_keeps_register;
+      Alcotest.test_case (label ^ ": capacity bound survives slot growth") `Quick
+        test_capacity_survives_growth;
     ]
 end
 
@@ -179,9 +182,6 @@ let test_fixed_metric_set () =
       "arc_writes_total";
       "arc_write_probes_total";
       "arc_quarantined_slots";
-      "arc_coalesced_batches_total";
-      "arc_coalesced_writes_total";
-      "arc_coalesced_max_batch";
     ]
     (names (A.metrics reg))
 
