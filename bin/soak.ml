@@ -1,13 +1,13 @@
 (* arc-soak: chaos soak for the supervised register service (ISSUE 3).
 
-   Long randomized crash/stall/tear runs over the full resilience
-   stack — epoch-fenced writer failover, deadline-aware reader
-   sessions, circuit-breaker degradation — on the virtual scheduler,
-   each run judged for torn snapshots, crash-aware atomicity (the
-   promotion time as the fence), bounded staleness of degraded serves,
-   liveness, and the ARC presence-ledger audit; plus the unfenced
-   negative control that must be convicted.  [--churn RATE] runs the
-   reader-churn mode instead, with the gate-bypass control.
+   Long randomized crash/stall/tear runs over epoch-fenced writer
+   failover and reader sessions on the virtual scheduler, each run
+   judged for torn snapshots, crash-aware atomicity (the promotion time
+   as the fence), liveness, and the ARC presence-ledger audit; plus
+   the unfenced negative control that must be convicted.  [--churn
+   RATE] runs the reader-churn mode instead — readers admitted through
+   a gate whose revoked tickets get bounded-stale serves, judged for
+   staleness too — with the gate-bypass control.
 
      dune exec bin/soak.exe -- --runs 200
      dune exec bin/soak.exe -- --replay 2025006082 --verbose
@@ -34,11 +34,11 @@ let verdict (r : _ Soak.report) =
 let print_failover ~verbose r (s : Soak.failover Soak.stats) =
   let m = s.mode in
   Printf.printf
-    "run [seed %d]: fate=%s flaky=%.2f writes=%d (standby %d) failovers=%d \
-     fenced=%d reader-crashes=%d stalls=%d tears=%d serves-checked=%d %s— %s\n"
-    r.Soak.seed m.fate m.flaky_rate s.writes m.standby_writes m.failovers
-    m.fenced_writes s.crashes m.stalls m.tears s.serves_checked
-    (Format.asprintf "[%a] " Outcomes.pp s.outcomes)
+    "run [seed %d]: fate=%s writes=%d (standby %d) failovers=%d fenced=%d \
+     reader-crashes=%d stalls=%d tears=%d fresh=%d — %s\n"
+    r.Soak.seed m.fate s.writes m.standby_writes m.failovers m.fenced_writes
+    s.crashes m.stalls m.tears
+    (Outcomes.ok_count s.outcomes)
     (verdict r);
   if verbose && Arc_fault.Fault_plan.size m.plan > 0 then
     Format.printf "  plan:@,%a@." Arc_fault.Fault_plan.pp m.plan
@@ -129,8 +129,8 @@ let run runs seed readers size steps lease deadline max_stale crash_readers
       ~run_one:(fun ~seed -> Soak.run_one ~seed cfg)
       ~line:print_failover
       ~progress:(fun rs ->
-        Printf.sprintf "[soak] %d/%d runs, %d writes, %d fresh / %d stale reads"
-          (List.length rs) runs (Soak.writes rs) (Soak.fresh rs) (Soak.stale rs))
+        Printf.sprintf "[soak] %d/%d runs, %d writes, %d fresh reads"
+          (List.length rs) runs (Soak.writes rs) (Soak.fresh rs))
       ~summary:Soak.pp_summary
       ~metrics:(fun rs ->
         Soak.metrics rs
@@ -194,13 +194,14 @@ let cmd =
   let deadline =
     Arg.(
       value & opt int 1_500
-      & info [ "deadline" ] ~docv:"STEPS" ~doc:"Per-read deadline.")
+      & info [ "deadline" ] ~docv:"STEPS"
+          ~doc:"How long a refused churn arrival may wait in the room.")
   in
   let max_stale =
     Arg.(
       value & opt int 6_000
       & info [ "max-stale" ] ~docv:"STEPS"
-          ~doc:"Oldest snapshot a degraded read may serve.")
+          ~doc:"Oldest snapshot a refused churn read may serve.")
   in
   let crash_readers =
     Arg.(
@@ -266,7 +267,7 @@ let cmd =
       & info [ "metrics" ]
           ~doc:
             "After the soak, print the aggregated campaign counters (runs, \
-             writes, degraded serves, crashes, fence rejections, tears) as a \
+             writes, reads, crashes, fence rejections, tears) as a \
              Prometheus-style text dump.")
   in
   Cmd.v
@@ -274,8 +275,9 @@ let cmd =
        ~doc:
          "Chaos-soak the supervised register service: randomized writer \
           crashes, zombies, stalls and reader faults over epoch-fenced \
-          failover, deadline reads and breaker degradation, with crash-aware \
-          atomicity and bounded-staleness checking.")
+          failover, or reader churn through an admission gate with \
+          bounded-stale serves, with crash-aware atomicity and \
+          bounded-staleness checking.")
     Term.(
       const run $ runs $ seed $ readers $ size $ steps $ lease $ deadline
       $ max_stale $ crash_readers $ churn $ gate $ lanes $ room $ crash_frac

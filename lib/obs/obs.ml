@@ -59,67 +59,31 @@ end
 
 (* {1 Read outcomes}
 
-   Reads resolve as fresh ([ok]), served stale by a tripped breaker
-   ([stale]) or abandoned at their deadline ([exhausted]); [errors]
-   counts raw register errors absorbed by the retry loop and [retries]
-   the backoff retries taken.  Each class is its own single-writer
-   cell, so a supervisor or live-summary thread can read a session's
-   outcomes mid-run with no possibility of a torn or half-merged read;
-   campaign totals are summed into a fresh counter with [merge_into]
-   once the sessions' owners are joined. *)
+   Reads resolve as fresh ([ok]) or, when the admission guard refused,
+   served from the session's bounded-stale snapshot ([stale]).  Each
+   class is its own single-writer cell, so a live-summary thread can
+   read a session's outcomes mid-run with no possibility of a torn or
+   half-merged read; campaign totals are summed into a fresh counter
+   with [merge_into] once the sessions' owners are joined. *)
 
 module Outcomes = struct
-  type t = {
-    ok : Cell.t;
-    stale : Cell.t;
-    exhausted : Cell.t;
-    errors : Cell.t;
-    retries : Cell.t;
-  }
+  type t = { ok : Cell.t; stale : Cell.t }
 
-  let create () =
-    {
-      ok = Cell.create ();
-      stale = Cell.create ();
-      exhausted = Cell.create ();
-      errors = Cell.create ();
-      retries = Cell.create ();
-    }
-
+  let create () = { ok = Cell.create (); stale = Cell.create () }
   let ok t = Cell.incr t.ok
   let stale t = Cell.incr t.stale
-  let exhausted t = Cell.incr t.exhausted
-  let error t = Cell.incr t.errors
-  let retry t = Cell.incr t.retries
   let ok_count t = Cell.get t.ok
   let stale_count t = Cell.get t.stale
-  let exhausted_count t = Cell.get t.exhausted
-  let error_count t = Cell.get t.errors
-  let retry_count t = Cell.get t.retries
-  let total t = ok_count t + stale_count t + exhausted_count t
-  let degraded t = stale_count t + exhausted_count t
-
-  let degraded_rate t =
-    let n = total t in
-    if n = 0 then 0. else float_of_int (degraded t) /. float_of_int n
 
   (* Adds [src]'s counts to [dst]'s cells, so the caller must own
      [dst]; [src] is read with plain loads, exact once its owner is
      joined. *)
   let merge_into ~src ~dst =
     Cell.add dst.ok (ok_count src);
-    Cell.add dst.stale (stale_count src);
-    Cell.add dst.exhausted (exhausted_count src);
-    Cell.add dst.errors (error_count src);
-    Cell.add dst.retries (retry_count src)
+    Cell.add dst.stale (stale_count src)
 
   let pp ppf t =
-    Format.fprintf ppf
-      "@[<h>ok=%d, stale=%d, exhausted=%d (degraded %.2f%%), errors=%d, \
-       retries=%d@]"
-      (ok_count t) (stale_count t) (exhausted_count t)
-      (100. *. degraded_rate t)
-      (error_count t) (retry_count t)
+    Format.fprintf ppf "@[<h>ok=%d, stale=%d@]" (ok_count t) (stale_count t)
 end
 
 (* {1 Snapshot outcomes}

@@ -52,36 +52,20 @@ module Group : sig
   val per_domain : t -> int array
 end
 
-(** Per-domain read-outcome counters: reads resolve as fresh ([ok]),
-    served from a stale snapshot by a tripped circuit breaker
-    ([stale]), or abandoned at their deadline ([exhausted]); [errors]
-    counts raw register errors absorbed by the retry loop and
-    [retries] the backoff retries taken.  Each class is a
-    single-writer cell, safe to read while the owning session still
-    runs (live soak summaries, supervisor probes); campaign totals
-    accumulate with {!merge_into} after the sessions are joined. *)
+(** Per-session read-outcome counters: reads resolve as fresh ([ok])
+    or, on an admission refusal, served from the session's
+    bounded-stale snapshot ([stale]).  Each class is a single-writer
+    cell, safe to read while the owning session still runs (live soak
+    summaries); campaign totals accumulate with {!merge_into} after the
+    sessions are joined. *)
 module Outcomes : sig
   type t
 
   val create : unit -> t
   val ok : t -> unit
   val stale : t -> unit
-  val exhausted : t -> unit
-  val error : t -> unit
-  val retry : t -> unit
   val ok_count : t -> int
   val stale_count : t -> int
-  val exhausted_count : t -> int
-  val error_count : t -> int
-  val retry_count : t -> int
-  val total : t -> int
-  (** [ok + stale + exhausted] — completed read outcomes. *)
-
-  val degraded : t -> int
-  (** [stale + exhausted]. *)
-
-  val degraded_rate : t -> float
-  (** [degraded / total]; 0 on an empty counter. *)
 
   val merge_into : src:t -> dst:t -> unit
   (** Add [src]'s counts into [dst].  [dst]'s cells are incremented by
@@ -89,6 +73,7 @@ module Outcomes : sig
       owner is joined. *)
 
   val pp : Format.formatter -> t -> unit
+  (** [ok=N, stale=N]. *)
 end
 
 (** Per-scanner snapshot-outcome cells for the register fabric's

@@ -55,8 +55,9 @@ let clear t =
 
 (* {1 Transition codes}
 
-   Shared vocabulary for [Arc], [Arc_dynamic], and the resilience
-   layer, so one dump interleaves events from every subsystem. *)
+   Shared vocabulary for every register built on the one ARC core
+   ([Arc], [Arc_dynamic], [Shm_arc]), so one dump reads the same
+   whichever variant produced it. *)
 
 let code_slot_claim = 1 (* W1: find_free picked slot [a] (hint hit iff b=1) *)
 let code_publish = 2 (* W2: slot [a] published over displaced slot [b] *)
@@ -65,9 +66,6 @@ let code_reclaim = 4 (* reclaim_stale evicted slot [a] (lease age [b]) *)
 let code_realloc = 5 (* slot [a] buffer reallocated: [b] -> [c] words *)
 let code_recover = 6 (* recover_crash: current [a], freed slots [b] *)
 let code_quarantine = 7 (* slot [a] quarantined *)
-let code_breaker_trip = 8 (* breaker opened after [a] failures *)
-let code_promote = 9 (* supervisor promoted standby, fence at [a] *)
-let code_conviction = 10 (* shm recovery convicted slot [a], reason [b] *)
 
 let code_name = function
   | 1 -> "slot_claim"
@@ -77,9 +75,6 @@ let code_name = function
   | 5 -> "realloc"
   | 6 -> "recover"
   | 7 -> "quarantine"
-  | 8 -> "breaker_trip"
-  | 9 -> "promote"
-  | 10 -> "conviction"
   | _ -> "unknown"
 
 let pp_entry ppf e =

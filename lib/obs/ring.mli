@@ -33,9 +33,9 @@ val dump : t -> entry list
 
 val clear : t -> unit
 
-(** {1 Transition codes} — shared vocabulary across [Arc],
-    [Arc_dynamic], and the resilience layer.  The [a]/[b]/[c] operands
-    per code are documented in [ring.ml]. *)
+(** {1 Transition codes} — shared vocabulary across the registers
+    built on the ARC core.  The [a]/[b]/[c] operands per code are
+    documented in [ring.ml]. *)
 
 val code_slot_claim : int
 val code_publish : int
@@ -44,9 +44,6 @@ val code_reclaim : int
 val code_realloc : int
 val code_recover : int
 val code_quarantine : int
-val code_breaker_trip : int
-val code_promote : int
-val code_conviction : int
 
 val code_name : int -> string
 val pp_entry : Format.formatter -> entry -> unit

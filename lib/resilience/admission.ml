@@ -36,8 +36,7 @@
    Wait-freedom: [Pool.admit], [depart], [renew] and [sweep] are
    bounded — at most two scans over [capacity] slots, each slot one
    CAS that is never retried (a lost race just moves on).  Only
-   [admit_wait]'s waiting room blocks, by design and by deadline,
-   mirroring [Session.read_with].
+   [admit_wait]'s waiting room blocks, by design and by deadline.
 
    Slot protocol.  Each identity is one [Atomic.t] word: {e even} =
    free, {e odd} = held; every transition is a [compare_and_set] to
@@ -252,21 +251,17 @@ module Make (R : RI.S) = struct
   let metrics ?labels t = Pool.metrics ?labels t.pool
   let admit t = Pool.admit t.pool ~now:(t.now ())
 
-  (* Bounded waiting room: park, sleep the suggested (jittered) delay,
-     re-try, give up at the deadline.  Blocking is opt-in here exactly
-     as in [Session.read_with] — the gate's own verdicts stay
-     wait-free. *)
-  let admit_wait ?deadline ?backoff t =
+  (* Bounded waiting room: park, sleep the longer of the verdict's
+     suggested delay and a growing jittered backoff, re-try, give up at
+     the deadline.  Blocking is opt-in here — the gate's own verdicts
+     stay wait-free. *)
+  let admit_wait ?deadline t =
     match admit t with
     | RI.Admitted _ as a -> a
     | RI.Backpressured bp0 as refused ->
       if not (Pool.enter_room t.pool ~room:t.room) then refused
       else begin
-        let bo =
-          match backoff with
-          | Some b -> b
-          | None -> Backoff.create ~seed:(t.now () + 1) ()
-        in
+        let bo = Backoff.create ~seed:(t.now () + 1) () in
         let expired () =
           match deadline with Some d -> t.now () >= d | None -> false
         in

@@ -1,25 +1,15 @@
 module Splitmix = Arc_util.Splitmix
 
-type t = {
-  base : int;
-  cap : int;
-  rng : Splitmix.t;
-  mutable attempt : int;
-}
+type t = { rng : Splitmix.t; mutable attempt : int }
 
-let create ?(base = 4) ?(cap = 1024) ~seed () =
-  if base < 1 then invalid_arg (Printf.sprintf "Backoff.create: base = %d" base);
-  if cap < base then
-    invalid_arg (Printf.sprintf "Backoff.create: cap = %d < base = %d" cap base);
-  { base; cap; rng = Splitmix.of_int seed; attempt = 0 }
+let base = 4
+let cap = 1024
+let create ~seed () = { rng = Splitmix.of_int seed; attempt = 0 }
 
 let next t =
   (* Ceiling grows as base·2ⁿ until it saturates at cap; the shift is
-     clamped so a long outage can't overflow the exponent. *)
+     clamped so a long wait can't overflow the exponent. *)
   let shift = min t.attempt 20 in
-  let ceiling = min t.cap (t.base * (1 lsl shift)) in
+  let ceiling = min cap (base * (1 lsl shift)) in
   t.attempt <- t.attempt + 1;
   1 + Splitmix.int t.rng ceiling
-
-let attempts t = t.attempt
-let reset t = t.attempt <- 0

@@ -1,26 +1,17 @@
-(** Jittered exponential backoff for retry loops (ISSUE 3).
+(** Jittered exponential backoff for the admission gate's waiting room
+    ({!Admission.Make.admit_wait}).
 
-    Deterministic given its seed (SplitMix-driven jitter), so retry
+    Deterministic given its seed (SplitMix-driven jitter), so waiting
     schedules replay exactly in the simulator and failing soak seeds
     stay reproducible.  Delays follow the "full jitter" scheme: the
-    [n]-th delay is drawn uniformly from [[1, min (base·2ⁿ⁻¹) cap]],
-    which decorrelates competing retriers while keeping the expected
-    delay exponential — the standard cure for retry stampedes on a
-    saturated register. *)
+    [n]-th delay is drawn uniformly from [[1, min (4·2ⁿ⁻¹) 1024]] clock
+    units, which decorrelates competing waiters while keeping the
+    expected delay exponential. *)
 
 type t
 
-val create : ?base:int -> ?cap:int -> seed:int -> unit -> t
-(** [base] is the first attempt's maximum delay (default 4 clock
-    units); [cap] bounds every delay (default 1024).
-    @raise Invalid_argument if [base < 1] or [cap < base]. *)
+val create : seed:int -> unit -> t
 
 val next : t -> int
 (** Draw the next delay (in the caller's clock units — simulated steps
     or microseconds) and advance the attempt counter. *)
-
-val attempts : t -> int
-(** Delays drawn since creation or the last {!reset}. *)
-
-val reset : t -> unit
-(** Back to the first-attempt delay range (call after a success). *)

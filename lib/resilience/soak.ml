@@ -1,12 +1,12 @@
 (* Chaos soak for the supervised register service, in two modes over
    one run skeleton.
 
-   The failover mode composes the whole resilience stack — one
-   {!Election} seat on heap cells (heartbeat lease, term-voted
-   campaign, epoch-fenced writer handles) and {!Session}
-   deadline/backoff/breaker reads — over a fault-injecting simulated
-   register ([Arc] over {!Arc_fault.Campaign.Mem}) and soaks it
-   through many seeded randomized scenarios:
+   The failover mode composes writer succession with reader sessions
+   — one {!Election} seat on heap cells (heartbeat lease, term-voted
+   campaign, epoch-fenced writer handles) and {!Session} reads — over
+   a fault-injecting simulated register ([Arc] over
+   {!Arc_fault.Campaign.Mem}) and soaks it through many seeded
+   randomized scenarios:
 
    - fiber 0 is the incumbent writer: it wins term 1 and may crash at
      a random access, crash mid-copy (torn slot), or turn {e zombie} —
@@ -18,20 +18,19 @@
      and the fence time, learns the last published value through a
      spare reader handle, and continues the write sequence (it can be
      stalled to model a monitoring outage);
-   - fibers 2.. are deadline-aware reader sessions; the read path
-     additionally suffers {e injected transient saturation} (a seeded
-     probability of {!Register_intf.Saturated} per live read, standing
-     in for the capacity/revocation guards that are — by design —
-     nearly unreachable in healthy runs), which drives the retry,
-     breaker and stale-serve machinery at scale.
+   - fibers 2.. are reader sessions with no admission guard: every
+     read is a live, wait-free ARC read that also refreshes the
+     session's snapshot (one extra blit through the faulty substrate
+     per read), so crashes, stalls and tears land inside reads too.
 
-   The churn mode (below) keeps one writer and churns
-   short-lived readers through an admission gate instead.
+   The churn mode (below) keeps one writer and churns short-lived
+   readers through an admission gate instead; its revoked tickets are
+   what drive the sessions' bounded-stale serves.
 
    Both modes share the fixture, the [write_next] writer step, the
    fiber run and the common judge: no torn snapshots, crash-aware
    atomicity with the promotion time as the fence
-   ({!Checker.check_crash} [?fence]), every degraded serve within the
+   ({!Checker.check_crash} [?fence]), every stale serve within the
    declared staleness bound ({!Checker.check_bounded_staleness}), no
    fiber left unfinished, and the ARC presence-ledger audit on the
    quiescent final state.  Each mode adds its own verdicts, and every
@@ -66,50 +65,7 @@ module R_probes = Campaign.Arc_probes (R)
 module E = Election.Make (R)
 module P = Campaign.P
 
-(* Injected transient read failures: each live read fails with the
-   run's probability, drawn from one seeded stream (deterministic
-   because the schedule itself is).  Wrapping the register — rather
-   than patching the session — keeps the session code honest: it
-   retries exactly what a real register would throw at it.
-
-   The failure itself is no longer a hand-written string (ISSUE 8): it
-   is produced by a {e real} admission-gate refusal — a module-level
-   single-slot {!Admission.Pool} whose one ticket is permanently held,
-   so every injection runs the production scan, takes the production
-   [Backpressured] verdict (ticking the gate's backpressured counter),
-   and raises through the production saturation constructor.  What the
-   session retries against is therefore message-for-message what a
-   saturated register would throw at it. *)
-module Flaky = struct
-  include R
-
-  let gate = Admission.Pool.create ~capacity:1 ()
-
-  let () =
-    match Admission.Pool.admit gate ~now:0 with
-    | Arc_core.Register_intf.Admitted _ -> ()
-    | Arc_core.Register_intf.Backpressured _ ->
-      assert false (* a fresh one-slot pool always admits *)
-
-  let rate = ref 0.
-  let rng = ref (Splitmix.of_int 0)
-
-  let set ~seed ~rate:r =
-    rate := r;
-    rng := Splitmix.of_int seed
-
-  let read_with rd ~f =
-    (if !rate > 0. && Splitmix.bernoulli !rng !rate then
-       match Admission.Pool.admit gate ~now:(Sched.now ()) with
-       | Arc_core.Register_intf.Admitted _ -> assert false (* held forever *)
-       | Arc_core.Register_intf.Backpressured bp ->
-         Arc_util.Saturation.raise_saturated ~who:"Soak.Flaky.read (injected)"
-           ~count:(bp.Arc_core.Register_intf.live + 1)
-           ~bound:(Admission.Pool.capacity gate));
-    R.read_with rd ~f
-end
-
-module S = Session.Make (Flaky)
+module S = Session.Make (R)
 
 type cfg = {
   runs : int;
@@ -118,7 +74,7 @@ type cfg = {
   size_words : int;
   max_steps : int;  (** per run; fibers self-terminate past this *)
   lease : int;  (** writer lease, in simulated steps *)
-  deadline : int;  (** per-read budget, in simulated steps *)
+  deadline : int;  (** churn's waiting-room budget, in simulated steps *)
   max_stale : int;  (** oldest snapshot a session may serve, in steps *)
   max_crash_readers : int;
 }
@@ -176,11 +132,7 @@ let fate_name = function
   | Tear -> "tear"
   | Zombie _ -> "zombie"
 
-type scenario = {
-  fate : fate;
-  plan : Fault_plan.t;
-  flaky_rate : float;
-}
+type scenario = { fate : fate; plan : Fault_plan.t }
 
 let scenario_of rng cfg =
   let plan = ref Fault_plan.empty in
@@ -215,8 +167,8 @@ let scenario_of rng cfg =
         ~at_access:(1 + Splitmix.int rng 400)
         ~steps:(100 + Splitmix.int rng ((cfg.lease / 2) - 150))
         !plan;
-  (* Standby stalls model a supervisor outage: failover is delayed and
-     readers ride through on degraded serves. *)
+  (* Standby stalls model a supervisor outage: failover is delayed
+     while readers keep reading the last published value. *)
   if Splitmix.bernoulli rng 0.3 then
     plan :=
       Fault_plan.stall ~fiber:1
@@ -243,16 +195,7 @@ let scenario_of rng cfg =
         ~at_access:(1 + Splitmix.int rng 200)
         ~steps:(100 + Splitmix.int rng (2 * cfg.lease))
         !plan;
-  let flaky_rate =
-    (* A heavy-saturation tail (rates ~0.5-0.7) makes sessions trip
-       their breaker before any snapshot exists, exercising the
-       [Exhausted] outcome; the common tail drives retries and stale
-       serves. *)
-    if Splitmix.bernoulli rng 0.15 then 0.5 +. (0.2 *. Splitmix.float rng)
-    else if Splitmix.bernoulli rng 0.6 then 0.05 +. (0.25 *. Splitmix.float rng)
-    else 0.
-  in
-  { fate; plan = !plan; flaky_rate }
+  { fate; plan = !plan }
 
 (* {1 The run skeleton}
 
@@ -270,13 +213,6 @@ let fixture ~seed ~threads cfg : Campaign.fixture =
 let serve_stale (fx : Campaign.fixture) ~thread seq =
   fx.stale_serves <- { Checker.thread; seq; at = Sched.now () } :: fx.stale_serves
 
-(* Every reader session's retry policy: jittered backoff capped at half
-   the deadline, a three-strike breaker cooling off for half a lease. *)
-let policy cfg ~seed =
-  ( Backoff.create ~base:8 ~cap:(max 8 (cfg.deadline / 2)) ~seed (),
-    Breaker.create ~failure_threshold:3 ~cooldown:(max 16 (cfg.lease / 2))
-      ~now:Sched.now () )
-
 (* {1 Reports} *)
 
 type 'm stats = {
@@ -284,7 +220,7 @@ type 'm stats = {
   outcomes : Outcomes.t;  (** merged across sessions *)
   crashes : int;  (** crash-stopped reader fibers *)
   torn : int;
-  serves_checked : int;  (** degraded serves checked against the bound *)
+  serves_checked : int;  (** stale serves checked against the bound *)
   crash_outcome : Checker.crash_outcome option;
   mode : 'm;
 }
@@ -371,7 +307,7 @@ let writes rs = sum (fun s -> s.writes) rs
 let crashes rs = sum (fun s -> s.crashes) rs
 let fresh rs = sum (fun s -> Outcomes.ok_count s.outcomes) rs
 let stale rs = sum (fun s -> Outcomes.stale_count s.outcomes) rs
-let exhausted rs = sum (fun s -> Outcomes.exhausted_count s.outcomes) rs
+let serves_checked rs = sum (fun s -> s.serves_checked) rs
 
 let derive_seed (cfg : cfg) k = Arc_report.Driver.derive_seed cfg.seed k
 
@@ -398,7 +334,6 @@ let cfg_args cfg =
 
 type failover = {
   fate : string;
-  flaky_rate : float;
   plan : Fault_plan.t;
   standby_writes : int;
   failovers : int;
@@ -414,7 +349,6 @@ let run_one ~seed (cfg : cfg) : failover report =
   let rng = Splitmix.of_int seed in
   let scen = scenario_of rng cfg in
   let fx = fixture ~seed ~threads:(cfg.readers + 2) cfg in
-  Flaky.set ~seed:(seed + 2) ~rate:scen.flaky_rate;
   let size = cfg.size_words in
   (* Identities: [0, readers) for the sessions, [readers] the standby's
      spare; two more stay unclaimed as over-provisioned slots — a
@@ -495,22 +429,14 @@ let run_one ~seed (cfg : cfg) : failover report =
   let reader id () =
     let thread = id + 2 in
     try
-      let rd = E.reader seat id in
-      let backoff, breaker = policy cfg ~seed:(seed + 100 + id) in
-      let session =
-        S.create ~backoff ~breaker ~max_stale:cfg.max_stale ~now:Sched.now
-          ~sleep:Sched.sleep ~capacity:size rd
-      in
+      let session = S.create ~now:Sched.now ~capacity:size (E.reader seat id) in
       sessions.(id) <- Some session;
       while Sched.now () < cfg.max_steps do
         let invoked = Sched.now () in
-        (match
-           S.read_with ~deadline:(invoked + cfg.deadline) session
-             ~f:(Campaign.validated fx)
-         with
+        (match S.read_with session ~f:(Campaign.validated fx) with
         | S.Fresh s -> Campaign.record_read fx ~thread ~invoked s
-        | S.Stale { value = s; _ } -> serve_stale fx ~thread s
-        | S.Exhausted _ | S.Backpressured _ -> ());
+        | S.Stale _ | S.Backpressured _ ->
+          assert false (* no admission guard: every read is live *));
         fx.ops.(thread) <- fx.ops.(thread) + 1;
         Sched.cede ()
       done
@@ -539,7 +465,6 @@ let run_one ~seed (cfg : cfg) : failover report =
     ~extra:starved
     {
       fate = fate_name scen.fate;
-      flaky_rate = scen.flaky_rate;
       plan = scen.plan;
       standby_writes = fx.ops.(1);
       failovers = !failovers;
@@ -559,8 +484,6 @@ let failovers rs = failover (fun m -> m.failovers) rs
 let fenced_writes rs = failover (fun m -> m.fenced_writes) rs
 let quarantined rs = failover (fun m -> m.quarantined) rs
 let tears rs = failover (fun m -> m.tears) rs
-let retries rs = sum (fun s -> Outcomes.retry_count s.outcomes) rs
-let injected rs = sum (fun s -> Outcomes.error_count s.outcomes) rs
 let writer_crashes rs = count (fun s -> s.mode.writer_crashed) rs
 let zombies rs = count (fun s -> s.mode.fate = "zombie") rs
 
@@ -572,15 +495,13 @@ let pending_resolved o rs = count (fun s -> s.crash_outcome = Some o) rs
 
 let pp_summary ppf (rs : failover report list) =
   Format.fprintf ppf
-    "@[<v>%d runs: %d writes, %d fresh reads, %d stale serves, %d exhausted, \
-     %d retries (%d injected errors)@,\
+    "@[<v>%d runs: %d writes, %d fresh reads@,\
      %d failovers (%d completed handoffs, %d slots quarantined), %d fenced \
      writes; %d writer crashes, %d zombies, %d reader crashes, %d stalls, \
      %d tears@,\
      pending writes: %d vanished, %d took effect — %s@]"
-    (List.length rs) (writes rs) (fresh rs) (stale rs) (exhausted rs)
-    (retries rs) (injected rs) (failovers rs) (handoffs rs) (quarantined rs)
-    (fenced_writes rs) (writer_crashes rs) (zombies rs) (crashes rs)
+    (List.length rs) (writes rs) (fresh rs) (failovers rs) (handoffs rs)
+    (quarantined rs) (fenced_writes rs) (writer_crashes rs) (zombies rs) (crashes rs)
     (failover (fun m -> m.stalls) rs)
     (tears rs)
     (pending_resolved Checker.Vanished rs)
@@ -594,11 +515,6 @@ let metrics (rs : failover report list) =
     counter "soak_runs_total" ~help:"Completed soak runs" (List.length rs);
     counter "soak_writes_total" ~help:"Writes across all runs" (writes rs);
     counter "soak_reads_fresh_total" ~help:"Fresh session reads" (fresh rs);
-    counter "soak_stale_serves_total" ~help:"Degraded stale serves" (stale rs);
-    counter "soak_exhausted_total" ~help:"Exhausted session reads" (exhausted rs);
-    counter "soak_retries_total" ~help:"Session retry attempts" (retries rs);
-    counter "soak_injected_errors_total" ~help:"Injected transient errors"
-      (injected rs);
     counter "soak_failovers_total" ~help:"Standby promotions" (failovers rs);
     counter "soak_handoffs_total" ~help:"Promotions followed by standby writes"
       (handoffs rs);
@@ -613,9 +529,7 @@ let metrics (rs : failover report list) =
     counter "soak_zombie_runs_total" ~help:"Runs with a zombie incumbent"
       (zombies rs);
     counter "soak_tears_total"
-      ~help:
-        "Torn snapshots observed in fault windows (injected tears the \
-         session layer must surface as errors, never serve)"
+      ~help:"Injected mid-copy writer tears (readers must never serve one)"
       (tears rs);
     counter "soak_violations_total" ~help:"Checker violations (must stay 0)"
       (List.length (violations rs));
@@ -702,8 +616,9 @@ let unfenced_control ~seed (cfg : cfg) : bool * string list =
    storage ({!Arc_core.Arc_dynamic}, crash-tolerant storage reclaim
    on), and an unbounded stream of short-lived readers arriving on
    [lanes] concurrent lanes, each tenancy admitted through the gate,
-   reading through a deadline-aware session over the gate's
-   {e persistent} handle, then departing — or abandoning its ticket
+   reading through a session over the gate's {e persistent} handle —
+   its admission guard refuses once the ticket is revoked, and the
+   session serves its bounded-stale snapshot instead — then departing — or abandoning its ticket
    (modeling kill -9), leaving the lease sweep to evict it.  Fiber 1
    is the janitor running that sweep.
 
@@ -859,11 +774,10 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
             Sched.sleep bp.Arc_core.Register_intf.retry_after
           | Arc_core.Register_intf.Admitted ticket ->
             Arc_util.Histogram.record join (Sched.now () - t0);
-            let backoff, breaker = policy cfg ~seed:(seed + 500 + !arrivals) in
             let session =
-              DS.create ~admission:(DGate.guard gate ticket) ~backoff ~breaker
-                ~max_stale:cfg.max_stale ~now:Sched.now ~sleep:Sched.sleep
-                ~capacity:size (DGate.reader gate ticket)
+              DS.create ~admission:(DGate.guard gate ticket)
+                ~max_stale:cfg.max_stale ~now:Sched.now ~capacity:size
+                (DGate.reader gate ticket)
             in
             let tenancy_reads = 1 + Splitmix.int lrng 8 in
             (* The oversleep arm: a holder paused past its lease — a
@@ -886,13 +800,9 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
                if !r = oversleep then
                  Sched.sleep (cfg.lease + (cfg.lease / 2));
                let invoked = Sched.now () in
-               (match
-                  DS.read_with ~deadline:(invoked + cfg.deadline) session
-                    ~f:(Campaign.validated fx)
-                with
+               (match DS.read_with session ~f:(Campaign.validated fx) with
                | DS.Fresh s -> Campaign.record_read fx ~thread ~invoked s
                | DS.Stale { value = s; _ } -> serve_stale fx ~thread s
-               | DS.Exhausted _ -> ()
                | DS.Backpressured _ ->
                  (* Our lease was swept out from under us (a stall made
                     us look dead).  Stop using the identity at once. *)
@@ -1007,12 +917,12 @@ let pp_churn_summary ppf (rs : churn report list) =
   Format.fprintf ppf
     "@[<v>%d churn runs: %d arrivals -> %d admitted, %d backpressured; %d \
      departed, %d evicted (%d abandoned, %d lane crashes)@,\
-     %d writes, %d fresh reads, %d stale serves, %d exhausted, %d refused \
-     serves; high water %d, live buffers max %d@,\
+     %d writes, %d fresh reads, %d stale serves, %d refused serves; high \
+     water %d, live buffers max %d@,\
      join p50/p99: %s/%s steps, tenancy p50/p99: %s/%s steps — %s@]"
     (List.length rs) (arrivals rs) (admitted rs) (backpressured rs)
     (departed rs) (evicted rs) (abandoned rs) (crashes rs) (writes rs)
-    (fresh rs) (stale rs) (exhausted rs) (refused_serves rs)
+    (fresh rs) (stale rs) (refused_serves rs)
     (fold max (fun s -> s.mode.high_water) rs)
     (live_buffers_max rs) (pct join 5000) (pct join 9900) (pct leave 5000)
     (pct leave 9900) (verdict rs)

@@ -187,12 +187,12 @@ let check_crash ?pending_write ?fence h =
 
 (* {1 Bounded staleness of degraded reads}
 
-   Degraded reads served from a circuit breaker's last-known-good
-   snapshot are deliberately excluded from the atomic history — they
-   are the documented departure.  What they owe instead is the
-   breaker's bounded-staleness contract: a serve at time [t] returning
-   value [seq] must not lag the register by more than [bound] writes,
-   i.e. [seq >= completed_writes_before(t) - bound].  The writes used
+   Reads refused by a session's admission guard and served from its
+   last-known-good snapshot are deliberately excluded from the atomic
+   history — they are the documented departure.  What they owe instead
+   is the session's bounded-staleness contract: a serve at time [t]
+   returning value [seq] must not lag the register by more than [bound]
+   writes, i.e. [seq >= completed_writes_before(t) - bound].  The writes used
    as the yardstick are the recorded (atomic) history's writes. *)
 
 type stale_serve = { thread : int; seq : int; at : int }

@@ -170,10 +170,10 @@ val check_fabric :
 
 (** {2 Bounded staleness of degraded reads (ISSUE 3)}
 
-    Reads a circuit breaker serves from its last-known-good snapshot
-    are excluded from the atomic history by design; their contract is
-    instead that the served value lags the register by at most a
-    declared number of writes at serve time. *)
+    Reads an admission refusal serves from a session's last-known-good
+    snapshot are excluded from the atomic history by design; their
+    contract is instead that the served value lags the register by at
+    most a declared number of writes at serve time. *)
 
 type stale_serve = { thread : int; seq : int; at : int }
 (** One degraded serve: [thread] returned the snapshot carrying write

@@ -360,7 +360,6 @@ let test_session_backpressured_then_stale () =
       ~admission:(fun () -> !refuse)
       ~max_stale:100
       ~now:(fun () -> !t)
-      ~sleep:(fun d -> t := !t + d)
       ~capacity:words (R.reader reg 0)
   in
   let bp = { RI.retry_after = 7; live = 1; high_water = 1 } in

@@ -1,11 +1,9 @@
-(* The supervision layer: backoff, breaker, epoch fencing, lease
-   supervision and term-voted succession, degraded reader sessions —
-   each over a manual clock, no scheduler — then the chaos soak end to
-   end (simulated scheduler, injected faults) plus its unfenced
-   negative control. *)
+(* The supervision layer: backoff, epoch fencing, lease supervision
+   and term-voted succession, reader sessions — each over a manual
+   clock, no scheduler — then the chaos soak end to end (simulated
+   scheduler, injected faults) plus its unfenced negative control. *)
 
 module Backoff = Arc_resilience.Backoff
-module Breaker = Arc_resilience.Breaker
 module Election = Arc_resilience.Election
 module Soak = Arc_resilience.Soak
 module Outcomes = Arc_obs.Obs.Outcomes
@@ -19,79 +17,15 @@ let test_backoff_deterministic () =
   in
   Alcotest.(check (list int)) "same seed, same delays" (draw ()) (draw ())
 
+(* The waiting room's delays: the [n]-th drawn from [1, min (4·2ⁿ) 1024]. *)
 let test_backoff_envelope () =
-  let base = 4 and cap = 64 in
-  let b = Backoff.create ~base ~cap ~seed:7 () in
+  let b = Backoff.create ~seed:7 () in
   for n = 0 to 19 do
     let d = Backoff.next b in
-    let ceiling = min cap (base * (1 lsl min n 20)) in
+    let ceiling = min 1024 (4 * (1 lsl n)) in
     if d < 1 || d > ceiling then
       Alcotest.failf "delay %d of attempt %d outside [1, %d]" d n ceiling
-  done;
-  Alcotest.(check int) "attempts counted" 20 (Backoff.attempts b)
-
-let test_backoff_reset () =
-  let b = Backoff.create ~base:2 ~cap:1024 ~seed:11 () in
-  for _ = 1 to 8 do
-    ignore (Backoff.next b)
-  done;
-  Backoff.reset b;
-  Alcotest.(check int) "attempts back to 0" 0 (Backoff.attempts b);
-  let d = Backoff.next b in
-  Alcotest.(check bool)
-    (Printf.sprintf "first delay after reset (%d) within base range" d)
-    true
-    (d >= 1 && d <= 2)
-
-let test_backoff_validation () =
-  Alcotest.check_raises "base < 1" (Invalid_argument "Backoff.create: base = 0")
-    (fun () -> ignore (Backoff.create ~base:0 ~seed:1 ()));
-  Alcotest.check_raises "cap < base"
-    (Invalid_argument "Backoff.create: cap = 2 < base = 8") (fun () ->
-      ignore (Backoff.create ~base:8 ~cap:2 ~seed:1 ()))
-
-(* --- breaker --------------------------------------------------------- *)
-
-let test_breaker_transitions () =
-  let t = ref 0 in
-  let b = Breaker.create ~failure_threshold:3 ~cooldown:10 ~now:(fun () -> !t) () in
-  Alcotest.(check bool) "starts closed, allows" true (Breaker.allow b);
-  Breaker.record_failure b;
-  Breaker.record_failure b;
-  Alcotest.(check string) "two failures: still closed" "closed"
-    (Breaker.state_name (Breaker.state b));
-  Breaker.record_failure b;
-  Alcotest.(check string) "third failure trips" "open"
-    (Breaker.state_name (Breaker.state b));
-  Alcotest.(check bool) "open blocks" false (Breaker.allow b);
-  Alcotest.(check int) "one trip" 1 (Breaker.trips b);
-  t := 11;
-  Alcotest.(check string) "cooldown elapsed: half-open" "half-open"
-    (Breaker.state_name (Breaker.state b));
-  Alcotest.(check bool) "half-open admits the probe" true (Breaker.allow b);
-  Breaker.record_failure b;
-  Alcotest.(check string) "probe failure re-opens" "open"
-    (Breaker.state_name (Breaker.state b));
-  Alcotest.(check int) "second trip" 2 (Breaker.trips b);
-  t := 22;
-  Alcotest.(check bool) "second probe admitted" true (Breaker.allow b);
-  Breaker.record_success b;
-  Alcotest.(check string) "probe success closes" "closed"
-    (Breaker.state_name (Breaker.state b));
-  (* The failure run restarts after a success: two more failures must
-     not trip. *)
-  Breaker.record_failure b;
-  Breaker.record_failure b;
-  Alcotest.(check string) "run restarted" "closed"
-    (Breaker.state_name (Breaker.state b))
-
-let test_breaker_forced_trip () =
-  let t = ref 0 in
-  let b = Breaker.create ~cooldown:5 ~now:(fun () -> !t) () in
-  Breaker.trip b;
-  Alcotest.(check bool) "tripped open" false (Breaker.allow b);
-  t := 6;
-  Alcotest.(check bool) "recovers via half-open" true (Breaker.allow b)
+  done
 
 (* --- fenced writer handles ------------------------------------------- *)
 
@@ -463,35 +397,23 @@ let test_vsched_stale_heartbeat_never_rearms () =
 
 (* --- sessions -------------------------------------------------------- *)
 
-(* Saturation injector: [fail_next] upcoming live reads raise
-   [Saturated], then reads flow again — the unit-test stand-in for the
-   soak's probabilistic Flaky wrapper. *)
-module Flaky = struct
-  include R
+module S = Arc_resilience.Session.Make (R)
 
-  let fail_next = ref 0
-
-  let read_with rd ~f =
-    if !fail_next > 0 then begin
-      decr fail_next;
-      raise (Arc_core.Register_intf.Saturated "injected saturation")
-    end
-    else read_with rd ~f
-end
-
-module S = Arc_resilience.Session.Make (Flaky)
-
-let session_env ?backoff ?breaker ?max_stale ~words () =
-  Flaky.fail_next := 0;
-  let t = ref 0 in
-  let now () = !t in
-  let sleep d = t := !t + d in
+(* A session over a fresh register on a manual clock, its admission
+   guard refusing with [refuse]'s verdict while that is [Some]. *)
+let session_env ?max_stale ~words () =
+  let t = ref 0 and refuse = ref None in
   let reg = R.create ~readers:1 ~capacity:words ~init:(stamped ~seq:0 ~len:words) in
   let s =
-    S.create ?backoff ?breaker ?max_stale ~now ~sleep ~capacity:words
-      (R.reader reg 0)
+    S.create
+      ~admission:(fun () -> !refuse)
+      ?max_stale
+      ~now:(fun () -> !t)
+      ~capacity:words (R.reader reg 0)
   in
-  (t, reg, s)
+  (t, refuse, reg, s)
+
+let refusal = { Arc_core.Register_intf.retry_after = 7; live = 1; high_water = 1 }
 
 let get_seq buffer len =
   match P.validate buffer ~len with
@@ -500,113 +422,49 @@ let get_seq buffer len =
 
 let test_session_fresh () =
   let words = 4 in
-  let _t, reg, s = session_env ~words () in
+  let _t, _refuse, reg, s = session_env ~words () in
   R.write reg ~src:(stamped ~seq:1 ~len:words) ~len:words;
   (match S.read_with s ~f:get_seq with
   | S.Fresh 1 -> ()
   | _ -> Alcotest.fail "expected Fresh 1");
-  Alcotest.(check int) "ok counted" 1 (Outcomes.ok_count (S.outcomes s))
+  Alcotest.(check int) "ok counted" 1 (Outcomes.ok_count (S.outcomes s));
+  Alcotest.(check int) "nothing stale" 0 (Outcomes.stale_count (S.outcomes s))
 
-let test_session_retry_then_fresh () =
-  let words = 4 in
-  let t, reg, s = session_env ~words () in
-  R.write reg ~src:(stamped ~seq:1 ~len:words) ~len:words;
-  Flaky.fail_next := 2;
-  (match S.read_with ~deadline:100_000 s ~f:get_seq with
-  | S.Fresh 1 -> ()
-  | _ -> Alcotest.fail "expected Fresh 1 after retries");
-  Alcotest.(check int) "two errors absorbed" 2
-    (Outcomes.error_count (S.outcomes s));
-  Alcotest.(check int) "two retries taken" 2
-    (Outcomes.retry_count (S.outcomes s));
-  Alcotest.(check bool) "backoff slept" true (!t > 0)
-
+(* A refused read serves the snapshot of the last live read, aged by
+   the clock, and counts it stale. *)
 let test_session_stale_within_bound () =
   let words = 4 in
-  let t, reg, s = session_env ~max_stale:50 ~words () in
+  let t, refuse, reg, s = session_env ~max_stale:50 ~words () in
   R.write reg ~src:(stamped ~seq:3 ~len:words) ~len:words;
-  (match S.read_with s ~f:get_seq with
-  | S.Fresh 3 -> ()
-  | _ -> Alcotest.fail "snapshot priming read");
+  ignore (S.read_with s ~f:get_seq);
+  R.write reg ~src:(stamped ~seq:4 ~len:words) ~len:words;
   t := !t + 20;
-  Flaky.fail_next := max_int;
-  (* Deadline already in the past: the first failure degrades. *)
-  (match S.read_with ~deadline:!t s ~f:get_seq with
-  | S.Stale { value = 3; age } ->
-    Alcotest.(check bool)
-      (Printf.sprintf "age %d within bound" age)
-      true
-      (age >= 20 && age <= 50)
-  | _ -> Alcotest.fail "expected Stale 3");
+  refuse := Some refusal;
+  (match S.read_with s ~f:get_seq with
+  | S.Stale { value = 3; age = 20 } -> ()
+  | _ -> Alcotest.fail "expected Stale 3 aged 20");
   Alcotest.(check int) "stale counted" 1 (Outcomes.stale_count (S.outcomes s));
-  Alcotest.(check (option int)) "snapshot age exposed" (Some 20)
-    (S.snapshot_age s)
+  Alcotest.(check int) "one live read" 1 (Outcomes.ok_count (S.outcomes s))
 
-let test_session_exhausted_without_snapshot () =
-  let words = 4 in
-  let _t, _reg, s = session_env ~words () in
-  Flaky.fail_next := max_int;
-  (match S.read_with ~deadline:0 s ~f:get_seq with
-  | S.Exhausted { attempts; last_error } ->
-    Alcotest.(check int) "one live attempt" 1 attempts;
-    Alcotest.(check string) "typed error" "injected saturation" last_error
-  | _ -> Alcotest.fail "expected Exhausted (no snapshot yet)");
-  Alcotest.(check int) "exhausted counted" 1
-    (Outcomes.exhausted_count (S.outcomes s))
-
+(* [max_stale] is inclusive: a snapshot exactly that old is served, one
+   step older is refused with the guard's own verdict. *)
 let test_session_stale_bound_exceeded () =
   let words = 4 in
-  let t, reg, s = session_env ~max_stale:10 ~words () in
+  let t, refuse, reg, s = session_env ~max_stale:10 ~words () in
   R.write reg ~src:(stamped ~seq:1 ~len:words) ~len:words;
   ignore (S.read_with s ~f:get_seq);
-  t := !t + 11;
-  Flaky.fail_next := max_int;
-  (match S.read_with ~deadline:!t s ~f:get_seq with
-  | S.Exhausted _ -> ()
-  | S.Stale _ -> Alcotest.fail "snapshot past max_stale must not be served"
-  | S.Backpressured _ -> Alcotest.fail "no admission guard installed"
-  | S.Fresh _ -> Alcotest.fail "reads are failing")
-
-let test_session_breaker_short_circuit_and_recovery () =
-  let words = 4 in
-  let t = ref 0 in
-  let now () = !t in
-  let breaker = Breaker.create ~failure_threshold:2 ~cooldown:100 ~now () in
-  let _, reg, s =
-    let reg = R.create ~readers:1 ~capacity:words ~init:(stamped ~seq:0 ~len:words) in
-    Flaky.fail_next := 0;
-    ( t,
-      reg,
-      S.create ~breaker ~max_stale:1_000_000 ~now
-        ~sleep:(fun d -> t := !t + d)
-        ~capacity:words (R.reader reg 0) )
-  in
-  R.write reg ~src:(stamped ~seq:1 ~len:words) ~len:words;
-  ignore (S.read_with s ~f:get_seq);
-  (* Two failures trip the breaker (deadline stops the retry loop
-     after each). *)
-  Flaky.fail_next := max_int;
-  ignore (S.read_with ~deadline:!t s ~f:get_seq);
-  ignore (S.read_with ~deadline:!t s ~f:get_seq);
-  Alcotest.(check string) "breaker tripped" "open"
-    (Breaker.state_name (Breaker.state breaker));
-  (* Open breaker: served from snapshot without a live attempt. *)
-  let errors_before = Outcomes.error_count (S.outcomes s) in
+  refuse := Some refusal;
+  t := 10;
   (match S.read_with s ~f:get_seq with
-  | S.Stale { value = 1; _ } -> ()
-  | _ -> Alcotest.fail "open breaker must serve the snapshot");
-  Alcotest.(check int) "no live attempt through open breaker" errors_before
-    (Outcomes.error_count (S.outcomes s));
-  (* Cooldown elapses, register recovers: half-open probe succeeds and
-     closes the breaker. *)
-  t := !t + 101;
-  Flaky.fail_next := 0;
-  R.write reg ~src:(stamped ~seq:2 ~len:words) ~len:words;
+  | S.Stale { value = 1; age = 10 } -> ()
+  | _ -> Alcotest.fail "a snapshot aged exactly max_stale must be served");
+  t := 11;
   (match S.read_with s ~f:get_seq with
-  | S.Fresh 2 -> ()
-  | _ -> Alcotest.fail "half-open probe must go live");
-  Alcotest.(check string) "breaker closed again" "closed"
-    (Breaker.state_name (Breaker.state breaker))
+  | S.Backpressured bp ->
+    Alcotest.(check int) "verdict carried" 7 bp.Arc_core.Register_intf.retry_after
+  | _ -> Alcotest.fail "snapshot past max_stale must not be served");
+  Alcotest.(check int) "refusal not counted stale" 1
+    (Outcomes.stale_count (S.outcomes s))
 
 (* --- chaos soak (end to end, simulated) ------------------------------ *)
 
@@ -627,11 +485,6 @@ let test_soak_clean_and_non_vacuous () =
   Alcotest.(check bool)
     (Printf.sprintf "fenced writes (%d) occurred" (Soak.fenced_writes rs))
     true (Soak.fenced_writes rs > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "degraded serves (%d stale, %d exhausted) occurred"
-       (Soak.stale rs) (Soak.exhausted rs))
-    true
-    (Soak.stale rs + Soak.exhausted rs > 0);
   let vanished = Soak.pending_resolved Arc_trace.Checker.Vanished rs
   and took_effect = Soak.pending_resolved Arc_trace.Checker.Took_effect rs in
   Alcotest.(check bool)
@@ -663,19 +516,23 @@ let test_soak_crash_recovery_regression () =
   (* Regression: a writer crash between the W2 publish and the W3
      supersede-freeze leaves a slot whose subscribers are recorded
      nowhere; before [recover_crash] quarantine, the promoted standby
-     recycled it under live readers and these seeds produced torn
-     snapshots. *)
+     recycled it under live readers and produced torn snapshots.  Each
+     seed is one whose incumbent dies inside that window, so the
+     successor's recovery quarantines a slot (the first resolves its
+     pending write as took-effect, the second as vanished). *)
   List.iter
     (fun seed ->
       let r = Soak.run_one ~seed Soak.default in
+      let s = Option.get r.Soak.stats in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d clean" seed)
         [] r.Soak.violations;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d untorn" seed)
-        0
-        (Option.get r.Soak.stats).Soak.torn)
-    [ 31337094032; 31337094071 ]
+      Alcotest.(check int) (Printf.sprintf "seed %d untorn" seed) 0 s.Soak.torn;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d quarantined %d slots" seed s.Soak.mode.Soak.quarantined)
+        true
+        (s.Soak.mode.Soak.quarantined >= 1))
+    [ 31337094057; 31337094061 ]
 
 let test_soak_unfenced_control_convicted () =
   let cfg = Soak.default in
@@ -705,6 +562,11 @@ let test_churn_clean_and_non_vacuous () =
       ("admissions", Soak.admitted rs);
       ("evictions", Soak.evicted rs);
       ("abandonments", Soak.abandoned rs);
+      (* Refused reads, served stale and judged against the bound:
+         what keeps [Checker.check_bounded_staleness] non-vacuous. *)
+      ("refused serves", Soak.refused_serves rs);
+      ("stale serves", Soak.stale rs);
+      ("serves checked", Soak.serves_checked rs);
     ];
   Alcotest.(check bool)
     (Printf.sprintf "live buffers max %d <= gate + 2" (Soak.live_buffers_max rs))
@@ -724,10 +586,6 @@ let suite =
   [
     Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
     Alcotest.test_case "backoff envelope" `Quick test_backoff_envelope;
-    Alcotest.test_case "backoff reset" `Quick test_backoff_reset;
-    Alcotest.test_case "backoff validation" `Quick test_backoff_validation;
-    Alcotest.test_case "breaker transitions" `Quick test_breaker_transitions;
-    Alcotest.test_case "breaker forced trip" `Quick test_breaker_forced_trip;
     Alcotest.test_case "fenced write and revoke" `Quick test_fenced_write_and_revoke;
     Alcotest.test_case "guard abort publishes nothing" `Quick
       test_guard_abort_publishes_nothing;
@@ -744,16 +602,10 @@ let suite =
     Alcotest.test_case "vsched: stale heartbeat never re-arms" `Quick
       test_vsched_stale_heartbeat_never_rearms;
     Alcotest.test_case "session fresh" `Quick test_session_fresh;
-    Alcotest.test_case "session retry then fresh" `Quick
-      test_session_retry_then_fresh;
     Alcotest.test_case "session stale within bound" `Quick
       test_session_stale_within_bound;
-    Alcotest.test_case "session exhausted without snapshot" `Quick
-      test_session_exhausted_without_snapshot;
     Alcotest.test_case "session stale bound exceeded" `Quick
       test_session_stale_bound_exceeded;
-    Alcotest.test_case "session breaker short-circuit and recovery" `Quick
-      test_session_breaker_short_circuit_and_recovery;
     Alcotest.test_case "chaos soak clean and non-vacuous" `Slow
       test_soak_clean_and_non_vacuous;
     Alcotest.test_case "soak crash-recovery regression seeds" `Quick
