@@ -59,16 +59,37 @@ let test_outcomes () =
   Obs.Outcomes.stale o;
   Alcotest.(check int) "ok" 3 (Obs.Outcomes.ok_count o);
   Alcotest.(check int) "stale" 1 (Obs.Outcomes.stale_count o);
-  Alcotest.(check string) "pp" "ok=3, stale=1" (Format.asprintf "%a" Obs.Outcomes.pp o);
-  (* Merged into a counter with counts of its own, every class adds
-     and the source is left untouched. *)
-  let d = Obs.Outcomes.create () in
-  Obs.Outcomes.ok d;
-  Obs.Outcomes.merge_into ~src:o ~dst:d;
-  Alcotest.(check int) "merged ok" 4 (Obs.Outcomes.ok_count d);
-  Alcotest.(check int) "merged stale" 1 (Obs.Outcomes.stale_count d);
-  Alcotest.(check int) "src ok intact" 3 (Obs.Outcomes.ok_count o);
-  Alcotest.(check int) "src stale intact" 1 (Obs.Outcomes.stale_count o)
+  (* Merged into a fresh counter, every count carries over. *)
+  let s = Obs.Outcomes.create () in
+  Obs.Outcomes.merge_into ~src:o ~dst:s;
+  Alcotest.(check int) "merged ok" 3 (Obs.Outcomes.ok_count s);
+  Alcotest.(check int) "merged stale" 1 (Obs.Outcomes.stale_count s)
+
+let test_outcomes_counters () =
+  let o = Obs.Outcomes.create () in
+  Alcotest.(check string) "fresh pp" "ok=0, stale=0"
+    (Format.asprintf "%a" Obs.Outcomes.pp o);
+  Obs.Outcomes.ok o;
+  Obs.Outcomes.ok o;
+  Obs.Outcomes.stale o;
+  Alcotest.(check int) "ok" 2 (Obs.Outcomes.ok_count o);
+  Alcotest.(check int) "stale" 1 (Obs.Outcomes.stale_count o);
+  Alcotest.(check string) "pp" "ok=2, stale=1"
+    (Format.asprintf "%a" Obs.Outcomes.pp o)
+
+let test_outcomes_merge () =
+  let a = Obs.Outcomes.create () and b = Obs.Outcomes.create () in
+  Obs.Outcomes.ok a;
+  Obs.Outcomes.stale b;
+  Obs.Outcomes.stale b;
+  Obs.Outcomes.ok b;
+  (* Merged into a counter with counts of its own, every class adds. *)
+  Obs.Outcomes.merge_into ~src:b ~dst:a;
+  Alcotest.(check int) "ok" 2 (Obs.Outcomes.ok_count a);
+  Alcotest.(check int) "stale" 2 (Obs.Outcomes.stale_count a);
+  (* src is left untouched. *)
+  Alcotest.(check int) "src stale intact" 2 (Obs.Outcomes.stale_count b);
+  Alcotest.(check int) "src ok intact" 1 (Obs.Outcomes.ok_count b)
 
 (* --- trace ring --- *)
 
@@ -368,6 +389,8 @@ let suite =
     Alcotest.test_case "cell: incr/add/reset and exposed word" `Quick test_cell;
     Alcotest.test_case "group: per-domain cells, sum, bounds" `Quick test_group;
     Alcotest.test_case "outcomes: counts and merge_into" `Quick test_outcomes;
+    Alcotest.test_case "outcomes counters" `Quick test_outcomes_counters;
+    Alcotest.test_case "outcomes merge" `Quick test_outcomes_merge;
     Alcotest.test_case "ring: record/dump/clear" `Quick test_ring_basic;
     Alcotest.test_case "ring: wrap keeps most recent" `Quick test_ring_wrap;
     Alcotest.test_case "ring: code vocabulary" `Quick test_ring_codes;
