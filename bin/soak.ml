@@ -110,8 +110,6 @@ let run runs seed readers size steps lease deadline max_stale crash_readers
       size_words = size;
       max_steps = steps;
       lease;
-      deadline;
-      max_stale;
       max_crash_readers = crash_readers;
     }
   in
@@ -124,7 +122,13 @@ let run runs seed readers size steps lease deadline max_stale crash_readers
   in
   match churn with
   | None ->
-    usage (fun () -> Soak.check_cfg cfg);
+    usage (fun () ->
+        Soak.check_cfg cfg;
+        let churn_only flag v =
+          if v <> None then invalid_arg (flag ^ ": only with --churn")
+        in
+        churn_only "--deadline" deadline;
+        churn_only "--max-stale" max_stale);
     soak cfg
       ~run_one:(fun ~seed -> Soak.run_one ~seed cfg)
       ~line:print_failover
@@ -149,6 +153,8 @@ let run runs seed readers size steps lease deadline max_stale crash_readers
         lanes;
         waiting_room = room;
         crash_frac;
+        deadline = Option.value deadline ~default:Soak.default_churn.deadline;
+        max_stale = Option.value max_stale ~default:Soak.default_churn.max_stale;
       }
     in
     usage (fun () -> Soak.check_churn_cfg ccfg);
@@ -193,15 +199,23 @@ let cmd =
   in
   let deadline =
     Arg.(
-      value & opt int 1_500
+      value & opt (some int) None
       & info [ "deadline" ] ~docv:"STEPS"
-          ~doc:"How long a refused churn arrival may wait in the room.")
+          ~doc:
+            (Printf.sprintf
+               "How long a refused churn arrival may wait in the room \
+                (default %d; --churn only)."
+               Soak.default_churn.deadline))
   in
   let max_stale =
     Arg.(
-      value & opt int 6_000
+      value & opt (some int) None
       & info [ "max-stale" ] ~docv:"STEPS"
-          ~doc:"Oldest snapshot a refused churn read may serve.")
+          ~doc:
+            (Printf.sprintf
+               "Oldest snapshot a refused churn read may serve (default %d; \
+                --churn only)."
+               Soak.default_churn.max_stale))
   in
   let crash_readers =
     Arg.(

@@ -202,6 +202,44 @@ type run_result = {
   dropped_events : int;
 }
 
+(* The judgeable outcome of one finished run of [fx]: its tallies, the
+   drained fault [stats] and the crash-aware check of its history. *)
+let result (fx : fixture) ~unfinished stats : run_result =
+  let starved = ref 0 in
+  Array.iteri
+    (fun i n -> if i > 0 && (not fx.crashed.(i)) && n = 0 then incr starved)
+    fx.ops;
+  {
+    torn = fx.torn;
+    reads = Array.fold_left ( + ) 0 fx.ops - fx.ops.(0);
+    writes = fx.ops.(0);
+    crashed = fx.crashed;
+    unfinished;
+    starved = !starved;
+    stats;
+    check = check_crash fx;
+    dropped_events = History.Recorder.dropped fx.recorder;
+  }
+
+let judge ~seed ~(result : run_result) ~audit_errors =
+  let violations = ref [] in
+  let fail fmt =
+    Printf.ksprintf (fun msg -> violations := (seed, msg) :: !violations) fmt
+  in
+  if result.torn > 0 then fail "%d torn snapshots" result.torn;
+  if result.dropped_events > 0 then
+    fail "recorder overflow (%d events dropped)" result.dropped_events;
+  if result.unfinished > 0 then
+    fail "%d fibers never finished (hang/livelock inside the backstop)"
+      result.unfinished;
+  if result.starved > 0 then
+    fail "%d surviving readers completed no operation" result.starved;
+  (match result.check with
+  | Ok _ -> ()
+  | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_violation v));
+  List.iter (fun msg -> fail "invariant: %s" msg) audit_errors;
+  !violations
+
 type outcome = {
   schedules_run : int;
   reader_crashes : int;
@@ -268,22 +306,7 @@ struct
         (Array.init (cfg.readers + 1) (fun i ->
              if i = 0 then writer else reader (i - 1)))
     in
-    let starved = ref 0 in
-    Array.iteri
-      (fun i n -> if i > 0 && (not fx.crashed.(i)) && n = 0 then incr starved)
-      fx.ops;
-    ( {
-        torn = fx.torn;
-        reads = Array.fold_left ( + ) 0 fx.ops - fx.ops.(0);
-        writes = fx.ops.(0);
-        crashed = fx.crashed;
-        unfinished;
-        starved = !starved;
-        stats;
-        check = check_crash fx;
-        dropped_events = History.Recorder.dropped fx.recorder;
-      },
-      reg )
+    (result fx ~unfinished stats, reg)
 
   (* Random sound-fault plan for one schedule: crash-stop readers,
      bounded stalls, and (optionally) a writer crash — possibly
@@ -327,25 +350,6 @@ struct
           Fault_plan.crash ~fiber:0 ~at_access:(1 + Splitmix.int rng 60) !plan
     end;
     !plan
-
-  let judge ~seed ~(result : run_result) ~audit_errors =
-    let violations = ref [] in
-    let fail fmt =
-      Printf.ksprintf (fun msg -> violations := (seed, msg) :: !violations) fmt
-    in
-    if result.torn > 0 then fail "%d torn snapshots" result.torn;
-    if result.dropped_events > 0 then
-      fail "recorder overflow (%d events dropped)" result.dropped_events;
-    if result.unfinished > 0 then
-      fail "%d fibers never finished (hang/livelock inside the backstop)"
-        result.unfinished;
-    if result.starved > 0 then
-      fail "%d surviving readers completed no operation" result.starved;
-    (match result.check with
-    | Ok _ -> ()
-    | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_violation v));
-    List.iter (fun msg -> fail "invariant: %s" msg) audit_errors;
-    !violations
 
   (* One campaign iteration, addressable by its derived seed: the
      exact (plan, strategy) pair [run] explores as

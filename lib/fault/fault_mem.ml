@@ -84,11 +84,14 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   (* Classify-and-consult: count this access for the calling fiber,
      fire the first matching pending event, and tell the operation how
      to proceed.  Crash raises out of here; Stall sleeps, then lets
-     the operation proceed (the access happens after the stall). *)
+     the operation proceed (the access happens after the stall).  With
+     nothing left to fire, counting is moot: the access just proceeds. *)
   let before (cls : Fault_plan.op_class) :
       [ `Proceed | `Skip | `Tear of int * bool | `Lie ] =
     match
-      (match Sched.current_fiber () with None -> !ambient | f -> f)
+      match inj.pending with
+      | [] -> None
+      | _ -> ( match Sched.current_fiber () with None -> !ambient | f -> f)
     with
     | None -> `Proceed
     | Some fiber ->

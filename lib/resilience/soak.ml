@@ -74,8 +74,6 @@ type cfg = {
   size_words : int;
   max_steps : int;  (** per run; fibers self-terminate past this *)
   lease : int;  (** writer lease, in simulated steps *)
-  deadline : int;  (** churn's waiting-room budget, in simulated steps *)
-  max_stale : int;  (** oldest snapshot a session may serve, in steps *)
   max_crash_readers : int;
 }
 
@@ -87,20 +85,8 @@ let default =
     size_words = 16;
     max_steps = 30_000;
     lease = 2_000;
-    deadline = 1_500;
-    max_stale = 6_000;
     max_crash_readers = 2;
   }
-
-(* The declared bounded-staleness contract, in writes.  A serve at time
-   [t] returns a snapshot captured by a live read invoked at
-   [t - max_stale - D] at the earliest, where [D] bounds that read's
-   own duration (~3 passes over the snapshot).  Every write costs at
-   least [size_words] simulated steps (its content copy alone), so the
-   writes that completed in the window number at most
-   [(max_stale + D) / size_words] plus small slack for the in-flight
-   write at each end — rounded up into a margin of 10. *)
-let staleness_bound cfg = (cfg.max_stale / cfg.size_words) + 10
 
 (* Configuration checks reject what no run could use, naming the flag
    that set it. *)
@@ -113,9 +99,7 @@ let at_least flag v min =
 let check_cfg cfg =
   at_least "--readers" cfg.readers 1;
   at_least "--size" cfg.size_words 1;
-  at_least "--lease" cfg.lease 400;
-  at_least "--deadline" cfg.deadline 1;
-  at_least "--max-stale" cfg.max_stale 0
+  at_least "--lease" cfg.lease 400
 
 (* {1 Scenarios} *)
 
@@ -233,11 +217,12 @@ type 'm report = {
 
 (* The common judge: torn snapshots, recorder overflow, unfinished
    fibers, crash-aware atomicity with [fence] as the promotion time,
-   bounded staleness, and the quiescent presence ledger and Lemma
-   4.1's free slot ({!Campaign.arc_audit}, skipped when the incumbent
+   the stale serves against [stale_bound] (a mode that serves none
+   passes none), and the quiescent presence ledger and Lemma 4.1's
+   free slot ({!Campaign.arc_audit}, skipped when the incumbent
    crashed mid-operation).  The mode's [extra] verdicts follow. *)
-let judge ~seed cfg (fx : Campaign.fixture) ~unfinished ?fence ~probes ~extra
-    mode =
+let judge ~seed (fx : Campaign.fixture) ~unfinished ?fence ?stale_bound ~probes
+    ~extra mode =
   let violations = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
   if fx.torn > 0 then fail "%d torn snapshots" fx.torn;
@@ -252,9 +237,12 @@ let judge ~seed cfg (fx : Campaign.fixture) ~unfinished ?fence ~probes ~extra
   | Ok _ -> ()
   | Error v -> fail "%s" (Format.asprintf "%a" Checker.pp_violation v));
   let stale_check =
-    Checker.check_bounded_staleness
-      (History.Recorder.history fx.recorder)
-      ~bound:(staleness_bound cfg) (List.rev fx.stale_serves)
+    match stale_bound with
+    | None -> Ok 0
+    | Some bound ->
+      Checker.check_bounded_staleness
+        (History.Recorder.history fx.recorder)
+        ~bound (List.rev fx.stale_serves)
   in
   (match stale_check with
   | Ok _ -> ()
@@ -326,8 +314,6 @@ let cfg_args cfg =
       int "--size" cfg.size_words;
       int "--steps" cfg.max_steps;
       int "--lease" cfg.lease;
-      int "--deadline" cfg.deadline;
-      int "--max-stale" cfg.max_stale;
     ]
 
 (* {1 Failover mode} *)
@@ -460,7 +446,7 @@ let run_one ~seed (cfg : cfg) : failover report =
         else Some (Printf.sprintf "surviving reader %d completed no operation" id))
       (List.init cfg.readers Fun.id)
   in
-  judge ~seed cfg fx ~unfinished ?fence:!last_fence
+  judge ~seed fx ~unfinished ?fence:!last_fence
     ~probes:(R_probes.probes (E.register seat))
     ~extra:starved
     {
@@ -642,6 +628,8 @@ type churn_cfg = {
   lanes : int;  (** concurrent churner fibers *)
   waiting_room : int;  (** bounded waiting-room size of [admit_wait] *)
   crash_frac : float;  (** fraction of tenancies that abandon without depart *)
+  deadline : int;  (** waiting-room budget of an arrival, in simulated steps *)
+  max_stale : int;  (** oldest snapshot a session may serve, in steps *)
 }
 
 let default_churn =
@@ -652,7 +640,19 @@ let default_churn =
     lanes = 6;
     waiting_room = 2;
     crash_frac = 0.3;
+    deadline = 1_500;
+    max_stale = 6_000;
   }
+
+(* The declared bounded-staleness contract, in writes.  A serve at time
+   [t] returns a snapshot captured by a live read invoked at
+   [t - max_stale - D] at the earliest, where [D] bounds that read's
+   own duration (~3 passes over the snapshot).  Every write costs at
+   least [size_words] simulated steps (its content copy alone), so the
+   writes that completed in the window number at most
+   [(max_stale + D) / size_words] plus small slack for the in-flight
+   write at each end — rounded up into a margin of 10. *)
+let staleness_bound c = (c.max_stale / c.base.size_words) + 10
 
 let check_churn_cfg c =
   check_cfg c.base;
@@ -663,7 +663,9 @@ let check_churn_cfg c =
   at_least "--room" c.waiting_room 0;
   require
     (c.crash_frac >= 0. && c.crash_frac <= 1.)
-    "--crash-frac" (g c.crash_frac) "0 <= F <= 1"
+    "--crash-frac" (g c.crash_frac) "0 <= F <= 1";
+  at_least "--deadline" c.deadline 1;
+  at_least "--max-stale" c.max_stale 0
 
 type churn = {
   arrivals : int;
@@ -768,7 +770,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
         if Splitmix.float lrng < c.rate then begin
           incr arrivals;
           let t0 = Sched.now () in
-          match DGate.admit_wait ~deadline:(t0 + cfg.deadline) gate with
+          match DGate.admit_wait ~deadline:(t0 + c.deadline) gate with
           | Arc_core.Register_intf.Backpressured bp ->
             (* Come back later, as told — jittered by the verdict. *)
             Sched.sleep bp.Arc_core.Register_intf.retry_after
@@ -776,7 +778,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
             Arc_util.Histogram.record join (Sched.now () - t0);
             let session =
               DS.create ~admission:(DGate.guard gate ticket)
-                ~max_stale:cfg.max_stale ~now:Sched.now ~capacity:size
+                ~max_stale:c.max_stale ~now:Sched.now ~capacity:size
                 (DGate.reader gate ticket)
             in
             let tenancy_reads = 1 + Splitmix.int lrng 8 in
@@ -869,7 +871,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
   if !arrivals = 0 then fail "no arrivals (vacuous run)";
   if admitted = 0 then fail "no admissions (vacuous run)";
   if fx.ops.(0) = 0 then fail "writer made no writes";
-  judge ~seed cfg fx ~unfinished
+  judge ~seed fx ~unfinished ~stale_bound:(staleness_bound c)
     ~probes:(D_probes.probes dreg)
     ~extra:(List.rev !extra)
     {
@@ -933,6 +935,12 @@ let churn_metrics (rs : churn report list) =
     counter "soak_churn_runs_total" ~help:"Completed churn runs" (List.length rs);
     counter "soak_churn_arrivals_total" ~help:"Reader arrivals offered to the gate"
       (arrivals rs);
+    counter "soak_churn_writes_total" ~help:"Writes across all churn runs"
+      (writes rs);
+    counter "soak_churn_reads_fresh_total" ~help:"Live session reads"
+      (fresh rs);
+    counter "soak_churn_stale_serves_total"
+      ~help:"Refused reads served from the bounded-stale snapshot" (stale rs);
     counter "arc_admission_admitted_total" ~help:"Admissions granted" (admitted rs);
     counter "arc_admission_backpressured_total"
       ~help:"Arrivals refused with a typed verdict" (backpressured rs);
@@ -970,6 +978,8 @@ let churn_replay_command ~seed (c : churn_cfg) =
          int "--lanes" c.lanes;
          int "--room" c.waiting_room;
          float "--crash-frac" c.crash_frac;
+         int "--deadline" c.deadline;
+         int "--max-stale" c.max_stale;
        ]
       @ cfg_args c.base))
 

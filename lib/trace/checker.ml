@@ -112,36 +112,50 @@ let no_new_old_inversion h =
   in
   go by_invoked
 
-let fast_path_candidates h =
-  let last : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.fold_left
-    (fun acc (r : History.event) ->
-      let hit =
-        match Hashtbl.find_opt last r.thread with
-        | Some prev -> prev = r.seq
-        | None -> false
-      in
-      Hashtbl.replace last r.thread r.seq;
-      if hit then acc + 1 else acc)
-    0 (History.reads h)
+(* The reads thread by thread, each thread's in invocation order, which
+   is its program order: a thread's reads are sequential. *)
+let by_thread h =
+  List.stable_sort
+    (fun (a : History.event) b -> Int.compare a.thread b.thread)
+    (History.reads h)
 
-let report h =
+(* A thread's read also follows its previous read when stamped at the
+   instant that read returned, which the sweep above counts as
+   concurrent. *)
+let rec program_order = function
+  | (p : History.event) :: ((r : History.event) :: _ as rest) ->
+    if p.thread = r.thread && r.seq < p.seq then
+      Error (New_old_inversion { earlier = p; later = r })
+    else program_order rest
+  | _ -> Ok ()
+
+let fast_path_candidates threads =
+  let rec go n = function
+    | (p : History.event) :: ((r : History.event) :: _ as rest) ->
+      go (if p.thread = r.thread && p.seq = r.seq then n + 1 else n) rest
+    | _ -> n
+  in
+  go 0 threads
+
+let report h threads =
   {
     reads_checked = List.length (History.reads h);
     writes_checked = List.length (History.writes h);
-    fast_path_candidates = fast_path_candidates h;
+    fast_path_candidates = fast_path_candidates threads;
   }
 
 let check_regular_only h =
   let* writes = well_formed h in
   let* () = regularity h writes in
-  Ok (report h)
+  Ok (report h (by_thread h))
 
 let check h =
   let* writes = well_formed h in
   let* () = regularity h writes in
   let* () = no_new_old_inversion h in
-  Ok (report h)
+  let threads = by_thread h in
+  let* () = program_order threads in
+  Ok (report h threads)
 
 type crash_outcome = No_crash | Vanished | Took_effect
 
@@ -295,7 +309,7 @@ let check_fabric ?(reigns = []) ~writes ~snapshots () =
     snapshots;
   (* Per-shard pass: shard writes + projected snapshot reads through
      the full single-register checker. *)
-  let shard_reports = Array.make nshards (report (History.of_events [])) in
+  let shard_reports = Array.make nshards (report (History.of_events []) []) in
   let rec per_shard i =
     if i >= nshards then Ok ()
     else begin

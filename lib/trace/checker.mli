@@ -16,12 +16,14 @@
       strictly before [r] returned;
     - {b atomicity} (Criterion 1 / Theorem 4.4): additionally no
       new-old inversion — for reads [r1 → r2] (r1 returned strictly
-      before r2 was invoked, across {e all} readers),
-      [seq r2 >= seq r1].
+      before r2 was invoked, across {e all} readers, or r1 is the same
+      thread's earlier read), [seq r2 >= seq r1].
 
-    Events with equal timestamps are treated as concurrent, which can
-    only make the check more permissive, never report a false
-    violation. *)
+    Events of different threads with equal timestamps are treated as
+    concurrent, which can only make the check more permissive, never
+    report a false violation.  One thread's operations are sequential,
+    so its reads are ordered by program order even when the next is
+    stamped at the instant the previous one returned. *)
 
 type violation =
   | Malformed of string

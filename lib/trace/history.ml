@@ -108,7 +108,7 @@ let load path =
      done
    with End_of_file -> ());
   close_in ic;
-  (of_events !evs, List.rev !meta)
+  (of_events (List.rev !evs), List.rev !meta)
 
 module Recorder = struct
   type cell = {

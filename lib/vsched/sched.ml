@@ -29,10 +29,15 @@ let current_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> re
 
 let current () = !(Domain.DLS.get current_key)
 
+(* Every simulated access cedes with weight 1: that effect, and each
+   fiber's handler for it, are allocated once, not per access. *)
+let cede_one = Cede 1
+
 let cede ?(weight = 1) () =
   match current () with
   | None -> ()
-  | Some t -> if t.running >= 0 then perform (Cede weight) else ()
+  | Some t ->
+    if t.running >= 0 then perform (if weight = 1 then cede_one else Cede weight)
 
 let sleep d =
   match current () with
@@ -97,13 +102,21 @@ let step_fiber t id =
     t.status.(id) <- Finished (* will be overwritten by the handler on Cede *);
     continue k ()
   | Fresh f ->
+    let on_cede_one =
+      Some
+        (fun (k : (unit, unit) continuation) ->
+          t.steps <- t.steps + 1;
+          t.status.(id) <- Suspended k)
+    in
     let handler =
       {
         retc = (fun () -> ());
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) continuation -> unit) option ->
             match eff with
+            | Cede 1 -> on_cede_one
             | Cede weight ->
               Some
                 (fun (k : (a, _) continuation) ->

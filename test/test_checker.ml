@@ -115,6 +115,18 @@ let test_inversion_across_readers () =
     | Checker.New_old_inversion _ -> true
     | _ -> false)
 
+let test_inversion_in_program_order () =
+  (* A thread's next read stamped at the instant its previous one
+     returned still follows it; across threads that tie is concurrent. *)
+  let h ~thread =
+    History.of_events
+      [ w ~seq:1 ~i:0 ~r:100; rd ~thread:1 ~seq:1 ~i:20 ~r:25; rd ~thread ~seq:0 ~i:25 ~r:30 ]
+  in
+  expect_violation "same-thread inversion" (Checker.check (h ~thread:1)) (function
+    | Checker.New_old_inversion _ -> true
+    | _ -> false);
+  ignore (ok_report (Checker.check (h ~thread:2)))
+
 let test_concurrent_reads_may_disagree () =
   (* Overlapping reads (neither precedes the other) may split old/new
      freely — this is allowed even for atomic registers. *)
@@ -210,6 +222,7 @@ let suite =
     Alcotest.test_case "new-old inversion rejected" `Quick
       test_new_old_inversion_rejected;
     Alcotest.test_case "inversion across readers" `Quick test_inversion_across_readers;
+    Alcotest.test_case "inversion in program order" `Quick test_inversion_in_program_order;
     Alcotest.test_case "concurrent reads may disagree" `Quick
       test_concurrent_reads_may_disagree;
     Alcotest.test_case "malformed: gap" `Quick test_malformed_gap;

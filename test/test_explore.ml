@@ -1,11 +1,13 @@
 (* Exhaustive bounded exploration: sanity of the enumerator itself,
-   then tiny register scenarios verified over ALL interleavings —
-   the paper's §4 case analyses as exhaustively checked facts. *)
+   then the micro-scenario catalogue — tiny register scenarios judged
+   by the Checker over ALL interleavings, the paper's §4 case analyses
+   as exhaustively checked facts. *)
 
 module Explore = Arc_vsched.Explore
 module Sched = Arc_vsched.Sched
-module Sim = Arc_vsched.Sim_mem
-module P = Arc_workload.Payload.Make (Arc_vsched.Sim_mem)
+module Scenario = Arc_fault.Scenario
+module Mem = Arc_fault.Campaign.Mem
+module Fault_plan = Arc_fault.Fault_plan
 
 let check = Alcotest.(check int)
 
@@ -46,301 +48,94 @@ let test_max_schedules_cap () =
   check "stopped at cap" 3 outcome.Explore.schedules;
   Alcotest.(check bool) "not exhausted" false outcome.Explore.exhausted
 
-(* ARC micro-scenario, exhaustively: one write of a 3-word snapshot
-   racing one read.  Every schedule must yield an untorn snapshot of
-   either the initial value or the written one, and leave the register
-   in a state satisfying Lemma 4.1. *)
-module Arc = Arc_core.Arc.Make (Arc_vsched.Sim_mem)
+(* {1 The catalogue}
 
-let test_arc_write_read_race_exhaustive () =
-  let words = 3 in
-  let outcome =
-    Explore.exhaustive
-      ~scenario:(fun () ->
-        let init = Array.make words 0 in
-        P.stamp init ~seq:0 ~len:words;
-        let reg = Arc.create ~readers:1 ~capacity:words ~init in
-        let observed = ref (-1) in
-        let writer () =
-          let src = Array.make words 0 in
-          P.stamp src ~seq:1 ~len:words;
-          Arc.write reg ~src ~len:words
-        in
-        let reader () =
-          let rd = Arc.reader reg 0 in
-          observed :=
-            Arc.read_with rd ~f:(fun buffer len ->
-                match P.validate buffer ~len with
-                | Ok seq -> seq
-                | Error msg -> Alcotest.failf "torn snapshot: %s" msg)
-        in
-        let checkf () =
-          if not (!observed = 0 || !observed = 1) then
-            Alcotest.failf "impossible value %d" !observed;
-          if not (Arc.Debug.presence_bound_holds reg) then
-            Alcotest.fail "presence ledger broken";
-          if not (Arc.Debug.free_slot_exists reg) then
-            Alcotest.fail "Lemma 4.1 violated"
-        in
-        ([| writer; reader |], checkf))
-      ()
-  in
-  Alcotest.(check bool) "space exhausted" true outcome.Explore.exhausted;
-  Alcotest.(check bool)
-    (Printf.sprintf "non-trivial space (%d schedules)" outcome.Explore.schedules)
-    true
-    (outcome.Explore.schedules > 50)
+   One row per exhaustive fact: a stamped write racing one reader's
+   [reads] validated reads.  Single-read rows are Lemma 4.1's race (an
+   untorn, regular value and a free slot in every schedule); two-read
+   rows add Criterion 1 (no new-old inversion).  Adding a protocol is
+   one row. *)
 
-(* Two sequential reads racing one write: the read pair must never
-   observe new-then-old (Criterion 1's forbidden pattern), in ANY
-   schedule. *)
-let test_arc_no_inversion_exhaustive () =
-  let words = 2 in
-  let outcome =
-    (* The crash-recovery journal (ISSUE 3) adds two writer-side
-       accesses per write, pushing this space just past the 1M
-       default; it exhausts at ~1.04M schedules. *)
-    Explore.exhaustive ~max_schedules:2_000_000
-      ~scenario:(fun () ->
-        let init = Array.make words 0 in
-        P.stamp init ~seq:0 ~len:words;
-        let reg = Arc.create ~readers:1 ~capacity:words ~init in
-        let first = ref (-1) and second = ref (-1) in
-        let writer () =
-          let src = Array.make words 0 in
-          P.stamp src ~seq:1 ~len:words;
-          Arc.write reg ~src ~len:words
-        in
-        let reader () =
-          let rd = Arc.reader reg 0 in
-          let get () =
-            Arc.read_with rd ~f:(fun buffer len ->
-                match P.validate buffer ~len with
-                | Ok seq -> seq
-                | Error msg -> Alcotest.failf "torn: %s" msg)
-          in
-          first := get ();
-          second := get ()
-        in
-        let checkf () =
-          if !second < !first then
-            Alcotest.failf "new-old inversion: %d then %d" !first !second
-        in
-        ([| writer; reader |], checkf))
-      ()
-  in
-  Alcotest.(check bool) "space exhausted" true outcome.Explore.exhausted
+module Arc = Arc_core.Arc.Make (Mem)
+module Ad = Arc_core.Arc_dynamic.Make (Mem)
+module Rf = Arc_baselines.Rf.Make (Mem)
+module Pt = Arc_baselines.Peterson.Make (Mem)
+module Sp = Arc_baselines.Simpson_reg.Make (Mem)
+module Torn = Broken_regs.Torn (Mem)
 
-(* Dynamic-ARC storage reclaim racing a reader (satellite of ISSUE 3):
-   the writer supersedes the initial slot and immediately revokes its
-   storage with [reclaim_stale ~lease:0] while a reader may still be
-   pinning it.  The reader's size-validation handshake must detect the
-   revocation and release-and-resubscribe rather than return reclaimed
-   storage.  Exhaustive over ALL interleavings, and the space must
-   actually contain both branches: schedules where the revocation hit
-   a pinned slot and schedules where it found nothing to reclaim. *)
-module Ad = Arc_core.Arc_dynamic.Make (Arc_vsched.Sim_mem)
+(* Lease 0: anything superseded and still pinned is revoked at once,
+   the harshest setting for the reader's size-validation handshake. *)
+let reclaim reg = Ad.reclaim_stale reg ~lease:0
 
-let test_dynamic_reclaim_race_exhaustive () =
-  let words = 2 in
-  let reclaim_hit = ref 0 and reclaim_miss = ref 0 in
-  let outcome =
-    (* ~1.13M schedules — just past the 1M default (see the journal
-       note on the arc test above). *)
-    Explore.exhaustive ~max_schedules:2_000_000
-      ~scenario:(fun () ->
-        let init = Array.make words 0 in
-        P.stamp init ~seq:0 ~len:words;
-        let reg = Ad.create ~readers:1 ~capacity:words ~init in
-        let observed = ref (-1) in
-        let writer () =
-          let src = Array.make words 0 in
-          P.stamp src ~seq:1 ~len:words;
-          Ad.write reg ~src ~len:words;
-          (* lease 0: anything superseded and still pinned is revoked
-             right away — the harshest setting for the handshake. *)
-          if Ad.reclaim_stale reg ~lease:0 > 0 then incr reclaim_hit
-          else incr reclaim_miss
-        in
-        let reader () =
-          let rd = Ad.reader reg 0 in
-          observed :=
-            Ad.read_with rd ~f:(fun buffer len ->
-                match P.validate buffer ~len with
-                | Ok seq -> seq
-                | Error msg ->
-                  Alcotest.failf "reclaimed storage served torn: %s" msg)
-        in
-        let checkf () =
-          if not (!observed = 0 || !observed = 1) then
-            Alcotest.failf "impossible value %d" !observed
-        in
-        ([| writer; reader |], checkf))
-      ()
-  in
-  Alcotest.(check bool) "space exhausted" true outcome.Explore.exhausted;
-  Alcotest.(check bool)
-    (Printf.sprintf "revocation branch reached (%d schedules)" !reclaim_hit)
-    true (!reclaim_hit > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "no-revocation branch reached (%d schedules)" !reclaim_miss)
-    true (!reclaim_miss > 0)
+(* The write's first copy stops after 2 words and the writer dies. *)
+let tear_crash =
+  Fault_plan.(tear ~fiber:0 ~at_copy:1 ~at_word:2 ~silent:false empty)
 
-(* Same race, but the reader takes TWO reads bracketing the
-   revocation: the re-subscription forced by a revoked slot must not
-   let the pair regress (Criterion 1 still holds through recovery).
-   The doubled read makes the full space exceed the 1M-schedule
-   budget, so — as with Peterson above — check a DFS prefix. *)
-let test_dynamic_reclaim_no_inversion () =
-  let words = 2 in
-  let outcome =
-    Explore.exhaustive ~max_schedules:200_000
-      ~scenario:(fun () ->
-        let init = Array.make words 0 in
-        P.stamp init ~seq:0 ~len:words;
-        let reg = Ad.create ~readers:1 ~capacity:words ~init in
-        let first = ref (-1) and second = ref (-1) in
-        let writer () =
-          let src = Array.make words 0 in
-          P.stamp src ~seq:1 ~len:words;
-          Ad.write reg ~src ~len:words;
-          ignore (Ad.reclaim_stale reg ~lease:0)
-        in
-        let reader () =
-          let rd = Ad.reader reg 0 in
-          let get () =
-            Ad.read_with rd ~f:(fun buffer len ->
-                match P.validate buffer ~len with
-                | Ok seq -> seq
-                | Error msg -> Alcotest.failf "torn: %s" msg)
-          in
-          first := get ();
-          second := get ()
-        in
-        let checkf () =
-          if !second < !first then
-            Alcotest.failf "new-old inversion across recovery: %d then %d"
-              !first !second
-        in
-        ([| writer; reader |], checkf))
-      ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "non-trivial prefix (%d schedules)" outcome.Explore.schedules)
-    true
-    (outcome.Explore.schedules > 50)
+let catalogue =
+  Scenario.
+    [
+      entry "arc write/read race" (arc (module Arc)) ~words:3
+        ~control:"unsound register";
+      entry "arc no inversion" (arc (module Arc)) ~words:2 ~reads:2;
+      entry "arc tear crash" (arc (module Arc)) ~words:4 ~plan:tear_crash;
+      entry "dynamic reclaim race" (arc ~epilogue:reclaim (module Ad)) ~words:2;
+      (* The two [Prefix] budgets are DFS prefixes of spaces that do not
+         exhaust in test time (Peterson's two-buffer copies: ≈10^8). *)
+      entry "dynamic reclaim no inversion" (arc ~epilogue:reclaim (module Ad))
+        ~words:2 ~reads:2 ~budget:(Prefix 200_000);
+      entry "unsound register" (register (module Torn)) ~words:3 ~expect:Convicted;
+      entry "rf write/read race" (register (module Rf)) ~words:2;
+      entry "rf no inversion" (register (module Rf)) ~words:2 ~reads:2;
+      entry "peterson write/read race" (register (module Pt)) ~words:2
+        ~budget:(Prefix 150_000);
+      entry "simpson write/read race" (register (module Sp)) ~words:2;
+      entry "simpson no inversion" (register (module Sp)) ~words:2 ~reads:2;
+    ]
 
-(* The unsound single-buffer register from the negative controls must
-   be convicted by SOME schedule in the exhaustive space — showing the
-   enumerator actually reaches the bad interleavings. *)
-let test_unsound_convicted_exhaustively () =
-  let words = 3 in
-  let torn_schedules = ref 0 in
-  let outcome =
-    Explore.exhaustive
-      ~scenario:(fun () ->
-        let module B = Broken_regs.Torn (Arc_vsched.Sim_mem) in
-        let init = Array.make words 0 in
-        P.stamp init ~seq:0 ~len:words;
-        let reg = B.create ~readers:1 ~capacity:words ~init in
-        let writer () =
-          let src = Array.make words 0 in
-          P.stamp src ~seq:1 ~len:words;
-          B.write reg ~src ~len:words
-        in
-        let reader () =
-          let rd = B.reader reg 0 in
-          B.read_with rd ~f:(fun buffer len ->
-              match P.validate buffer ~len with
-              | Ok _ -> ()
-              | Error _ -> incr torn_schedules)
-        in
-        ([| writer; reader |], fun () -> ()))
-      ()
-  in
-  Alcotest.(check bool) "exhausted" true outcome.Explore.exhausted;
-  Alcotest.(check bool)
-    (Printf.sprintf "torn in %d schedules" !torn_schedules)
-    true (!torn_schedules > 0)
+let title (e : Scenario.entry) =
+  e.name
+  ^
+  match (e.expect, e.budget) with
+  | Convicted, _ -> " convicted exhaustively"
+  | Clean, Exhaustive -> " exhaustive"
+  | Clean, Prefix _ -> " (bounded DFS)"
+
+let test_entry (e : Scenario.entry) () =
+  let r = Scenario.run e in
+  Printf.printf "%s: %d schedules, exhausted %b, %d convicted\n" e.name
+    r.schedules r.exhausted r.convicted;
+  if r.verdict <> e.expect then
+    Alcotest.failf "%s: %d of %d schedules convicted%s" e.name r.convicted
+      r.schedules
+      (match r.first_violation with
+      | Some (s, msg) -> Printf.sprintf ", first (schedule %d): %s" s msg
+      | None -> "");
+  (match e.budget with
+  | Exhaustive -> Alcotest.(check bool) "space exhausted" true r.exhausted
+  | Prefix n -> check "whole prefix explored" n r.schedules);
+  (* Non-vacuity: a planned fault fires in every schedule, and an
+     epilogue both acts and finds nothing to do somewhere. *)
+  check "schedules a planned fault fired in"
+    (if Fault_plan.size e.plan = 0 then 0 else r.schedules)
+    r.faulted;
+  Option.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "epilogue acted in %d of %d schedules" n r.schedules)
+        true
+        (n > 0 && n < r.schedules))
+    r.acted;
+  Option.iter
+    (fun c ->
+      match List.find_opt (fun (x : Scenario.entry) -> x.name = c) catalogue with
+      | Some x when x.expect = Convicted -> ()
+      | _ -> Alcotest.failf "%s: no convicted control %S" e.name c)
+    e.control
 
 let suite =
   [
     Alcotest.test_case "enumerates all interleavings" `Quick
       test_enumerates_all_interleavings;
     Alcotest.test_case "max_schedules cap" `Quick test_max_schedules_cap;
-    Alcotest.test_case "arc write/read race exhaustive" `Quick
-      test_arc_write_read_race_exhaustive;
-    Alcotest.test_case "arc no inversion exhaustive" `Quick
-      test_arc_no_inversion_exhaustive;
-    Alcotest.test_case "dynamic reclaim race exhaustive" `Quick
-      test_dynamic_reclaim_race_exhaustive;
-    Alcotest.test_case "dynamic reclaim no inversion" `Quick
-      test_dynamic_reclaim_no_inversion;
-    Alcotest.test_case "unsound register convicted exhaustively" `Quick
-      test_unsound_convicted_exhaustively;
   ]
-
-(* Same exhaustive write/read race for the other wait-free
-   algorithms.  (Lock-based registers are excluded by construction:
-   a spin loop makes the decision tree infinite.) *)
-module Rf = Arc_baselines.Rf.Make (Arc_vsched.Sim_mem)
-module Pt = Arc_baselines.Peterson.Make (Arc_vsched.Sim_mem)
-module Sp = Arc_baselines.Simpson_reg.Make (Arc_vsched.Sim_mem)
-
-let race_scenario (type t r)
-    (module R : Arc_core.Register_intf.S
-      with type t = t
-       and type reader = r
-       and type Mem.buffer = Arc_vsched.Sim_mem.buffer) () =
-  let words = 2 in
-  let init = Array.make words 0 in
-  P.stamp init ~seq:0 ~len:words;
-  let reg = R.create ~readers:1 ~capacity:words ~init in
-  let observed = ref (-1) in
-  let writer () =
-    let src = Array.make words 0 in
-    P.stamp src ~seq:1 ~len:words;
-    R.write reg ~src ~len:words
-  in
-  let reader () =
-    let rd = R.reader reg 0 in
-    observed :=
-      R.read_with rd ~f:(fun buffer len ->
-          match P.validate buffer ~len with
-          | Ok seq -> seq
-          | Error msg -> Alcotest.failf "%s: torn snapshot: %s" R.algorithm msg)
-  in
-  let checkf () =
-    if not (!observed = 0 || !observed = 1) then
-      Alcotest.failf "%s: impossible value %d" R.algorithm !observed
-  in
-  ([| writer; reader |], checkf)
-
-let exhaustive_race ?(require_exhausted = true) ?(max_schedules = 400_000) name
-    scenario =
-  Alcotest.test_case
-    (name
-    ^
-    if require_exhausted then " write/read race exhaustive"
-    else " write/read race (bounded DFS)")
-    `Quick
-    (fun () ->
-      let outcome = Explore.exhaustive ~max_schedules ~scenario () in
-      if require_exhausted then
-        Alcotest.(check bool) "space exhausted" true outcome.Explore.exhausted;
-      Alcotest.(check bool)
-        (Printf.sprintf "non-trivial space (%d schedules)"
-           outcome.Explore.schedules)
-        true
-        (outcome.Explore.schedules > 20))
-
-let suite =
-  suite
-  @ [
-      exhaustive_race "rf" (race_scenario (module Rf));
-      (* Peterson's two-buffer copies make the full space ≈10^8
-         schedules; check a 150k-schedule DFS prefix instead. *)
-      exhaustive_race ~require_exhausted:false ~max_schedules:150_000 "peterson"
-        (race_scenario (module Pt));
-      exhaustive_race "simpson" (race_scenario (module Sp));
-    ]
+  @ List.map (fun e -> Alcotest.test_case (title e) `Quick (test_entry e)) catalogue

@@ -10,7 +10,6 @@ module Checker = Arc_trace.Checker
 module Packed = Arc_util.Packed
 module Strategy = Arc_vsched.Strategy
 module Sched = Arc_vsched.Sched
-module Explore = Arc_vsched.Explore
 module Replay = Arc_vsched.Replay
 module Config = Arc_harness.Config
 
@@ -267,47 +266,7 @@ let test_auto_reclaim () =
   RD.set_lease reg None;
   check_reads r1 ~len:64 8
 
-(* {1 Fault schedules are explorable and replayable} *)
-
-(* Exhaustive bounded exploration of a micro-scenario under a fault
-   plan: one write that tears and crashes mid-copy racing one reader.
-   In every interleaving the reader must see only the intact initial
-   snapshot (the torn copy is never published) and the crash must
-   fire. *)
-let test_explore_with_faults () =
-  let module P = Arc_workload.Payload.Make (Campaign.Mem) in
-  let scenario () =
-    let init = Array.make 4 0 in
-    P.stamp init ~seq:0 ~len:4;
-    let reg = RA.create ~readers:1 ~capacity:4 ~init in
-    let rd = RA.reader reg 0 in
-    let torn = ref 0 in
-    let crashed = ref false in
-    Campaign.Mem.install
-      (Fault_plan.tear ~fiber:0 ~at_copy:1 ~at_word:2 ~silent:false
-         Fault_plan.empty);
-    let writer () =
-      try
-        let src = Array.make 4 0 in
-        P.stamp src ~seq:1 ~len:4;
-        RA.write reg ~src ~len:4
-      with Fault_plan.Crashed -> crashed := true
-    in
-    let reader () =
-      RA.read_with rd ~f:(fun buf len ->
-          match P.validate buf ~len with
-          | Ok _ -> ()
-          | Error _ -> incr torn)
-    in
-    let check () =
-      ignore (Campaign.Mem.drain ());
-      if !torn > 0 then Alcotest.fail "explore: torn snapshot observed";
-      if not !crashed then Alcotest.fail "explore: tear crash did not fire"
-    in
-    ([| writer; reader |], check)
-  in
-  let out = Explore.exhaustive ~max_schedules:2_000 ~scenario () in
-  Alcotest.(check bool) "many interleavings checked" true (out.Explore.schedules > 100)
+(* {1 Fault schedules are replayable} *)
 
 (* Record a faulty run's schedule, replay it: the same crashes, tears
    and stalls fire at the same access indices. *)
@@ -441,8 +400,6 @@ let suite =
     Alcotest.test_case "saturation guard at 2^32-2" `Quick test_saturation_guard;
     Alcotest.test_case "arc-dynamic: reclaim stale slot" `Quick test_reclaim_stale;
     Alcotest.test_case "arc-dynamic: auto-reclaim lease" `Quick test_auto_reclaim;
-    Alcotest.test_case "explore: exhaustive under faults" `Quick
-      test_explore_with_faults;
     Alcotest.test_case "replay: faults replay exactly" `Quick
       test_replay_with_faults;
     Alcotest.test_case "watchdog kills hung run" `Quick test_watchdog_kills_hung_run;
