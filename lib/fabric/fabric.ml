@@ -146,8 +146,15 @@ let reset_reign_metrics () =
    so epoch 0 never matches a scan: it is the single "never borrow"
    mark, carried by the initial deposit and by the one-word
    [never_borrow] marker a writer deposits when its own helping scan
-   fails certification. *)
-module Deposit = Arc_core.Arc.Make (Arc_mem.Real_mem)
+   fails certification.
+
+   Slot storage is elastic: a fresh channel holds only the one-word
+   initial value, and a slot gets its deposit-sized buffer when a
+   helping write first fills it, so a fabric whose writers never help
+   pays nothing for the channel.  The fabric never sets a lease, so no
+   slot's storage is ever revoked and every borrow is a wait-free
+   read. *)
+module Deposit = Arc_core.Arc_dynamic.Make (Arc_mem.Real_mem)
 
 let dep_epoch = 0
 let dep_header = 1
@@ -634,6 +641,9 @@ module Make (R : Register_intf.STAMPED) = struct
   let deposits_made fab = Obs.Group.value fab.deposit_counts
   let shard_writes fab s = Obs.Cell.get (Obs.Group.cell fab.shard_writes s)
 
+  let deposit_footprint_words fab =
+    Array.fold_left (fun acc d -> acc + Deposit.footprint_words d) 0 fab.deposits
+
   let metrics fab =
     let per group =
       Array.to_list
@@ -657,5 +667,8 @@ module Make (R : Register_intf.STAMPED) = struct
          (snapshot_retries fab)
     :: Obs.counter "fabric_deposits_total"
          ~help:"Helping snapshots deposited by writers" (deposits_made fab)
+    :: Obs.gauge "fabric_deposit_footprint_words"
+         ~help:"Words of slot storage held by the writers' deposit registers"
+         (float_of_int (deposit_footprint_words fab))
     :: per fab.shard_writes
 end

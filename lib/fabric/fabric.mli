@@ -113,9 +113,11 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
       provisioned for [readers] scanner threads and [writers] writer
       threads.  Register identities scale with [readers + writers]
       (thread counts), never with [shards].  The helping channel adds
-      one deposit register per writer: [readers + writers + 2] slots
-      of [1 + shards·(2 + capacity)] words each.  The fabric's own
-      configuration epoch word starts at 1.
+      one deposit register per writer, with elastic slot storage: it
+      holds one word until helping writes fill it, and at most
+      [readers + writers + 2] slots of [1 + shards·(2 + capacity)]
+      words each after.  The fabric's own configuration epoch word
+      starts at 1.
       @raise Invalid_argument unless [1 <= writers <= shards] and
       [readers >= 1] (plus the register's own constraints). *)
 
@@ -244,7 +246,14 @@ module Make (R : Arc_core.Register_intf.STAMPED) : sig
   val deposits_made : t -> int
   val shard_writes : t -> int -> int
 
+  val deposit_footprint_words : t -> int
+  (** Words of slot storage the writers' deposit registers hold: one
+      per writer on a fresh fabric, at most
+      [writers · (readers + writers + 2) · (1 + shards·(2 + capacity))]
+      after helping. *)
+
   val metrics : t -> Arc_obs.Obs.metric list
   (** Fabric counters (snapshot outcomes, retries, deposits, per-shard
-      writes) for {!Arc_obs.Obs.prometheus}/{!Arc_obs.Obs.json}. *)
+      writes) and the [fabric_deposit_footprint_words] gauge for
+      {!Arc_obs.Obs.prometheus}/{!Arc_obs.Obs.json}. *)
 end

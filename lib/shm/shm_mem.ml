@@ -43,6 +43,8 @@ external copy_out : words -> int -> int array -> int -> unit
 external blit_idx : words -> int -> int -> int -> unit = "arc_shm_blit"
 [@@noalloc]
 
+external unmap : words -> unit = "arc_shm_unmap" [@@noalloc]
+
 type mapping = { ba : words; fd : Unix.file_descr; path : string; words : int }
 
 let path m = m.path
@@ -111,12 +113,21 @@ let create ~path ~words =
   atomic_store_idx m.ba L.sb_magic L.magic;
   m
 
+(* Unmap first: the mapping's dimension drops to 0, which is also the
+   mark that [close] already ran. *)
+let close m =
+  if Bigarray.Array1.dim m.ba > 0 then begin
+    unmap m.ba;
+    Unix.close m.fd
+  end
+
 let attach ~path =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+  let mapped = ref None in
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
-        Unix.close fd;
+        (match !mapped with Some m -> close m | None -> Unix.close fd);
         failwith ("Shm_mem.attach: " ^ msg))
       fmt
   in
@@ -129,6 +140,7 @@ let attach ~path =
       (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| words |])
   in
   let m = { ba; fd; path; words } in
+  mapped := Some m;
   if atomic_load_idx ba L.sb_magic <> L.magic then
     fail "%s: bad magic (not a register mapping, or creation crashed)" path;
   if unsafe_get m L.sb_version <> L.version then
@@ -151,8 +163,6 @@ let attach ~path =
     Option.iter (fail "%s: %s" path) (reign_record_error m reign ~limit:cursor)
   end;
   m
-
-let close m = Unix.close m.fd
 
 (* {1 Superblock accessors} *)
 

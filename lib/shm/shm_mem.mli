@@ -70,8 +70,9 @@ val attach : path:string -> mapping
     @raise Unix.Unix_error on filesystem failure. *)
 
 val close : mapping -> unit
-(** Close the backing descriptor.  The mapping itself lives until the
-    GC finalizes the bigarray; do not use [m] after [close]. *)
+(** Unmap the mapping and close the backing descriptor.  Idempotent.
+    Do not use [m] after [close]: plain word accesses raise
+    [Invalid_argument], and the atomic ones fault. *)
 
 val path : mapping -> string
 val size_words : mapping -> int

@@ -30,6 +30,7 @@
 
 #include <stdint.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
 
@@ -157,7 +158,12 @@ static inline value lanes_fold(uint64_t l0, uint64_t l1, uint64_t l2,
  * source modulo 4 KiB can make the loads falsely wait on pending
  * stores; an earlier measurement put that at about 1.5x the floor
  * (2.2x for the vectorized loop), though a sweep of the offset did
- * not reproduce it on the host measured above (DESIGN.md §6d). */
+ * not reproduce it on the host measured above (DESIGN.md §6d).
+ *
+ * Both checksum kernels start on a 64-byte boundary, so a stub added
+ * or removed elsewhere in this file cannot move their loops within a
+ * cache line (DESIGN.md §6). */
+__attribute__((aligned(64)))
 CAMLprim value arc_shm_write_words_cksum(value ba, value off, value src,
                                          value len, value seed)
 {
@@ -184,6 +190,7 @@ CAMLprim value arc_shm_write_words_cksum(value ba, value off, value src,
 
 /* Recompute the checksum of [len] mapping words at [off] — the
  * recovery scan's verdict on a published buffer. */
+__attribute__((aligned(64)))
 CAMLprim value arc_shm_cksum(value ba, value off, value len, value seed)
 {
   const intnat *src = cell(ba, off);
@@ -217,5 +224,22 @@ CAMLprim value arc_shm_blit(value ba, value src_off, value dst_off, value len)
   intnat *base = (intnat *) Caml_ba_data_val(ba);
   memmove(base + Long_val(dst_off), base + Long_val(src_off),
           Long_val(len) * sizeof(intnat));
+  return Val_unit;
+}
+
+/* Unmap a mapping at close.  Its dimension becomes 0, so the
+ * finalizer of the mapped bigarray (which unmaps the array's byte
+ * size) has nothing left to unmap, and a bounds-checked OCaml access
+ * raises Invalid_argument.  The data pointer becomes NULL, so a stray
+ * atomic access faults instead of reaching whatever the kernel maps
+ * at the freed addresses next.  A mapping is page-aligned (offset 0),
+ * and a second call finds nothing to unmap. */
+CAMLprim value arc_shm_unmap(value ba)
+{
+  struct caml_ba_array *b = Caml_ba_array_val(ba);
+  uintnat bytes = caml_ba_byte_size(b);
+  if (bytes > 0) munmap(b->data, bytes);
+  b->data = NULL;
+  b->dim[0] = 0;
   return Val_unit;
 }

@@ -9,7 +9,8 @@ module Fabric_runner = Arc_harness.Fabric_runner
 module Checker = Arc_trace.Checker
 module History = Arc_trace.History
 module Strategy = Arc_vsched.Strategy
-module F = Arc_fabric.Fabric.Make (Arc_core.Arc.Make (Arc_mem.Real_mem))
+module Arc_real = Arc_core.Arc.Make (Arc_mem.Real_mem)
+module F = Arc_fabric.Fabric.Make (Arc_real)
 
 (* {2 Single-threaded fabric semantics (Real_mem)} *)
 
@@ -448,6 +449,89 @@ let test_deposit_alloc () =
         Alcotest.failf "a helping write allocates %.1f words per deposit (%d deposits)"
           per deposits
 
+(* {2 The elastic deposit channel} *)
+
+let footprint_gauge fab =
+  match
+    List.find_opt
+      (fun (m : Arc_obs.Obs.metric) -> m.mname = "fabric_deposit_footprint_words")
+      (F.metrics fab)
+  with
+  | Some m -> int_of_float m.value
+  | None -> Alcotest.fail "fabric_deposit_footprint_words is not exported"
+
+(* Words in one 64×64 deposit, and the slots of its register (one
+   reader, one writer: N = 2). *)
+let dep_len64 = 1 + (64 * (2 + 64))
+let dep_slots64 = 1 + 1 + 2
+
+(* A fresh fabric's channel holds its one-word initial value per
+   writer and nothing sized by capacity: the fabric's words beyond its
+   shard registers are the same at C = 64 and C = 1024, where a
+   fixed-storage channel would differ by (N+2)·64·960 words.  At 64×64
+   the channel register the fabric builds holds at least 16,899 fewer
+   words than the fixed-storage register it replaces, (N+2)·dep_len =
+   16,900 of them slot buffers. *)
+let test_fresh_channel_footprint () =
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let beyond_shards capacity =
+    let regs =
+      Array.init 64 (fun _ ->
+          Arc_real.create ~readers:2 ~capacity ~init:(Array.make capacity 0))
+    in
+    let fab = F.of_registers regs ~writers:1 ~readers:1 ~capacity in
+    Alcotest.(check int)
+      (Printf.sprintf "C = %d: deposit footprint" capacity)
+      1 (F.deposit_footprint_words fab);
+    Alcotest.(check int)
+      (Printf.sprintf "C = %d: exported gauge" capacity)
+      1 (footprint_gauge fab);
+    words fab - words regs
+  in
+  Alcotest.(check int) "fabric words beyond its shards, C = 1024 vs 64"
+    (beyond_shards 64) (beyond_shards 1024);
+  let module Elastic = Arc_core.Arc_dynamic.Make (Arc_mem.Real_mem) in
+  let channel create = words (create ~readers:2 ~capacity:dep_len64 ~init:[| 0 |]) in
+  let saved = channel Arc_real.create - channel Elastic.create in
+  if saved < 16_899 then
+    Alcotest.failf "elastic channel saves %d words at 64×64 (need >= 16,899)" saved
+
+(* After helping, each writer's channel holds at most (N+2)·dep_len:
+   grown, never beyond ARC's slot bound. *)
+let test_channel_bounded_after_helping () =
+  let fab = fab64 () in
+  let w = F.writer fab 0 in
+  let stop = Atomic.make false in
+  let scanner =
+    Domain.spawn (fun () ->
+        let sc = F.scanner fab 0 in
+        while not (Atomic.get stop) do
+          ignore (F.snapshot_certified sc)
+        done)
+  in
+  let src = Array.make 64 0 in
+  let t_end = Unix.gettimeofday () +. 3. in
+  let k = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join scanner)
+    (fun () ->
+      while F.deposits_made fab < 200 && Unix.gettimeofday () < t_end do
+        incr k;
+        src.(0) <- !k;
+        F.write w ~shard:(!k land 63) ~src ~len:64
+      done);
+  let fp = F.deposit_footprint_words fab in
+  if F.deposits_made fab = 0 then Alcotest.fail "no helping deposit while a scanner looped";
+  if fp < dep_len64 then
+    Alcotest.failf "after %d deposits the channel holds %d words (< one deposit)"
+      (F.deposits_made fab) fp;
+  if fp > dep_slots64 * dep_len64 then
+    Alcotest.failf "channel holds %d words, above (N+2)·dep_len = %d" fp
+      (dep_slots64 * dep_len64);
+  Alcotest.(check int) "gauge agrees" fp (footprint_gauge fab)
+
 (* Certification under real interleavings, deterministically: the same
    fabric on the simulated substrate, driven by seeded vsched
    schedules.  A bumper fiber plays the role of completing handoffs. *)
@@ -508,6 +592,82 @@ let certified_sim ?strategy ~seed ~bumping ~max_retries ~steps () =
     (Sched.run ~strategy
        [| writer 0; writer 1; scanner 0; scanner 1; bumper |]);
   (List.rev !oks, List.rev !errs, Fs.snapshots_borrowed fab)
+
+(* A writer whose helping scan fails certification deposits the
+   one-word never-borrow marker.  Under elastic storage the marker
+   shrinks the slot it lands in from a full deposit to one word (the
+   footprint drops by dep_len - 1), a later full deposit regrows that
+   slot (it rises by the same), the channel never exceeds
+   (N+2)·dep_len, and no scanner ever adopts the marker: every
+   borrowed snapshot carries an epoch >= 1.  Handoffs land mid-scan
+   and the retry budget is 0, so helping scans fail often.  The
+   initial value's one-word slot can account for one regrowth per
+   run, so each run's first is not counted. *)
+let test_marker_shrinks_slot () =
+  let shards = 4 and size = 16 in
+  let dep_len = 1 + (shards * (2 + size)) and slots = 1 + 1 + 2 in
+  let shrinks = ref 0 and regrows = ref 0 and borrowed = ref 0 in
+  for seed = 1 to 20 do
+    let steps = 100_000 in
+    let init = Array.make size 0 in
+    Ps.stamp init ~seq:0 ~len:size;
+    let fab = Fs.create ~shards ~writers:1 ~readers:1 ~capacity:size ~init in
+    let config = Arc_vsched.Sim_mem.atomic_contended 1 in
+    Fs.attach_reign ~max_retries:0 fab ~config;
+    let regrown = ref 0 in
+    let writer () =
+      let w = Fs.writer fab 0 in
+      let src = Array.make size 0 in
+      let k = ref 0 and shrunk = ref false in
+      while Sched.now () < steps do
+        incr k;
+        Ps.stamp src ~seq:!k ~len:size;
+        let before = Fs.deposit_footprint_words fab in
+        (* Every other write hits shard 0, so scans see it move twice. *)
+        Fs.write w ~shard:(if !k land 1 = 0 then 0 else !k mod shards) ~src ~len:size;
+        let after = Fs.deposit_footprint_words fab in
+        if after > slots * dep_len then
+          Alcotest.failf "seed %d: channel holds %d words, above (N+2)·dep_len = %d"
+            seed after (slots * dep_len);
+        if after - before = -(dep_len - 1) then begin
+          incr shrinks;
+          shrunk := true
+        end
+        else if !shrunk && after - before = dep_len - 1 then incr regrown;
+        Sched.cede ()
+      done
+    in
+    let scanner () =
+      let sc = Fs.scanner fab 0 in
+      while Sched.now () < steps do
+        (match Fs.snapshot_certified sc with
+        | Ok snap when Fs.borrowed snap ->
+            incr borrowed;
+            if Fs.snap_epoch snap < 1 then
+              Alcotest.failf "seed %d: a scanner adopted the never-borrow marker" seed
+        | Ok _ | Error _ -> ());
+        Sched.cede ()
+      done
+    in
+    (* Handoffs in spells, so scans between them still certify and
+       borrow. *)
+    let bumper () =
+      while Sched.now () < steps do
+        ignore (Arc_vsched.Sim_mem.fetch_and_add config 1);
+        for _ = 1 to 1 + (Sched.now () mod 40) do
+          Sched.cede ()
+        done
+      done
+    in
+    ignore
+      (Sched.run
+         ~strategy:(Strategy.random_burst ~seed ~max_burst:60)
+         [| writer; scanner; bumper |]);
+    regrows := !regrows + max 0 (!regrown - 1)
+  done;
+  Alcotest.(check bool) "a marker shrank a full slot" true (!shrinks > 0);
+  Alcotest.(check bool) "a full deposit regrew a shrunk slot" true (!regrows > 0);
+  Alcotest.(check bool) "borrowed snapshots were judged" true (!borrowed > 0)
 
 (* A borrowed snapshot pins its deposit slot: it must stay
    word-identical while its lender deposits readers + writers + 2 more
@@ -853,8 +1013,14 @@ let suite =
     Alcotest.test_case "snapshot allocates nothing" `Quick test_snapshot_alloc;
     Alcotest.test_case "helping deposit allocates nothing" `Quick
       test_deposit_alloc;
+    Alcotest.test_case "fresh deposit channel holds one word" `Quick
+      test_fresh_channel_footprint;
+    Alcotest.test_case "deposit channel bounded after helping" `Quick
+      test_channel_bounded_after_helping;
     Alcotest.test_case "borrowed view stable across deposits (vsched)" `Slow
       test_borrowed_view_stable;
+    Alcotest.test_case "marker deposit shrinks its slot (vsched)" `Slow
+      test_marker_shrinks_slot;
     Alcotest.test_case "certified under static config (vsched)" `Slow
       test_certified_sim_static_config;
     Alcotest.test_case "Reign_changed reachable (vsched)" `Slow

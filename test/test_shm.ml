@@ -95,6 +95,64 @@ let test_attach_rejects_garbage () =
               path))
         (fun () -> ignore (S.attach ~path)))
 
+(* Lines of this process's address-space map that name [path]. *)
+let maps_naming path =
+  In_channel.with_open_text "/proc/self/maps" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line ->
+         let n = String.length path and l = String.length line in
+         let rec has i = i + n <= l && (String.sub line i n = path || has (i + 1)) in
+         has 0)
+  |> List.length
+
+(* [close] unmaps at once rather than leaving the mapping to the GC:
+   create/close and attach/close cycles leave nothing mapped, nor does
+   a refused attach; a second [close] is a no-op; a plain access after
+   [close] raises.  And the closed mapping's finalizer must not unmap
+   a later mapping that the kernel placed at the same addresses. *)
+let test_close_unmaps () =
+  let path = Filename.temp_file "arc_shm_test" ".reg" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let words = 1 lsl 12 in
+      for _ = 1 to 1_000 do
+        S.close (S.create ~path ~words)
+      done;
+      for _ = 1 to 1_000 do
+        S.close (S.attach ~path)
+      done;
+      Alcotest.(check int) "no mapping of the file after 2,000 closes" 0
+        (maps_naming path);
+      let m = S.attach ~path in
+      Alcotest.(check int) "an open mapping is listed" 1 (maps_naming path);
+      S.close m;
+      S.close m;
+      (match S.unsafe_get m 0 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a read after close must raise");
+      let m = S.create ~path ~words in
+      S.unsafe_set m L.sb_version (L.version + 1);
+      S.close m;
+      (match S.attach ~path with
+      | exception Failure _ -> ()
+      | m ->
+          S.close m;
+          Alcotest.fail "attach must refuse a version-skewed mapping");
+      Alcotest.(check int) "a refused attach leaves nothing mapped" 0
+        (maps_naming path);
+      let fresh =
+        let dropped = S.create ~path ~words in
+        S.close dropped;
+        S.create ~path ~words
+      in
+      Gc.full_major ();
+      S.unsafe_set fresh (words - 1) 42;
+      Alcotest.(check int) "a mapping made after a close survives the GC" 42
+        (S.unsafe_get fresh (words - 1));
+      Alcotest.(check int) "and is still listed" 1 (maps_naming path);
+      S.close fresh)
+
 (* {1 Cross-mapping durability}
 
    Publish through the creator's mapping; verify through a second,
@@ -690,6 +748,7 @@ let suite =
   [
     Alcotest.test_case "create/attach round-trip" `Quick test_create_attach;
     Alcotest.test_case "attach rejects garbage" `Quick test_attach_rejects_garbage;
+    Alcotest.test_case "close unmaps the mapping" `Quick test_close_unmaps;
     Alcotest.test_case "cross-mapping read_latest" `Quick
       test_cross_mapping_read_latest;
     Alcotest.test_case "control: flipped payload convicted" `Quick
