@@ -40,95 +40,52 @@ let strategy_of ~name ~seed ~fibers ~steps =
   | "pct" -> Strategy.pct ~seed ~fibers ~depth:4 ~expected_steps:steps
   | other -> invalid_arg (Printf.sprintf "unknown strategy %S" other)
 
-(* {1 The --faults campaign} *)
+(* {1 The --faults campaign}
+
+   Each wait-free algorithm is one sampled catalogue row
+   ({!Arc_fault.Scenario}, budget [Seeds]): per derived seed, a random
+   sound fault plan and a random schedule, judged like every catalogue
+   row.  The tear control is one more row, with a silent tear as its
+   own plan. *)
 
 module Campaign = Arc_fault.Campaign
+module Scenario = Arc_fault.Scenario
 module Fault_plan = Arc_fault.Fault_plan
 module RA = Arc_core.Arc.Make (Campaign.Mem)
-module CA = Campaign.Make (RA)
 module RN = Arc_core.Arc_nohint.Make (Campaign.Mem)
-module CN = Campaign.Make (RN)
 module RD = Arc_core.Arc_dynamic.Make (Campaign.Mem)
-module CD = Campaign.Make (RD)
 module RF_reg = Arc_baselines.Rf.Make (Campaign.Mem)
-module CF = Campaign.Make (RF_reg)
 module RP = Arc_baselines.Peterson.Make (Campaign.Mem)
-module CP = Campaign.Make (RP)
 module RS = Arc_baselines.Simpson_reg.Make (Campaign.Mem)
-module CS = Campaign.Make (RS)
 
-module PA = Campaign.Arc_probes (RA)
-module PN = Campaign.Arc_probes (RN)
-module PD = Campaign.Arc_probes (RD)
-
-(* One row per wait-free algorithm, with both entry points of its
-   campaign instantiation: the seeded sweep and the single-seed replay
-   (campaign outcome/result types are shared, so the functor results
-   store as plain functions). *)
-type fault_algo = {
-  fname : string;
-  caps : Arc_core.Register_intf.caps;
-  frun : Campaign.cfg -> Campaign.outcome;
-  freplay :
-    seed:int ->
-    Campaign.cfg ->
-    Fault_plan.t * Campaign.run_result * (int * string) list;
-}
-
-let fault_algos =
-  [
-    {
-      fname = "arc";
-      caps = RA.caps;
-      frun = (fun cfg -> CA.run ~audit:PA.audit cfg);
-      freplay = (fun ~seed cfg -> CA.run_seed ~audit:PA.audit ~seed cfg);
-    };
-    {
-      fname = "arc-nohint";
-      caps = RN.caps;
-      frun = (fun cfg -> CN.run ~audit:PN.audit cfg);
-      freplay = (fun ~seed cfg -> CN.run_seed ~audit:PN.audit ~seed cfg);
-    };
-    {
-      fname = "arc-dynamic";
-      caps = RD.caps;
-      frun = (fun cfg -> CD.run ~audit:PD.audit cfg);
-      freplay = (fun ~seed cfg -> CD.run_seed ~audit:PD.audit ~seed cfg);
-    };
-    {
-      fname = "rf";
-      caps = RF_reg.caps;
-      frun = (fun cfg -> CF.run cfg);
-      freplay = (fun ~seed cfg -> CF.run_seed ~seed cfg);
-    };
-    {
-      fname = "peterson";
-      caps = RP.caps;
-      frun = (fun cfg -> CP.run cfg);
-      freplay = (fun ~seed cfg -> CP.run_seed ~seed cfg);
-    };
-    {
-      fname = "simpson";
-      caps = RS.caps;
-      frun = (fun cfg -> CS.run cfg);
-      freplay = (fun ~seed cfg -> CS.run_seed ~seed cfg);
-    };
-  ]
-
-let fault_cfg ~caps ~seeds ~readers ~size ~steps =
-  let readers =
-    match caps.Arc_core.Register_intf.max_readers ~capacity_words:size with
-    | Some bound when readers > bound -> bound
-    | _ -> readers
+(* The algorithm rows and the tear control, readers clamped to each
+   register's bound. *)
+let fault_rows ~seeds ~readers ~size ~steps =
+  let row ?plan ?expect ?(seeds = seeds) (caps : Arc_core.Register_intf.caps) name
+      subject =
+    let readers =
+      match caps.max_readers ~capacity_words:size with
+      | Some bound when readers > bound -> bound
+      | _ -> readers
+    in
+    Scenario.entry name subject ~words:size ~readers ~steps ?plan ?expect
+      ~budget:(Seeds seeds)
   in
-  {
-    Campaign.default with
-    readers;
-    size_words = size;
-    max_steps = steps;
-    schedules = seeds;
-    seed = 2024;
-  }
+  let tear =
+    Fault_plan.tear ~fiber:0 ~at_copy:2 ~at_word:(max 1 (size / 4)) ~silent:true
+      Fault_plan.empty
+  in
+  ( Scenario.
+      [
+        row RA.caps "arc" (arc (module RA));
+        row RN.caps "arc-nohint" (arc (module RN));
+        row RD.caps "arc-dynamic" (arc (module RD));
+        row RF_reg.caps "rf" (register (module RF_reg));
+        row RP.caps "peterson" (register (module RP));
+        row RS.caps "simpson" (register (module RS));
+      ],
+    row RA.caps "tear-control" ~plan:tear ~expect:Convicted ~seeds:1
+      (Scenario.arc (module RA)) )
 
 let fault_replay_command ~name ~readers ~size ~steps ~seed =
   Arc_report.Replay.(
@@ -142,33 +99,26 @@ let fault_replay_command ~name ~readers ~size ~steps ~seed =
         int "--replay-seed" seed;
       ])
 
-let selected_fault_algos algo =
-  if algo = "all" then fault_algos
-  else
-    match List.find_opt (fun a -> a.fname = algo) fault_algos with
-    | Some a -> [ a ]
-    | None ->
-      Printf.eprintf "unknown fault-campaign algorithm %S; known: %s, all\n" algo
-        (String.concat ", " (List.map (fun a -> a.fname) fault_algos));
-      exit 2
+let find_row ?(all = "") rows algo ~what =
+  match List.find_opt (fun (e : Scenario.entry) -> e.name = algo) rows with
+  | Some e -> e
+  | None ->
+    Printf.eprintf "%s; known: %s%s\n" what
+      (String.concat ", " (List.map (fun (e : Scenario.entry) -> e.name) rows))
+      all;
+    exit 2
 
 (* Re-execute one derived campaign seed (as printed by a violation
    line) for one algorithm, showing the fault plan it maps to and the
    full judgement. *)
 let run_fault_replay algo seed readers size steps =
-  let a =
-    match List.find_opt (fun a -> a.fname = algo) fault_algos with
-    | Some a -> a
-    | None ->
-      Printf.eprintf
-        "--replay-seed needs a single algorithm (--algo); known: %s\n"
-        (String.concat ", " (List.map (fun a -> a.fname) fault_algos));
-      exit 2
+  let rows, _ = fault_rows ~seeds:1 ~readers ~size ~steps in
+  let e =
+    find_row rows algo ~what:"--replay-seed needs a single algorithm (--algo)"
   in
-  let cfg = fault_cfg ~caps:a.caps ~seeds:1 ~readers ~size ~steps in
   Printf.printf "replaying seed %d on %s (%d readers, %d words, %d steps)\n"
-    seed algo cfg.Campaign.readers size steps;
-  let plan, r, violations = a.freplay ~seed cfg in
+    seed algo e.readers size steps;
+  let plan, r, violations = Scenario.replay e ~seed in
   if Fault_plan.size plan = 0 then Printf.printf "fault plan: (empty)\n"
   else Format.printf "fault plan:@,%a@." Fault_plan.pp plan;
   Printf.printf
@@ -192,18 +142,27 @@ let run_fault_replay algo seed readers size steps =
 
 let run_faults algo seeds readers size steps =
   Printf.printf
-    "fault campaign: %d schedules/algorithm (seed base 2024), %d readers, %d \
+    "fault campaign: %d schedules/algorithm (seed base %d), %d readers, %d \
      words, %d steps\n\n"
-    seeds readers size steps;
+    seeds Scenario.seed_base readers size steps;
   Printf.printf "%-14s %9s %11s %6s %5s %8s %11s  %s\n" "algorithm" "schedules"
     "crashes r/w" "stalls" "tears" "reads" "pending v/e" "verdict";
+  let rows, control = fault_rows ~seeds ~readers ~size ~steps in
+  let rows =
+    if algo = "all" then rows
+    else
+      [
+        find_row rows algo ~all:", all"
+          ~what:(Printf.sprintf "unknown fault-campaign algorithm %S" algo);
+      ]
+  in
   let failures = ref 0 in
-  let row a =
-    let cfg = fault_cfg ~caps:a.caps ~seeds ~readers ~size ~steps in
-    let o = a.frun cfg in
-    let ok = Campaign.clean o in
+  let row (e : Scenario.entry) =
+    let r = Scenario.run e in
+    let o = r.tally in
+    let ok = r.verdict = Clean in
     if not ok then incr failures;
-    Printf.printf "%-14s %9d %11s %6d %5d %8d %11s  %s\n" a.fname
+    Printf.printf "%-14s %9d %11s %6d %5d %8d %11s  %s\n" e.name
       o.Campaign.schedules_run
       (Printf.sprintf "%d/%d" o.Campaign.reader_crashes o.Campaign.writer_crashes)
       o.Campaign.stalls o.Campaign.tears o.Campaign.reads_checked
@@ -211,24 +170,14 @@ let run_faults algo seeds readers size steps =
       (if ok then "PASS" else "FAIL");
     Arc_report.Driver.report ~indent:4
       ~replay:(fun seed ->
-        fault_replay_command ~name:a.fname ~readers ~size ~steps ~seed)
+        fault_replay_command ~name:e.name ~readers ~size ~steps ~seed)
       (List.rev_map (fun (seed, msg) -> (seed, Some msg)) o.Campaign.violations)
   in
-  List.iter row (selected_fault_algos algo);
+  List.iter row rows;
   (* Negative control proving non-vacuity: a silently torn writer copy
      (an unsound fault: the copy stops early yet reports success) must
-     be detected as torn snapshots by the readers. *)
-  let plan =
-    Fault_plan.tear ~fiber:0 ~at_copy:2
-      ~at_word:(max 1 (size / 4))
-      ~silent:true Fault_plan.empty
-  in
-  let control, _ =
-    CA.run_plan ~plan
-      ~strategy:(Strategy.random ~seed:2024)
-      (fault_cfg ~caps:RA.caps ~seeds ~readers ~size ~steps)
-  in
-  let detected = control.Campaign.torn > 0 in
+     be convicted, by the readers' torn views first of all. *)
+  let detected = (Scenario.run control).verdict = Convicted in
   if not detected then incr failures;
   Printf.printf "%-14s %s\n" "tear-control"
     (if detected then "REJECTED (expected)"
@@ -325,7 +274,7 @@ let run_fabric ?replay algo seeds strategy_name shards readers size steps
       if r.Fabric_runner.fr_torn > 0 then
         violations :=
           (seed,
-           Printf.sprintf "%d within-shard torn values" r.Fabric_runner.fr_torn)
+           Printf.sprintf "%d snapshots with a torn shard" r.Fabric_runner.fr_torn)
           :: !violations;
       if r.Fabric_runner.fr_retries > retry_cap r then
         violations :=

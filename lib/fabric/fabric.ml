@@ -100,8 +100,8 @@ let reign_metrics () =
   [
     gauge "arc_reign_epoch"
       ~help:
-        "Fabric configuration epoch as last observed by this process (bumped \
-         once per completed leader handoff)"
+        "Highest configuration epoch any handoff in this process reached \
+         (raised by each completed leader handoff)"
       (float_of_int (Atomic.get Reign_tel.epoch));
     counter "arc_reign_handoffs_total"
       ~help:"Shard leader handoffs completed by this process"

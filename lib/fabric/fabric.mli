@@ -59,8 +59,8 @@ type reign_change = { r_opened : int; r_now : int }
     way the vector was discarded, never served. *)
 
 val reign_metrics : unit -> Arc_obs.Obs.metric list
-(** Process-wide reign telemetry: [arc_reign_epoch] (gauge, last epoch
-    observed by a completed handoff in this process),
+(** Process-wide reign telemetry: [arc_reign_epoch] (gauge, the
+    highest configuration epoch any handoff in this process reached),
     [arc_reign_handoffs_total], [arc_reign_snapshot_reign_retries_total]
     (rounds re-opened on an observed epoch move),
     [arc_reign_snapshot_starved_reopens_total] (rounds re-opened at the

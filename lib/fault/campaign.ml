@@ -1,10 +1,13 @@
-(* Bounded fault-exploration campaigns (ISSUE 2).
+(* Bounded fault-exploration campaigns.
 
    A campaign drives a register algorithm, instantiated over the
    fault-injecting simulated memory {!Mem}, through many seeded
-   (schedule, fault-plan) pairs and checks every run three ways:
+   (schedule, fault-plan) pairs.  Every run's fibers are the
+   {!Fibers} writer and reader bodies, and every run is checked three
+   ways:
 
-   - snapshot integrity: no torn payloads observed by any reader;
+   - snapshot integrity: no torn view observed by any reader (a torn
+     view is counted and never recorded);
    - crash-aware atomicity: the recorded history passes
      {!Arc_trace.Checker.check_crash}, with the writer's pending write
      (if it crashed mid-operation) allowed to vanish or take effect;
@@ -15,7 +18,10 @@
 
    plus an optional register-specific invariant audit (for ARC: the
    presence-ledger slack bound and Lemma 4.1's free slot, see
-   {!arc_audit} and {!Arc_probes}).
+   {!arc_audit} and {!Arc_probes}).  The same judgement convicts or
+   clears every row of the micro-scenario catalogue ({!Scenario}),
+   whose [Seeds] rows — arc-check --faults' campaigns among them — are
+   this module's {!Make.run}.
 
    This module deliberately has no [.mli]: callers instantiate
    [A.Make (Campaign.Mem)] themselves and pass the result to
@@ -55,76 +61,17 @@ let default =
 
 (* {1 The run skeleton}
 
-   Every vsched campaign run — this module's, and both modes of the
-   chaos soak ({!Arc_resilience.Soak}) — builds one fixture, writes
-   through [write_next], reads through [validated] into the recorder,
-   and runs its fibers through [run_fibers].  Fiber 0 is the writer. *)
-
-module P = Arc_workload.Payload.Make (Mem)
-
-type fixture = {
-  size : int;
-  max_steps : int;  (** fibers self-terminate past this *)
-  init : int array;  (** the stamped initial value, seq 0 *)
-  strategy : Strategy.t;
-  recorder : History.Recorder.recorder;
-  crashed : bool array;  (** by fiber *)
-  ops : int array;  (** completed operations, by fiber *)
-  pending : (int * int) option array;  (** a write in flight, by fiber *)
-  outcomes : Arc_obs.Obs.Outcomes.t;  (** session read outcomes, merged *)
-  mutable torn : int;
-  mutable stale_serves : Checker.stale_serve list;
-}
-
-let fixture ~size ~max_steps ~threads ~capacity strategy =
-  let init = Array.make size 0 in
-  P.stamp init ~seq:0 ~len:size;
-  {
-    size;
-    max_steps;
-    init;
-    strategy;
-    recorder = History.Recorder.create ~threads ~capacity;
-    crashed = Array.make threads false;
-    ops = Array.make threads 0;
-    pending = Array.make threads None;
-    outcomes = Arc_obs.Obs.Outcomes.create ();
-    torn = 0;
-    stale_serves = [];
-  }
-
-(* The read callback: a torn snapshot is counted, never served. *)
-let validated fx buf len =
-  match P.validate buf ~len with
-  | Ok s -> s
-  | Error _ ->
-    fx.torn <- fx.torn + 1;
-    P.decode_seq buf
-
-let record_read fx ~thread ~invoked seq =
-  History.Recorder.record fx.recorder ~thread History.Read ~seq ~invoked
-    ~returned:(Sched.now ())
-
-(* One writer step: stamp the next sequence number into [src], write it
-   through [write], record it. *)
-let write_next fx ~thread ~src ~seq write =
-  incr seq;
-  P.stamp src ~seq:!seq ~len:fx.size;
-  let invoked = Sched.now () in
-  fx.pending.(thread) <- Some (!seq, invoked);
-  write src;
-  History.Recorder.record fx.recorder ~thread History.Write ~seq:!seq ~invoked
-    ~returned:(Sched.now ());
-  fx.pending.(thread) <- None;
-  fx.ops.(thread) <- fx.ops.(thread) + 1
+   Every vsched campaign run — this module's, the catalogue's and both
+   modes of the chaos soak ({!Arc_resilience.Soak}) — runs its fibers
+   over one {!Fibers.t} fixture, under a fault plan, through
+   [run_fibers].  Fiber 0 is the writer. *)
 
 (* Run [fibers] under [plan] to completion or the backstop; the number
    of fibers left unfinished (crashed fibers finish by catching
    [Crashed], so these hung or livelocked) and the fault tallies. *)
-let run_fibers fx plan fibers =
+let run_fibers fx ~strategy plan fibers =
   Mem.install plan;
-  let backstop = (fx.max_steps * 3) + 100_000 in
-  let o = Sched.run ~max_steps:backstop ~strategy:fx.strategy fibers in
+  let o = Fibers.run fx ~strategy fibers in
   (o.Sched.unfinished, Mem.drain ())
 
 (* Crash-stopped fibers from [first] on, of a by-fiber [crashed]. *)
@@ -135,9 +82,9 @@ let crashed_from crashed first =
 
 (* The crash-aware atomicity check of [fx]'s history, with the
    writer's pending write when it crashed. *)
-let check_crash ?fence fx =
+let check_crash ?fence (fx : Fibers.t) =
   let pending_write = if fx.crashed.(0) then fx.pending.(0) else None in
-  Checker.check_crash ?pending_write ?fence (History.Recorder.history fx.recorder)
+  Checker.check_crash ?pending_write ?fence (Fibers.history fx)
 
 (* {1 Invariant probes} *)
 
@@ -191,8 +138,9 @@ end
 (* {1 Outcomes} *)
 
 type run_result = {
-  torn : int;
-  reads : int;
+  torn : int;  (** torn views, counted and never recorded *)
+  reads : int;  (** completed reads, torn ones included *)
+  recorded : int;  (** reads in the history *)
   writes : int;
   crashed : bool array;  (** by fiber id; [0] is the writer *)
   unfinished : int;  (** non-crashed fibers still alive at the backstop *)
@@ -204,21 +152,24 @@ type run_result = {
 
 (* The judgeable outcome of one finished run of [fx]: its tallies, the
    drained fault [stats] and the crash-aware check of its history. *)
-let result (fx : fixture) ~unfinished stats : run_result =
+let result (fx : Fibers.t) ~unfinished stats : run_result =
   let starved = ref 0 in
   Array.iteri
     (fun i n -> if i > 0 && (not fx.crashed.(i)) && n = 0 then incr starved)
     fx.ops;
+  let h = Fibers.history fx in
+  let pending_write = if fx.crashed.(0) then fx.pending.(0) else None in
   {
     torn = fx.torn;
     reads = Array.fold_left ( + ) 0 fx.ops - fx.ops.(0);
+    recorded = List.length (History.reads h);
     writes = fx.ops.(0);
-    crashed = fx.crashed;
+    crashed = Array.copy fx.crashed;
     unfinished;
     starved = !starved;
     stats;
-    check = check_crash fx;
-    dropped_events = History.Recorder.dropped fx.recorder;
+    check = Checker.check_crash ?pending_write h;
+    dropped_events = Fibers.dropped fx;
   }
 
 let judge ~seed ~(result : run_result) ~audit_errors =
@@ -240,17 +191,65 @@ let judge ~seed ~(result : run_result) ~audit_errors =
   List.iter (fun msg -> fail "invariant: %s" msg) audit_errors;
   !violations
 
+(* The tallies of a set of judged runs, added one run at a time. *)
 type outcome = {
-  schedules_run : int;
-  reader_crashes : int;
-  writer_crashes : int;
-  stalls : int;
-  tears : int;
-  reads_checked : int;
-  vanished : int;
-  took_effect : int;
-  violations : (int * string) list;  (** (schedule seed, description) *)
+  mutable schedules_run : int;
+  mutable convicted : int;  (** runs with at least one violation *)
+  mutable faulted : int;  (** runs in which a planned fault fired *)
+  mutable reader_crashes : int;
+  mutable writer_crashes : int;
+  mutable stalls : int;
+  mutable tears : int;
+  mutable torn : int;
+  mutable reads : int;
+  mutable recorded : int;
+  mutable reads_checked : int;
+  mutable vanished : int;
+  mutable took_effect : int;
+  mutable violations : (int * string) list;
+      (** (schedule seed, description), newest run first *)
 }
+
+let tally () =
+  {
+    schedules_run = 0;
+    convicted = 0;
+    faulted = 0;
+    reader_crashes = 0;
+    writer_crashes = 0;
+    stalls = 0;
+    tears = 0;
+    torn = 0;
+    reads = 0;
+    recorded = 0;
+    reads_checked = 0;
+    vanished = 0;
+    took_effect = 0;
+    violations = [];
+  }
+
+(* Add one run ([None] if it raised) and its violations to [o]. *)
+let add o (r : run_result option) violations =
+  o.schedules_run <- o.schedules_run + 1;
+  if violations <> [] then o.convicted <- o.convicted + 1;
+  o.violations <- violations @ o.violations;
+  Option.iter
+    (fun (r : run_result) ->
+      if r.stats <> Fault_mem.zero_stats then o.faulted <- o.faulted + 1;
+      o.reader_crashes <- o.reader_crashes + crashed_from r.crashed 1;
+      o.writer_crashes <- o.writer_crashes + Bool.to_int r.crashed.(0);
+      o.stalls <- o.stalls + r.stats.Fault_mem.stalls;
+      o.tears <- o.tears + List.length r.stats.Fault_mem.tears;
+      o.torn <- o.torn + r.torn;
+      o.reads <- o.reads + r.reads;
+      o.recorded <- o.recorded + r.recorded;
+      match r.check with
+      | Ok (c, outcome) ->
+        o.reads_checked <- o.reads_checked + c.Checker.reads_checked;
+        if outcome = Checker.Vanished then o.vanished <- o.vanished + 1;
+        if outcome = Checker.Took_effect then o.took_effect <- o.took_effect + 1
+      | Error _ -> ())
+    r
 
 let clean o = o.violations = []
 
@@ -263,6 +262,8 @@ module Make
            with type Mem.atomic = Mem.atomic
             and type Mem.buffer = Mem.buffer) =
 struct
+  module W = Fibers.Make (R)
+
   (* Run one (plan, strategy) pair to completion and judge it.  The
      register is returned alongside so callers can run white-box
      audits on its quiescent final state. *)
@@ -274,37 +275,16 @@ struct
       invalid_arg
         (Printf.sprintf "Campaign.run_plan: size_words = %d (need >= 1)"
            cfg.size_words);
-    let size = cfg.size_words in
     let fx =
-      fixture ~size ~max_steps:cfg.max_steps ~threads:(cfg.readers + 1)
-        ~capacity:12_000 strategy
+      Fibers.create ~record:12_000 ~size:cfg.size_words ~max_steps:cfg.max_steps
+        ~threads:(cfg.readers + 1) ()
     in
-    let reg = R.create ~readers:cfg.readers ~capacity:size ~init:fx.init in
-    let writer () =
-      try
-        let src = Array.make size 0 and seq = ref 0 in
-        while Sched.now () < cfg.max_steps do
-          write_next fx ~thread:0 ~src ~seq (fun src -> R.write reg ~src ~len:size);
-          Sched.cede ()
-        done
-      with Fault_plan.Crashed -> fx.crashed.(0) <- true
-    in
-    let reader id () =
-      let thread = id + 1 in
-      try
-        let rd = R.reader reg id in
-        while Sched.now () < cfg.max_steps do
-          let invoked = Sched.now () in
-          record_read fx ~thread ~invoked (R.read_with rd ~f:(validated fx));
-          fx.ops.(thread) <- fx.ops.(thread) + 1;
-          Sched.cede ()
-        done
-      with Fault_plan.Crashed -> fx.crashed.(thread) <- true
-    in
+    let reg = R.create ~readers:cfg.readers ~capacity:cfg.size_words ~init:fx.init in
+    let stop = Fibers.Until cfg.max_steps in
     let unfinished, stats =
-      run_fibers fx plan
+      run_fibers fx ~strategy plan
         (Array.init (cfg.readers + 1) (fun i ->
-             if i = 0 then writer else reader (i - 1)))
+             if i = 0 then W.writer fx ~stop reg else W.reader fx ~stop reg ~id:(i - 1)))
     in
     (result fx ~unfinished stats, reg)
 
@@ -353,13 +333,15 @@ struct
 
   (* One campaign iteration, addressable by its derived seed: the
      exact (plan, strategy) pair [run] explores as
-     [seed = Arc_report.Driver.derive_seed cfg.seed schedule].
-     Callers (bin/check --replay-seed) use it to re-execute a failing
-     schedule from the seed a violation line printed. *)
-  let run_seed ?audit ~seed (cfg : cfg) :
+     [seed = Arc_report.Driver.derive_seed cfg.seed schedule] — the
+     seed's random plan, or [plan] when given.  Callers (bin/check
+     --replay-seed) use it to re-execute a failing schedule from the
+     seed a violation line printed. *)
+  let run_seed ?audit ?plan ~seed (cfg : cfg) :
       Fault_plan.t * run_result * (int * string) list =
     let rng = Splitmix.of_int seed in
-    let plan = random_plan rng cfg in
+    let drawn = random_plan rng cfg in
+    let plan = Option.value plan ~default:drawn in
     let strategy = Strategy.random ~seed:(seed + 1) in
     let result, reg = run_plan ~plan ~strategy cfg in
     let audit_errors =
@@ -371,36 +353,14 @@ struct
     in
     (plan, result, judge ~seed ~result ~audit_errors)
 
-  let run ?audit (cfg : cfg) : outcome =
-    let runs =
-      Arc_report.Driver.campaign ~base:cfg.seed ~runs:cfg.schedules
-        ~raised:(fun ~seed msg -> (None, [ (seed, msg) ]))
-        (fun ~seed ->
-          let _plan, result, violations = run_seed ?audit ~seed cfg in
-          (Some result, violations))
-    in
-    let sum f =
-      List.fold_left
-        (fun n (r, _) -> match r with Some r -> n + f r | None -> n)
-        0 runs
-    in
-    let check_is o (r : run_result) =
-      Bool.to_int (match r.check with Ok (_, c) -> c = o | Error _ -> false)
-    in
-    {
-      schedules_run = List.length runs;
-      reader_crashes = sum (fun r -> crashed_from r.crashed 1);
-      writer_crashes = sum (fun r -> Bool.to_int r.crashed.(0));
-      stalls = sum (fun r -> r.stats.Fault_mem.stalls);
-      tears = sum (fun r -> List.length r.stats.Fault_mem.tears);
-      reads_checked =
-        sum (fun r ->
-            match r.check with
-            | Ok (c, _) -> c.Checker.reads_checked
-            | Error _ -> 0);
-      vanished = sum (check_is Checker.Vanished);
-      took_effect = sum (check_is Checker.Took_effect);
-      (* Newest run first, each run's violations newest first. *)
-      violations = List.concat_map snd (List.rev runs);
-    }
+  let run ?audit ?plan (cfg : cfg) : outcome =
+    let o = tally () in
+    ignore
+      (Arc_report.Driver.campaign ~base:cfg.seed ~runs:cfg.schedules
+         ~on_run:(fun (r, violations) -> add o r violations)
+         ~raised:(fun ~seed msg -> (None, [ (seed, msg) ]))
+         (fun ~seed ->
+           let _plan, result, violations = run_seed ?audit ?plan ~seed cfg in
+           (Some result, violations)));
+    o
 end

@@ -1,14 +1,19 @@
-(* The micro-scenario catalogue's runner: exhaustive schedule proofs
-   judged by the same code as the sampled campaigns.
+(* The micro-scenario catalogue's runner: schedule proofs and sampled
+   fault runs judged by one code path.
 
-   Every entry is one stamped write racing [reads] validated reads of
-   one reader, on a register over {!Campaign.Mem} under the entry's
-   fault plan (usually empty).  {!run} enumerates the schedules with
-   {!Arc_vsched.Explore.exhaustive} and judges each one's recorded
-   history as {!Campaign} judges a sampled run: torn snapshots,
-   liveness, {!Campaign.check_crash} (the full {!Arc_trace.Checker}
-   pass, crash-aware when the writer dies) and, for ARC subjects,
-   {!Campaign.arc_audit}'s presence ledger and Lemma 4.1 free slot. *)
+   Every entry is [writes] stamped writes racing [readers] readers of
+   [reads] validated reads each, on a register over {!Campaign.Mem},
+   run by the {!Fibers} bodies.  An explored row ([Exhaustive] or
+   [Prefix]) enumerates the schedules with
+   {!Arc_vsched.Explore.exhaustive} under the entry's fault plan
+   (usually empty), on one fixture reset per schedule; a sampled row
+   ([Seeds n]) runs [n] derived seeds through {!Campaign.Make.run},
+   each a random sound fault plan (or the entry's own) and a random
+   schedule until the entry's [steps] deadline.  Either way each run
+   is judged as {!Campaign.judge} judges it: torn views, liveness,
+   {!Arc_trace.Checker.check_crash} (the full Checker pass, crash-aware
+   when the writer dies) and, for ARC subjects, {!Campaign.arc_audit}'s
+   presence ledger and Lemma 4.1 free slot. *)
 
 module Sched = Arc_vsched.Sched
 module Explore = Arc_vsched.Explore
@@ -42,79 +47,78 @@ let arc (type t) ?epilogue (module R : ARC with type t = t) =
   Subject { register = (module R); audit = Some Probes.audit; epilogue }
 
 type verdict = Clean | Convicted
-type budget = Exhaustive | Prefix of int  (** the first [n] DFS schedules *)
+
+type budget =
+  | Exhaustive
+  | Prefix of int  (** the first [n] DFS schedules *)
+  | Seeds of int
+      (** [n] sampled runs, each a derived seed's {!Campaign} plan and
+          random strategy *)
 
 type entry = {
   name : string;
   subject : subject;
   words : int;  (** payload words *)
-  reads : int;  (** back-to-back reads by the one reader *)
-  plan : Fault_plan.t;
+  writes : int;  (** the writer's writes, in an explored row *)
+  readers : int;
+  reads : int;  (** back-to-back reads by each reader, in an explored row *)
+  steps : int;  (** a sampled run's deadline *)
+  plan : Fault_plan.t;  (** a sampled row draws one per seed when empty *)
   expect : verdict;
   control : string option;  (** the entry that must convict this protocol's shortcut *)
   budget : budget;
 }
 
-let entry ?(reads = 1) ?(plan = Fault_plan.empty) ?(expect = Clean) ?control
-    ?(budget = Exhaustive) name subject ~words =
-  { name; subject; words; reads; plan; expect; control; budget }
+let entry ?(writes = 1) ?(readers = 1) ?(reads = 1) ?(steps = 25_000)
+    ?(plan = Fault_plan.empty) ?(expect = Clean) ?control ?(budget = Exhaustive)
+    name subject ~words =
+  { name; subject; words; writes; readers; reads; steps; plan; expect; control; budget }
 
 type outcome = {
-  schedules : int;
-  exhausted : bool;
+  exhausted : bool;  (** every schedule of an explored row ran *)
   verdict : verdict;
-  convicted : int;  (** schedules with at least one violation *)
-  first_violation : (int * string) option;  (** (schedule, description) *)
-  faulted : int;  (** schedules in which a planned fault fired *)
   acted : int option;  (** schedules in which the epilogue acted, if any *)
+  tally : Campaign.outcome;
 }
 
-let run e =
+(* Sampled rows derive their run seeds from arc-check's base seed. *)
+let seed_base = 2024
+
+let campaign_cfg e ~schedules =
+  {
+    Campaign.default with
+    readers = e.readers;
+    size_words = e.words;
+    max_steps = e.steps;
+    seed = seed_base;
+    schedules;
+  }
+
+let own_plan e = if Fault_plan.size e.plan = 0 then None else Some e.plan
+
+(* Every schedule of an explored row runs on one fixture, reset per
+   schedule. *)
+let explore e ~max_schedules =
   let (Subject { register = (module R); audit; epilogue }) = e.subject in
-  let schedule = ref 0 and convicted = ref 0 and first = ref None in
-  let faulted = ref 0 and acted = ref 0 in
-  (* Explore drives the schedule; the fixture's strategy is unused. *)
-  let unused = Arc_vsched.Strategy.round_robin () in
+  let module W = Fibers.Make (R) in
+  let o = Campaign.tally () and acted = ref 0 in
+  let threads = e.readers + 1 in
+  let fx =
+    Fibers.create ~record:(max e.writes e.reads) ~size:e.words ~max_steps:max_int
+      ~threads ()
+  in
   let scenario () =
-    let fx =
-      Campaign.fixture ~size:e.words ~max_steps:max_int ~threads:2
-        ~capacity:(e.reads + 1) unused
-    in
+    Fibers.reset fx;
     Campaign.Mem.install e.plan;
-    let reg = R.create ~readers:1 ~capacity:e.words ~init:fx.init in
+    let reg = R.create ~readers:e.readers ~capacity:e.words ~init:fx.init in
     let writer () =
-      try
-        let src = Array.make e.words 0 in
-        Campaign.write_next fx ~thread:0 ~src ~seq:(ref 0) (fun src ->
-            R.write reg ~src ~len:e.words);
-        Option.iter (fun f -> if f reg > 0 then incr acted) epilogue
-      with Fault_plan.Crashed -> fx.crashed.(0) <- true
-    in
-    (* A torn view is counted and never served.  Unlike
-       [Campaign.validated] it is not re-read for a seq to record: that
-       read would be one more scheduling point. *)
-    let read buf len =
-      match Campaign.P.validate buf ~len with
-      | Ok seq -> Some seq
-      | Error _ ->
-        fx.torn <- fx.torn + 1;
-        None
-    in
-    let reader () =
-      try
-        let rd = R.reader reg 0 in
-        for _ = 1 to e.reads do
-          let invoked = Sched.now () in
-          Option.iter
-            (Campaign.record_read fx ~thread:1 ~invoked)
-            (R.read_with rd ~f:read);
-          fx.ops.(1) <- fx.ops.(1) + 1
-        done
-      with Fault_plan.Crashed -> fx.crashed.(1) <- true
+      W.writer fx ~stop:(Ops e.writes) reg ();
+      Option.iter
+        (fun f -> if (not fx.crashed.(0)) && f reg > 0 then incr acted)
+        epilogue
     in
     let check () =
       let stats = Campaign.Mem.drain () in
-      if stats <> Fault_mem.zero_stats then incr faulted;
       let result = Campaign.result fx ~unfinished:0 stats in
       let audit_errors =
         match audit with
@@ -124,25 +128,31 @@ let run e =
             ~crashed_readers:(Campaign.crashed_from fx.crashed 1)
             ~writer_crashed:fx.crashed.(0)
       in
-      (match Campaign.judge ~seed:!schedule ~result ~audit_errors with
-      | [] -> ()
-      | v :: _ ->
-        incr convicted;
-        if !first = None then first := Some v);
-      incr schedule
+      Campaign.add o (Some result)
+        (Campaign.judge ~seed:o.schedules_run ~result ~audit_errors)
     in
-    ([| writer; reader |], check)
+    ( Array.init threads (fun i ->
+          if i = 0 then writer else W.reader fx ~stop:(Ops e.reads) reg ~id:(i - 1)),
+      check )
   in
-  let max_schedules =
-    match e.budget with Exhaustive -> max_int | Prefix n -> n
+  let x = Explore.exhaustive ~max_schedules ~scenario () in
+  (x.Explore.exhausted, Option.map (fun _ -> !acted) epilogue, o)
+
+let run e =
+  let exhausted, acted, tally =
+    match e.budget with
+    | Exhaustive -> explore e ~max_schedules:max_int
+    | Prefix n -> explore e ~max_schedules:n
+    | Seeds n ->
+      let (Subject { register = (module R); audit; _ }) = e.subject in
+      let module C = Campaign.Make (R) in
+      (false, None, C.run ?audit ?plan:(own_plan e) (campaign_cfg e ~schedules:n))
   in
-  let o = Explore.exhaustive ~max_schedules ~scenario () in
-  {
-    schedules = o.Explore.schedules;
-    exhausted = o.Explore.exhausted;
-    verdict = (if !convicted > 0 then Convicted else Clean);
-    convicted = !convicted;
-    first_violation = !first;
-    faulted = !faulted;
-    acted = Option.map (fun _ -> !acted) epilogue;
-  }
+  { exhausted; verdict = (if tally.convicted > 0 then Convicted else Clean); acted; tally }
+
+(* Re-run one sampled run of [e] from the derived seed a violation
+   line printed: its plan, result and violations. *)
+let replay e ~seed =
+  let (Subject { register = (module R); audit; _ }) = e.subject in
+  let module C = Campaign.Make (R) in
+  C.run_seed ?audit ?plan:(own_plan e) ~seed (campaign_cfg e ~schedules:1)

@@ -11,7 +11,7 @@
       word-by-word and operations can be recorded into a history for
       the atomicity checker — the correctness-stress mode. *)
 
-type workload = Hold | Processing | Verify
+type workload = Arc_fault.Fibers.workload = Hold | Processing | Verify
 
 let workload_name = function
   | Hold -> "hold"

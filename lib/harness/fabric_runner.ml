@@ -25,6 +25,7 @@ module History = Arc_trace.History
 module Checker = Arc_trace.Checker
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
+module Fibers = Arc_fault.Fibers
 
 type result = {
   fr_snapshots : int;  (* snapshots completed (direct + borrowed) *)
@@ -32,7 +33,7 @@ type result = {
   fr_retries : int;  (* failed probe passes across all snapshots *)
   fr_deposits : int;  (* helping snapshots deposited by writers *)
   fr_writes : int;  (* shard writes published *)
-  fr_torn : int;  (* per-shard payload validation failures (expect 0) *)
+  fr_torn : int;  (* snapshots dropped for a torn shard (expect 0) *)
   fr_steps : int;  (* simulated steps consumed *)
   fr_shard_writes : History.t array;  (* per shard, seqs 1..k *)
   fr_snapshot_obs : Checker.snapshot_obs list;
@@ -45,74 +46,56 @@ module Make (R : Arc_core.Register_intf.STAMPED) = struct
   module P = Arc_workload.Payload.Make (R.Mem)
   module F = Arc_fabric.Fabric.Make (R)
 
-  type out = { mutable ops : int; mutable torn : int }
-
-  (* Writer [wid] cycles through its owned shards, one write per
-     iteration.  [seqs] is shared across fibers but each cell has
-     exactly one writer (shard ownership is static), matching the
-     single-writer regime everywhere else in the repo. *)
-  let writer_fiber ~fw ~wid ~(cfg : Config.fabric_sim) ~seqs ~events ~out () =
-    let size = cfg.fab_size_words in
-    let src = Array.make size 0 in
+  (* Writer [wid] is fiber [wid]; its targets are its owned shards
+     (shard ownership is static, so every shard keeps one writer),
+     each write logged into its shard's history. *)
+  let writer ~fx ~fw ~wid ~(cfg : Config.fabric_sim) ~events =
     let owned =
-      List.filter
-        (fun s -> s mod cfg.fab_writers = wid)
-        (List.init cfg.fab_shards Fun.id)
+      Array.of_list
+        (List.filter
+           (fun s -> s mod cfg.fab_writers = wid)
+           (List.init cfg.fab_shards Fun.id))
     in
-    let cursor = ref owned in
-    while Sched.now () < cfg.fab_steps do
-      let s, rest =
-        match !cursor with [] -> assert false | s :: rest -> (s, rest)
-      in
-      cursor := (if rest = [] then owned else rest);
-      let seq = seqs.(s) + 1 in
-      P.stamp src ~seq ~len:size;
-      let invoked = Sched.now () in
-      F.write fw ~shard:s ~src ~len:size;
-      let returned = Sched.now () in
-      seqs.(s) <- seq;
-      events.(s) :=
-        History.event History.Write ~thread:wid ~seq ~invoked ~returned
-        :: !(events.(s));
-      out.ops <- out.ops + 1;
-      Sched.cede ()
-    done
+    let log k ~seq ~invoked ~returned =
+      let s = owned.(k) in
+      events.(s) := History.event History.Write ~thread:wid ~seq ~invoked ~returned :: !(events.(s))
+    in
+    Fibers.writer ~thread:wid ~log fx ~stop:(Until cfg.fab_steps)
+      (Array.map
+         (fun s src -> F.write fw ~shard:s ~src ~len:cfg.fab_size_words)
+         owned)
 
-  let scanner_fiber ~ctx ~sid ~(cfg : Config.fabric_sim) ~obs ~out () =
+  (* A snapshot with a torn shard is counted and dropped: the torn-view
+     policy of every reader body ({!Arc_fault.Fibers}). *)
+  let scanner ~fx ~ctx ~sid ~(cfg : Config.fabric_sim) ~obs =
+    let thread = cfg.fab_writers + sid in
     let scratch = Array.make cfg.fab_size_words 0 in
-    while Sched.now () < cfg.fab_steps do
-      let invoked = Sched.now () in
-      let snap =
-        if not cfg.fab_atomic then F.snapshot_unvalidated ctx
+    Fibers.guard fx ~thread @@ fun () ->
+    Fibers.loop fx ~thread ~stop:(Until cfg.fab_steps) (fun () ->
+        let invoked = Sched.now () in
+        let snap =
+          if not cfg.fab_atomic then F.snapshot_unvalidated ctx
+          else
+            match F.snapshot_certified ctx with
+            | Ok snap -> snap
+            | Error _ -> failwith "certified snapshot failed with no elections running"
+        in
+        let returned = Sched.now () in
+        let observed = Array.make cfg.fab_shards 0 and torn = ref false in
+        for s = 0 to cfg.fab_shards - 1 do
+          let len = F.shard_copy snap s ~dst:scratch in
+          match P.validate_words scratch ~len with
+          | Ok seq -> observed.(s) <- seq
+          | Error _ -> torn := true
+        done;
+        if !torn then fx.Fibers.torn <- fx.Fibers.torn + 1
         else
-          match F.snapshot_certified ctx with
-          | Ok snap -> snap
-          | Error _ -> failwith "certified snapshot failed with no elections running"
-      in
-      let returned = Sched.now () in
-      let observed =
-        Array.init cfg.fab_shards (fun s ->
-            let len = F.shard_copy snap s ~dst:scratch in
-            match P.validate_words scratch ~len with
-            | Ok seq -> seq
-            | Error _ ->
-              out.torn <- out.torn + 1;
-              P.decode_words scratch)
-      in
-      (* Snapshot threads live above the writer range so projected
-         reads never collide with writer thread ids. *)
-      obs :=
-        {
-          Checker.sthread = cfg.fab_writers + sid;
-          invoked;
-          returned;
-          observed;
-          sepoch = F.snap_epoch snap;
-        }
-        :: !obs;
-      out.ops <- out.ops + 1;
-      Sched.cede ()
-    done
+          (* Snapshot threads live above the writer range so projected
+             reads never collide with writer thread ids. *)
+          obs :=
+            { Checker.sthread = thread; invoked; returned; observed; sepoch = F.snap_epoch snap }
+            :: !obs;
+        Fibers.count fx thread)
 
   let run ?strategy (cfg : Config.fabric_sim) : result =
     if cfg.fab_shards < 1 then invalid_arg "Fabric_runner.run: need shards";
@@ -126,45 +109,34 @@ module Make (R : Arc_core.Register_intf.STAMPED) = struct
       | Some s -> s
       | None -> Strategy.random ~seed:cfg.fab_seed
     in
-    let init = Array.make cfg.fab_size_words 0 in
-    P.stamp init ~seq:0 ~len:cfg.fab_size_words;
+    let nfibers = cfg.fab_writers + cfg.fab_scanners in
+    let fx =
+      Fibers.create ~size:cfg.fab_size_words ~max_steps:cfg.fab_steps ~threads:nfibers ()
+    in
     let fab =
       F.create ~shards:cfg.fab_shards ~writers:cfg.fab_writers
-        ~readers:cfg.fab_scanners ~capacity:cfg.fab_size_words ~init
+        ~readers:cfg.fab_scanners ~capacity:cfg.fab_size_words ~init:fx.init
     in
-    let seqs = Array.make cfg.fab_shards 0 in
     let events = Array.init cfg.fab_shards (fun _ -> ref []) in
     let obs = ref [] in
-    let nfibers = cfg.fab_writers + cfg.fab_scanners in
-    let outs = Array.init nfibers (fun _ -> { ops = 0; torn = 0 }) in
-    let fibers =
-      Array.init nfibers (fun i ->
-          if i < cfg.fab_writers then
-            writer_fiber ~fw:(F.writer fab i) ~wid:i ~cfg ~seqs ~events
-              ~out:outs.(i)
-          else
-            scanner_fiber
-              ~ctx:(F.scanner fab (i - cfg.fab_writers))
-              ~sid:(i - cfg.fab_writers) ~cfg ~obs ~out:outs.(i))
+    let outcome =
+      Fibers.run fx ~strategy
+        (Array.init nfibers (fun i ->
+             if i < cfg.fab_writers then
+               writer ~fx ~fw:(F.writer fab i) ~wid:i ~cfg ~events
+             else
+               scanner ~fx
+                 ~ctx:(F.scanner fab (i - cfg.fab_writers))
+                 ~sid:(i - cfg.fab_writers) ~cfg ~obs))
     in
-    (* Same backstop rationale as {!Sim_runner}: fibers self-terminate
-       at loop tops, the hard cap only bounds a wait-freedom bug. *)
-    let backstop = (cfg.fab_steps * 3) + 100_000 in
-    let outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-    let writes = ref 0 and snapshots = ref 0 and torn = ref 0 in
-    Array.iteri
-      (fun i o ->
-        if i < cfg.fab_writers then writes := !writes + o.ops
-        else snapshots := !snapshots + o.ops;
-        torn := !torn + o.torn)
-      outs;
+    let writes = Array.fold_left ( + ) 0 (Array.sub fx.ops 0 cfg.fab_writers) in
     {
-      fr_snapshots = !snapshots;
+      fr_snapshots = Array.fold_left ( + ) 0 fx.ops - writes;
       fr_borrowed = F.snapshots_borrowed fab;
       fr_retries = F.snapshot_retries fab;
       fr_deposits = F.deposits_made fab;
-      fr_writes = !writes;
-      fr_torn = !torn;
+      fr_writes = writes;
+      fr_torn = fx.torn;
       fr_steps = outcome.Sched.steps;
       fr_shard_writes = Array.map (fun l -> History.of_events !l) events;
       fr_snapshot_obs = List.rev !obs;

@@ -1,70 +1,10 @@
 module History = Arc_trace.History
 module Sched = Arc_vsched.Sched
 module Strategy = Arc_vsched.Strategy
+module Fibers = Arc_fault.Fibers
 
 module Make (R : Arc_core.Register_intf.S) = struct
-  module P = Arc_workload.Payload.Make (R.Mem)
-
-  type out = { mutable ops : int; mutable torn : int }
-
-  let reader_fiber ~reg ~id ~(cfg : Config.sim) ~recorder ~out () =
-    let rd = R.reader reg id in
-    let record kind seq invoked returned =
-      match recorder with
-      | None -> ()
-      | Some r ->
-        History.Recorder.record r ~thread:(id + 1) kind ~seq ~invoked ~returned
-    in
-    while Sched.now () < cfg.max_steps do
-      (match cfg.sim_workload with
-      | Config.Hold -> R.read_with rd ~f:(fun _buffer _len -> ())
-      | Config.Processing ->
-        let (_ : int) = R.read_with rd ~f:(fun buffer len -> P.scan buffer ~len) in
-        ()
-      | Config.Verify ->
-        let invoked = Sched.now () in
-        let seq =
-          R.read_with rd ~f:(fun buffer len ->
-              match P.validate buffer ~len with
-              | Ok seq -> seq
-              | Error _ ->
-                out.torn <- out.torn + 1;
-                P.decode_seq buffer)
-        in
-        record History.Read seq invoked (Sched.now ()));
-      out.ops <- out.ops + 1;
-      (* Even a zero-shared-access iteration must make simulated time
-         advance, or a fast-path loop would never yield. *)
-      Sched.cede ()
-    done
-
-  let writer_fiber ~reg ~(cfg : Config.sim) ~recorder ~out () =
-    let size = cfg.sim_size_words in
-    let src = Array.make size 0 in
-    let record seq invoked returned =
-      match recorder with
-      | None -> ()
-      | Some r ->
-        History.Recorder.record r ~thread:0 History.Write ~seq ~invoked ~returned
-    in
-    P.stamp src ~seq:0 ~len:size;
-    let seq = ref 0 in
-    while Sched.now () < cfg.max_steps do
-      (match cfg.sim_workload with
-      | Config.Hold -> R.write reg ~src ~len:size
-      | Config.Processing ->
-        incr seq;
-        P.stamp src ~seq:!seq ~len:size;
-        R.write reg ~src ~len:size
-      | Config.Verify ->
-        incr seq;
-        P.stamp src ~seq:!seq ~len:size;
-        let invoked = Sched.now () in
-        R.write reg ~src ~len:size;
-        record !seq invoked (Sched.now ()));
-      out.ops <- out.ops + 1;
-      Sched.cede ()
-    done
+  module W = Arc_fault.Fibers.Make (R)
 
   (* [prepare] runs on the freshly created register before any fiber
      starts — the attach point for telemetry, which must be wired
@@ -84,38 +24,24 @@ module Make (R : Arc_core.Register_intf.S) = struct
       | Some s -> s
       | None -> Strategy.random ~seed:cfg.sim_seed
     in
-    let init = Array.make cfg.sim_size_words 0 in
-    P.stamp init ~seq:0 ~len:cfg.sim_size_words;
-    let reg = R.create ~readers:cfg.sim_readers ~capacity:cfg.sim_size_words ~init in
+    let fx =
+      Fibers.create ~workload:cfg.sim_workload
+        ?record:(if cfg.sim_record > 0 then Some cfg.sim_record else None)
+        ~size:cfg.sim_size_words ~max_steps:cfg.max_steps
+        ~threads:(cfg.sim_readers + 1) ()
+    in
+    let reg = R.create ~readers:cfg.sim_readers ~capacity:cfg.sim_size_words ~init:fx.init in
     (match prepare with Some f -> f reg | None -> ());
-    let recorder =
-      if cfg.sim_record > 0 then
-        Some
-          (History.Recorder.create ~threads:(cfg.sim_readers + 1)
-             ~capacity:cfg.sim_record)
-      else None
+    let stop = Fibers.Until cfg.max_steps in
+    let outcome =
+      Fibers.run fx ~strategy
+        (Array.init (cfg.sim_readers + 1) (fun i ->
+             if i = 0 then W.writer fx ~stop reg else W.reader fx ~stop reg ~id:(i - 1)))
     in
-    let outs = Array.init (cfg.sim_readers + 1) (fun _ -> { ops = 0; torn = 0 }) in
-    let fibers =
-      Array.init (cfg.sim_readers + 1) (fun i ->
-          if i = 0 then writer_fiber ~reg ~cfg ~recorder ~out:outs.(0)
-          else reader_fiber ~reg ~id:(i - 1) ~cfg ~recorder ~out:outs.(i))
-    in
-    (* Fibers self-terminate at their loop tops, but a fiber of a
-       non-wait-free algorithm can be spinning inside an operation
-       (e.g. on a lock whose holder an unfair strategy never
-       reschedules).  The hard backstop bounds such livelocks; in
-       clean runs it never triggers. *)
-    let backstop = (cfg.max_steps * 3) + 100_000 in
-    let outcome = Sched.run ~max_steps:backstop ~strategy fibers in
-    let reads = ref 0 and torn = ref 0 in
-    Array.iteri (fun i o -> if i > 0 then reads := !reads + o.ops) outs;
-    Array.iter (fun o -> torn := !torn + o.torn) outs;
-    let history = Option.map History.Recorder.history recorder in
-    let dropped =
-      match recorder with None -> 0 | Some r -> History.Recorder.dropped r
-    in
-    Config.mk_result ~reads:!reads ~writes:outs.(0).ops
-      ~duration:(float_of_int outcome.Sched.steps) ~torn:!torn ~history
-      ~dropped_events:dropped
+    let writes = fx.ops.(0) in
+    Config.mk_result
+      ~reads:(Array.fold_left ( + ) 0 fx.ops - writes)
+      ~writes ~duration:(float_of_int outcome.Sched.steps) ~torn:fx.torn
+      ~history:(Option.map History.Recorder.history fx.recorder)
+      ~dropped_events:(Fibers.dropped fx)
 end

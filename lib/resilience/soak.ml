@@ -59,11 +59,13 @@ module History = Arc_trace.History
 module Checker = Arc_trace.Checker
 module Fault_plan = Arc_fault.Fault_plan
 module Campaign = Arc_fault.Campaign
+module Fibers = Arc_fault.Fibers
 module Mem = Campaign.Mem
 module R = Arc_core.Arc.Make (Mem)
 module R_probes = Campaign.Arc_probes (R)
 module E = Election.Make (R)
-module P = Campaign.P
+module F = Fibers.Make (R)
+module P = Arc_workload.Payload.Make (Mem)
 
 module S = Session.Make (R)
 
@@ -183,19 +185,21 @@ let scenario_of rng cfg =
 
 (* {1 The run skeleton}
 
-   Both modes run on {!Campaign}'s skeleton — its fixture, writer step
-   and fiber run — and pass the same common judge below; each keeps
+   Both modes run on the {!Fibers} fixture and writer step and
+   {!Campaign}'s fiber run, and pass the same common judge below; each keeps
    only its fiber bodies, scenario draw and extra verdicts.  Fibers 0
    and 1 are the writer side (incumbent and standby, or writer and
    janitor); fibers 2.. read. *)
 
-let fixture ~seed ~threads cfg : Campaign.fixture =
-  Campaign.fixture ~size:cfg.size_words ~max_steps:cfg.max_steps ~threads
-    ~capacity:20_000
-    (Strategy.random ~seed:(seed + 1))
+let fixture ~threads cfg =
+  Fibers.create ~record:20_000 ~size:cfg.size_words ~max_steps:cfg.max_steps
+    ~threads ()
 
-let serve_stale (fx : Campaign.fixture) ~thread seq =
-  fx.stale_serves <- { Checker.thread; seq; at = Sched.now () } :: fx.stale_serves
+let strategy seed = Strategy.random ~seed:(seed + 1)
+
+let serve_stale (fx : Fibers.t) ~thread =
+  Option.iter (fun seq ->
+      fx.stale_serves <- { Checker.thread; seq; at = Sched.now () } :: fx.stale_serves)
 
 (* {1 Reports} *)
 
@@ -221,14 +225,14 @@ type 'm report = {
    passes none), and the quiescent presence ledger and Lemma 4.1's
    free slot ({!Campaign.arc_audit}, skipped when the incumbent
    crashed mid-operation).  The mode's [extra] verdicts follow. *)
-let judge ~seed (fx : Campaign.fixture) ~unfinished ?fence ?stale_bound ~probes
+let judge ~seed (fx : Fibers.t) ~unfinished ?fence ?stale_bound ~probes
     ~extra mode =
   let violations = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
   if fx.torn > 0 then fail "%d torn snapshots" fx.torn;
-  if History.Recorder.dropped fx.recorder > 0 then
+  if Fibers.dropped fx > 0 then
     fail "recorder overflow (%d events dropped)"
-      (History.Recorder.dropped fx.recorder);
+      (Fibers.dropped fx);
   if unfinished > 0 then
     fail "%d fibers never finished (hang/livelock inside the backstop)"
       unfinished;
@@ -241,7 +245,7 @@ let judge ~seed (fx : Campaign.fixture) ~unfinished ?fence ?stale_bound ~probes
     | None -> Ok 0
     | Some bound ->
       Checker.check_bounded_staleness
-        (History.Recorder.history fx.recorder)
+        (Fibers.history fx)
         ~bound (List.rev fx.stale_serves)
   in
   (match stale_check with
@@ -334,7 +338,7 @@ let run_one ~seed (cfg : cfg) : failover report =
   check_cfg cfg;
   let rng = Splitmix.of_int seed in
   let scen = scenario_of rng cfg in
-  let fx = fixture ~seed ~threads:(cfg.readers + 2) cfg in
+  let fx = fixture ~threads:(cfg.readers + 2) cfg in
   let size = cfg.size_words in
   (* Identities: [0, readers) for the sessions, [readers] the standby's
      spare; two more stay unclaimed as over-provisioned slots — a
@@ -359,7 +363,7 @@ let run_one ~seed (cfg : cfg) : failover report =
     try
       while Sched.now () < cfg.max_steps do
         pause !seq;
-        Campaign.write_next fx ~thread ~src ~seq (fun src -> E.write w ~src ~len:size);
+        Fibers.write_next fx ~thread ~src ~seq (fun src -> E.write w ~src ~len:size);
         E.heartbeat w;
         Sched.cede ()
       done
@@ -419,8 +423,8 @@ let run_one ~seed (cfg : cfg) : failover report =
       sessions.(id) <- Some session;
       while Sched.now () < cfg.max_steps do
         let invoked = Sched.now () in
-        (match S.read_with session ~f:(Campaign.validated fx) with
-        | S.Fresh s -> Campaign.record_read fx ~thread ~invoked s
+        (match S.read_with session ~f:(F.validated fx) with
+        | S.Fresh s -> Fibers.record_read fx ~thread ~invoked s
         | S.Stale _ | S.Backpressured _ ->
           assert false (* no admission guard: every read is live *));
         fx.ops.(thread) <- fx.ops.(thread) + 1;
@@ -430,7 +434,7 @@ let run_one ~seed (cfg : cfg) : failover report =
   in
 
   let unfinished, faults =
-    Campaign.run_fibers fx scen.plan
+    Campaign.run_fibers fx ~strategy:(strategy seed) scen.plan
       (Array.init (cfg.readers + 2) (fun i ->
            if i = 0 then incumbent else if i = 1 then standby else reader (i - 2)))
   in
@@ -538,7 +542,7 @@ let replay_command ~seed cfg =
 let unfenced_control ~seed (cfg : cfg) : bool * string list =
   check_cfg cfg;
   let size = cfg.size_words in
-  let fx = fixture ~seed ~threads:(cfg.readers + 2) cfg in
+  let fx = fixture ~threads:(cfg.readers + 2) cfg in
   let reg = R.create ~readers:(cfg.readers + 3) ~capacity:size ~init:fx.init in
   let anomalies = ref [] in
   let hb = ref 0 in
@@ -565,7 +569,7 @@ let unfenced_control ~seed (cfg : cfg) : bool * string list =
         let src = Array.make size 0 and seq = ref start_seq in
         while Sched.now () < cfg.max_steps do
           if thread = 0 && !seq = pause_after then Sched.sleep (3 * cfg.lease);
-          Campaign.write_next fx ~thread ~src ~seq (fun src ->
+          Fibers.write_next fx ~thread ~src ~seq (fun src ->
               R.write reg ~src ~len:size);
           hb := Sched.now ();
           Sched.cede ()
@@ -576,20 +580,20 @@ let unfenced_control ~seed (cfg : cfg) : bool * string list =
     let rd = R.reader reg id in
     while Sched.now () < cfg.max_steps do
       let invoked = Sched.now () in
-      Campaign.record_read fx ~thread:(id + 2) ~invoked
-        (R.read_with rd ~f:(Campaign.validated fx));
+      Fibers.record_read fx ~thread:(id + 2) ~invoked
+        (R.read_with rd ~f:(F.validated fx));
       Sched.cede ()
     done
   in
   let unfinished, _ =
-    Campaign.run_fibers fx Fault_plan.empty
+    Campaign.run_fibers fx ~strategy:(strategy seed) Fault_plan.empty
       (Array.init (cfg.readers + 2) (fun i -> if i < 2 then writer i else reader (i - 2)))
   in
   let reasons = ref !anomalies in
   if fx.torn > 0 then reasons := Printf.sprintf "%d torn snapshots" fx.torn :: !reasons;
   if unfinished > 0 then
     reasons := Printf.sprintf "%d fibers never finished" unfinished :: !reasons;
-  (match Checker.check (History.Recorder.history fx.recorder) with
+  (match Checker.check (Fibers.history fx) with
   | Ok _ -> ()
   | Error v -> reasons := Format.asprintf "%a" Checker.pp_violation v :: !reasons);
   (!reasons <> [], !reasons)
@@ -713,7 +717,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
   let cfg = c.base in
   let rng = Splitmix.of_int seed in
   let plan = churn_plan rng c in
-  let fx = fixture ~seed ~threads:(c.lanes + 2) cfg in
+  let fx = fixture ~threads:(c.lanes + 2) cfg in
   let size = cfg.size_words in
   let dreg = D.create ~readers:c.gate_capacity ~capacity:size ~init:fx.init in
   (* Storage-reclaim lease in writes, derived from the time lease the
@@ -739,7 +743,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
     try
       let src = Array.make size 0 and seq = ref 0 in
       while Sched.now () < cfg.max_steps do
-        Campaign.write_next fx ~thread:0 ~src ~seq (fun src ->
+        Fibers.write_next fx ~thread:0 ~src ~seq (fun src ->
             D.write dreg ~src ~len:size);
         (* Depart-triggered reclaim runs here — storage revocation is
            the writer's side of the protocol, so the gate's
@@ -802,8 +806,8 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
                if !r = oversleep then
                  Sched.sleep (cfg.lease + (cfg.lease / 2));
                let invoked = Sched.now () in
-               (match DS.read_with session ~f:(Campaign.validated fx) with
-               | DS.Fresh s -> Campaign.record_read fx ~thread ~invoked s
+               (match DS.read_with session ~f:(F.validated fx) with
+               | DS.Fresh s -> Fibers.record_read fx ~thread ~invoked s
                | DS.Stale { value = s; _ } -> serve_stale fx ~thread s
                | DS.Backpressured _ ->
                  (* Our lease was swept out from under us (a stall made
@@ -840,7 +844,7 @@ let run_churn_one ~seed (c : churn_cfg) : churn report =
   in
 
   let unfinished, _ =
-    Campaign.run_fibers fx plan
+    Campaign.run_fibers fx ~strategy:(strategy seed) plan
       (Array.init (c.lanes + 2) (fun i ->
            if i = 0 then writer else if i = 1 then janitor else lane (i - 2)))
   in
@@ -1011,14 +1015,14 @@ let churn_control ~seed (c : churn_cfg) : bool * string list =
   let reasons = ref [] in
   let convict fmt = Printf.ksprintf (fun m -> reasons := m :: !reasons) fmt in
   (* Arm 1: fresh-handle-per-arrival churn, no gate. *)
-  (let fx = fixture ~seed ~threads:(c.lanes + 1) cfg in
+  (let fx = fixture ~threads:(c.lanes + 1) cfg in
    let dreg = D.create ~readers:c.gate_capacity ~capacity:size ~init:fx.init in
    let anomalies = ref [] in
    let writer () =
      try
        let src = Array.make size 0 and seq = ref 0 in
        while Sched.now () < cfg.max_steps do
-         Campaign.write_next fx ~thread:0 ~src ~seq (fun src ->
+         Fibers.write_next fx ~thread:0 ~src ~seq (fun src ->
              D.write dreg ~src ~len:size);
          Sched.cede ()
        done
@@ -1036,8 +1040,8 @@ let churn_control ~seed (c : churn_cfg) : bool * string list =
            for _ = 1 to 1 + Splitmix.int lrng 4 do
              if Sched.now () < cfg.max_steps then begin
                let invoked = Sched.now () in
-               Campaign.record_read fx ~thread ~invoked
-                 (D.read_with rd ~f:(Campaign.validated fx))
+               Fibers.record_read fx ~thread ~invoked
+                 (D.read_with rd ~f:(F.validated fx))
              end
            done
          end
@@ -1049,13 +1053,13 @@ let churn_control ~seed (c : churn_cfg) : bool * string list =
      | Failure msg -> anomalies := msg :: !anomalies
    in
    let unfinished, _ =
-     Campaign.run_fibers fx Fault_plan.empty
+     Campaign.run_fibers fx ~strategy:(strategy seed) Fault_plan.empty
        (Array.init (c.lanes + 1) (fun i -> if i = 0 then writer else lane (i - 1)))
    in
    List.iter (fun m -> convict "%s" m) !anomalies;
    if fx.torn > 0 then convict "%d torn snapshots" fx.torn;
    if unfinished > 0 then convict "%d fibers never finished" unfinished;
-   (match Checker.check (History.Recorder.history fx.recorder) with
+   (match Checker.check (Fibers.history fx) with
    | Ok _ -> ()
    | Error v -> convict "%s" (Format.asprintf "%a" Checker.pp_violation v));
    let slack = D.Debug.presence_slack dreg in

@@ -149,6 +149,13 @@ module Recorder = struct
       c.len <- i + 1
     end
 
+  let reset r =
+    Array.iter
+      (fun c ->
+        c.len <- 0;
+        c.dropped <- 0)
+      r.cells
+
   let dropped r = Array.fold_left (fun acc c -> acc + c.dropped) 0 r.cells
 
   let history r =

@@ -69,6 +69,9 @@ module Recorder : sig
   val record :
     recorder -> thread:int -> kind -> seq:int -> invoked:int -> returned:int -> unit
 
+  val reset : recorder -> unit
+  (** Forget every event and drop, keeping the storage. *)
+
   val dropped : recorder -> int
   val history : recorder -> t
 end

@@ -182,3 +182,47 @@ module Hang (M : Arc_mem.Mem_intf.S) = struct
       Domain.cpu_relax ()
     done
 end
+
+(* [Torn] with the fabric's stamped reads: a write bumps the stamp
+   after its in-place copy, so a double collect that probes before the
+   write ends accepts a torn shard. *)
+module Torn_stamped (M : Arc_mem.Mem_intf.S) = struct
+  module Mem = M
+
+  type t = { stamp : M.atomic; content : M.buffer; len : int }
+  type reader = { reg : t; mutable seen : int }
+
+  let algorithm = "broken-torn-stamped"
+
+  let caps =
+    {
+      Arc_core.Register_intf.wait_free = true;
+      zero_copy = true;
+      max_readers = (fun ~capacity_words:_ -> None);
+      snapshot_read = true;
+    }
+
+  let create ~readers:_ ~capacity ~init =
+    let t = { stamp = M.atomic 1; content = M.alloc capacity; len = Array.length init } in
+    M.write_words t.content ~src:init ~len:t.len;
+    t
+
+  let reader reg _ = { reg; seen = 0 }
+
+  let read_with rd ~f =
+    rd.seen <- M.load rd.reg.stamp;
+    f rd.reg.content rd.reg.len
+
+  let read_into rd ~dst =
+    read_with rd ~f:(fun buffer len ->
+        M.read_words buffer ~dst ~len;
+        len)
+
+  let read_stamped_into = read_into
+  let view_stamp rd = rd.seen
+  let probe_stamp t = M.load t.stamp
+
+  let write t ~src ~len =
+    M.write_words t.content ~src ~len;
+    M.store t.stamp (M.load t.stamp + 1)
+end

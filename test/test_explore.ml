@@ -50,11 +50,12 @@ let test_max_schedules_cap () =
 
 (* {1 The catalogue}
 
-   One row per exhaustive fact: a stamped write racing one reader's
-   [reads] validated reads.  Single-read rows are Lemma 4.1's race (an
-   untorn, regular value and a free slot in every schedule); two-read
-   rows add Criterion 1 (no new-old inversion).  Adding a protocol is
-   one row. *)
+   One row per fact: [writes] stamped writes racing [readers] readers
+   of [reads] validated reads each, over every schedule (or a DFS
+   prefix), or [Seeds n] sampled runs under drawn fault plans.
+   Single-read rows are Lemma 4.1's race (an untorn, regular value and
+   a free slot in every schedule); two-read rows add Criterion 1 (no
+   new-old inversion).  Adding a protocol is one row. *)
 
 module Arc = Arc_core.Arc.Make (Mem)
 module Ad = Arc_core.Arc_dynamic.Make (Mem)
@@ -90,6 +91,23 @@ let catalogue =
         ~budget:(Prefix 150_000);
       entry "simpson write/read race" (register (module Sp)) ~words:2;
       entry "simpson no inversion" (register (module Sp)) ~words:2 ~reads:2;
+      (* Two shapes beyond one write racing one reader.  Neither ARC
+         row exhausts in test time, so each runs a DFS prefix; the
+         same-shaped unsound register is convicted well inside it. *)
+      entry "arc two writes" (arc (module Arc)) ~words:2 ~writes:2
+        ~budget:(Prefix 500_000) ~control:"unsound two writes";
+      entry "unsound two writes" (register (module Torn)) ~words:2 ~writes:2
+        ~expect:Convicted;
+      entry "arc two readers" (arc (module Arc)) ~words:2 ~readers:2
+        ~budget:(Prefix 500_000) ~control:"unsound two readers";
+      entry "unsound two readers" (register (module Torn)) ~words:2 ~readers:2
+        ~expect:Convicted;
+      (* arc-check --faults' rows, sampled: a drawn fault plan and
+         schedule per seed. *)
+      entry "arc sampled faults" (arc (module Arc)) ~words:16 ~readers:3
+        ~budget:(Seeds 20) ~control:"unsound sampled";
+      entry "unsound sampled" (register (module Torn)) ~words:16 ~readers:3
+        ~budget:(Seeds 20) ~expect:Convicted;
     ]
 
 let title (e : Scenario.entry) =
@@ -99,31 +117,37 @@ let title (e : Scenario.entry) =
   | Convicted, _ -> " convicted exhaustively"
   | Clean, Exhaustive -> " exhaustive"
   | Clean, Prefix _ -> " (bounded DFS)"
+  | Clean, Seeds _ -> " sampled"
 
 let test_entry (e : Scenario.entry) () =
   let r = Scenario.run e in
+  let t = r.tally in
   Printf.printf "%s: %d schedules, exhausted %b, %d convicted\n" e.name
-    r.schedules r.exhausted r.convicted;
+    t.schedules_run r.exhausted t.convicted;
   if r.verdict <> e.expect then
-    Alcotest.failf "%s: %d of %d schedules convicted%s" e.name r.convicted
-      r.schedules
-      (match r.first_violation with
-      | Some (s, msg) -> Printf.sprintf ", first (schedule %d): %s" s msg
-      | None -> "");
+    Alcotest.failf "%s: %d of %d schedules convicted%s" e.name t.convicted
+      t.schedules_run
+      (match List.rev t.violations with
+      | (s, msg) :: _ -> Printf.sprintf ", first (schedule %d): %s" s msg
+      | [] -> "");
   (match e.budget with
   | Exhaustive -> Alcotest.(check bool) "space exhausted" true r.exhausted
-  | Prefix n -> check "whole prefix explored" n r.schedules);
-  (* Non-vacuity: a planned fault fires in every schedule, and an
-     epilogue both acts and finds nothing to do somewhere. *)
-  check "schedules a planned fault fired in"
-    (if Fault_plan.size e.plan = 0 then 0 else r.schedules)
-    r.faulted;
+  | Prefix n | Seeds n -> check "whole budget explored" n t.schedules_run);
+  (* Non-vacuity: a planned fault fires in every explored schedule (a
+     drawn one in some sampled run), and an epilogue both acts and
+     finds nothing to do somewhere. *)
+  (match e.budget with
+  | Seeds _ -> Alcotest.(check bool) "a drawn fault fired" true (t.faulted > 0)
+  | Exhaustive | Prefix _ ->
+    check "schedules a planned fault fired in"
+      (if Fault_plan.size e.plan = 0 then 0 else t.schedules_run)
+      t.faulted);
   Option.iter
     (fun n ->
       Alcotest.(check bool)
-        (Printf.sprintf "epilogue acted in %d of %d schedules" n r.schedules)
+        (Printf.sprintf "epilogue acted in %d of %d schedules" n t.schedules_run)
         true
-        (n > 0 && n < r.schedules))
+        (n > 0 && n < t.schedules_run))
     r.acted;
   Option.iter
     (fun c ->
@@ -132,6 +156,56 @@ let test_entry (e : Scenario.entry) () =
       | _ -> Alcotest.failf "%s: no convicted control %S" e.name c)
     e.control
 
+(* {1 One torn-view policy}
+
+   Every reader body counts a view that fails validation and records
+   nothing for it, with no further read: over the unsound register,
+   each runner counts torn views, and its recorded reads (or fabric
+   snapshots) are exactly the untorn ones. *)
+
+module Sim_torn = Arc_harness.Sim_runner.Make (Broken_regs.Torn (Arc_vsched.Sim_mem))
+
+module Fabric_torn =
+  Arc_harness.Fabric_runner.Make (Broken_regs.Torn_stamped (Arc_vsched.Sim_mem))
+
+let test_torn_sim_runner () =
+  let r =
+    Sim_torn.run
+      {
+        Arc_harness.Config.default_sim with
+        sim_size_words = 8;
+        max_steps = 5_000;
+        sim_workload = Verify;
+        sim_record = 5_000;
+      }
+  in
+  Alcotest.(check bool) "torn views counted" true (r.torn > 0);
+  check "untorn reads recorded" (r.reads - r.torn)
+    (List.length (Arc_trace.History.reads (Option.get r.history)))
+
+let row name = List.find (fun (e : Scenario.entry) -> e.name = name) catalogue
+
+let test_torn_explored_row () =
+  let t = (Scenario.run (row "unsound register")).tally in
+  check "schedules" 222 t.schedules_run;
+  check "convicted" 52 t.convicted;
+  Alcotest.(check bool) "torn views counted" true (t.torn > 0);
+  check "untorn reads recorded" (t.reads - t.torn) t.recorded
+
+let test_torn_sampled_row () =
+  let t = (Scenario.run (row "unsound sampled")).tally in
+  Alcotest.(check bool) "torn views counted" true (t.torn > 0);
+  check "untorn reads recorded" (t.reads - t.torn) t.recorded
+
+let test_torn_fabric_scanner () =
+  let r =
+    Fabric_torn.run
+      { Arc_harness.Config.default_fabric_sim with fab_size_words = 8; fab_steps = 5_000 }
+  in
+  Alcotest.(check bool) "torn snapshots counted" true (r.fr_torn > 0);
+  check "untorn snapshots recorded" (r.fr_snapshots - r.fr_torn)
+    (List.length r.fr_snapshot_obs)
+
 let suite =
   [
     Alcotest.test_case "enumerates all interleavings" `Quick
@@ -139,3 +213,9 @@ let suite =
     Alcotest.test_case "max_schedules cap" `Quick test_max_schedules_cap;
   ]
   @ List.map (fun e -> Alcotest.test_case (title e) `Quick (test_entry e)) catalogue
+  @ [
+      Alcotest.test_case "torn views: sim runner" `Quick test_torn_sim_runner;
+      Alcotest.test_case "torn views: explored row" `Quick test_torn_explored_row;
+      Alcotest.test_case "torn views: sampled row" `Quick test_torn_sampled_row;
+      Alcotest.test_case "torn views: fabric scanner" `Quick test_torn_fabric_scanner;
+    ]

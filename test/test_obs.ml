@@ -262,6 +262,40 @@ let test_reign_gauge_crosscheck () =
           h.Obs.value
       | None -> Alcotest.fail "arc_reign_handoffs_total not exported")
 
+(* The gauge holds the highest epoch any handoff in the process
+   reached, not the last one: a fresh seat handing off at a lower
+   epoch after another seat's does not lower it. *)
+
+module Heap_seat = Arc_resilience.Election.Make (Arc_core.Arc.Make (Arc_mem.Real_mem))
+
+let test_reign_gauge_keeps_max () =
+  Arc_fabric.Fabric.reset_reign_metrics ();
+  Fun.protect ~finally:Arc_fabric.Fabric.reset_reign_metrics (fun () ->
+      let clock = ref 0 in
+      let now () =
+        incr clock;
+        !clock
+      in
+      let seat () =
+        Heap_seat.create ~readers:1 ~capacity:4 ~init:(Array.make 4 0) ~now ~lease:1
+      in
+      let handoff s candidate =
+        match Heap_seat.campaign s ~candidate with
+        | Heap_seat.Won { config; _ } -> config
+        | Heap_seat.Lost _ -> Alcotest.fail "uncontested campaign lost"
+      in
+      let first = seat () in
+      Alcotest.(check int) "first seat, first handoff" 2 (handoff first 0);
+      Alcotest.(check int) "first seat, second handoff" 3 (handoff first 1);
+      Alcotest.(check int) "fresh second seat's handoff" 2 (handoff (seat ()) 0);
+      match
+        List.find_opt
+          (fun (mt : Obs.metric) -> mt.Obs.mname = "arc_reign_epoch")
+          (Arc_fabric.Fabric.reign_metrics ())
+      with
+      | Some g -> Alcotest.(check (float 0.0)) "gauge keeps the first seat's 3" 3.0 g.Obs.value
+      | None -> Alcotest.fail "arc_reign_epoch not exported")
+
 (* --- the fast-path-hit accounting theorem, under the virtual
    scheduler with an independently counted substrate --- *)
 
@@ -399,6 +433,8 @@ let suite =
     Alcotest.test_case "json: shape" `Quick test_json;
     Alcotest.test_case "reign epoch gauge = superblock word" `Quick
       test_reign_gauge_crosscheck;
+    Alcotest.test_case "reign epoch gauge keeps the maximum" `Quick
+      test_reign_gauge_keeps_max;
     Alcotest.test_case "vsched: fast hits = reads - RMW reads" `Quick
       test_vsched_fast_path_accounting;
     Alcotest.test_case "telemetry changes no history (arc)" `Quick
