@@ -7,13 +7,13 @@
    [Prefix]) enumerates the schedules with
    {!Arc_vsched.Explore.exhaustive} under the entry's fault plan
    (usually empty), on one fixture reset per schedule; a sampled row
-   ([Seeds n]) runs [n] derived seeds through {!Campaign.Make.run},
-   each a random sound fault plan (or the entry's own) and a random
-   schedule until the entry's [steps] deadline.  Either way each run
-   is judged as {!Campaign.judge} judges it: torn views, liveness,
-   {!Arc_trace.Checker.check_crash} (the full Checker pass, crash-aware
-   when the writer dies) and, for ARC subjects, {!Campaign.arc_audit}'s
-   presence ledger and Lemma 4.1 free slot. *)
+   ([Seeds {runs; steps}]) runs [runs] derived seeds through
+   {!Campaign.Make.run}, each a random sound fault plan (or the
+   entry's own) and a random schedule until simulated time [steps].
+   Either way each run is judged as {!Campaign.judge} judges it: torn
+   views, liveness, {!Arc_trace.Checker.check_crash} (the full Checker
+   pass, crash-aware when the writer dies) and, for ARC subjects,
+   {!Campaign.arc_audit}'s presence ledger and Lemma 4.1 free slot. *)
 
 module Sched = Arc_vsched.Sched
 module Explore = Arc_vsched.Explore
@@ -51,9 +51,9 @@ type verdict = Clean | Convicted
 type budget =
   | Exhaustive
   | Prefix of int  (** the first [n] DFS schedules *)
-  | Seeds of int
-      (** [n] sampled runs, each a derived seed's {!Campaign} plan and
-          random strategy *)
+  | Seeds of { runs : int; steps : int }
+      (** [runs] sampled runs, each a derived seed's {!Campaign} plan
+          and random strategy until simulated time [steps] *)
 
 type entry = {
   name : string;
@@ -62,17 +62,25 @@ type entry = {
   writes : int;  (** the writer's writes, in an explored row *)
   readers : int;
   reads : int;  (** back-to-back reads by each reader, in an explored row *)
-  steps : int;  (** a sampled run's deadline *)
   plan : Fault_plan.t;  (** a sampled row draws one per seed when empty *)
   expect : verdict;
   control : string option;  (** the entry that must convict this protocol's shortcut *)
   budget : budget;
 }
 
-let entry ?(writes = 1) ?(readers = 1) ?(reads = 1) ?(steps = 25_000)
-    ?(plan = Fault_plan.empty) ?(expect = Clean) ?control ?(budget = Exhaustive)
-    name subject ~words =
-  { name; subject; words; writes; readers; reads; steps; plan; expect; control; budget }
+(* A sampled run stops at its deadline, not after a count of
+   operations, and has no epilogue: a [Seeds] row takes none of
+   [writes], [reads] or an epilogue. *)
+let entry ?writes ?(readers = 1) ?reads ?(plan = Fault_plan.empty) ?(expect = Clean)
+    ?control ?(budget = Exhaustive) name subject ~words =
+  (match (budget, subject) with
+  | Seeds _, Subject { epilogue = Some _; _ } ->
+    invalid_arg (name ^ ": a Seeds row runs no epilogue")
+  | Seeds _, _ when writes <> None || reads <> None ->
+    invalid_arg (name ^ ": a Seeds row counts no writes or reads")
+  | _ -> ());
+  let writes = Option.value writes ~default:1 and reads = Option.value reads ~default:1 in
+  { name; subject; words; writes; readers; reads; plan; expect; control; budget }
 
 type outcome = {
   exhausted : bool;  (** every schedule of an explored row ran *)
@@ -84,12 +92,12 @@ type outcome = {
 (* Sampled rows derive their run seeds from arc-check's base seed. *)
 let seed_base = 2024
 
-let campaign_cfg e ~schedules =
+let campaign_cfg e ~schedules ~steps =
   {
     Campaign.default with
     readers = e.readers;
     size_words = e.words;
-    max_steps = e.steps;
+    max_steps = steps;
     seed = seed_base;
     schedules;
   }
@@ -111,7 +119,10 @@ let explore e ~max_schedules =
     Fibers.reset fx;
     Campaign.Mem.install e.plan;
     let reg = R.create ~readers:e.readers ~capacity:e.words ~init:fx.init in
-    let writer () =
+    (* A crash-stop in the epilogue ends the writer as one in a write
+       does. *)
+    let writer =
+      Fibers.guard fx ~thread:0 @@ fun () ->
       W.writer fx ~stop:(Ops e.writes) reg ();
       Option.iter
         (fun f -> if (not fx.crashed.(0)) && f reg > 0 then incr acted)
@@ -143,16 +154,21 @@ let run e =
     match e.budget with
     | Exhaustive -> explore e ~max_schedules:max_int
     | Prefix n -> explore e ~max_schedules:n
-    | Seeds n ->
+    | Seeds { runs; steps } ->
       let (Subject { register = (module R); audit; _ }) = e.subject in
       let module C = Campaign.Make (R) in
-      (false, None, C.run ?audit ?plan:(own_plan e) (campaign_cfg e ~schedules:n))
+      (false, None, C.run ?audit ?plan:(own_plan e) (campaign_cfg e ~schedules:runs ~steps))
   in
   { exhausted; verdict = (if tally.convicted > 0 then Convicted else Clean); acted; tally }
 
-(* Re-run one sampled run of [e] from the derived seed a violation
-   line printed: its plan, result and violations. *)
+(* Re-run one sampled run of the [Seeds] row [e] from the derived seed
+   a violation line printed: its plan, result and violations. *)
 let replay e ~seed =
+  let steps =
+    match e.budget with
+    | Seeds { steps; _ } -> steps
+    | Exhaustive | Prefix _ -> invalid_arg (e.name ^ ": only a Seeds row replays a seed")
+  in
   let (Subject { register = (module R); audit; _ }) = e.subject in
   let module C = Campaign.Make (R) in
-  C.run_seed ?audit ?plan:(own_plan e) ~seed (campaign_cfg e ~schedules:1)
+  C.run_seed ?audit ?plan:(own_plan e) ~seed (campaign_cfg e ~schedules:1 ~steps)
