@@ -9,13 +9,13 @@
    seat-scoped recovery (Arc_shm.Shm_arc.recover).  Each run builds
    its seats in an mmap'd file (Arc_shm.Shm_mem) and forks, per seat,
    a LEADER writer (candidate 0, which wins term 1) and k hot
-   standbys, then SIGKILLs a seeded nonempty subset of leaders at
-   seeded write counts while reader domains in the parent keep
-   reading — each domain both plain reads of one seat and
-   reign-certified snapshots across all of them.  The standbys detect
-   the death through a shared-clock heartbeat lease and campaign from
-   a common snapshot of term 1: CAS atomicity elects exactly one into
-   term 2, and only the winner — after Arc_resilience.Election's vote
+   standbys.  A seeded nonempty subset of leaders dies by SIGKILL at a
+   planned protocol step (W1, the copy, W2 or W3 of a seeded write)
+   while reader domains in the parent keep reading — each domain both
+   plain reads of one seat and reign-certified snapshots across all
+   of them.  The standbys detect the death through a shared-clock
+   heartbeat lease and campaign from a common snapshot of term 1: CAS
+   atomicity elects exactly one into term 2, and only the winner — after Arc_resilience.Election's vote
    → prefence → takeover → config bump → issue — continues the write
    sequence.  The parent asserts exactly one successor per seat,
    rebuilds every process's testimony from write-logs stamped with the
@@ -31,12 +31,16 @@
    to --fail-log if given); 2 = a negative control went unconvicted;
    124 = invalid arguments.
 
-   The kill itself is real and therefore not schedulable: a seed
-   reproduces the configuration and the kill-point draw, not the exact
-   interrupted instruction.  What IS deterministic is the judgement —
-   every surviving byte is either verified or convicted, and every
-   claimed reign is either voted or fenced, whichever point the kill
-   landed on. *)
+   The kill is planned, not timed: the registers run over
+   Arc_fault.Fault_mem, and at its kill write a condemned leader
+   installs a one-access crash plan whose crash hook SIGKILLs the
+   leader itself, so it dies AT that access and no handler runs.  The
+   step fixes what the successor must find (a kill before W2 leaves
+   the pending write vanished, one after W2 took effect, and one at W2
+   or later leaves the superseded slot journaled), and a testimony that
+   disagrees is a violation.  A seed reproduces the kill point exactly;
+   what the readers and standbys were doing when it landed is the OS
+   scheduler's. *)
 
 module Shm_mem = Arc_shm.Shm_mem
 module Shm_arc = Arc_shm.Shm_arc
@@ -44,8 +48,8 @@ module Layout = Arc_shm.Shm_layout
 module History = Arc_trace.History
 module Checker = Arc_trace.Checker
 module Splitmix = Arc_util.Splitmix
-module Term_vote = Arc_util.Term_vote
 module Driver = Arc_report.Driver
+module Fault_plan = Arc_fault.Fault_plan
 module P0 = Arc_workload.Payload.Make (Arc_mem.Real_mem)
 open Cmdliner
 
@@ -65,7 +69,7 @@ type cfg = {
 
 (* Heartbeat lease, in shared-clock ticks.  Readers and standbys keep
    the clock moving (a few ticks per µs between them), the leader
-   re-stamps the heartbeat word every ~µs write cycle, so the live age
+   re-stamps the heartbeat word after every write, so the live age
    stays a few dozen ticks; the lease must dominate an OS-level
    preemption of the leader (tens of ms), not a write cycle.  A
    spurious failover under extreme load is SAFE — the fence converts
@@ -73,8 +77,8 @@ type cfg = {
    off the intended write. *)
 let lease_ticks = 50_000
 
-(* Wall-clock bound on a standby's lease watch and on the parent's wait
-   for a kill point: only a wedged run ever reaches it. *)
+(* Wall-clock bound on a standby's lease watch: only a wedged run ever
+   reaches it. *)
 let patience = 60.0
 
 (* {1 The shared logs}
@@ -143,7 +147,7 @@ let mapping_words cfg ~seats ~identities =
     + (nslots * (cfg.capacity + (4 * Layout.line_words) + Layout.buf_header + 8))
     + (8 * Layout.line_words)
   in
-  (seats * per_seat) + ((seats + 3) * Layout.line_words) + 2048
+  (seats * per_seat) + ((seats + 3) * Layout.line_words) + cfg.readers + 2048
 
 (* Every shared record is allocated before the first fork: children
    walk the mapping during recovery, and the creator-only bump
@@ -160,6 +164,62 @@ let alloc_logs cfg m ~seats =
         status = statuses + (s * status_block_words cfg);
         slog = slogs + (s * slog_words cfg);
       })
+
+(* {1 The kill plan}
+
+   Where inside its kill write a condemned leader dies: one access,
+   named by class and index within the write (the leader installs the
+   plan as the write starts, which resets Fault_mem's counts).  The
+   write's accesses, in order: the fence's entry load (load 1), W1's
+   hint load (load 2) and slot probes, the seq store, the content copy
+   (bulk 1), four slot stores, the W1.5 journal store, the guard's
+   fence load, the W2 exchange (rmw 1), then W3's two stores.  A
+   claimed hint adds one store to W1, so store 8 is a W3 store either
+   way.  Each step fixes what the successor must find: the pending
+   write vanished or took effect, and whether the journal held a
+   slot. *)
+type step = {
+  step : string;
+  cls : Fault_plan.op_class;
+  nth : int;
+  outcome : Checker.crash_outcome;
+  journaled : bool;
+}
+
+let steps =
+  Checker.
+    [
+      { step = "W1"; cls = `Load; nth = 2; outcome = Vanished; journaled = false };
+      { step = "copy"; cls = `Bulk; nth = 1; outcome = Vanished; journaled = false };
+      { step = "W2"; cls = `Rmw; nth = 1; outcome = Vanished; journaled = true };
+      { step = "W3"; cls = `Store; nth = 8; outcome = Took_effect; journaled = true };
+    ]
+
+type kill = { seat : int; write : int; at : step; landed : bool }
+
+let pp_kill { write; at = { step; cls; nth; _ }; _ } =
+  Printf.sprintf "%s@write%d(%s#%d)" step write
+    (Fault_plan.class_name (cls :> Fault_plan.kind)) nth
+
+(* At least one seat's leader dies — at one seat, always seat 0's;
+   each killed seat draws its own kill write (--kill-at pins them all)
+   and step.  Draws happen unconditionally so pinned and drawn runs of
+   one seed stay aligned. *)
+let kill_plan cfg rng =
+  let seats = cfg.shards in
+  let kill_count = 1 + Splitmix.int rng seats in
+  let kill_order = Array.init seats Fun.id in
+  for i = seats - 1 downto 1 do
+    let j = Splitmix.int rng (i + 1) in
+    let t = kill_order.(i) in
+    kill_order.(i) <- kill_order.(j);
+    kill_order.(j) <- t
+  done;
+  List.init kill_count (fun i ->
+      let drawn = 1 + Splitmix.int rng cfg.writes_max in
+      let at = List.nth steps (Splitmix.int rng (List.length steps)) in
+      let write = if cfg.kill_at > 0 then cfg.kill_at else drawn in
+      { seat = kill_order.(i); write; at; landed = false })
 
 (* {1 The seat's processes} *)
 
@@ -186,48 +246,58 @@ module Seat (G : Shm_arc.INSTANCE) = struct
 
   (* {2 The leader (candidate 0)}
 
-     Wins term 1 of the seat's fresh election word — uncontested, but
+     [elect_leader], run before the leader forks, wins term 1 of the
+     seat's fresh election word for candidate 0 — uncontested, but
      going through the campaign keeps the invariant that every writer
-     handle in the system was voted for — records the config epoch
-     its reign begins at (the claim every value it publishes is judged
-     under), then writes until killed, bracketing each write in the
-     log and re-stamping the heartbeat after it.  Only the fence may
-     end its reign early (after a spurious failover); any other
-     exception exits non-zero, so the parent reports the run. *)
-  let lead shard l ~cfg ~seed =
-    let el = seat shard l in
-    (match E.campaign el ~candidate:0 with
-    | E.Lost _ -> () (* impossible on a fresh word; die silent, run fails *)
-    | E.Won { writer = w; config; _ } -> (
+     handle in the system was voted for, and arms the lease — and
+     records the config epoch the reign begins at (the claim every
+     value it publishes is judged under).  The leader then writes
+     until killed, bracketing each write in the log and re-stamping
+     the heartbeat after it.  It starts only once every reader domain
+     has taken its first plain read (each sets its word at [gate]):
+     the readers spawn after the last fork, and an ungated leader
+     could die before any read overlapped its writes.  It heartbeats
+     while it waits, so the wait is no lapse.  A condemned leader
+     calls [arm] on its kill just before the kill write's invocation
+     stamp; [arm] plans the crash that ends the process inside that
+     write.  Only the fence may end its reign early (after a spurious
+     failover); any other exception exits non-zero, so the parent
+     reports the run. *)
+  let elect_leader shard l =
+    match E.campaign (seat shard l) ~candidate:0 with
+    | E.Won { writer; config; _ } ->
         set (l.status + st_config) config;
-        let rng = Splitmix.of_int seed in
-        let src = Array.make cfg.capacity 0 in
-        try
-          for k = 1 to cfg.writes_max do
-            (* Pace the writer to ~1 µs per cycle.  The parent's
-               kill-at-write-K trigger has scheduler-latency slop
-               between observing the log and the SIGKILL landing;
-               pacing keeps that slop to a few hundred writes instead
-               of tens of thousands, so the drawn kill point governs
-               where the crash lands.  The pause sits OUTSIDE the
-               invoked/returned bracket, so it widens no window the
-               checker reasons about. *)
-            for _ = 1 to 600 do
-              Domain.cpu_relax ()
-            done;
-            let len = 1 + Splitmix.int rng cfg.capacity in
-            P0.stamp src ~seq:k ~len;
-            set (log_invoked l.log k) (tick ());
-            E.write w ~src ~len;
-            set (log_returned l.log k) (tick ());
-            E.heartbeat w
-          done
-        with
-        | Arc_resilience.Election.Fenced_out _ -> ()
-        | e ->
-            Printf.eprintf "arc-crash: seat %d leader: %s\n%!" shard
-              (Printexc.to_string e);
-            Unix._exit 1));
+        writer
+    | E.Lost _ -> failwith (Printf.sprintf "seat %d refused its leader" shard)
+
+  let lead shard l w ~cfg ~seed ~gate ~kill ~arm =
+    let rng = Splitmix.of_int seed in
+    let src = Array.make cfg.capacity 0 in
+    let deadline = Unix.gettimeofday () +. patience in
+    let opened id = Shm_mem.atomic_get G.mapping (gate + id) <> 0 in
+    while
+      (not (List.for_all opened (List.init cfg.readers Fun.id)))
+      && Unix.gettimeofday () < deadline
+    do
+      E.heartbeat w;
+      Domain.cpu_relax ()
+    done;
+    (try
+       for k = 1 to cfg.writes_max do
+         (match kill with Some kl when kl.write = k -> arm kl | _ -> ());
+         let len = 1 + Splitmix.int rng cfg.capacity in
+         P0.stamp src ~seq:k ~len;
+         set (log_invoked l.log k) (tick ());
+         E.write w ~src ~len;
+         set (log_returned l.log k) (tick ());
+         E.heartbeat w
+       done
+     with
+    | Arc_resilience.Election.Fenced_out _ -> ()
+    | e ->
+        Printf.eprintf "arc-crash: seat %d leader: %s\n%!" shard
+          (Printexc.to_string e);
+        Unix._exit 1);
     Unix._exit 0
 
   (* {2 The hot standbys (candidates 1..k)}
@@ -248,8 +318,8 @@ module Seat (G : Shm_arc.INSTANCE) = struct
   let stand_by shard l ~cfg ~candidate ~probe =
     let el = seat shard l in
     let put f v = set (l.status + (status_words * candidate) + f) v in
-    (* The common snapshot: the parent forked us only after observing
-       the leader's term, so every standby sees the same reign here. *)
+    (* The common snapshot: the parent forked us only after electing
+       the leader, so every standby sees the same reign here. *)
     let snap = E.observe el in
     let deadline = Unix.gettimeofday () +. patience in
     let rec monitor n =
@@ -269,11 +339,8 @@ module Seat (G : Shm_arc.INSTANCE) = struct
           match Shm_arc.recover (module G) ~shard with
           | Ok ((rcv : Shm_mem.recovery), journaled) ->
               put st_convictions (List.length rcv.convicted);
-              put st_torn
-                (List.length
-                   (List.filter
-                      (fun (c : Shm_mem.conviction) -> c.why = Shm_mem.Torn)
-                      rcv.convicted));
+              let torn (c : Shm_mem.conviction) = c.why = Shm_mem.Torn in
+              put st_torn (List.length (List.filter torn rcv.convicted));
               put st_journaled journaled;
               List.length rcv.convicted
           | Error e -> failwith e (* a refused seat: do not serve *)
@@ -334,7 +401,7 @@ end
    What one seat's logs say after the run: the leader's writes, how
    its interrupted write (if any) resolved, and who succeeded it. *)
 
-type pending = No_pending | Published of int * int | Vanished of int
+type pending = No_pending | Published of int * int | Vanished
 
 type testimony = {
   writes : int;  (* the leader's last logged write *)
@@ -352,29 +419,6 @@ type testimony = {
   completed : History.event list;  (* the leader's returned writes *)
   successor : History.event list;  (* the successor's writes *)
 }
-
-let no_testimony =
-  {
-    writes = 0;
-    pending = No_pending;
-    winner = -1;
-    term = 0;
-    losers = 0;
-    convictions = 0;
-    torn = 0;
-    journaled = 0;
-    swrites = 0;
-    probe = -2;
-    leader_config = 0;
-    successor_config = 0;
-    completed = [];
-    successor = [];
-  }
-
-let pp_pending = function
-  | No_pending -> "none"
-  | Published (k, _) -> Printf.sprintf "published@%d" k
-  | Vanished k -> Printf.sprintf "vanished@%d" k
 
 let testify cfg m ~tag l ~fail =
   let fail fmt = Printf.ksprintf (fun s -> fail (tag ^ s)) fmt in
@@ -428,88 +472,76 @@ let testify cfg m ~tag l ~fail =
       fail "split election: candidates %s all believe they won"
         (String.concat "," (List.map string_of_int ws)));
   let leader_config = field 0 st_config in
-  match !winners with
-  | [] ->
-      {
-        no_testimony with
-        writes = !n_last;
-        losers = !losers;
-        leader_config;
-        completed = !completed;
-      }
-  | w :: _ ->
-      let g = field w in
-      let probe = g st_probe - 2 in
-      if g st_term < 2 then
-        fail "successor reigns under term %d (the leader held term 1)"
-          (g st_term);
-      if g st_convictions > 1 then
-        fail "recovery convicted %d slots from one crash" (g st_convictions);
-      (* Resolve the interrupted write from the winner's probe. *)
-      let pending =
-        match !pending_entry with
-        | None ->
-            if probe <> !n_last then
-              fail "probe observed seq %d, expected %d (no pending write)" probe
-                !n_last;
-            No_pending
-        | Some (k, invoked) ->
-            if probe = k then Published (k, invoked)
-            else if probe = k - 1 then Vanished k
-            else begin
-              fail "probe observed seq %d, expected %d or %d" probe (k - 1) k;
-              No_pending
-            end
-      in
-      (* A torn content copy can only be the interrupted write's: ARC
-         completes every copy before that write's W2 exchange, so all
-         earlier writes left complete trailers — and the interrupted
-         write cannot have published (the exchange comes after the
-         copy), so a torn conviction must coincide with a vanished
-         pending write.  Readers never see the torn bytes; this checks
-         the bookkeeping agrees. *)
-      (match pending with
-      | Vanished _ -> ()
-      | _ when g st_torn > 0 ->
-          fail
-            "torn slot convicted but the interrupted write is %s — a \
-             published write left a torn copy"
-            (pp_pending pending)
-      | _ -> ());
-      (* The successor's writes, from its log. *)
-      let successor = ref [] in
-      (try
-         for j = 0 to g st_swrites - 1 do
-           let seq = get (slog_seq l.slog j) in
-           if seq = 0 then raise Exit;
-           successor :=
-             History.event History.Write ~thread:(cfg.readers + 1) ~seq
-               ~invoked:(get (slog_invoked l.slog j))
-               ~returned:(get (slog_returned l.slog j))
-             :: !successor
-         done
-       with Exit -> ());
-      (match List.rev !successor with
-      | (first : History.event) :: _ when first.seq <> probe + 1 ->
-          fail "successor started at seq %d, probe says %d" first.seq (probe + 1)
-      | [] -> fail "elected successor published nothing"
-      | _ -> ());
-      {
-        writes = !n_last;
-        pending;
-        winner = w;
-        term = g st_term;
-        losers = !losers;
-        convictions = g st_convictions;
-        torn = g st_torn;
-        journaled = g st_journaled;
-        swrites = g st_swrites;
-        probe;
-        leader_config;
-        successor_config = g st_config;
-        completed = !completed;
-        successor = !successor;
-      }
+  (* With no successor its status block reads as zeros (probe −2), and
+     only the leader's log testifies. *)
+  let w = match !winners with w :: _ -> w | [] -> -1 in
+  let g f = if w < 0 then 0 else field w f in
+  let probe = g st_probe - 2 in
+  if w >= 0 && g st_term < 2 then
+    fail "successor reigns under term %d (the leader held term 1)" (g st_term);
+  if g st_convictions > 1 then
+    fail "recovery convicted %d slots from one crash" (g st_convictions);
+  (* Resolve the interrupted write from the winner's probe. *)
+  let pending =
+    match !pending_entry with
+    | _ when w < 0 -> No_pending
+    | None ->
+        if probe <> !n_last then
+          fail "probe observed seq %d, expected %d (no pending write)" probe
+            !n_last;
+        No_pending
+    | Some (k, invoked) ->
+        if probe = k then Published (k, invoked)
+        else if probe = k - 1 then Vanished
+        else begin
+          fail "probe observed seq %d, expected %d or %d" probe (k - 1) k;
+          No_pending
+        end
+  in
+  (* A torn content copy can only be the interrupted write's: ARC
+     completes every copy before that write's W2 exchange, so all
+     earlier writes left complete trailers — and the interrupted write
+     cannot have published (the exchange comes after the copy), so a
+     torn conviction must coincide with a vanished pending write.
+     Readers never see the torn bytes; this checks the bookkeeping
+     agrees. *)
+  if g st_torn > 0 && pending <> Vanished then
+    fail "torn slot convicted, but no pending write vanished — a published \
+          or completed write left a torn copy";
+  (* The successor's writes, from its log. *)
+  let successor = ref [] in
+  (try
+     for j = 0 to g st_swrites - 1 do
+       let seq = get (slog_seq l.slog j) in
+       if seq = 0 then raise Exit;
+       successor :=
+         History.event History.Write ~thread:(cfg.readers + 1) ~seq
+           ~invoked:(get (slog_invoked l.slog j))
+           ~returned:(get (slog_returned l.slog j))
+         :: !successor
+     done
+   with Exit -> ());
+  (match List.rev !successor with
+  | (first : History.event) :: _ when first.seq <> probe + 1 ->
+      fail "successor started at seq %d, probe says %d" first.seq (probe + 1)
+  | [] when w >= 0 -> fail "elected successor published nothing"
+  | _ -> ());
+  {
+    writes = !n_last;
+    pending;
+    winner = w;
+    term = g st_term;
+    losers = !losers;
+    convictions = g st_convictions;
+    torn = g st_torn;
+    journaled = g st_journaled;
+    swrites = g st_swrites;
+    probe;
+    leader_config;
+    successor_config = g st_config;
+    completed = !completed;
+    successor = !successor;
+  }
 
 (* The testimony's verdict on the interrupted write, named as the
    crash-aware checker names its outcomes. *)
@@ -517,7 +549,7 @@ let outcome t =
   match t.pending with
   | No_pending -> Checker.No_crash
   | Published _ -> Checker.Took_effect
-  | Vanished _ -> Checker.Vanished
+  | Vanished -> Checker.Vanished
 
 (* {1 One run} *)
 
@@ -531,7 +563,7 @@ type judgement = {
 type run_result = {
   seed : int;
   seats : testimony array;  (* event lists emptied for the trip home *)
-  killed : int;  (* leaders SIGKILLed by the seeded kill plan *)
+  kills : kill list;  (* the seeded plan, each kill marked if it landed *)
   judgement : judgement;
   violations : string list;
   path : string;
@@ -542,33 +574,14 @@ let sum rs f = List.fold_left (fun a r -> a + f r) 0 rs
 let total rs f = sum rs (fun r -> Array.fold_left (fun a s -> a + f s) 0 r.seats)
 
 let elected s = if s.winner >= 0 then 1 else 0
-let pended s = if s.pending <> No_pending then 1 else 0
 let tag = Printf.sprintf "seat %d: "
 let history_path path s = Printf.sprintf "%s.%d.history" path s
 
-(* At least one seat's leader dies — at one seat, always seat 0's;
-   each killed seat draws its own kill write count (--kill-at pins
-   them all).  Draws happen unconditionally so pinned and drawn runs
-   of one seed stay aligned. *)
-let kill_plan cfg rng =
-  let seats = cfg.shards in
-  let kill_count = 1 + Splitmix.int rng seats in
-  let kill_order = Array.init seats Fun.id in
-  for i = seats - 1 downto 1 do
-    let j = Splitmix.int rng (i + 1) in
-    let t = kill_order.(i) in
-    kill_order.(i) <- kill_order.(j);
-    kill_order.(j) <- t
-  done;
-  Array.map
-    (fun s ->
-      let drawn = 1 + Splitmix.int rng cfg.writes_max in
-      (s, if cfg.kill_at > 0 then cfg.kill_at else drawn))
-    (Array.sub kill_order 0 kill_count)
-
 (* {2 The readers}
 
-   Each reader domain [id] does two reads per paced iteration: one
+   Each reader domain [id] does two reads per paced iteration (and
+   after its first plain read opens its word of the leaders' start
+   gate): one
    validated plain read of seat [id mod seats] (a history read,
    thread [1 + id]) and one reign-certified cross-seat snapshot (a
    snapshot_obs, thread [1000 + id]).  Helping deposits are heap-local,
@@ -585,7 +598,7 @@ type readings = {
   changed : int;  (* Reign_changed verdicts *)
 }
 
-let readers cfg (module G : Shm_arc.INSTANCE) =
+let readers cfg (module G : Shm_arc.INSTANCE) ~gate =
   let module P = Arc_workload.Payload.Make (G.M) in
   let module FB = Arc_fabric.Fabric.Make (G.R) in
   let seats = Array.length G.regs in
@@ -601,6 +614,7 @@ let readers cfg (module G : Shm_arc.INSTANCE) =
     let plain = ref [] and snaps = ref [] and changed = ref 0 in
     let errors = ref [] in
     let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+    let gated = ref false in
     while not (Atomic.get stop) do
       (* Pace the reads: the interleaving stress lives in the
          concurrency, not the raw poll rate. *)
@@ -616,6 +630,8 @@ let readers cfg (module G : Shm_arc.INSTANCE) =
             :: !plain
       | Error msg ->
           err "reader %d: torn read of seat %d: %s" id (id mod seats) msg);
+      if not !gated then Shm_mem.atomic_set G.mapping (gate + id) 1;
+      gated := true;
       let invoked = Shm_mem.tick G.mapping in
       match FB.snapshot_certified ctx with
       | Error (_ : Arc_fabric.Fabric.reign_change) -> incr changed
@@ -733,101 +749,69 @@ let run_one cfg ~seed =
   let m = Shm_mem.create ~path ~words in
   let init = Array.make cfg.capacity 0 in
   P0.stamp init ~seq:0 ~len:cfg.capacity;
+  (* Every process runs the registers over Fault_mem: a pass-through
+     until a condemned leader arms its kill. *)
+  let module F = Arc_fault.Fault_mem.Make ((val Shm_mem.mem m)) in
   let inst =
-    Shm_arc.create m ~shards:seats ~readers:identities ~capacity:cfg.capacity
-      ~init
+    Shm_arc.create ~mem:(module F) m ~shards:seats ~readers:identities
+      ~capacity:cfg.capacity ~init
   in
   let module G = (val inst : Shm_arc.INSTANCE) in
   let module W = Seat (G) in
   let logs = alloc_logs cfg m ~seats in
-  (* The kill point is a seeded write NUMBER, not a wall-clock delay:
-     the parent watches the shared write-log until the leader reaches
-     it, then kills.  Wall clocks drift with machine load — a loaded
-     box would land every kill after the leader had already finished
-     — while a count always lands the signal inside the writing
-     phase (give or take the signal-delivery handful of writes,
-     which is exactly the randomness a real crash has anyway). *)
+  let gate = Shm_mem.alloc_raw m cfg.readers in
   let plan = kill_plan cfg rng in
-  let reader = readers cfg inst in
+  let arm k =
+    F.set_ambient_fiber (Some 0);
+    F.set_crash_hook (Some (fun () -> Unix.kill (Unix.getpid ()) Sys.sigkill));
+    F.install
+      (Fault_plan.crash ~kind:(k.at.cls :> Fault_plan.kind) ~fiber:0
+         ~at_access:k.at.nth Fault_plan.empty)
+  in
+  let reader = readers cfg inst ~gate in
   let violations = ref [] in
   let fail s = violations := s :: !violations in
-  (* Fork each seat's leader, await its term-1 election, then fork
-     its standbys, so every standby snapshots the same reign to
+  (* Elect each seat's leader into term 1 and fork it, then fork its
+     standbys, so every standby snapshots the same reign to
      campaign from — the exactly-one-successor argument starts at
      this common snapshot.  All forks complete before any reader
      domain spawns (OCaml 5 refuses to fork once domains exist). *)
-  let leaders = Array.make seats (-1) in
   let standbys = ref [] in
-  Array.iteri
-    (fun s l ->
-      flush_all ();
-      (match Unix.fork () with
-      | 0 -> W.lead s l ~cfg ~seed:(seed lxor (0x5DEECE66 + s))
-      | pid -> leaders.(s) <- pid);
-      let lead_deadline = Unix.gettimeofday () +. 10.0 in
-      let word = Shm_mem.shard_election_cell m ~shard:s in
-      let rec await_leader () =
-        if Term_vote.term (Shm_mem.atomic_get m word) >= 1 then true
-        else if Unix.gettimeofday () > lead_deadline then false
-        else begin
-          Domain.cpu_relax ();
-          await_leader ()
-        end
-      in
-      if not (await_leader ()) then fail (tag s ^ "leader never opened term 1");
-      (* Arm the lease before any standby can look at it. *)
-      if Shm_mem.atomic_get m l.hb = 0 then
-        Shm_mem.atomic_set m l.hb (Shm_mem.tick m);
-      for candidate = 1 to cfg.candidates do
+  let leaders =
+    Array.mapi
+      (fun s l ->
+        let w = W.elect_leader s l in
+        let kill = List.find_opt (fun k -> k.seat = s) plan in
         flush_all ();
-        match Unix.fork () with
-        | 0 -> W.stand_by s l ~cfg ~candidate ~probe:(identities - 2)
-        | pid -> standbys := pid :: !standbys
-      done)
-    logs;
+        let pid =
+          match Unix.fork () with
+          | 0 -> W.lead s l w ~cfg ~seed:(seed lxor (0x5DEECE66 + s)) ~gate ~kill ~arm
+          | pid -> pid
+        in
+        for candidate = 1 to cfg.candidates do
+          flush_all ();
+          match Unix.fork () with
+          | 0 -> W.stand_by s l ~cfg ~candidate ~probe:(identities - 2)
+          | pid -> standbys := pid :: !standbys
+        done;
+        pid)
+      logs
+  in
   let stop = Atomic.make false in
   let domains =
     List.init cfg.readers (fun id -> Domain.spawn (fun () -> reader ~stop id))
   in
-  (* Kill each condemned leader when its log reaches the drawn write
-     count (or the leader drains first — then the "kill" lands on an
-     exited process and the seat fails over on lease expiry like any
-     other). *)
-  let exits = Array.make seats None in
-  let deadline = Unix.gettimeofday () +. patience in
-  Array.iter
-    (fun (s, kill_at) ->
-      let rec await n =
-        if Shm_mem.atomic_get m (log_invoked logs.(s).log kill_at) <> 0 then ()
-        else if n land 4095 = 0 && Unix.gettimeofday () > deadline then ()
-        else begin
-          (if n land 4095 = 0 then
-             match Unix.waitpid [ Unix.WNOHANG ] leaders.(s) with
-             | 0, _ -> ()
-             | _, st -> exits.(s) <- Some st);
-          if exits.(s) = None then begin
-            Domain.cpu_relax ();
-            await (n + 1)
-          end
-        end
-      in
-      await 1;
-      if exits.(s) = None then begin
-        Unix.kill leaders.(s) Sys.sigkill;
-        exits.(s) <- Some (snd (Unix.waitpid [] leaders.(s)))
-      end)
-    plan;
-  (* Unkilled leaders drain their writes and exit on their own; their
-     seats fail over on lease expiry exactly like the killed ones. *)
+  (* A condemned leader dies at its planned access; the others drain
+     their writes and exit, and every seat fails over on lease expiry.
+     A condemned leader that exits instead was fenced before its kill
+     write by a spurious failover (see [lease_ticks]): safe, but its
+     kill did not land. *)
+  let exits = Array.map (fun pid -> snd (Unix.waitpid [] pid)) leaders in
+  let killed s = exits.(s) = Unix.WSIGNALED Sys.sigkill in
   Array.iteri
-    (fun s exit ->
-      let st =
-        match exit with Some st -> st | None -> snd (Unix.waitpid [] leaders.(s))
-      in
-      match st with
-      | Unix.WSIGNALED k when k = Sys.sigkill -> ()
-      | Unix.WEXITED 0 -> () (* drained writes_max before the kill *)
-      | _ -> fail (tag s ^ "leader exited abnormally"))
+    (fun s st ->
+      if not (killed s || st = Unix.WEXITED 0) then
+        fail (tag s ^ "leader exited abnormally"))
     exits;
   (* The elections now run among the standbys; wait them all out
      (losers exit as soon as they lose; winners after their
@@ -846,6 +830,20 @@ let run_one cfg ~seed =
   let testimony =
     Array.mapi (fun s l -> testify cfg m ~tag:(tag s) l ~fail) logs
   in
+  let kills = List.map (fun k -> { k with landed = killed k.seat }) plan in
+  (* The step a leader died at fixes what its successor must find,
+     and no step leaves a slot for the integrity scan to convict. *)
+  List.iter
+    (fun k ->
+      let t = testimony.(k.seat) in
+      let expected = (k.at.outcome, k.at.journaled, 0) in
+      if k.landed && (outcome t, t.journaled = 1, t.convictions) <> expected then
+        fail
+          (Printf.sprintf "%skilled at %s, but the testimony says %s, \
+                           journaled=%d, convicted=%d"
+             (tag k.seat) (pp_kill k)
+             (Checker.crash_outcome_name (outcome t)) t.journaled t.convictions))
+    kills;
   let judgement =
     judge m ~path readings testimony ~fail ~failing:(fun () -> !violations <> [])
   in
@@ -854,7 +852,7 @@ let run_one cfg ~seed =
       seed;
       seats =
         Array.map (fun t -> { t with completed = []; successor = [] }) testimony;
-      killed = Array.length plan;
+      kills;
       judgement;
       violations = List.rev !violations;
       path;
@@ -864,12 +862,35 @@ let run_one cfg ~seed =
   if result.violations = [] then Sys.remove path;
   result
 
-let pp_seat s t =
+(* Landed kills per planned step, and seats per testimony outcome. *)
+let by_step rs =
+  List.map
+    (fun p ->
+      let at k = k.landed && k.at.step = p.step in
+      (p.step, sum rs (fun r -> List.length (List.filter at r.kills))))
+    steps
+
+let by_outcome rs =
+  List.map
+    (fun o ->
+      ( Checker.crash_outcome_name o,
+        total rs (fun t -> if outcome t = o then 1 else 0) ))
+    Checker.[ No_crash; Vanished; Took_effect ]
+
+let killed rs = List.fold_left (fun a (_, n) -> a + n) 0 (by_step rs)
+
+let pp_tally l =
+  String.concat ", " (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) l)
+
+let pp_seat r s t =
   Printf.sprintf
-    "seat %d: writes=%d pending=%s winner=c%d term=%d losers=%d convicted=%d \
-     torn=%d journaled=%d swrites=%d outcome=%s"
-    s t.writes (pp_pending t.pending) t.winner t.term t.losers t.convictions
-    t.torn t.journaled t.swrites
+    "seat %d: kill=%s writes=%d winner=c%d term=%d losers=%d \
+     convicted=%d torn=%d journaled=%d swrites=%d outcome=%s"
+    s
+    (match List.find_opt (fun k -> k.seat = s) r.kills with
+    | None -> "none"
+    | Some k -> pp_kill k ^ if k.landed then "" else "(not reached)")
+    t.writes t.winner t.term t.losers t.convictions t.torn t.journaled t.swrites
     (Checker.crash_outcome_name (outcome t))
 
 let print ~verbose r =
@@ -879,9 +900,9 @@ let print ~verbose r =
       "run [seed %d]: %s%skilled=%d reads=%d snapshots=%d reign-changed=%d \
        config=%d — %s\n"
       r.seed
-      (String.concat "; " (Array.to_list (Array.mapi pp_seat r.seats)))
+      (String.concat "; " (Array.to_list (Array.mapi (pp_seat r) r.seats)))
       (if r.seats = [||] then "" else "; ")
-      r.killed j.reads j.snapshots j.reign_changed j.config
+      (killed [ r ]) j.reads j.snapshots j.reign_changed j.config
       (if r.violations = [] then "ok" else String.concat "; " r.violations);
     if r.violations <> [] && r.path <> "" then begin
       Printf.printf "  mapping kept at %s\n" r.path;
@@ -906,7 +927,7 @@ let run_one_isolated cfg ~seed =
     {
       seed;
       seats = [||];
-      killed = 0;
+      kills = [];
       judgement = { reads = 0; snapshots = 0; reign_changed = 0; config = 0 };
       violations = [ msg ];
       path = "";
@@ -940,17 +961,14 @@ let run_one_isolated cfg ~seed =
       r
 
 let summary cfg ~failing rs =
-  let tally o = total rs (fun t -> if outcome t = o then 1 else 0) in
   Printf.printf
-    "arc-crash: %d runs (%d seat%s each), %d failing; leaders killed %d, \
-     pending-at-kill %d, slots convicted %d, journal quarantines %d, elected \
-     successors %d, losing candidates %d, plain reads %d, snapshots certified \
+    "arc-crash: %d runs (%d seat%s each), %d failing; leaders killed %d (%s), \
+     slots convicted %d, journal quarantines %d, elected successors %d, losing candidates %d, plain reads %d, snapshots certified \
      %d, reign-changed verdicts %d; outcomes: %s\n"
     cfg.runs cfg.shards
     (if cfg.shards = 1 then "" else "s")
-    failing
-    (sum rs (fun r -> r.killed))
-    (total rs pended)
+    failing (killed rs)
+    (pp_tally (by_step rs))
     (total rs (fun s -> s.convictions))
     (total rs (fun s -> s.journaled))
     (total rs elected)
@@ -958,11 +976,7 @@ let summary cfg ~failing rs =
     (sum rs (fun r -> r.judgement.reads))
     (sum rs (fun r -> r.judgement.snapshots))
     (sum rs (fun r -> r.judgement.reign_changed))
-    (String.concat ", "
-       (List.map
-          (fun o ->
-            Printf.sprintf "%s=%d" (Checker.crash_outcome_name o) (tally o))
-          Checker.[ No_crash; Vanished; Took_effect ]))
+    (pp_tally (by_outcome rs))
 
 (* Campaign counters as an exposition dump.  The per-run elections and
    recoveries happen in forked subprocesses, so their process-local
@@ -972,16 +986,16 @@ let summary cfg ~failing rs =
    or a --replay-seed run). *)
 let print_metrics ~runs ~failing rs =
   let open Arc_obs.Obs in
+  let family name label ~help =
+    List.map (fun (v, n) -> counter name ~labels:[ (label, v) ] ~help n)
+  in
   print_string
     (prometheus
        ([
           counter "crash_runs_total" ~help:"Kill-9 runs executed" runs;
           counter "crash_failing_runs_total" ~help:"Runs with violations" failing;
           counter "crash_killed_leaders_total" ~help:"Seat leaders SIGKILLed"
-            (sum rs (fun r -> r.killed));
-          counter "crash_pending_at_kill_total"
-            ~help:"Seats whose leader died with a write in flight"
-            (total rs pended);
+            (killed rs);
           counter "crash_slots_convicted_total"
             ~help:"Register slots convicted by post-crash recovery"
             (total rs (fun s -> s.convictions));
@@ -1001,6 +1015,10 @@ let print_metrics ~runs ~failing rs =
             ~help:"Snapshots that returned the typed Reign_changed verdict"
             (sum rs (fun r -> r.judgement.reign_changed));
         ]
+       @ family "crash_kills_total" "step" (by_step rs)
+           ~help:"Leaders SIGKILLed at each planned protocol step"
+       @ family "crash_outcomes_total" "outcome" (by_outcome rs)
+           ~help:"Seats by the testimony's resolution of the pending write"
        @ Arc_resilience.Election.metrics ()
        @ Arc_fabric.Fabric.reign_metrics ()
        @ Shm_mem.metrics ()))
@@ -1070,8 +1088,7 @@ let run runs seed readers candidates capacity writes kill_at successor_writes
     }
   in
   (* Reject what would misconfigure every run, before any fork: a kill
-     point past the leader's log would read beyond it (into the next
-     seat's) and kill nobody. *)
+     write past --writes is one no leader reaches, so nobody dies. *)
   List.iter
     (fun (bad, msg) ->
       if bad then begin
@@ -1105,12 +1122,13 @@ let cmd =
     (Cmd.info "arc-crash"
        ~doc:
          "Kill-9 the leading writers of shared-memory ARC registers (writer \
-          seats of one reign table) at random points while hot-standby \
-          candidates race to succeed them through each seat's term-vote \
-          election; verify that recovery convicts exactly the torn state, \
-          that exactly one successor is elected per seat, and that every \
-          seat's merged cross-process history — plain reads and \
-          reign-certified cross-seat snapshots alike — stays atomic.")
+          seats of one reign table) at seeded protocol steps (W1, the copy, \
+          W2 or W3 of a seeded write) while hot-standby candidates race to \
+          succeed them through each seat's term-vote election; verify that \
+          each interrupted write resolves as its kill step dictates, that \
+          exactly one successor is elected per seat, and that every seat's \
+          merged cross-process history — plain reads and reign-certified \
+          cross-seat snapshots alike — stays atomic.")
     Term.(
       const run
       $ int_opt "runs" 20 "N" "Kill-9 runs."
@@ -1125,10 +1143,10 @@ let cmd =
       $ int_opt "capacity" 32 "WORDS" "Snapshot words."
       $ int_opt "writes" 30_000 "N" "Leader writes before it stops on its own."
       $ int_opt "kill-at" 0 "K"
-          "Kill each condemned leader at its K-th write instead of drawing K \
-           from the seed (0 = draw; the draws still run, so a pinned run \
-           keeps the seed's choice of seats).  Printed in every replay \
-           command so a replay is bit-identical in configuration."
+          "Kill each condemned leader inside its K-th write instead of \
+           drawing K from the seed (0 = draw; the draws still run, so a \
+           pinned run keeps the seed's choice of seats and steps).  Printed \
+           in every replay command, so a replay arms the same kill points."
       $ int_opt "successor-writes" 100 "N"
           "Writes by each elected successor after failover."
       $ some_opt Arg.string "dir" "DIR"
@@ -1143,12 +1161,13 @@ let cmd =
           "Skip the conviction, election and cross-reign negative controls."
       $ flag [ "metrics" ]
           "After the campaign (or replay), print the crash/recovery/election \
-           counters — runs, leaders killed, pending-at-kill, convictions, \
-           journal quarantines, elections, snapshots — as a Prometheus-style \
-           text dump."
+           counters — runs, leaders killed (in all and per planned step), \
+           outcomes, convictions, journal quarantines, elections, snapshots \
+           — as a Prometheus-style text dump."
       $ int_opt "shards" 1 "S"
           "Writer seats (registers of one reign table), each with its own \
            leader and $(b,--candidates) hot standbys; a seeded nonempty \
-           subset of leaders is SIGKILLed.  1 = a single register.")
+           subset of leaders dies by SIGKILL at a planned step.  1 = a \
+           single register.")
 
 let () = exit (Cmd.eval cmd)

@@ -77,8 +77,16 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     | `Any -> p.Fault_plan.nth = c.total
     | #Fault_plan.op_class as k -> k = cls && p.Fault_plan.nth = class_count c k
 
+  (* Runs at a crash, before [Crashed] is raised.  A real process sets
+     it to SIGKILL itself, so it dies AT the faulted access: no handler
+     between the access and the fiber's top level runs, as under a
+     real kill. *)
+  let crash_hook = ref None
+  let set_crash_hook h = crash_hook := h
+
   let crash_now fiber access =
     inj.stats <- { inj.stats with crashes = (fiber, access) :: inj.stats.crashes };
+    Option.iter (fun h -> h ()) !crash_hook;
     raise Fault_plan.Crashed
 
   (* Classify-and-consult: count this access for the calling fiber,

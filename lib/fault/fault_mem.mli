@@ -12,10 +12,11 @@
     code (register creation) runs fault-free.
 
     Crash-stop is delivered by raising {!Fault_plan.Crashed} out of
-    the faulted access; the harness must catch it at the fiber's top
-    level.  Stalls call {!Arc_vsched.Sched.sleep}.  [Drop] skips only
-    unit-returning accesses (stores, [incr]); value-returning accesses
-    proceed normally under [Drop].  [Tear] applies to bulk copies:
+    the faulted access (after the crash hook, if one is set); the
+    harness must catch it at the fiber's top level.  Stalls call
+    {!Arc_vsched.Sched.sleep}.  [Drop] skips only unit-returning
+    accesses (stores, [incr]); value-returning accesses proceed
+    normally under [Drop].  [Tear] applies to bulk copies:
     the first [at_word] words are copied, then the fiber either
     crashes ([silent:false]) or the operation silently reports
     success ([silent:true] — the unsound negative-control variant). *)
@@ -50,4 +51,12 @@ module Make (M : Arc_mem.Mem_intf.S) : sig
       real-process negative controls (the crash campaign's split-vote
       arm); plans used under an ambient fiber must not contain
       [Stall] events, which need a scheduler to sleep on. *)
+
+  val set_crash_hook : (unit -> unit) option -> unit
+  (** Run [Some h] at every crash point, before {!Fault_plan.Crashed}
+      is raised.  A real process whose hook kills it (a SIGKILL of its
+      own pid) stops {e at} the faulted access, so no exception handler
+      in the code under test runs; an in-process test's hook can
+      inspect the shared state the crash leaves.  [None] (the default)
+      only raises. *)
 end

@@ -23,9 +23,9 @@ let check_point ~who ~fiber ~nth =
   if fiber < 0 then invalid_arg (Printf.sprintf "%s: fiber %d negative" who fiber);
   if nth < 1 then invalid_arg (Printf.sprintf "%s: access index %d (need >= 1)" who nth)
 
-let crash ~fiber ~at_access plan =
+let crash ?(kind = `Any) ~fiber ~at_access plan =
   check_point ~who:"Fault_plan.crash" ~fiber ~nth:at_access;
-  { point = { fiber; kind = `Any; nth = at_access }; action = Crash } :: plan
+  { point = { fiber; kind; nth = at_access }; action = Crash } :: plan
 
 let stall ~fiber ~at_access ~steps plan =
   check_point ~who:"Fault_plan.stall" ~fiber ~nth:at_access;

@@ -72,7 +72,11 @@ type t
 
 val empty : t
 
-val crash : fiber:int -> at_access:int -> t -> t
+val crash : ?kind:kind -> fiber:int -> at_access:int -> t -> t
+(** [at_access] counts the fiber's accesses of class [kind] (default
+    [`Any]: every access), so [~kind:`Rmw ~at_access:1] names the
+    fiber's first read-modify-write. *)
+
 val stall : fiber:int -> at_access:int -> steps:int -> t -> t
 
 val tear : fiber:int -> at_copy:int -> at_word:int -> silent:bool -> t -> t
@@ -85,6 +89,9 @@ val cas_lie : fiber:int -> nth:int -> t -> t
 (** [nth] is the fiber's nth {e rmw} access; if it is a
     [compare_and_set], it reports success without storing.  (Any other
     rmw proceeds normally — the event is still consumed.) *)
+
+val class_name : kind -> string
+(** ["any"], ["load"], ["store"], ["rmw"] or ["bulk"]. *)
 
 val events : t -> event list
 val size : t -> int

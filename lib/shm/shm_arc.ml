@@ -11,7 +11,7 @@ end
 
 type instance = (module INSTANCE)
 
-let create m ~shards ~readers ~capacity ~init =
+let create ?mem m ~shards ~readers ~capacity ~init =
   if shards < 1 then invalid_arg "Shm_arc.create: shards must be >= 1";
   (match Shm_mem.geometry m with
   | Some _ ->
@@ -19,7 +19,10 @@ let create m ~shards ~readers ~capacity ~init =
         "Shm_arc.create: mapping already holds a register (attach-and-\
          recreate is not supported; fork instead)"
   | None -> ());
-  let module M = (val Shm_mem.mem m) in
+  let module M =
+    (val Option.value mem ~default:(Shm_mem.mem m)
+        : Arc_mem.Mem_intf.S with type atomic = int)
+  in
   let module R = Arc_core.Arc.Make (M) in
   (* Sequential creation fixes the ordinal map: shard s's buffers are
      mapping ordinals [s·nslots, (s+1)·nslots) — Arc.create allocates
@@ -30,6 +33,12 @@ let create m ~shards ~readers ~capacity ~init =
   let regs =
     Array.init shards (fun _ -> R.create ~readers ~capacity ~init)
   in
+  (* A [mem] over any other memory left [m] short of the buffers. *)
+  let buffers = ref 0 in
+  Shm_mem.iter_buffers m (fun _ -> incr buffers);
+  if !buffers <> shards * R.Debug.slots regs.(0) then
+    invalid_arg
+      "Shm_arc.create: mem did not allocate the registers in the mapping";
   ignore (Shm_mem.alloc_reign_table m ~shards);
   Shm_mem.set_geometry m ~readers ~capacity;
   (module struct

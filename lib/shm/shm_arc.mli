@@ -1,13 +1,13 @@
 (** ARC instantiated over a {!Shm_mem} mapping, packaged as a
     first-class module, plus the bundled crash-recovery step.
 
-    The functor application [Arc.Make ((val Shm_mem.mem m))] happens
-    inside {!create}, so its result types are local to that call; the
-    {!INSTANCE} packaging is what lets harness code (the kill-9
-    harness, the two-process example) carry the registers around as an
-    ordinary value.  One shape covers a single register and a
-    multi-process fabric: [shards] registers in one mapping, each
-    behind its own writer seat of the reign table. *)
+    The functor application [Arc.Make] over the caller's memory module
+    happens inside {!create}, so its result types are local to that
+    call; the {!INSTANCE} packaging is what lets harness code (the
+    kill-9 harness, the two-process example) carry the registers
+    around as an ordinary value.  One shape covers a single register
+    and a multi-process fabric: [shards] registers in one mapping,
+    each behind its own writer seat of the reign table. *)
 
 module type INSTANCE = sig
   module M : Arc_mem.Mem_intf.S with type atomic = int
@@ -20,6 +20,7 @@ end
 type instance = (module INSTANCE)
 
 val create :
+  ?mem:(module Arc_mem.Mem_intf.S with type atomic = int) ->
   Shm_mem.mapping ->
   shards:int ->
   readers:int ->
@@ -37,11 +38,18 @@ val create :
     attaches the configuration-epoch cell for reign-certified
     snapshots.
 
+    [mem] is the memory the registers run over: by default the
+    mapping's own ([Shm_mem.mem m]); a caller may pass a wrapper of
+    it, such as [Arc_fault.Fault_mem.Make], when a process must crash
+    at a planned access.  A [mem] that does not allocate in [m] is
+    refused after the registers are built.
+
     Creator-only (see {!Shm_mem}'s sharing discipline): create the
     instance, then fork; both processes use the inherited handles
     against the shared file.
     @raise Invalid_argument on [shards < 1], if the mapping already
-    holds a register, or if it cannot fit the footprint. *)
+    holds a register, if it cannot fit the footprint, or if [mem]
+    placed the registers' buffers outside it. *)
 
 val recover : instance -> shard:int -> (Shm_mem.recovery * int, string) result
 (** The full post-crash recovery bundle for seat [shard], run by the

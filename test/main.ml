@@ -81,7 +81,6 @@ let () =
       ("experiment", Test_experiment.suite);
       ("report", Test_report.suite);
       ("audit", Test_audit.suite);
-      ("typed", Test_typed.suite);
       ("replay", Test_replay.suite);
       ("fault", Test_fault.suite);
       ("resilience", Test_resilience.suite);

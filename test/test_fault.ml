@@ -154,6 +154,57 @@ let test_cas_lie_ambient () =
       Alcotest.(check int) "the lie was counted" 1
         stats.Arc_fault.Fault_mem.cas_lies)
 
+(* A crash hook ends a real caller AT its planned access (arc-crash
+   sets it to SIGKILL the leader), so nothing between the access and
+   the top level runs — in particular not [write_guarded]'s guard
+   handler, which un-journals the slot.  Whether the crash lands at
+   the guard's fence load or at the W2 exchange, the hook must find
+   [current] unpublished and the superseded slot journaled: the state
+   a successor's [recover_crash] quarantines. *)
+module Hook_mem = Arc_fault.Fault_mem.Make (Arc_mem.Real_mem)
+module Hook_arc = Arc_core.Arc.Make (Hook_mem)
+
+let test_crash_hook () =
+  let crash_at name kind nth =
+    let reg = Hook_arc.create ~readers:2 ~capacity:4 ~init:(Array.make 4 0) in
+    let fence = Hook_mem.atomic 0 in
+    let published = Hook_arc.Debug.current reg in
+    let guarded = ref false and seen = ref None in
+    let guard () =
+      guarded := true;
+      ignore (Hook_mem.load fence)
+    in
+    Hook_mem.set_ambient_fiber (Some 0);
+    Hook_mem.set_crash_hook
+      (Some
+         (fun () ->
+           seen :=
+             Some
+               ( !guarded,
+                 Hook_arc.Debug.current reg,
+                 Hook_arc.recover_crash reg )));
+    Hook_mem.install (Fault_plan.crash ~kind ~fiber:0 ~at_access:nth Fault_plan.empty);
+    Fun.protect
+      ~finally:(fun () ->
+        Hook_mem.set_crash_hook None;
+        Hook_mem.set_ambient_fiber None;
+        ignore (Hook_mem.drain ()))
+      (fun () ->
+        match Hook_arc.write_guarded reg ~guard ~src:(Array.make 4 1) ~len:4 with
+        | () -> Alcotest.failf "%s: the write completed" name
+        | exception Fault_plan.Crashed -> ());
+    match !seen with
+    | None -> Alcotest.failf "%s: the hook never ran" name
+    | Some (guarded, current, journaled) ->
+        Alcotest.(check bool) (name ^ ": guard entered") true guarded;
+        Alcotest.(check int) (name ^ ": current unchanged") published current;
+        Alcotest.(check int) (name ^ ": superseded slot journaled") 1 journaled
+  in
+  (* A fresh register's first write loads the hint (load 1) and one
+     free slot's presence pair (loads 2-3); the guard's is load 4. *)
+  crash_at "guard load" `Load 4;
+  crash_at "W2 exchange" `Rmw 1
+
 (* A stale register (broken independently of the fault layer) must
    still be convicted when run through the crash-aware campaign. *)
 module RS = Broken_regs.Stale (Campaign.Mem)
@@ -397,6 +448,8 @@ let suite =
       test_stale_register_convicted;
     Alcotest.test_case "cas-lie under an ambient fiber" `Quick
       test_cas_lie_ambient;
+    Alcotest.test_case "crash hook runs at the planned access" `Quick
+      test_crash_hook;
     Alcotest.test_case "saturation guard at 2^32-2" `Quick test_saturation_guard;
     Alcotest.test_case "arc-dynamic: reclaim stale slot" `Quick test_reclaim_stale;
     Alcotest.test_case "arc-dynamic: auto-reclaim lease" `Quick test_auto_reclaim;

@@ -541,6 +541,18 @@ let test_refuses_used_mapping () =
             (Arc_shm.Shm_arc.create m ~shards:1 ~readers:2 ~capacity:8
                ~init:[| 0 |])))
 
+let test_refuses_foreign_mem () =
+  with_mapping (fun _path other ->
+      with_mapping (fun _path m ->
+          Alcotest.check_raises "registers built over another mapping's memory"
+            (Invalid_argument
+               "Shm_arc.create: mem did not allocate the registers in the \
+                mapping")
+            (fun () ->
+              ignore
+                (Arc_shm.Shm_arc.create ~mem:(S.mem other) m ~shards:1
+                   ~readers:2 ~capacity:8 ~init:(Array.make 8 0)))))
+
 (* {1 Fabric mappings and the reign table}
 
    The reign table holds one writer seat per register — election word,
@@ -779,6 +791,8 @@ let suite =
       test_shm_arc_recover_clean;
     Alcotest.test_case "create refuses a used mapping" `Quick
       test_refuses_used_mapping;
+    Alcotest.test_case "create refuses another mapping's memory" `Quick
+      test_refuses_foreign_mem;
     Alcotest.test_case "fabric: reign-table accessors and durability" `Quick
       test_fabric_reign_accessors;
     Alcotest.test_case "fabric control: stale layout convicted before the table"
